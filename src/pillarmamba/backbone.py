@@ -15,40 +15,19 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import CsgConfig, CsgParams, HsbConfig, HsbParams, csg_forward, hsb_forward, init_csg_params, init_hsb_params, _conv_param
+from .config import ModelConfig
 from .errors import ConfigurationError
 
 Array = np.ndarray
 
+STAGES = 4  # the pyramid contract enumerates F1..F4 plus the fused F5
 
-@dataclass(frozen=True)
-class BackboneConfig:
-    channels: int = 64
-    stages: int = 4
-    csg_enabled: bool = True
-    hsb_layers: int = 2
-    split_fraction: float = 0.5
-    hsb: HsbConfig | None = None  # template; channels derived per context
 
-    def __post_init__(self):
-        # the pyramid contract enumerates F1..F4 plus the fused F5
-        if self.stages != 4:
-            raise ConfigurationError(f"backbone requires exactly 4 stages, got {self.stages}")
-
-    def hsb_cfg(self, channels: int) -> HsbConfig:
-        template = self.hsb
-        if template is None:
-            return HsbConfig(channels=channels)
-        return HsbConfig(
-            channels=channels,
-            reduction_ratio=template.reduction_ratio,
-            dw_kernel=template.dw_kernel,
-            local_conv=template.local_conv,
-            residual=template.residual,
-            attention=template.attention,
-            attention_alt_residual=template.attention_alt_residual,
-            se_reduction=template.se_reduction,
-            state_dim=template.state_dim,
-        )
+def stage_configs(cfg: ModelConfig) -> tuple[CsgConfig | None, HsbConfig]:
+    """Per-stage block configs: the CSG (None for a plain HSB chain) and the HSB at the width it runs."""
+    csg = CsgConfig(channels=cfg.channels, **vars(cfg.csg)) if cfg.csg.enabled else None
+    width = cfg.channels if csg is None else csg.branch_channels
+    return csg, HsbConfig(channels=width, **vars(cfg.hsb), **vars(cfg.ssm))
 
 
 @dataclass
@@ -101,22 +80,20 @@ def validate_grid_for_backbone(x_cells: int, y_cells: int) -> None:
         )
 
 
-def init_backbone_params(rng: np.random.Generator, cfg: BackboneConfig, dtype=np.float32, name: str = "backbone") -> BackboneParams:
+def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "backbone") -> BackboneParams:
     c = cfg.channels
+    csg_cfg, hsb_cfg = stage_configs(cfg)
     stages = []
-    for i in range(cfg.stages):
-        if cfg.csg_enabled:
-            csg_cfg = CsgConfig(channels=c, split_fraction=cfg.split_fraction, hsb_layers=cfg.hsb_layers)
-            hsb_cfg = cfg.hsb_cfg(csg_cfg.branch_channels)
+    for i in range(STAGES):
+        if csg_cfg is not None:
             stages.append(StageParams(csg=init_csg_params(rng, csg_cfg, hsb_cfg, dtype, name=f"{name}.stage{i}.csg"), plain=None))
         else:
-            hsb_cfg = cfg.hsb_cfg(c)
             plain = tuple(
-                init_hsb_params(rng, hsb_cfg, dtype, name=f"{name}.stage{i}.hsb{j}") for j in range(cfg.hsb_layers)
+                init_hsb_params(rng, hsb_cfg, dtype, name=f"{name}.stage{i}.hsb{j}") for j in range(cfg.csg.hsb_layers)
             )
             stages.append(StageParams(csg=None, plain=plain))
     down_convs = tuple(
-        _conv_param(rng, f"{name}.down{i}", c, c, 3, dtype) for i in range(cfg.stages - 1)
+        _conv_param(rng, f"{name}.down{i}", c, c, 3, dtype) for i in range(STAGES - 1)
     )
     return BackboneParams(
         stages=tuple(stages),
@@ -128,38 +105,28 @@ def init_backbone_params(rng: np.random.Generator, cfg: BackboneConfig, dtype=np
     )
 
 
-def _stage_forward(x, cfg: BackboneConfig, stage: StageParams, engine: str, zoh_exact: bool, chunk_size: int):
-    c = cfg.channels
+def _stage_forward(x, csg_cfg: CsgConfig | None, hsb_cfg: HsbConfig, stage: StageParams):
     if stage.csg is not None:
-        csg_cfg = CsgConfig(channels=c, split_fraction=cfg.split_fraction, hsb_layers=cfg.hsb_layers)
-        return csg_forward(x, csg_cfg, cfg.hsb_cfg(csg_cfg.branch_channels), stage.csg,
-                           engine=engine, zoh_exact=zoh_exact, chunk_size=chunk_size)
-    hsb_cfg = cfg.hsb_cfg(c)
+        return csg_forward(x, csg_cfg, hsb_cfg, stage.csg)
     for hsb_params in stage.plain:
-        x = hsb_forward(x, hsb_cfg, hsb_params, engine=engine, zoh_exact=zoh_exact, chunk_size=chunk_size)
+        x = hsb_forward(x, hsb_cfg, hsb_params)
     return x
 
 
-def backbone_forward(
-    f0,
-    cfg: BackboneConfig,
-    params: BackboneParams,
-    engine: str = "parallel",
-    zoh_exact: bool = True,
-    chunk_size: int = 0,
-) -> FeaturePyramid:
+def backbone_forward(f0, cfg: ModelConfig, params: BackboneParams) -> FeaturePyramid:
     """F0 (C, X, Y) -> pyramid with F5 back at (C, X, Y)."""
     t0 = T.as_tensor(f0)
     _, x_cells, y_cells = t0.shape
     validate_grid_for_backbone(x_cells, y_cells)
+    csg_cfg, hsb_cfg = stage_configs(cfg)
 
-    f1 = _stage_forward(t0, cfg, params.stages[0], engine, zoh_exact, chunk_size)
+    f1 = _stage_forward(t0, csg_cfg, hsb_cfg, params.stages[0])
     levels = [f1]
     x = f1
-    for i in range(1, cfg.stages):
+    for i in range(1, STAGES):
         w, b = params.down_convs[i - 1]
         x = T.conv2d(x, w, b, stride=2, padding=1)
-        x = _stage_forward(x, cfg, params.stages[i], engine, zoh_exact, chunk_size)
+        x = _stage_forward(x, csg_cfg, hsb_cfg, params.stages[i])
         levels.append(x)
     f1, f2, f3, f4 = levels
 

@@ -18,23 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import CsgToggles, HsbToggles, SsmConfig
 from .cross_scan import Ss2dParams, init_ss2d_params, ss2d_block
 from .errors import ConfigurationError, ContractViolation
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class HsbConfig:
+@dataclass(frozen=True, kw_only=True)
+class HsbConfig(HsbToggles, SsmConfig):
+    """The HSB toggles and scan settings resolved at one channel width."""
+
     channels: int
-    reduction_ratio: int = 2
-    dw_kernel: int = 3
-    local_conv: bool = True
-    residual: bool = True
-    attention: bool = True
-    attention_alt_residual: bool = False  # non-default: F_up + gates*DWConv(F)
-    se_reduction: int = 4
-    state_dim: int = 8
 
     def __post_init__(self):
         if self.channels % self.reduction_ratio != 0:
@@ -49,11 +44,11 @@ class HsbConfig:
         return self.channels // self.reduction_ratio
 
 
-@dataclass(frozen=True)
-class CsgConfig:
+@dataclass(frozen=True, kw_only=True)
+class CsgConfig(CsgToggles):
+    """The cross-stage split resolved at one channel width."""
+
     channels: int
-    split_fraction: float = 0.5
-    hsb_layers: int = 2
 
     def __post_init__(self):
         split = self.channels * self.split_fraction
@@ -189,14 +184,7 @@ def init_hsb_params(rng: np.random.Generator, cfg: HsbConfig, dtype=np.float32, 
     )
 
 
-def hsb_forward(
-    f,
-    cfg: HsbConfig,
-    params: HsbParams,
-    engine: str = "parallel",
-    zoh_exact: bool = True,
-    chunk_size: int = 0,
-) -> T.Tensor:
+def hsb_forward(f, cfg: HsbConfig, params: HsbParams) -> T.Tensor:
     """Shape-preserving hybrid block on a (C, X, Y) map.
 
     Channel-reduced trunk: pre-norm selective scan residual, then (if enabled)
@@ -210,11 +198,7 @@ def hsb_forward(
     pad = cfg.dw_kernel // 2
     f_down = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
     scanned = ss2d_block(
-        T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta),
-        params.ss2d,
-        engine=engine,
-        zoh_exact=zoh_exact,
-        chunk_size=chunk_size,
+        T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d, zoh_exact=cfg.zoh_exact
     )
     f_down = T.add(scanned, f_down)
     if cfg.local_conv:
@@ -262,15 +246,7 @@ def init_csg_params(
     return CsgParams(conv_down_w=down_w, conv_down_b=down_b, hsbs=hsbs, conv_up_w=up_w, conv_up_b=up_b)
 
 
-def csg_forward(
-    f,
-    cfg: CsgConfig,
-    hsb_cfg: HsbConfig,
-    params: CsgParams,
-    engine: str = "parallel",
-    zoh_exact: bool = True,
-    chunk_size: int = 0,
-) -> T.Tensor:
+def csg_forward(f, cfg: CsgConfig, hsb_cfg: HsbConfig, params: CsgParams) -> T.Tensor:
     """Split-channel group: HSB chain on one half, identity bypass on the other."""
     tf = T.as_tensor(f)
     if tf.shape[0] != cfg.channels:
@@ -278,7 +254,7 @@ def csg_forward(
     mixed = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
     branch, bypass = T.split(mixed, [cfg.branch_channels, cfg.channels - cfg.branch_channels], axis=0)
     for hsb_params in params.hsbs:
-        branch = hsb_forward(branch, hsb_cfg, hsb_params, engine=engine, zoh_exact=zoh_exact, chunk_size=chunk_size)
+        branch = hsb_forward(branch, hsb_cfg, hsb_params)
     merged = T.concat([branch, bypass], axis=0)
     return T.conv2d(merged, params.conv_up_w, params.conv_up_b)
 

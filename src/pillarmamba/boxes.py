@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from .errors import ContractViolation
 
 CLASS_NAMES = ("vehicle", "pedestrian", "cyclist")
 CLASS_IDS = {name: i for i, name in enumerate(CLASS_NAMES)}
+ClassName = Literal[CLASS_NAMES]  # a class name as a type; the config loader checks membership
 
 
 def normalize_yaw(yaw: float) -> float:

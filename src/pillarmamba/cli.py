@@ -278,7 +278,8 @@ def cmd_bench(args) -> dict:
     # block benchmark: backbone forward with and without the cross-stage split
     from dataclasses import replace
 
-    from .blocks import HsbConfig, count_flops
+    from .backbone import stage_configs
+    from .blocks import count_flops
 
     for csg_enabled in (True, False):
         variant_cfg = replace(cfg, model=replace(cfg.model, csg=replace(cfg.model.csg, enabled=csg_enabled)))
@@ -297,29 +298,12 @@ def cmd_bench(args) -> dict:
             digests.add(_digest_array(T.value(pyr.f5)))
         if len(digests) != 1:
             raise RuntimeError("bench altered outputs across repeats for backbone")
-        hsb_template = HsbConfig(
-            channels=cfg.model.channels,
-            reduction_ratio=cfg.model.hsb.reduction_ratio,
-            dw_kernel=cfg.model.hsb.dw_kernel,
-            local_conv=cfg.model.hsb.local_conv,
-            residual=cfg.model.hsb.residual,
-            attention=cfg.model.hsb.attention,
-            se_reduction=cfg.model.hsb.se_reduction,
-            state_dim=cfg.model.ssm.state_dim,
-        )
         shape = (cfg.model.channels, cfg.grid.x_cells, cfg.grid.y_cells)
-        if csg_enabled:
-            from .blocks import CsgConfig
-
-            csg_cfg = CsgConfig(
-                channels=cfg.model.channels,
-                split_fraction=cfg.model.csg.split_fraction,
-                hsb_layers=cfg.model.csg.hsb_layers,
-            )
-            branch_cfg = replace(hsb_template, channels=csg_cfg.branch_channels)
-            stage_flops = count_flops("csg", shape, cfg=csg_cfg, hsb_cfg=branch_cfg)
+        csg_cfg, hsb_cfg = stage_configs(variant_cfg.model)
+        if csg_cfg is not None:
+            stage_flops = count_flops("csg", shape, cfg=csg_cfg, hsb_cfg=hsb_cfg)
         else:
-            stage_flops = count_flops("plain_stack", shape, hsb_cfg=hsb_template, layers=cfg.model.csg.hsb_layers)
+            stage_flops = count_flops("plain_stack", shape, hsb_cfg=hsb_cfg, layers=cfg.model.csg.hsb_layers)
         rows.append(
             {
                 "section": "backbone",

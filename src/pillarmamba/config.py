@@ -1,25 +1,22 @@
 """Run configuration: dataclasses plus a strict JSON loader.
 
-Every section except ``grid`` is optional and falls back to the documented
-defaults; unknown keys are rejected with the dotted path of the offender.
+The dataclasses are the single source of every field, type and default; the
+loader and the echo-dump are derived from them. Every section except ``grid``
+is optional and falls back to the defaults; unknown keys and mistyped values
+are rejected with the dotted path of the offender.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
-from .boxes import CLASS_NAMES
+from .boxes import CLASS_NAMES, ClassName
 from .errors import ConfigurationError
 from .pillars import GridSpec
-
-DEFAULT_SIZE_PRIORS = {
-    "vehicle": (4.5, 1.9, 1.6),
-    "pedestrian": (0.8, 0.8, 1.7),
-    "cyclist": (1.8, 0.6, 1.7),
-}
 
 
 @dataclass(frozen=True)
@@ -33,12 +30,6 @@ class EncoderConfig:
 class SsmConfig:
     state_dim: int = 8
     zoh_exact: bool = True
-    engine: str = "parallel"
-    chunk_size: int = 0
-
-    def __post_init__(self):
-        if self.engine not in ("parallel", "recurrent"):
-            raise ConfigurationError(f"ssm.engine must be 'parallel' or 'recurrent', got {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ class HsbToggles:
     local_conv: bool = True
     residual: bool = True
     attention: bool = True
-    attention_alt_residual: bool = False
+    attention_alt_residual: bool = False  # non-default: F_up + gates*DWConv(F)
     se_reduction: int = 4
 
 
@@ -62,7 +53,6 @@ class CsgToggles:
 @dataclass(frozen=True)
 class ModelConfig:
     channels: int = 64
-    stages: int = 4
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     csg: CsgToggles = field(default_factory=CsgToggles)
     hsb: HsbToggles = field(default_factory=HsbToggles)
@@ -71,16 +61,21 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class HeadConfig:
-    classes: tuple[str, ...] = CLASS_NAMES
+    classes: tuple[ClassName, ...] = CLASS_NAMES
     top_k: int = 100
     score_threshold: float = 0.1
     reg_weight: float = 1.0
     gaussian_min_overlap: float = 0.7
 
+    def __post_init__(self):
+        # generation, targets and eval all index boxes.CLASS_NAMES
+        if tuple(self.classes) != CLASS_NAMES:
+            raise ConfigurationError(f"head.classes: must be {list(CLASS_NAMES)}, got {list(self.classes)}")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
-    iou_thresholds: dict = field(
+    iou_thresholds: dict[ClassName, float] = field(
         default_factory=lambda: {"vehicle": 0.5, "pedestrian": 0.25, "cyclist": 0.25}
     )
 
@@ -93,13 +88,24 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class DataConfig:
-    counts: dict = field(default_factory=lambda: {"vehicle": 2, "pedestrian": 2, "cyclist": 1})
-    size_priors: dict = field(default_factory=lambda: dict(DEFAULT_SIZE_PRIORS))
+    counts: dict[ClassName, int] = field(default_factory=lambda: {"vehicle": 2, "pedestrian": 2, "cyclist": 1})
+    size_priors: dict[ClassName, tuple[float, float, float]] = field(
+        default_factory=lambda: {
+            "vehicle": (4.5, 1.9, 1.6),
+            "pedestrian": (0.8, 0.8, 1.7),
+            "cyclist": (1.8, 0.6, 1.7),
+        }
+    )
     points_per_box: int = 64
     background_points: int = 512
     noise_sigma: float = 0.02
     min_center_gap: float = 1.0
     ground_offset: float = 0.5  # ground plane height above z_min
+
+    def __post_init__(self):
+        negative = {k: v for k, v in self.counts.items() if v < 0}
+        if negative:
+            raise ConfigurationError(f"data.counts: expected nonnegative counts, got {negative}")
 
 
 @dataclass(frozen=True)
@@ -127,173 +133,68 @@ def default_config() -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# strict dict -> dataclass loading
+# strict dict -> dataclass loading, driven by the dataclass fields and hints
 # ---------------------------------------------------------------------------
 
 
-def _expect(d: dict, path: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"section {path!r} must be an object, got {type(d).__name__}")
-    return d
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _take(d: dict, key: str, path: str, kind, default):
-    if key not in d:
-        return default
-    val = d.pop(key)
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if (isinstance(val, bool) and kind is not bool) or not isinstance(val, kind):
-        raise ConfigurationError(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
-    return val
+def _load(tp, raw, path: str):
+    """Check parsed JSON ``raw`` against the type hint ``tp`` and convert it.
+
+    Dataclasses load from objects (absent fields take their defaults, unknown
+    keys are rejected), ``dict[K, V]`` from objects, ``tuple`` from lists,
+    ``Literal`` by membership; an int widens to float, a bool is not an int.
+    """
+    if is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"section {path or '<root>'!r} must be an object, got {type(raw).__name__}")
+        known = {f.name: f for f in fields(tp)}
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ConfigurationError(f"unknown key {_join(path, unknown[0])}")
+        for name, f in known.items():
+            if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(f"missing required key {_join(path, name)!r}")
+        hints = get_type_hints(tp)
+        return tp(**{name: _load(hints[name], value, _join(path, name)) for name, value in raw.items()})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is dict:
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: expected an object, got {raw!r}")
+        return {_load(args[0], k, _join(path, k)): _load(args[1], v, _join(path, k)) for k, v in raw.items()}
+    if origin is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigurationError(f"{path}: expected a list, got {raw!r}")
+        types = [args[0]] * len(raw) if args[-1] is Ellipsis else args
+        if len(types) != len(raw):
+            raise ConfigurationError(f"{path}: expected a list of {len(types)} values, got {raw!r}")
+        return tuple(_load(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, raw)))
+    if origin is Literal:
+        if raw not in args:
+            raise ConfigurationError(f"{path}: expected one of {list(args)}, got {raw!r}")
+        return raw
+    if tp is float and isinstance(raw, int) and not isinstance(raw, bool):
+        return float(raw)
+    if isinstance(raw, bool) != (tp is bool) or not isinstance(raw, tp):
+        raise ConfigurationError(f"{path}: expected {tp.__name__}, got {raw!r}")
+    return raw
 
 
-def _reject_unknown(d: dict, path: str) -> None:
-    if d:
-        raise ConfigurationError(f"unknown key {path}.{sorted(d)[0]}")
-
-
-def _pair(raw, path: str) -> tuple[float, float]:
-    if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
-        raise ConfigurationError(f"{path}: expected [min, max], got {raw!r}")
-    return (float(raw[0]), float(raw[1]))
-
-
-def _load_grid(raw: dict, path: str = "grid") -> GridSpec:
-    raw = dict(_expect(raw, path))
-    if "x_range" not in raw or "y_range" not in raw or "z_range" not in raw:
-        raise ConfigurationError(f"{path}: x_range, y_range and z_range are required")
-    grid = GridSpec(
-        x_range=_pair(raw.pop("x_range"), f"{path}.x_range"),
-        y_range=_pair(raw.pop("y_range"), f"{path}.y_range"),
-        z_range=_pair(raw.pop("z_range"), f"{path}.z_range"),
-        pillar_size=_take(raw, "pillar_size", path, float, 0.2),
-    )
-    _reject_unknown(raw, path)
-    return grid
-
-
-def _load_model(raw: dict, path: str = "model") -> ModelConfig:
-    raw = dict(_expect(raw, path))
-    enc_raw = dict(_expect(raw.pop("encoder", {}), f"{path}.encoder"))
-    enc = EncoderConfig(
-        max_points_per_pillar=_take(enc_raw, "max_points_per_pillar", f"{path}.encoder", int, 32),
-        max_pillars=_take(enc_raw, "max_pillars", f"{path}.encoder", int, 20000),
-        activation=_take(enc_raw, "activation", f"{path}.encoder", str, "relu"),
-    )
-    _reject_unknown(enc_raw, f"{path}.encoder")
-    csg_raw = dict(_expect(raw.pop("csg", {}), f"{path}.csg"))
-    csg = CsgToggles(
-        enabled=_take(csg_raw, "enabled", f"{path}.csg", bool, True),
-        hsb_layers=_take(csg_raw, "hsb_layers", f"{path}.csg", int, 2),
-        split_fraction=_take(csg_raw, "split_fraction", f"{path}.csg", float, 0.5),
-    )
-    _reject_unknown(csg_raw, f"{path}.csg")
-    hsb_raw = dict(_expect(raw.pop("hsb", {}), f"{path}.hsb"))
-    hsb = HsbToggles(
-        reduction_ratio=_take(hsb_raw, "reduction_ratio", f"{path}.hsb", int, 2),
-        dw_kernel=_take(hsb_raw, "dw_kernel", f"{path}.hsb", int, 3),
-        local_conv=_take(hsb_raw, "local_conv", f"{path}.hsb", bool, True),
-        residual=_take(hsb_raw, "residual", f"{path}.hsb", bool, True),
-        attention=_take(hsb_raw, "attention", f"{path}.hsb", bool, True),
-        attention_alt_residual=_take(hsb_raw, "attention_alt_residual", f"{path}.hsb", bool, False),
-        se_reduction=_take(hsb_raw, "se_reduction", f"{path}.hsb", int, 4),
-    )
-    _reject_unknown(hsb_raw, f"{path}.hsb")
-    ssm_raw = dict(_expect(raw.pop("ssm", {}), f"{path}.ssm"))
-    ssm = SsmConfig(
-        state_dim=_take(ssm_raw, "state_dim", f"{path}.ssm", int, 8),
-        zoh_exact=_take(ssm_raw, "zoh_exact", f"{path}.ssm", bool, True),
-        engine=_take(ssm_raw, "engine", f"{path}.ssm", str, "parallel"),
-        chunk_size=_take(ssm_raw, "chunk_size", f"{path}.ssm", int, 0),
-    )
-    _reject_unknown(ssm_raw, f"{path}.ssm")
-    model = ModelConfig(
-        channels=_take(raw, "channels", path, int, 64),
-        stages=_take(raw, "stages", path, int, 4),
-        encoder=enc,
-        csg=csg,
-        hsb=hsb,
-        ssm=ssm,
-    )
-    _reject_unknown(raw, path)
-    return model
-
-
-def _load_head(raw: dict, path: str = "head") -> HeadConfig:
-    raw = dict(_expect(raw, path))
-    classes = raw.pop("classes", list(CLASS_NAMES))
-    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
-        raise ConfigurationError(f"{path}.classes: expected a list of strings")
-    head = HeadConfig(
-        classes=tuple(classes),
-        top_k=_take(raw, "top_k", path, int, 100),
-        score_threshold=_take(raw, "score_threshold", path, float, 0.1),
-        reg_weight=_take(raw, "reg_weight", path, float, 1.0),
-        gaussian_min_overlap=_take(raw, "gaussian_min_overlap", path, float, 0.7),
-    )
-    _reject_unknown(raw, path)
-    return head
-
-
-def _load_eval(raw: dict, path: str = "eval") -> EvalConfig:
-    raw = dict(_expect(raw, path))
-    thresholds = raw.pop("iou_thresholds", {"vehicle": 0.5, "pedestrian": 0.25, "cyclist": 0.25})
-    if not isinstance(thresholds, dict):
-        raise ConfigurationError(f"{path}.iou_thresholds: expected an object")
-    for k, v in thresholds.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigurationError(f"{path}.iou_thresholds.{k}: expected a number, got {v!r}")
-    _reject_unknown(raw, path)
-    return EvalConfig(iou_thresholds={k: float(v) for k, v in thresholds.items()})
-
-
-def _load_train(raw: dict, path: str = "train") -> TrainConfig:
-    raw = dict(_expect(raw, path))
-    train = TrainConfig(
-        lr=_take(raw, "lr", path, float, 0.02),
-        steps=_take(raw, "steps", path, int, 300),
-    )
-    _reject_unknown(raw, path)
-    return train
-
-
-def _load_data(raw: dict, path: str = "data") -> DataConfig:
-    raw = dict(_expect(raw, path))
-    counts = raw.pop("counts", {"vehicle": 2, "pedestrian": 2, "cyclist": 1})
-    if not isinstance(counts, dict) or not all(isinstance(v, int) and v >= 0 for v in counts.values()):
-        raise ConfigurationError(f"{path}.counts: expected an object of nonnegative ints")
-    priors = raw.pop("size_priors", dict(DEFAULT_SIZE_PRIORS))
-    if not isinstance(priors, dict):
-        raise ConfigurationError(f"{path}.size_priors: expected an object")
-    priors = {k: tuple(float(x) for x in v) for k, v in priors.items()}
-    data = DataConfig(
-        counts=dict(counts),
-        size_priors=priors,
-        points_per_box=_take(raw, "points_per_box", path, int, 64),
-        background_points=_take(raw, "background_points", path, int, 512),
-        noise_sigma=_take(raw, "noise_sigma", path, float, 0.02),
-        min_center_gap=_take(raw, "min_center_gap", path, float, 1.0),
-        ground_offset=_take(raw, "ground_offset", path, float, 0.5),
-    )
-    _reject_unknown(raw, path)
-    return data
+def _dump(value):
+    if is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _dump(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    raw = dict(_expect(raw, "<root>"))
-    if "grid" not in raw:
-        raise ConfigurationError("missing required section 'grid'")
-    cfg = RunConfig(
-        grid=_load_grid(raw.pop("grid")),
-        model=_load_model(raw.pop("model", {})),
-        head=_load_head(raw.pop("head", {})),
-        eval=_load_eval(raw.pop("eval", {})),
-        train=_load_train(raw.pop("train", {})),
-        data=_load_data(raw.pop("data", {})),
-    )
-    _reject_unknown(raw, "<root>")
-    return cfg
+    return _load(RunConfig, raw, "")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -306,61 +207,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical echo-dump; loading this dict reproduces the config exactly."""
-    return {
-        "grid": {
-            "x_range": list(cfg.grid.x_range),
-            "y_range": list(cfg.grid.y_range),
-            "z_range": list(cfg.grid.z_range),
-            "pillar_size": cfg.grid.pillar_size,
-        },
-        "model": {
-            "channels": cfg.model.channels,
-            "stages": cfg.model.stages,
-            "encoder": {
-                "max_points_per_pillar": cfg.model.encoder.max_points_per_pillar,
-                "max_pillars": cfg.model.encoder.max_pillars,
-                "activation": cfg.model.encoder.activation,
-            },
-            "csg": {
-                "enabled": cfg.model.csg.enabled,
-                "hsb_layers": cfg.model.csg.hsb_layers,
-                "split_fraction": cfg.model.csg.split_fraction,
-            },
-            "hsb": {
-                "reduction_ratio": cfg.model.hsb.reduction_ratio,
-                "dw_kernel": cfg.model.hsb.dw_kernel,
-                "local_conv": cfg.model.hsb.local_conv,
-                "residual": cfg.model.hsb.residual,
-                "attention": cfg.model.hsb.attention,
-                "attention_alt_residual": cfg.model.hsb.attention_alt_residual,
-                "se_reduction": cfg.model.hsb.se_reduction,
-            },
-            "ssm": {
-                "state_dim": cfg.model.ssm.state_dim,
-                "zoh_exact": cfg.model.ssm.zoh_exact,
-                "engine": cfg.model.ssm.engine,
-                "chunk_size": cfg.model.ssm.chunk_size,
-            },
-        },
-        "head": {
-            "classes": list(cfg.head.classes),
-            "top_k": cfg.head.top_k,
-            "score_threshold": cfg.head.score_threshold,
-            "reg_weight": cfg.head.reg_weight,
-            "gaussian_min_overlap": cfg.head.gaussian_min_overlap,
-        },
-        "eval": {"iou_thresholds": dict(cfg.eval.iou_thresholds)},
-        "train": {"lr": cfg.train.lr, "steps": cfg.train.steps},
-        "data": {
-            "counts": dict(cfg.data.counts),
-            "size_priors": {k: list(v) for k, v in cfg.data.size_priors.items()},
-            "points_per_box": cfg.data.points_per_box,
-            "background_points": cfg.data.background_points,
-            "noise_sigma": cfg.data.noise_sigma,
-            "min_center_gap": cfg.data.min_center_gap,
-            "ground_offset": cfg.data.ground_offset,
-        },
-    }
+    return _dump(cfg)
 
 
 def config_digest(cfg: RunConfig) -> str:

@@ -131,13 +131,7 @@ def init_ss2d_params(
     )
 
 
-def ss2d_block(
-    bev,
-    params: Ss2dParams,
-    engine: str = "parallel",
-    zoh_exact: bool = True,
-    chunk_size: int = 0,
-) -> T.Tensor:
+def ss2d_block(bev, params: Ss2dParams, zoh_exact: bool = True) -> T.Tensor:
     """Shape-preserving four-direction selective scan over a (C, X, Y) map.
 
     Pipeline: 1x1 projection + SiLU -> directional flatten -> per-direction
@@ -149,9 +143,7 @@ def ss2d_block(
     h = T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b))
     seqs = cross_scan_flatten(h, directions=tuple(params.directions))
     scanned = {
-        d: selective_scan_tokens(
-            seqs.sequences[d], params.directions[d], engine=engine, zoh_exact=zoh_exact, chunk_size=chunk_size
-        )
+        d: selective_scan_tokens(seqs.sequences[d], params.directions[d], zoh_exact=zoh_exact)
         for d in params.directions
     }
     merged = cross_merge(scanned, x_cells, y_cells)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +26,12 @@ CLOUD_ROW_BYTES = 16  # 4 little-endian float32 per point
 MAX_PLACEMENT_RETRIES = 200
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """Everything needed to synthesize one deterministic scene."""
+@dataclass(frozen=True, kw_only=True)
+class SceneSpec(DataConfig):
+    """Everything needed to synthesize one deterministic scene: the data
+    settings (defaults from ``DataConfig``) plus the grid and the seed."""
 
     grid: GridSpec
-    counts: dict = field(default_factory=lambda: {"vehicle": 2, "pedestrian": 2, "cyclist": 1})
-    size_priors: dict = field(
-        default_factory=lambda: {
-            "vehicle": (4.5, 1.9, 1.6),
-            "pedestrian": (0.8, 0.8, 1.7),
-            "cyclist": (1.8, 0.6, 1.7),
-        }
-    )
-    points_per_box: int = 64
-    background_points: int = 512
-    noise_sigma: float = 0.02
-    min_center_gap: float = 1.0
-    ground_offset: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -63,18 +51,7 @@ class SceneSpec:
 
 
 def scene_spec_from_config(cfg: RunConfig, seed: int) -> SceneSpec:
-    d: DataConfig = cfg.data
-    return SceneSpec(
-        grid=cfg.grid,
-        counts=dict(d.counts),
-        size_priors=dict(d.size_priors),
-        points_per_box=d.points_per_box,
-        background_points=d.background_points,
-        noise_sigma=d.noise_sigma,
-        min_center_gap=d.min_center_gap,
-        ground_offset=d.ground_offset,
-        seed=seed,
-    )
+    return SceneSpec(grid=cfg.grid, seed=seed, **vars(cfg.data))
 
 
 def _sample_box(rng: np.random.Generator, spec: SceneSpec, cls_name: str, ground_z: float) -> Box3D:

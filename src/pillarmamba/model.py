@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import BackboneConfig, BackboneParams, backbone_forward, init_backbone_params, validate_grid_for_backbone
-from .blocks import HsbConfig
+from .backbone import BackboneParams, backbone_forward, init_backbone_params, validate_grid_for_backbone
 from .boxes import Box3D, Detection
 from .config import RunConfig
 from .errors import FormatError
@@ -20,33 +19,6 @@ from .head import HeadParams, HeadTargets, RawMaps, build_targets, decode, detec
 from .pillars import BevMap, EncoderParams, PointCloud, encode_cloud, init_encoder_params
 
 WEIGHTS_MAGIC = b"PMW1"
-
-
-def _hsb_template(cfg: RunConfig) -> HsbConfig:
-    h = cfg.model.hsb
-    # channels here are a placeholder; the backbone re-derives them per context
-    return HsbConfig(
-        channels=cfg.model.channels,
-        reduction_ratio=h.reduction_ratio,
-        dw_kernel=h.dw_kernel,
-        local_conv=h.local_conv,
-        residual=h.residual,
-        attention=h.attention,
-        attention_alt_residual=h.attention_alt_residual,
-        se_reduction=h.se_reduction,
-        state_dim=cfg.model.ssm.state_dim,
-    )
-
-
-def backbone_config(cfg: RunConfig) -> BackboneConfig:
-    return BackboneConfig(
-        channels=cfg.model.channels,
-        stages=cfg.model.stages,
-        csg_enabled=cfg.model.csg.enabled,
-        hsb_layers=cfg.model.csg.hsb_layers,
-        split_fraction=cfg.model.csg.split_fraction,
-        hsb=_hsb_template(cfg),
-    )
 
 
 @dataclass
@@ -82,15 +54,7 @@ class PillarMambaModel:
         )
 
     def backbone_forward(self, bev: BevMap):
-        ssm = self.cfg.model.ssm
-        return backbone_forward(
-            bev.tensor,
-            backbone_config(self.cfg),
-            self.backbone,
-            engine=ssm.engine,
-            zoh_exact=ssm.zoh_exact,
-            chunk_size=ssm.chunk_size,
-        )
+        return backbone_forward(bev.tensor, self.cfg.model, self.backbone)
 
     def head_forward(self, f5) -> RawMaps:
         return head_forward(f5, self.head)
@@ -114,7 +78,7 @@ def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaM
     rng = np.random.Generator(np.random.PCG64(seed))
     c = cfg.model.channels
     encoder = init_encoder_params(rng, c, dtype=dtype)
-    backbone = init_backbone_params(rng, backbone_config(cfg), dtype=dtype)
+    backbone = init_backbone_params(rng, cfg.model, dtype=dtype)
     head = init_head_params(rng, c, len(cfg.head.classes), dtype=dtype)
     return PillarMambaModel(cfg=cfg, encoder=encoder, backbone=backbone, head=head, dtype=dtype)
 

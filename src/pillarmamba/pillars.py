@@ -24,7 +24,7 @@ class GridSpec:
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     z_range: tuple[float, float]
-    pillar_size: float
+    pillar_size: float = 0.2
 
     def __post_init__(self):
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):

@@ -10,7 +10,8 @@ Three mutually verified execution forms of the discrete recurrence
   associative lift ``(a, u) o (a', u') = (a*a', a'*u + u')``.
 
 Plus zero-order-hold discretization and the input-conditioned (selective)
-parameterization used by the network path, differentiable on the tape.
+parameterization used by the network path, differentiable on the tape; the
+network's scan runs the parallel form.
 """
 
 from __future__ import annotations
@@ -249,19 +250,8 @@ def associative_scan(coeff: Array, update: Array, h0: Array | None = None) -> Ar
     return coeff * prefix_u + update
 
 
-def scan_parallel_arrays(
-    a_bar: Array,
-    b_bar: Array,
-    c_bar: Array,
-    x: Array,
-    h0: Array | None = None,
-    chunk_size: int = 0,
-) -> Array:
-    """Parallel-scan evaluation; same contract as scan_recurrent_arrays.
-
-    chunk_size > 0 partitions the sequence and carries the state across
-    chunks sequentially; results are bit-stable for a fixed chunk size.
-    """
+def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0: Array | None = None) -> Array:
+    """Parallel-scan evaluation; same contract as scan_recurrent_arrays."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -270,22 +260,13 @@ def scan_parallel_arrays(
     ab = _canon_tdm(a_bar, t_len, d, m)
     bb = _canon_tdm(b_bar, t_len, d, m)
     cb = _canon_tdm(c_bar, t_len, d, m)
-    u = bb * x[:, :, None]
-    if chunk_size and chunk_size < t_len:
-        h = np.zeros((t_len, d, m), dtype=np.float64)
-        carry = np.zeros((d, m), dtype=np.float64) if h0 is None else np.array(h0, dtype=np.float64)
-        for start in range(0, t_len, chunk_size):
-            stop = min(start + chunk_size, t_len)
-            h[start:stop] = associative_scan(ab[start:stop], u[start:stop], h0=carry)
-            carry = h[stop - 1]
-    else:
-        h = associative_scan(ab, u, h0=h0)
+    h = associative_scan(ab, bb * x[:, :, None], h0=h0)
     return (cb * h).sum(axis=-1)
 
 
-def scan_parallel(disc: SsmParamsDiscrete, seq: ScanSequence, chunk_size: int = 0) -> ScanSequence:
+def scan_parallel(disc: SsmParamsDiscrete, seq: ScanSequence) -> ScanSequence:
     squeeze = np.asarray(seq.x).ndim == 1
-    y = scan_parallel_arrays(disc.a_bar, disc.b_bar, disc.c_bar, seq.x, seq.h0, chunk_size)
+    y = scan_parallel_arrays(disc.a_bar, disc.b_bar, disc.c_bar, seq.x, seq.h0)
     seq.y = y[:, 0] if squeeze else y
     return seq
 
@@ -295,20 +276,12 @@ def scan_parallel(disc: SsmParamsDiscrete, seq: ScanSequence, chunk_size: int = 
 # ---------------------------------------------------------------------------
 
 
-def _scan_h_recurrent(ab: Array, u: Array) -> Array:
-    h = np.zeros_like(u)
-    prev = np.zeros_like(u[0])
-    for t in range(u.shape[0]):
-        prev = ab[t] * prev + u[t]
-        h[t] = prev
-    return h
-
-
-def ssm_scan(x, a_bar, b_bar, c_seq, engine: str = "parallel", chunk_size: int = 0) -> T.Tensor:
+def ssm_scan(x, a_bar, b_bar, c_seq) -> T.Tensor:
     """Differentiable selective scan: x (T,D), a_bar/b_bar (T,D,M), c (T,M) -> y (T,D).
 
-    Forward state evaluation uses the chosen engine; the backward adjoint is
-    itself a first-order recurrence and reuses the parallel scan.
+    The forward state and the backward adjoint (itself a first-order
+    recurrence) are both evaluated by the parallel scan; the recurrent and
+    convolution forms are the verified references.
     """
     tx, ta, tb, tc = (T.as_tensor(v) for v in (x, a_bar, b_bar, c_seq))
     xd, ab, bb, c = tx.data, ta.data, tb.data, tc.data
@@ -318,21 +291,7 @@ def ssm_scan(x, a_bar, b_bar, c_seq, engine: str = "parallel", chunk_size: int =
         raise ContractViolation(
             f"ssm_scan shape mismatch: x {xd.shape}, a_bar {ab.shape}, b_bar {bb.shape}, c {c.shape}"
         )
-    u = bb * xd[:, :, None]
-    if engine == "recurrent":
-        h = _scan_h_recurrent(ab, u)
-    elif engine == "parallel":
-        if chunk_size and chunk_size < t_len:
-            h = np.empty_like(u)
-            carry = np.zeros_like(u[0])
-            for start in range(0, t_len, chunk_size):
-                stop = min(start + chunk_size, t_len)
-                h[start:stop] = associative_scan(ab[start:stop], u[start:stop], h0=carry)
-                carry = h[stop - 1]
-        else:
-            h = associative_scan(ab, u)
-    else:
-        raise ConfigurationError(f"unknown scan engine {engine!r} (use 'recurrent' or 'parallel')")
+    h = associative_scan(ab, bb * xd[:, :, None])
     y = np.einsum("tm,tdm->td", c, h)
     out = T.Tensor(y)
 
@@ -409,17 +368,11 @@ def selective_discretize(delta, a, b_seq, exact: bool = True):
     return a_bar, b_bar
 
 
-def selective_scan_tokens(
-    tokens,
-    proj: SelectiveProjections,
-    engine: str = "parallel",
-    zoh_exact: bool = True,
-    chunk_size: int = 0,
-) -> T.Tensor:
+def selective_scan_tokens(tokens, proj: SelectiveProjections, zoh_exact: bool = True) -> T.Tensor:
     """Full selective scan over a token sequence (T, D) -> (T, D)."""
     b_seq, c_seq, delta, a = selective_params(tokens, proj)
     a_bar, b_bar = selective_discretize(delta, a, b_seq, exact=zoh_exact)
-    return ssm_scan(tokens, a_bar, b_bar, c_seq, engine=engine, chunk_size=chunk_size)
+    return ssm_scan(tokens, a_bar, b_bar, c_seq)
 
 
 def init_selective_projections(

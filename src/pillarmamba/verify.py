@@ -73,10 +73,9 @@ def check_selective_scan(seed: int) -> T.GradCheckReport:
     t_len = int(rng.integers(2, 9))
     proj = init_selective_projections(rng, d, m, dtype=np.float64)
     tokens = T.Tensor(rng.normal(size=(t_len, d)))
-    engine = "parallel" if seed % 2 == 0 else "recurrent"
     inputs = [tokens] + proj.params()
-    fn = lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj, engine=engine))
-    return T.grad_check(fn, inputs, name=f"selective_scan[seed={seed},{engine}]")
+    fn = lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj))
+    return T.grad_check(fn, inputs, name=f"selective_scan[seed={seed}]")
 
 
 def check_ss2d_block(seed: int) -> T.GradCheckReport:

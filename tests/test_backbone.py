@@ -5,16 +5,17 @@ import pytest
 
 from conftest import rng
 from pillarmamba import tensor as T
-from pillarmamba.backbone import BackboneConfig, backbone_forward, init_backbone_params, validate_grid_for_backbone
-from pillarmamba.blocks import HsbConfig
+from pillarmamba.backbone import backbone_forward, init_backbone_params, validate_grid_for_backbone
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, SsmConfig
 from pillarmamba.errors import ConfigurationError
 
 
-def tiny_cfg(csg_enabled=True, channels=8) -> BackboneConfig:
-    return BackboneConfig(
+def tiny_cfg(csg_enabled=True, channels=8) -> ModelConfig:
+    return ModelConfig(
         channels=channels,
-        csg_enabled=csg_enabled,
-        hsb=HsbConfig(channels=channels, state_dim=2, se_reduction=2),
+        csg=CsgToggles(enabled=csg_enabled),
+        hsb=HsbToggles(se_reduction=2),
+        ssm=SsmConfig(state_dim=2),
     )
 
 
@@ -38,10 +39,6 @@ class TestShapes:
         params = init_backbone_params(rng(2), cfg, dtype=np.float64)
         with pytest.raises(ConfigurationError):
             backbone_forward(T.Tensor(np.zeros((8, 20, 16))), cfg, params)
-
-    def test_stage_count_fixed(self):
-        with pytest.raises(ConfigurationError):
-            BackboneConfig(channels=8, stages=3)
 
 
 class TestBehavior:

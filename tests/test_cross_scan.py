@@ -153,14 +153,6 @@ class TestSs2dBlock:
         assert T.value(out).shape == (8, 4, 4)
         assert np.isfinite(T.value(out)).all()
 
-    @pytest.mark.parametrize("engine", ["parallel", "recurrent"])
-    def test_engines_agree(self, engine):
-        params = init_ss2d_params(rng(20), channels=4, state_dim=3, dtype=np.float64)
-        x = T.Tensor(rng(21).normal(size=(4, 5, 5)))
-        y_par = T.value(ss2d_block(x, params, engine="parallel"))
-        y_eng = T.value(ss2d_block(x, params, engine=engine))
-        np.testing.assert_allclose(y_eng, y_par, atol=1e-9)
-
     def test_gradient_check(self):
         params = init_ss2d_params(rng(22), channels=3, state_dim=2, dtype=np.float64)
         x = T.Tensor(rng(23).normal(size=(3, 3, 3)))

@@ -2,11 +2,12 @@
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from pillarmamba.boxes import Box3D
+from pillarmamba.boxes import CLASS_NAMES, Box3D
 from pillarmamba.config import (
     config_from_dict,
     config_to_dict,
@@ -161,6 +162,52 @@ class TestManifest:
             load_manifest(path)
 
 
+# one non-default value for every config leaf (head.classes is fixed to CLASS_NAMES)
+NON_DEFAULT_CONFIG = {
+    "grid": {"x_range": [-3.2, 3.2], "y_range": [0.0, 4.8], "z_range": [-2.0, 2.0], "pillar_size": 0.4},
+    "model": {
+        "channels": 32,
+        "encoder": {"max_points_per_pillar": 16, "max_pillars": 9000, "activation": "silu"},
+        "csg": {"enabled": False, "hsb_layers": 3, "split_fraction": 0.25},
+        "hsb": {
+            "reduction_ratio": 4,
+            "dw_kernel": 5,
+            "local_conv": False,
+            "residual": False,
+            "attention": False,
+            "attention_alt_residual": True,
+            "se_reduction": 8,
+        },
+        "ssm": {"state_dim": 4, "zoh_exact": False},
+    },
+    "head": {"classes": list(CLASS_NAMES), "top_k": 50, "score_threshold": 0.3, "reg_weight": 2.0, "gaussian_min_overlap": 0.5},
+    "eval": {"iou_thresholds": {"vehicle": 0.7, "pedestrian": 0.5}},
+    "train": {"lr": 0.01, "steps": 40},
+    "data": {
+        "counts": {"vehicle": 1, "cyclist": 3},
+        "size_priors": {"vehicle": [4.0, 2.0, 1.5], "cyclist": [1.7, 0.7, 1.6]},
+        "points_per_box": 32,
+        "background_points": 0,
+        "noise_sigma": 0.0,
+        "min_center_gap": 2.5,
+        "ground_offset": 0.25,
+    },
+}
+
+
+def _config_leaves(obj, path=""):
+    for f in fields(obj):
+        value, name = getattr(obj, f.name), f"{path}.{f.name}" if path else f.name
+        if is_dataclass(value):
+            yield from _config_leaves(value, name)
+        else:
+            yield name, value
+
+
+def _canonical(raw) -> str:
+    return json.dumps(raw, sort_keys=True)
+
+
 class TestConfig:
     def test_minimal_config_gets_documented_defaults(self):
         cfg = config_from_dict({"grid": {"x_range": [0.0, 12.8], "y_range": [-6.4, 6.4], "z_range": [-3.0, 1.0]}})
@@ -174,6 +221,47 @@ class TestConfig:
     def test_echo_dump_roundtrip(self):
         cfg = default_config()
         assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)
+
+    def test_every_field_roundtrip(self):
+        cfg = config_from_dict(json.loads(json.dumps(NON_DEFAULT_CONFIG)))
+        defaults = dict(_config_leaves(default_config()))
+        assert [name for name, value in _config_leaves(cfg) if value == defaults[name]] == ["head.classes"]
+        dumped = config_to_dict(cfg)
+        assert _canonical(dumped) == _canonical(NON_DEFAULT_CONFIG)
+        assert _canonical(config_to_dict(config_from_dict(dumped))) == _canonical(dumped)
+
+    @pytest.mark.parametrize(
+        "section,key,value,path",
+        [
+            ("data", "size_priors", {"vehicle": "abc"}, "data.size_priors.vehicle"),
+            ("data", "size_priors", {"vehicle": 3}, "data.size_priors.vehicle"),
+            ("data", "size_priors", {"vehicle": [1.0, 2.0]}, "data.size_priors.vehicle"),
+            ("data", "size_priors", {"vehicle": [1.0, "x", 2.0]}, "data.size_priors.vehicle[1]"),
+            ("data", "counts", {"vehicle": True}, "data.counts.vehicle"),
+            ("data", "counts", {"vehicle": -1}, "data.counts"),
+            ("data", "counts", {"truck": 1}, "data.counts.truck"),
+            ("eval", "iou_thresholds", {"truck": 0.5}, "eval.iou_thresholds.truck"),
+            ("head", "classes", ["vehicle", "pedestrian"], "head.classes"),
+            ("head", "classes", ["pedestrian", "vehicle", "cyclist"], "head.classes"),
+            ("model.ssm", "engine", "parallel", "unknown key model.ssm.engine"),
+            ("model.ssm", "chunk_size", 0, "unknown key model.ssm.chunk_size"),
+            ("model", "stages", 4, "unknown key model.stages"),
+        ],
+        ids=[
+            "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
+            "count-unknown-class", "iou-unknown-class", "classes-subset", "classes-order",
+            "removed-engine", "removed-chunk-size", "removed-stages",
+        ],
+    )
+    def test_bad_value_rejected_at_load_with_path(self, section, key, value, path):
+        raw = config_to_dict(default_config())
+        node = raw
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigurationError) as err:
+            config_from_dict(raw)
+        assert path in str(err.value)
 
     def test_missing_grid_rejected(self):
         with pytest.raises(ConfigurationError) as err:
