@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import CsgConfig, CsgParams, HsbConfig, HsbParams, csg_forward, hsb_forward, init_csg_params, init_hsb_params, _conv_param
+from .blocks import CsgConfig, CsgParams, HsbConfig, HsbParams, csg_forward, hsb_forward, init_csg_params, init_hsb_params
 from .config import ModelConfig
 from .errors import ConfigurationError
 
@@ -35,14 +35,6 @@ class StageParams:
     csg: CsgParams | None
     plain: tuple[HsbParams, ...] | None
 
-    def params(self) -> list[T.Param]:
-        if self.csg is not None:
-            return self.csg.params()
-        out: list[T.Param] = []
-        for h in self.plain:
-            out.extend(h.params())
-        return out
-
 
 @dataclass
 class BackboneParams:
@@ -52,16 +44,6 @@ class BackboneParams:
     lateral_f4: tuple[T.Param, T.Param]  # 1x1 after x4 upsample of F4
     fuse: tuple[T.Param, T.Param]  # 1x1, 3C -> C
     final_up: tuple[T.Param, T.Param]  # 1x1 after the last x2 upsample
-
-    def params(self) -> list[T.Param]:
-        out: list[T.Param] = []
-        for s in self.stages:
-            out.extend(s.params())
-        for w, b in self.down_convs:
-            out.extend([w, b])
-        for w, b in (self.lateral_f3, self.lateral_f4, self.fuse, self.final_up):
-            out.extend([w, b])
-        return out
 
 
 @dataclass
@@ -93,15 +75,15 @@ def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.fl
             )
             stages.append(StageParams(csg=None, plain=plain))
     down_convs = tuple(
-        _conv_param(rng, f"{name}.down{i}", c, c, 3, dtype) for i in range(STAGES - 1)
+        T.conv_param(rng, f"{name}.down{i}", c, c, 3, dtype) for i in range(STAGES - 1)
     )
     return BackboneParams(
         stages=tuple(stages),
         down_convs=down_convs,
-        lateral_f3=_conv_param(rng, f"{name}.lateral_f3", c, c, 1, dtype),
-        lateral_f4=_conv_param(rng, f"{name}.lateral_f4", c, c, 1, dtype),
-        fuse=_conv_param(rng, f"{name}.fuse", c, 3 * c, 1, dtype),
-        final_up=_conv_param(rng, f"{name}.final_up", c, c, 1, dtype),
+        lateral_f3=T.conv_param(rng, f"{name}.lateral_f3", c, c, 1, dtype),
+        lateral_f4=T.conv_param(rng, f"{name}.lateral_f4", c, c, 1, dtype),
+        fuse=T.conv_param(rng, f"{name}.fuse", c, 3 * c, 1, dtype),
+        final_up=T.conv_param(rng, f"{name}.final_up", c, c, 1, dtype),
     )
 
 

@@ -69,9 +69,6 @@ class SeParams:
     w2: T.Param
     b2: T.Param
 
-    def params(self) -> list[T.Param]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 @dataclass
 class HsbParams:
@@ -90,20 +87,6 @@ class HsbParams:
     dw_outer_b: T.Param | None
     se: SeParams | None
 
-    def params(self) -> list[T.Param]:
-        out = [self.conv_down_w, self.conv_down_b, self.norm_ss_gamma, self.norm_ss_beta]
-        out.extend(self.ss2d.params())
-        for p in (self.norm_lc_gamma, self.norm_lc_beta, self.dw_inner_w, self.dw_inner_b):
-            if p is not None:
-                out.append(p)
-        out.extend([self.conv_up_w, self.conv_up_b])
-        for p in (self.dw_outer_w, self.dw_outer_b):
-            if p is not None:
-                out.append(p)
-        if self.se is not None:
-            out.extend(self.se.params())
-        return out
-
 
 @dataclass
 class CsgParams:
@@ -112,21 +95,6 @@ class CsgParams:
     hsbs: tuple[HsbParams, ...]
     conv_up_w: T.Param
     conv_up_b: T.Param
-
-    def params(self) -> list[T.Param]:
-        out = [self.conv_down_w, self.conv_down_b]
-        for h in self.hsbs:
-            out.extend(h.params())
-        out.extend([self.conv_up_w, self.conv_up_b])
-        return out
-
-
-def _conv_param(rng, name, out_ch, in_ch, k, dtype, gain: float = 1.0):
-    # gain 2 for convs feeding a relu/silu, 1 for purely linear maps
-    scale = np.sqrt(gain / (in_ch * k * k))
-    w = T.Param(rng.normal(0.0, scale, size=(out_ch, in_ch, k, k)).astype(dtype), name=f"{name}.weight")
-    b = T.Param(np.zeros(out_ch, dtype=dtype), name=f"{name}.bias")
-    return w, b
 
 
 def init_se_params(rng: np.random.Generator, channels: int, reduction: int, dtype=np.float32, name: str = "se") -> SeParams:
@@ -150,21 +118,18 @@ def se_attention(f_up, se: SeParams) -> T.Tensor:
 
 
 def init_hsb_params(rng: np.random.Generator, cfg: HsbConfig, dtype=np.float32, name: str = "hsb") -> HsbParams:
-    c, ci = cfg.channels, cfg.inner_channels
-    down_w, down_b = _conv_param(rng, f"{name}.conv_down", ci, c, 1, dtype)
-    up_w, up_b = _conv_param(rng, f"{name}.conv_up", c, ci, 1, dtype)
+    c, ci, k = cfg.channels, cfg.inner_channels, cfg.dw_kernel
+    down_w, down_b = T.conv_param(rng, f"{name}.conv_down", ci, c, 1, dtype)
+    up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, ci, 1, dtype)
     mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}")
     norm_lc_gamma = norm_lc_beta = dw_inner_w = dw_inner_b = None
-    dscale = np.sqrt(1.0 / (cfg.dw_kernel**2))
     if cfg.local_conv:
         norm_lc_gamma = mk(np.ones(ci), "norm_lc.gamma")
         norm_lc_beta = mk(np.zeros(ci), "norm_lc.beta")
-        dw_inner_w = mk(rng.normal(0.0, dscale, size=(ci, 1, cfg.dw_kernel, cfg.dw_kernel)), "dw_inner.weight")
-        dw_inner_b = mk(np.zeros(ci), "dw_inner.bias")
+        dw_inner_w, dw_inner_b = T.conv_param(rng, f"{name}.dw_inner", ci, 1, k, dtype)
     dw_outer_w = dw_outer_b = None
     if cfg.residual:
-        dw_outer_w = mk(rng.normal(0.0, dscale, size=(c, 1, cfg.dw_kernel, cfg.dw_kernel)), "dw_outer.weight")
-        dw_outer_b = mk(np.zeros(c), "dw_outer.bias")
+        dw_outer_w, dw_outer_b = T.conv_param(rng, f"{name}.dw_outer", c, 1, k, dtype)
     se = init_se_params(rng, c, cfg.se_reduction, dtype, name=f"{name}.se") if cfg.attention else None
     return HsbParams(
         conv_down_w=down_w,
@@ -238,8 +203,8 @@ def init_csg_params(
             f"HSB channels {hsb_cfg.channels} must equal the CSG branch width {cfg.branch_channels}"
         )
     c = cfg.channels
-    down_w, down_b = _conv_param(rng, f"{name}.conv_down", c, c, 1, dtype)
-    up_w, up_b = _conv_param(rng, f"{name}.conv_up", c, c, 1, dtype)
+    down_w, down_b = T.conv_param(rng, f"{name}.conv_down", c, c, 1, dtype)
+    up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, c, 1, dtype)
     hsbs = tuple(
         init_hsb_params(rng, hsb_cfg, dtype=dtype, name=f"{name}.hsb{i}") for i in range(cfg.hsb_layers)
     )

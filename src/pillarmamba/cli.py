@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .boxes import CLASS_IDS, CLASS_NAMES, Box3D, Detection
+from .boxes import CLASS_IDS, Box3D, Detection
 from .config import RunConfig, config_digest, config_to_dict, default_config, load_config
 from .cross_scan import scan_diagnostics
-from .data_io import load_cloud, load_labels, load_manifest, write_dataset
+from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, write_dataset
 from .errors import FormatError
 from .metrics import ap_r40, pr_curve_for_class
 from .model import PillarMambaModel, build_model, load_weights, save_weights, train_toy
@@ -53,40 +53,14 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _detections_payload(scene_name: str, dets: list[Detection]) -> dict:
-    return {
-        "scene": scene_name,
-        "detections": [
-            {
-                "class": CLASS_NAMES[d.box.cls],
-                "center": [d.box.x, d.box.y, d.box.z],
-                "size": [d.box.l, d.box.w, d.box.h],
-                "yaw": d.box.yaw,
-                "score": d.score,
-            }
-            for d in dets
-        ],
-    }
+    return {"scene": scene_name, "detections": [detection_record(d) for d in dets]}
 
 
-def _detections_from_payload(payload: dict) -> list[Detection]:
-    out = []
-    for rec in payload["detections"]:
-        out.append(
-            Detection(
-                box=Box3D(
-                    x=rec["center"][0],
-                    y=rec["center"][1],
-                    z=rec["center"][2],
-                    l=rec["size"][0],
-                    w=rec["size"][1],
-                    h=rec["size"][2],
-                    yaw=rec["yaw"],
-                    cls=CLASS_IDS[rec["class"]],
-                ),
-                score=rec["score"],
-            )
-        )
-    return out
+def _detections_from_payload(payload, path: Path) -> list[Detection]:
+    records = payload.get("detections") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise FormatError(f"detections file {path}: expected an object with a 'detections' array")
+    return [detection_from_record(rec, f"detections file {path} entry {i}") for i, rec in enumerate(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +167,7 @@ def cmd_eval(args) -> dict:
         det_path = dets_dir / f"dets_{i:04d}.json"
         if not det_path.exists():
             raise FormatError(f"missing detections file {det_path} for manifest entry {i}")
-        dets_per_scene.append(_detections_from_payload(json.loads(det_path.read_text())))
+        dets_per_scene.append(_detections_from_payload(json.loads(det_path.read_text()), det_path))
         gts_per_scene.append(load_labels(manifest_path.parent / labels_rel))
 
     thresholds = {CLASS_IDS[name]: thr for name, thr in cfg.eval.iou_thresholds.items()}

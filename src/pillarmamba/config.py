@@ -103,9 +103,24 @@ class DataConfig:
     ground_offset: float = 0.5  # ground plane height above z_min
 
     def __post_init__(self):
+        # keys are typed as ClassName for the loader; direct construction is checked here
+        for section in ("counts", "size_priors"):
+            unknown = sorted(set(getattr(self, section)) - set(CLASS_NAMES))
+            if unknown:
+                raise ConfigurationError(f"data.{section}: unknown classes {unknown}; known: {list(CLASS_NAMES)}")
         negative = {k: v for k, v in self.counts.items() if v < 0}
         if negative:
             raise ConfigurationError(f"data.counts: expected nonnegative counts, got {negative}")
+        missing = sorted(name for name, n in self.counts.items() if n > 0 and name not in self.size_priors)
+        if missing:
+            raise ConfigurationError(f"data.size_priors: no prior for counted classes {missing}")
+        for name, dims in self.size_priors.items():
+            if min(dims) <= 0:
+                raise ConfigurationError(f"data.size_priors.{name}: sizes must be positive, got {list(dims)}")
+        if self.points_per_box <= 0:
+            raise ConfigurationError(f"data.points_per_box: must be positive, got {self.points_per_box}")
+        if self.background_points < 0:
+            raise ConfigurationError(f"data.background_points: must be nonnegative, got {self.background_points}")
 
 
 @dataclass(frozen=True)

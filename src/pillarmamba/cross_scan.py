@@ -86,7 +86,8 @@ def cross_merge(outputs: Mapping[str, "T.Tensor"], x_cells: int, y_cells: int) -
 
 @dataclass
 class Ss2dParams:
-    """Parameters of one four-direction selective-scan block."""
+    """Parameters of one four-direction selective-scan block; ``directions``
+    holds one projection set per scan direction, in ``DIRECTIONS`` order."""
 
     in_proj_w: T.Param
     in_proj_b: T.Param
@@ -96,38 +97,20 @@ class Ss2dParams:
     out_proj_w: T.Param
     out_proj_b: T.Param
 
-    def params(self) -> list[T.Param]:
-        out = [self.in_proj_w, self.in_proj_b]
-        for d in DIRECTIONS:
-            if d in self.directions:
-                out.extend(self.directions[d].params())
-        out.extend([self.norm_gamma, self.norm_beta, self.out_proj_w, self.out_proj_b])
-        return out
 
-
-def init_ss2d_params(
-    rng: np.random.Generator,
-    channels: int,
-    state_dim: int,
-    dtype=np.float32,
-    name: str = "ss2d",
-    directions: Sequence[str] = DIRECTIONS,
-) -> Ss2dParams:
+def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int, dtype=np.float32, name: str = "ss2d") -> Ss2dParams:
     c = channels
-    mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}")
-    in_scale = np.sqrt(2.0 / c)  # feeds silu
-    out_scale = np.sqrt(1.0 / c)
+    in_proj_w, in_proj_b = T.conv_param(rng, f"{name}.in_proj", c, c, 1, dtype, gain=2.0)  # feeds silu
+    directions = {d: init_selective_projections(rng, c, state_dim, dtype=dtype, name=f"{name}.{d}") for d in DIRECTIONS}
+    out_proj_w, out_proj_b = T.conv_param(rng, f"{name}.out_proj", c, c, 1, dtype)
     return Ss2dParams(
-        in_proj_w=mk(rng.normal(0.0, in_scale, size=(c, c, 1, 1)), "in_proj.weight"),
-        in_proj_b=mk(np.zeros(c), "in_proj.bias"),
-        directions={
-            d: init_selective_projections(rng, c, state_dim, dtype=dtype, name=f"{name}.{d}")
-            for d in directions
-        },
-        norm_gamma=mk(np.ones(c), "norm.gamma"),
-        norm_beta=mk(np.zeros(c), "norm.beta"),
-        out_proj_w=mk(rng.normal(0.0, out_scale, size=(c, c, 1, 1)), "out_proj.weight"),
-        out_proj_b=mk(np.zeros(c), "out_proj.bias"),
+        in_proj_w=in_proj_w,
+        in_proj_b=in_proj_b,
+        directions=directions,
+        norm_gamma=T.Param(np.ones(c, dtype=dtype), name=f"{name}.norm.gamma"),
+        norm_beta=T.Param(np.zeros(c, dtype=dtype), name=f"{name}.norm.beta"),
+        out_proj_w=out_proj_w,
+        out_proj_b=out_proj_b,
     )
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import CLASS_IDS, CLASS_NAMES, Box3D, normalize_yaw
+from .boxes import CLASS_IDS, CLASS_NAMES, Box3D, Detection
 from .config import DataConfig, RunConfig
-from .errors import FormatError, GenerationError
+from .errors import ContractViolation, FormatError, GenerationError
 from .metrics import rotated_iou_bev
 from .pillars import GridSpec, PointCloud
 
@@ -29,25 +29,10 @@ MAX_PLACEMENT_RETRIES = 200
 @dataclass(frozen=True, kw_only=True)
 class SceneSpec(DataConfig):
     """Everything needed to synthesize one deterministic scene: the data
-    settings (defaults from ``DataConfig``) plus the grid and the seed."""
+    settings (defaults and checks from ``DataConfig``) plus the grid and the seed."""
 
     grid: GridSpec
     seed: int = 0
-
-    def __post_init__(self):
-        unknown = sorted(set(self.counts) - set(CLASS_NAMES))
-        if unknown:
-            raise GenerationError(f"unknown classes in counts: {unknown}; known: {list(CLASS_NAMES)}")
-        if any(v < 0 for v in self.counts.values()):
-            raise GenerationError(f"negative class count in {self.counts}")
-        missing = sorted(name for name, n in self.counts.items() if n > 0 and name not in self.size_priors)
-        if missing:
-            raise GenerationError(f"no size prior for counted classes: {missing}")
-        if self.points_per_box <= 0 or self.background_points < 0:
-            raise GenerationError("point densities must be positive")
-        for name, dims in self.size_priors.items():
-            if min(dims) <= 0:
-                raise GenerationError(f"nonpositive size prior for {name}: {dims}")
 
 
 def scene_spec_from_config(cfg: RunConfig, seed: int) -> SceneSpec:
@@ -155,43 +140,63 @@ def load_cloud(path: str | Path) -> PointCloud:
     return PointCloud(pts.copy())
 
 
+# one JSON record per box, shared by label files and detection files:
+# {"class": name, "center": [x, y, z], "size": [l, w, h], "yaw": rad} (+ "score")
+
+
+def box_record(box: Box3D) -> dict:
+    return {
+        "class": CLASS_NAMES[box.cls],
+        "center": [box.x, box.y, box.z],
+        "size": [box.l, box.w, box.h],
+        "yaw": box.yaw,
+    }
+
+
+def detection_record(det: Detection) -> dict:
+    return {**box_record(det.box), "score": det.score}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def box_from_record(rec, where: str) -> Box3D:
+    """Parse one box record; ``where`` names the file and entry in the FormatError."""
+    if not isinstance(rec, dict):
+        raise FormatError(f"{where}: expected an object, got {rec!r}")
+    cls_name = rec.get("class")
+    if cls_name not in CLASS_IDS:
+        raise FormatError(f"{where}: unknown class {cls_name!r}; known classes: {list(CLASS_NAMES)}")
+    for key in ("center", "size"):
+        v = rec.get(key)
+        if not (isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))):
+            raise FormatError(f"{where}: {key!r} must be a list of 3 finite numbers, got {v!r}")
+    if not _is_number(rec.get("yaw")):
+        raise FormatError(f"{where}: 'yaw' must be a finite number, got {rec.get('yaw')!r}")
+    try:
+        return Box3D(*rec["center"], *rec["size"], yaw=rec["yaw"], cls=CLASS_IDS[cls_name])
+    except ContractViolation as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def detection_from_record(rec, where: str) -> Detection:
+    box = box_from_record(rec, where)
+    score = rec.get("score")
+    if not (_is_number(score) and 0.0 < score < 1.0):
+        raise FormatError(f"{where}: 'score' must be a number in (0, 1), got {score!r}")
+    return Detection(box=box, score=score)
+
+
 def save_labels(path: str | Path, boxes: list[Box3D]) -> None:
-    records = [
-        {
-            "class": CLASS_NAMES[b.cls],
-            "center": [b.x, b.y, b.z],
-            "size": [b.l, b.w, b.h],
-            "yaw": b.yaw,
-        }
-        for b in boxes
-    ]
-    Path(path).write_text(json.dumps(records, indent=1))
+    Path(path).write_text(json.dumps([box_record(b) for b in boxes], indent=1))
 
 
 def load_labels(path: str | Path) -> list[Box3D]:
     records = json.loads(Path(path).read_text())
     if not isinstance(records, list):
         raise FormatError(f"label file {path}: expected a JSON array")
-    boxes = []
-    for i, rec in enumerate(records):
-        cls_name = rec.get("class")
-        if cls_name not in CLASS_IDS:
-            raise FormatError(
-                f"label file {path} entry {i}: unknown class {cls_name!r}; known classes: {list(CLASS_NAMES)}"
-            )
-        boxes.append(
-            Box3D(
-                x=rec["center"][0],
-                y=rec["center"][1],
-                z=rec["center"][2],
-                l=rec["size"][0],
-                w=rec["size"][1],
-                h=rec["size"][2],
-                yaw=normalize_yaw(rec["yaw"]),
-                cls=CLASS_IDS[cls_name],
-            )
-        )
-    return boxes
+    return [box_from_record(rec, f"label file {path} entry {i}") for i, rec in enumerate(records)]
 
 
 @dataclass

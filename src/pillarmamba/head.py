@@ -33,20 +33,11 @@ class HeadParams:
     reg_w: T.Param
     reg_b: T.Param
 
-    def params(self) -> list[T.Param]:
-        return [self.stem_w, self.stem_b, self.hm_w, self.hm_b, self.reg_w, self.reg_b]
-
 
 def init_head_params(rng: np.random.Generator, channels: int, n_classes: int, dtype=np.float32, name: str = "head") -> HeadParams:
-    def conv(out_ch, in_ch, k, suffix, bias_fill=0.0, gain=1.0):
-        scale = np.sqrt(gain / (in_ch * k * k))
-        w = T.Param(rng.normal(0.0, scale, size=(out_ch, in_ch, k, k)).astype(dtype), name=f"{name}.{suffix}.weight")
-        b = T.Param(np.full(out_ch, bias_fill, dtype=dtype), name=f"{name}.{suffix}.bias")
-        return w, b
-
-    stem_w, stem_b = conv(channels, channels, 3, "stem", gain=2.0)  # feeds silu
-    hm_w, hm_b = conv(n_classes, channels, 1, "heatmap", bias_fill=HEATMAP_INIT_BIAS)
-    reg_w, reg_b = conv(REG_CHANNELS, channels, 1, "regression")
+    stem_w, stem_b = T.conv_param(rng, f"{name}.stem", channels, channels, 3, dtype, gain=2.0)  # feeds silu
+    hm_w, hm_b = T.conv_param(rng, f"{name}.heatmap", n_classes, channels, 1, dtype, bias_fill=HEATMAP_INIT_BIAS)
+    reg_w, reg_b = T.conv_param(rng, f"{name}.regression", REG_CHANNELS, channels, 1, dtype)
     return HeadParams(stem_w=stem_w, stem_b=stem_b, hm_w=hm_w, hm_b=hm_b, reg_w=reg_w, reg_b=reg_b)
 
 

@@ -30,8 +30,7 @@ class PillarMambaModel:
     dtype: type
 
     def named_params(self) -> list[tuple[str, T.Param]]:
-        params = self.encoder.params() + self.backbone.params() + self.head.params()
-        return [(p.name, p) for p in params]
+        return [(p.name, p) for p in T.collect_params((self.encoder, self.backbone, self.head))]
 
     def params(self) -> list[T.Param]:
         return [p for _, p in self.named_params()]
@@ -88,15 +87,18 @@ def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaM
 # ---------------------------------------------------------------------------
 
 
+def _manifest(params: list[T.Param]) -> list[dict]:
+    return [{"name": p.name, "shape": list(p.value.shape)} for p in params]
+
+
 def save_weights(path, model: PillarMambaModel) -> None:
-    named = model.named_params()
-    manifest = {"params": [{"name": n, "shape": list(p.value.shape)} for n, p in named]}
-    blob = json.dumps(manifest, sort_keys=True).encode()
+    params = model.params()
+    blob = json.dumps({"params": _manifest(params)}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, p in named:
+        for p in params:
             fh.write(p.value.data.astype("<f8").tobytes())
 
 
@@ -107,8 +109,8 @@ def load_weights(path, model: PillarMambaModel) -> None:
             raise FormatError(f"weights file {path}: bad magic {magic!r}")
         (manifest_len,) = struct.unpack("<I", fh.read(4))
         manifest = json.loads(fh.read(manifest_len).decode())
-        named = model.named_params()
-        expected = [{"name": n, "shape": list(p.value.shape)} for n, p in named]
+        params = model.params()
+        expected = _manifest(params)
         if manifest["params"] != expected:
             theirs = {e["name"]: tuple(e["shape"]) for e in manifest["params"]}
             ours = {e["name"]: tuple(e["shape"]) for e in expected}
@@ -119,7 +121,7 @@ def load_weights(path, model: PillarMambaModel) -> None:
                 f"weights file {path} does not match this model: "
                 f"missing={missing[:5]} extra={extra[:5]} shape-mismatch={mismatched[:5]}"
             )
-        for _, p in named:
+        for p in params:
             n = int(np.prod(p.value.shape)) if p.value.shape else 1
             raw = fh.read(8 * n)
             if len(raw) != 8 * n:

@@ -207,9 +207,6 @@ class EncoderParams:
     embed_w: T.Param  # (9, C)
     embed_b: T.Param  # (C,)
 
-    def params(self) -> list[T.Param]:
-        return [self.embed_w, self.embed_b]
-
 
 def init_encoder_params(rng: np.random.Generator, channels: int, dtype=np.float32, name: str = "encoder") -> EncoderParams:
     scale = np.sqrt(2.0 / POINT_FEATURE_DIM)

@@ -33,17 +33,6 @@ ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SsmDims:
-    state_dim: int
-    seq_len: int
-    channels: int
-
-    def __post_init__(self):
-        if min(self.state_dim, self.seq_len, self.channels) <= 0:
-            raise ConfigurationError(f"all dims must be positive: {self}")
-
-
 @dataclass
 class SsmParamsContinuous:
     """Diagonal continuous parameters: a (M,), b (M,), c (M,), delta scalar or (T,)."""
@@ -332,9 +321,6 @@ class SelectiveProjections:
     w_delta: T.Param
     b_delta: T.Param
     a_log: T.Param
-
-    def params(self) -> list[T.Param]:
-        return [self.w_b, self.b_b, self.w_c, self.b_c, self.w_delta, self.b_delta, self.a_log]
 
 
 def selective_params(tokens, proj: SelectiveProjections):

@@ -8,7 +8,7 @@ single precision; oracle and gradient checks run the same operators in double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,34 +61,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # operator sugar; all routed through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, reciprocal(other))
-
 
 class Param:
     """A learnable value plus its accumulated gradient."""
@@ -109,6 +81,50 @@ class Param:
 
     def __repr__(self) -> str:
         return f"Param({self.name or '<anon>'}, shape={self.value.shape})"
+
+
+def conv_param(
+    rng: np.random.Generator, name: str, out_ch: int, in_ch: int, k: int, dtype, gain: float = 1.0, bias_fill: float = 0.0
+) -> tuple[Param, Param]:
+    """A (out_ch, in_ch, k, k) conv weight drawn N(0, gain / fan_in) and a constant bias.
+
+    gain 2 for convs feeding a relu/silu, 1 for linear maps; in_ch is 1 for a
+    depthwise conv.
+    """
+    scale = np.sqrt(gain / (in_ch * k * k))
+    w = Param(rng.normal(0.0, scale, size=(out_ch, in_ch, k, k)).astype(dtype), name=f"{name}.weight")
+    b = Param(np.full(out_ch, bias_fill, dtype=dtype), name=f"{name}.bias")
+    return w, b
+
+
+def collect_params(tree) -> list[Param]:
+    """Every Param in a tree of parameter dataclasses, tuples and dicts.
+
+    Dataclass fields come in declaration order, tuple items in order and dict
+    values in insertion order; None (a component a toggle left out) is
+    skipped. This order is the weights-file order, the trainer's update order
+    and the gradient-check input order.
+    """
+    out: list[Param] = []
+    _collect(tree, out)
+    return out
+
+
+def _collect(node, out: list[Param]) -> None:
+    if isinstance(node, Param):
+        out.append(node)
+    elif node is None:
+        pass
+    elif is_dataclass(node):
+        for f in fields(node):
+            _collect(getattr(node, f.name), out)
+    elif isinstance(node, (tuple, dict)):
+        for item in node.values() if isinstance(node, dict) else node:
+            _collect(item, out)
+    else:
+        raise ContractViolation(
+            f"parameter tree holds a {type(node).__name__}; expected a Param, dataclass, tuple, dict or None"
+        )
 
 
 _TAPE_STACK: list["Tape"] = []

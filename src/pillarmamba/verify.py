@@ -61,7 +61,7 @@ def check_se_attention(seed: int) -> T.GradCheckReport:
     c = int(rng.integers(2, 9))
     se = init_se_params(rng, c, reduction=2, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(c, 3, 3)))
-    inputs = [x] + se.params()
+    inputs = [x] + T.collect_params(se)
     fn = lambda x_, *ps: T.reduce_sum(se_attention(x_, se))
     return T.grad_check(fn, inputs, name=f"se_attention[seed={seed}]")
 
@@ -73,7 +73,7 @@ def check_selective_scan(seed: int) -> T.GradCheckReport:
     t_len = int(rng.integers(2, 9))
     proj = init_selective_projections(rng, d, m, dtype=np.float64)
     tokens = T.Tensor(rng.normal(size=(t_len, d)))
-    inputs = [tokens] + proj.params()
+    inputs = [tokens] + T.collect_params(proj)
     fn = lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj))
     return T.grad_check(fn, inputs, name=f"selective_scan[seed={seed}]")
 
@@ -83,7 +83,7 @@ def check_ss2d_block(seed: int) -> T.GradCheckReport:
     c = int(rng.integers(2, 5))
     params = init_ss2d_params(rng, c, state_dim=2, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(c, 3, 3)))
-    inputs = [x] + params.params()
+    inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(ss2d_block(x_, params))
     return T.grad_check(fn, inputs, name=f"ss2d_block[seed={seed}]")
 
@@ -95,7 +95,7 @@ def check_hsb(seed: int) -> T.GradCheckReport:
     cfg = HsbConfig(channels=4, local_conv=lc, residual=res, attention=attn, state_dim=2, se_reduction=2)
     params = init_hsb_params(rng, cfg, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
-    inputs = [x] + params.params()
+    inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params))
     return T.grad_check(fn, inputs, name=f"hsb[seed={seed},lc={lc},res={res},attn={attn}]")
 
@@ -106,7 +106,7 @@ def check_csg(seed: int) -> T.GradCheckReport:
     hsb_cfg = HsbConfig(channels=2, state_dim=2, se_reduction=2)
     params = init_csg_params(rng, cfg, hsb_cfg, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
-    inputs = [x] + params.params()
+    inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, hsb_cfg, params))
     return T.grad_check(fn, inputs, name=f"csg[seed={seed}]")
 

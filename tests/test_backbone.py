@@ -70,7 +70,7 @@ class TestBehavior:
         cfg = tiny_cfg(csg_enabled)
         params = init_backbone_params(rng(8), cfg, dtype=np.float32)
         x = T.Tensor(rng(9).normal(size=(8, 16, 16)).astype(np.float32))
-        all_params = params.params()
+        all_params = T.collect_params(params)
         for p in all_params:
             p.zero_grad()
         with T.Tape() as tape:

@@ -33,7 +33,7 @@ TOGGLE_ROWS = [  # the four ablation rows: none, LC, LC+Res, LC+Res+Attn
 class TestSeAttention:
     def test_zero_input_zero_weights_half_gates(self):
         se = init_se_params(rng(0), channels=6, reduction=2, dtype=np.float64)
-        for p in se.params():
+        for p in T.collect_params(se):
             p.value.data[...] = 0.0
         gates = T.value(se_attention(T.Tensor(np.zeros((6, 4, 4))), se))
         np.testing.assert_allclose(gates, 0.5, atol=1e-12)
@@ -118,7 +118,7 @@ class TestHsb:
         cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2, **TOGGLE_ROWS[row])
         params = init_hsb_params(rng(row), cfg, dtype=np.float64)
         x = T.Tensor(rng(row + 50).normal(size=(4, 3, 3)))
-        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params)), [x] + params.params())
+        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params)), [x] + T.collect_params(params))
         assert rep.passed, rep
 
 
@@ -157,7 +157,7 @@ class TestCsg:
         hsb_cfg = HsbConfig(channels=2, state_dim=2, se_reduction=2)
         params = init_csg_params(rng(19), cfg, hsb_cfg, dtype=np.float64)
         x = T.Tensor(rng(20).normal(size=(4, 3, 3)))
-        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, hsb_cfg, params)), [x] + params.params())
+        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, hsb_cfg, params)), [x] + T.collect_params(params))
         assert rep.passed, rep
 
 

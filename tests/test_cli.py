@@ -149,6 +149,30 @@ def test_eval_missing_dets_is_runtime_error(dataset, tiny_cfg_path, tmp_path, ca
     assert err["error"]["type"] == "FormatError"
 
 
+@pytest.mark.parametrize(
+    "patch,detail",
+    [
+        ({"center": [1.0, 2.0]}, "'center'"),
+        ({"class": "truck"}, "truck"),
+        ({"score": None}, "'score'"),
+        ({"score": 1.5}, "'score'"),
+    ],
+    ids=["short-center", "unknown-class", "no-score", "score-above-1"],
+)
+def test_eval_malformed_dets_is_runtime_error(dataset, tiny_cfg_path, tmp_path, capsys, patch, detail):
+    good = {"class": "vehicle", "center": [1.0, 2.0, -2.0], "size": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.5}
+    bad = {k: v for k, v in {**good, **patch}.items() if v is not None}
+    (tmp_path / "dets_0000.json").write_text(json.dumps({"scene": "scene_0000", "detections": [good, bad]}))
+    (tmp_path / "dets_0001.json").write_text(json.dumps({"scene": "scene_0001", "detections": []}))
+    rc = cli.main(
+        ["eval", "--config", tiny_cfg_path, "--dets", str(tmp_path), "--manifest", str(dataset / "manifest.json")]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "FormatError"
+    assert "dets_0000.json entry 1" in err["error"]["message"] and detail in err["error"]["message"]
+
+
 def test_bench_outputs_and_repeat_stability(tmp_path, capsys):
     raw = config_to_dict(default_config())
     raw["grid"] = {"x_range": [0.0, 3.2], "y_range": [-1.6, 1.6], "z_range": [-3.0, 1.0], "pillar_size": 0.2}

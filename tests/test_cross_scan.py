@@ -156,7 +156,7 @@ class TestSs2dBlock:
     def test_gradient_check(self):
         params = init_ss2d_params(rng(22), channels=3, state_dim=2, dtype=np.float64)
         x = T.Tensor(rng(23).normal(size=(3, 3, 3)))
-        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(ss2d_block(x_, params)), [x] + params.params())
+        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(ss2d_block(x_, params)), [x] + T.collect_params(params))
         assert rep.passed and rep.max_rel_error <= 1e-4
 
 

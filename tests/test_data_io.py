@@ -1,5 +1,6 @@
 """Scene generation determinism and geometry, file formats, strict config."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -79,14 +80,14 @@ class TestGenerateScene:
         assert "vehicle" in str(err.value)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigurationError):
             SceneSpec(grid=desk_grid(), counts={"vehicle": -1})
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigurationError):
             SceneSpec(grid=desk_grid(), points_per_box=0)
-        with pytest.raises(GenerationError) as err:
+        with pytest.raises(ConfigurationError) as err:
             SceneSpec(grid=desk_grid(), counts={"truck": 1})
         assert "truck" in str(err.value)
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigurationError):
             SceneSpec(grid=desk_grid(), counts={"vehicle": 1}, size_priors={"pedestrian": (0.8, 0.8, 1.7)})
 
 
@@ -144,6 +145,26 @@ class TestLabelFormat:
         with pytest.raises(FormatError) as err:
             load_labels(path)
         assert "tricycle" in str(err.value) and "vehicle" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "entry,detail",
+        [
+            ({"class": "vehicle", "center": [0, 0, 0], "yaw": 0}, "'size'"),
+            ({"class": "vehicle", "center": [0, 0, 0], "size": [1, 1, 1]}, "'yaw'"),
+            ({"class": "vehicle", "center": [0, 0], "size": [1, 1, 1], "yaw": 0}, "'center'"),
+            ({"class": "vehicle", "center": [0, 0, "x"], "size": [1, 1, 1], "yaw": 0}, "'center'"),
+            ({"class": "vehicle", "center": [0, 0, 0], "size": [1, 0, 1], "yaw": 0}, "positive"),
+            ([0, 0, 0], "expected an object"),
+        ],
+        ids=["no-size", "no-yaw", "short-center", "center-str", "zero-size", "not-object"],
+    )
+    def test_malformed_entry_names_file_and_index(self, tmp_path, entry, detail):
+        good = {"class": "pedestrian", "center": [1, 2, -1], "size": [0.8, 0.8, 1.7], "yaw": 0.1}
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps([good, entry]))
+        with pytest.raises(FormatError) as err:
+            load_labels(path)
+        assert f"{path} entry 1" in str(err.value) and detail in str(err.value)
 
 
 class TestManifest:
@@ -240,6 +261,10 @@ class TestConfig:
             ("data", "counts", {"vehicle": True}, "data.counts.vehicle"),
             ("data", "counts", {"vehicle": -1}, "data.counts"),
             ("data", "counts", {"truck": 1}, "data.counts.truck"),
+            ("data", "size_priors", {"pedestrian": [0.8, 0.8, 1.7], "cyclist": [1.8, 0.6, 1.7]}, "data.size_priors"),
+            ("data", "size_priors", {"vehicle": [0.0, 1.0, 1.0], "pedestrian": [0.8, 0.8, 1.7], "cyclist": [1.8, 0.6, 1.7]}, "data.size_priors.vehicle"),
+            ("data", "points_per_box", 0, "data.points_per_box"),
+            ("data", "background_points", -1, "data.background_points"),
             ("eval", "iou_thresholds", {"truck": 0.5}, "eval.iou_thresholds.truck"),
             ("head", "classes", ["vehicle", "pedestrian"], "head.classes"),
             ("head", "classes", ["pedestrian", "vehicle", "cyclist"], "head.classes"),
@@ -249,7 +274,8 @@ class TestConfig:
         ],
         ids=[
             "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
-            "count-unknown-class", "iou-unknown-class", "classes-subset", "classes-order",
+            "count-unknown-class", "prior-missing-for-counted", "prior-nonpositive", "points-per-box-zero",
+            "background-negative", "iou-unknown-class", "classes-subset", "classes-order",
             "removed-engine", "removed-chunk-size", "removed-stages",
         ],
     )
@@ -310,3 +336,34 @@ class TestConfig:
         names = [n for n, _ in build_model(config_from_dict(raw), seed=0).named_params()]
         assert not any(".csg." in n for n in names)
         assert any(".hsb0." in n for n in names)
+
+
+# model-section overrides -> (parameter count, sha256 of the ordered
+# [[name, shape], ...] manifest) of the seed-0 default model (C=64); the .pmw
+# layout is this manifest followed by the values in the same order
+MANIFEST_PINS = {
+    "default": ({}, 438, "62cb63d76cfbb343671fa7151d5789477ef7029813e1e6bde485709b6f5067ee"),
+    "csg_off": ({"csg": {"enabled": False}}, 422, "9cf2d000f592ca5b75369e41b1ddcc6f7fe02a14346817137e0e433916e66378"),
+    "local_conv_off": ({"hsb": {"local_conv": False}}, 406, "eaab06eb3e69b47de1dd713e8942858e40010ccdd8ede78ff511aed9866e4e71"),
+    "residual_off": ({"hsb": {"residual": False}}, 422, "fa1c70eb85367fd07e0920e800480258dc4af333149c56363ae86f459dc50562"),
+    "attention_off": ({"hsb": {"attention": False}}, 406, "12495ade094cb735bcf4984fda547d343210af6c77b00ddc5b2a2f2570d6f58a"),
+    "hsb_all_off": (
+        {"hsb": {"local_conv": False, "residual": False, "attention": False}},
+        358,
+        "5fa84f10bd337ec4388d6fb7d3891f67a450953e0d6f126001c6d4765cc0ffc7",
+    ),
+}
+
+
+class TestWeightsManifest:
+    @pytest.mark.parametrize("variant", list(MANIFEST_PINS))
+    def test_manifest_pinned(self, variant):
+        overrides, count, digest = MANIFEST_PINS[variant]
+        raw = config_to_dict(default_config())
+        for section, values in overrides.items():
+            raw["model"][section].update(values)
+        named = build_model(config_from_dict(raw), seed=0).named_params()
+        manifest = [(name, list(p.value.shape)) for name, p in named]
+        assert len(manifest) == count
+        assert len({name for name, _ in manifest}) == count
+        assert hashlib.sha256(json.dumps(manifest).encode()).hexdigest() == digest

@@ -41,7 +41,7 @@ class TestHeadForward:
 
     def test_zero_weights_give_half_probability(self):
         params = init_head_params(rng(2), channels=4, n_classes=2, dtype=np.float64)
-        for p in params.params():
+        for p in T.collect_params(params):
             p.value.data[...] = 0.0
         raw = head_forward(T.Tensor(rng(3).normal(size=(4, 6, 6))), params)
         prob = 1 / (1 + np.exp(-T.value(raw.heatmap)))

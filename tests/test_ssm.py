@@ -13,7 +13,6 @@ from pillarmamba import tensor as T
 from pillarmamba.errors import ConfigurationError, ContractViolation
 from pillarmamba.ssm import (
     ScanSequence,
-    SsmDims,
     SsmParamsContinuous,
     SsmParamsDiscrete,
     ZOH_SERIES_SWITCH,
@@ -268,7 +267,7 @@ class TestSelective:
         r = rng(7)
         proj = init_selective_projections(r, channels=3, state_dim=2, dtype=np.float64)
         tokens = T.Tensor(r.normal(size=(6, 3)))
-        inputs = [tokens] + proj.params()
+        inputs = [tokens] + T.collect_params(proj)
         for exact in (True, False):
             rep = T.grad_check(
                 lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj, zoh_exact=exact)),
@@ -284,8 +283,3 @@ class TestSelective:
         y_exact = T.value(selective_scan_tokens(tokens, proj, zoh_exact=True))
         y_simple = T.value(selective_scan_tokens(tokens, proj, zoh_exact=False))
         assert np.abs(y_exact - y_simple).max() > 1e-4
-
-    def test_dims_validation(self):
-        with pytest.raises(ConfigurationError):
-            SsmDims(state_dim=0, seq_len=4, channels=2)
-        SsmDims(state_dim=1, seq_len=1, channels=1)

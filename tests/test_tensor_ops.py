@@ -1,5 +1,7 @@
 """Operator-level tests: identities, hand-computed cases, finite differences."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -335,6 +337,24 @@ class TestTapeMechanics:
         p.zero_grad()
         np.testing.assert_array_equal(p.grad, 0.0)
         assert p.grad.shape == p.value.shape
+
+    def test_collect_params_walks_declaration_order(self):
+        @dataclass
+        class Inner:
+            b: T.Param
+            skipped: T.Param | None
+
+        @dataclass
+        class Outer:
+            a: T.Param
+            pair: tuple[Inner, ...]
+            by_name: dict[str, T.Param]
+
+        ps = [T.Param(np.zeros(1), name=str(i)) for i in range(5)]
+        tree = Outer(a=ps[0], pair=(Inner(ps[1], None), Inner(ps[2], None)), by_name={"z": ps[3], "y": ps[4]})
+        assert T.collect_params(tree) == ps
+        with pytest.raises(ContractViolation):
+            T.collect_params(Outer(a=ps[0], pair=(Inner(ps[1], np.zeros(1)),), by_name={}))
 
     def test_no_tape_no_recording(self):
         x = T.Tensor(np.array([1.0]))
