@@ -24,10 +24,11 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
+from .backbone import stage_configs
 from .boxes import CLASS_IDS, Box3D, Detection
 from .config import RunConfig, config_digest, config_to_dict, default_config, load_config
 from .cross_scan import scan_diagnostics
-from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, write_dataset
+from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, read_json, write_dataset
 from .errors import FormatError
 from .metrics import ap_r40, pr_curve_for_class
 from .model import PillarMambaModel, build_model, load_weights, save_weights, train_toy
@@ -167,7 +168,7 @@ def cmd_eval(args) -> dict:
         det_path = dets_dir / f"dets_{i:04d}.json"
         if not det_path.exists():
             raise FormatError(f"missing detections file {det_path} for manifest entry {i}")
-        dets_per_scene.append(_detections_from_payload(json.loads(det_path.read_text()), det_path))
+        dets_per_scene.append(_detections_from_payload(read_json(det_path, "detections file"), det_path))
         gts_per_scene.append(load_labels(manifest_path.parent / labels_rel))
 
     thresholds = {CLASS_IDS[name]: thr for name, thr in cfg.eval.iou_thresholds.items()}
@@ -206,9 +207,10 @@ def cmd_bench(args) -> dict:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     rows: list[dict] = []
 
-    # scan-form microbenchmark on a sequence matching the grid's token count
+    # scan-form microbenchmark at the shape the network scans: the grid's token
+    # count by the HSB inner width
     t_len = cfg.grid.x_cells * cfg.grid.y_cells
-    d, m = cfg.model.channels, cfg.model.ssm.state_dim
+    d, m = stage_configs(cfg.model)[1].inner_channels, cfg.model.ssm.state_dim
     forms = [args.form] if args.form else ["recurrent", "parallel", "conv"]
     ab = rng.uniform(-0.95, 0.95, (d, m))
     bb = rng.normal(size=(d, m))
@@ -242,6 +244,7 @@ def cmd_bench(args) -> dict:
                 "section": "scan_form",
                 "name": form,
                 "seq_len": t_len,
+                "channels": d,
                 "repeat": args.repeat,
                 "best_s": min(times),
                 "mean_s": float(np.mean(times)),
@@ -252,7 +255,6 @@ def cmd_bench(args) -> dict:
     # block benchmark: backbone forward with and without the cross-stage split
     from dataclasses import replace
 
-    from .backbone import stage_configs
     from .blocks import count_flops
 
     for csg_enabled in (True, False):
@@ -310,7 +312,7 @@ def cmd_diagnose_scan(args) -> dict:
         raise FormatError(f"--grid must look like 16x16, got {args.grid!r}") from exc
     occupancy = None
     if args.occupancy:
-        raw = json.loads(Path(args.occupancy).read_text())
+        raw = read_json(args.occupancy, "occupancy file")
         occupancy = np.asarray(raw, dtype=bool)
         if occupancy.shape != (gx, gy):
             raise FormatError(f"occupancy shape {occupancy.shape} does not match grid {gx}x{gy}")

@@ -188,12 +188,20 @@ def detection_from_record(rec, where: str) -> Detection:
     return Detection(box=box, score=score)
 
 
+def read_json(path: str | Path, what: str):
+    """Parse a JSON input file; malformed JSON is a FormatError naming ``what``, the file and the line."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} {path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
 def save_labels(path: str | Path, boxes: list[Box3D]) -> None:
     Path(path).write_text(json.dumps([box_record(b) for b in boxes], indent=1))
 
 
 def load_labels(path: str | Path) -> list[Box3D]:
-    records = json.loads(Path(path).read_text())
+    records = read_json(path, "label file")
     if not isinstance(records, list):
         raise FormatError(f"label file {path}: expected a JSON array")
     return [box_from_record(rec, f"label file {path} entry {i}") for i, rec in enumerate(records)]
@@ -220,14 +228,16 @@ def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    raw = json.loads(path.read_text())
+    raw = read_json(path, "manifest")
+    if not isinstance(raw, dict):
+        raise FormatError(f"manifest {path}: expected a JSON object, got {type(raw).__name__}")
     scenes = raw.get("scenes")
     if not isinstance(scenes, list):
         raise FormatError(f"manifest {path}: missing 'scenes' array")
     entries = []
     for i, rec in enumerate(scenes):
-        cloud, labels = rec.get("cloud"), rec.get("labels")
-        if not cloud or not labels:
+        cloud, labels = (rec.get("cloud"), rec.get("labels")) if isinstance(rec, dict) else (None, None)
+        if not (isinstance(cloud, str) and cloud and isinstance(labels, str) and labels):
             raise FormatError(f"manifest {path} entry {i}: needs 'cloud' and 'labels'")
         for rel in (cloud, labels):
             if not (path.parent / rel).exists():

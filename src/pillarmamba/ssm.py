@@ -6,8 +6,9 @@ Three mutually verified execution forms of the discrete recurrence
 * ``scan_recurrent`` — exact sequential evaluation (the oracle),
 * ``scan_kernel`` / ``apply_conv_form`` — causal global convolution,
   valid for time-invariant parameters only,
-* ``scan_parallel`` — work-efficient (Blelloch) prefix scan over the
-  associative lift ``(a, u) o (a', u') = (a*a', a'*u + u')``.
+* ``scan_parallel`` — work-efficient prefix scan (Brent-Kung, in place on
+  strided views) over the associative lift
+  ``(a, u) o (a', u') = (a*a', a'*u + u')``.
 
 Plus zero-order-hold discretization and the input-conditioned (selective)
 parameterization used by the network path, differentiable on the tape; the
@@ -190,53 +191,45 @@ def apply_conv_form(x: Array, kernel: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# work-efficient parallel scan
+# work-efficient parallel scan (Brent-Kung, in place on strided views)
 # ---------------------------------------------------------------------------
 
 
 def associative_scan(coeff: Array, update: Array, h0: Array | None = None) -> Array:
     """Inclusive prefix evaluation of h_t = coeff_t * h_{t-1} + update_t.
 
-    Blelloch up/down sweep over the associative composition
-    (a, u) o (a', u') = (a*a', a'*u + u') on a power-of-two padding; the
-    combine order is fixed, so results are deterministic for a given length.
+    Brent-Kung sweep over the associative composition
+    (a, u) o (a', u') = (a*a', a'*u + u'), in place on one copy of each
+    input through basic strided views, with no padding. The up-sweep leaves
+    at each position 2s*k - 1 the composition of the length-2s block ending
+    there; the down-sweep completes positions (2k+1)*s - 1 from the finished
+    prefixes s before them. A finished prefix is read only for its state, so
+    the down-sweep never updates coefficients and the top up-sweep level
+    skips them. h0 enters as u_0 += a_0 * h0. The combine order is fixed,
+    so results are deterministic for a given length; the inputs are not
+    modified.
     """
-    t_len = coeff.shape[0]
+    dtype = np.result_type(coeff, update) if h0 is None else np.result_type(coeff, update, h0)
+    a = np.array(coeff, dtype=dtype)
+    u = np.array(np.broadcast_to(update, a.shape), dtype=dtype)
+    t_len = a.shape[0]
     if t_len == 0:
-        return update.copy()
-    n = 1 << (t_len - 1).bit_length()
-    a = np.ones((n,) + coeff.shape[1:], dtype=np.result_type(coeff, update))
-    u = np.zeros_like(a)
-    a[:t_len] = coeff
-    u[:t_len] = update
-
-    step = 1
-    while step < n:
-        hi = np.arange(2 * step - 1, n, 2 * step)
-        lo = hi - step
-        u[hi] = a[hi] * u[lo] + u[hi]
-        a[hi] = a[hi] * a[lo]
-        step *= 2
-
-    # down-sweep turns subtree totals into exclusive prefixes
-    a[n - 1] = 1.0
-    u[n - 1] = 0.0
-    step = n // 2
-    while step >= 1:
-        hi = np.arange(2 * step - 1, n, 2 * step)
-        lo = hi - step
-        a_lo = a[lo].copy()
-        u_lo = u[lo].copy()
-        a[lo] = a[hi]
-        u[lo] = u[hi]
-        u[hi] = a_lo * u[hi] + u_lo
-        a[hi] = a_lo * a[hi]
-        step //= 2
-
-    prefix_u = u[:t_len]
+        return u
     if h0 is not None:
-        prefix_u = prefix_u + a[:t_len] * h0
-    return coeff * prefix_u + update
+        u[0] += a[0] * h0
+
+    s = 1
+    while 2 * s <= t_len:
+        hi = slice(2 * s - 1, None, 2 * s)
+        lo = slice(s - 1, t_len - s, 2 * s)
+        u[hi] += a[hi] * u[lo]
+        if 4 * s <= t_len:
+            a[hi] *= a[lo]
+        s *= 2
+    while s > 1:
+        s //= 2
+        u[3 * s - 1 :: 2 * s] += a[3 * s - 1 :: 2 * s] * u[2 * s - 1 : t_len - s : 2 * s]
+    return u
 
 
 def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0: Array | None = None) -> Array:
@@ -287,12 +280,14 @@ def ssm_scan(x, a_bar, b_bar, c_seq) -> T.Tensor:
     def bwd(gy):
         # adjoint lambda_t = c_t*gy_t + a_{t+1}*lambda_{t+1}: reversed first-order recurrence
         gh = c[:, None, :] * gy[:, :, None]
-        coeff_rev = np.concatenate([np.ones_like(ab[:1]), ab[::-1][: t_len - 1]], axis=0)
+        # reversed position k needs a_{T-k}; position 0 only multiplies the zero initial state
+        coeff_rev = np.roll(ab[::-1], 1, axis=0)
         lam = associative_scan(coeff_rev, gh[::-1])[::-1]
-        h_prev = np.concatenate([np.zeros_like(h[:1]), h[: t_len - 1]], axis=0)
-        g_ab = lam * h_prev
+        g_ab = np.empty_like(lam)
+        g_ab[:1] = 0.0
+        np.multiply(lam[1:], h[:-1], out=g_ab[1:])
         g_bb = lam * xd[:, :, None]
-        g_x = (lam * bb).sum(axis=-1)
+        g_x = np.einsum("tdm,tdm->td", lam, bb)
         g_c = np.einsum("td,tdm->tm", gy, h)
         return g_x, g_ab, g_bb, g_c
 

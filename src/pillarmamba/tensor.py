@@ -443,17 +443,19 @@ def split(a, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
 
 
 def gather_rows(a, idx: Array) -> Tensor:
-    """Reorder/select rows of a 2-D tensor; backward scatter-adds."""
+    """Reorder/select rows of a 2-D tensor by nonnegative row indices; backward scatter-adds.
+
+    Whether an index repeats is decided in the backward, which inference
+    never runs; unique indices take a plain assignment.
+    """
     ta = as_tensor(a)
     d = ta.data
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(d[idx])
-    unique = np.unique(idx).size == idx.size
-    n = d.shape[0]
 
     def bwd(g):
         gz = np.zeros_like(d)
-        if unique:
+        if np.bincount(idx, minlength=1).max() <= 1:
             gz[idx] = g
         else:
             np.add.at(gz, idx, g)

@@ -2,6 +2,7 @@
 weights round trip, worker-count invariance, bench digests."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,32 @@ def test_eval_malformed_dets_is_runtime_error(dataset, tiny_cfg_path, tmp_path, 
     assert "dets_0000.json entry 1" in err["error"]["message"] and detail in err["error"]["message"]
 
 
+@pytest.mark.parametrize("site", ["manifest", "labels", "dets", "occupancy"])
+def test_malformed_json_input_is_format_error(dataset, tiny_cfg_path, tmp_path, capsys, site):
+    # every JSON input file the CLI reads reports a decode error with the file and line
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    dets = tmp_path / "dets"
+    dets.mkdir()
+    for i in range(2):
+        (dets / f"dets_{i:04d}.json").write_text(json.dumps({"scene": f"scene_{i:04d}", "detections": []}))
+    broken = {
+        "manifest": data / "manifest.json",
+        "labels": data / "scene_0000.json",
+        "dets": dets / "dets_0000.json",
+        "occupancy": tmp_path / "occ.json",
+    }[site]
+    broken.write_text('[\n  {"class": "vehicle",\n')
+    if site == "occupancy":
+        argv = ["diagnose-scan", "--grid", "4x4", "--occupancy", str(broken)]
+    else:
+        argv = ["eval", "--config", tiny_cfg_path, "--dets", str(dets), "--manifest", str(data / "manifest.json")]
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "FormatError"
+    assert str(broken) in err["message"] and "malformed JSON at line 3" in err["message"]
+
+
 def test_bench_outputs_and_repeat_stability(tmp_path, capsys):
     raw = config_to_dict(default_config())
     raw["grid"] = {"x_range": [0.0, 3.2], "y_range": [-1.6, 1.6], "z_range": [-3.0, 1.0], "pillar_size": 0.2}
@@ -185,6 +212,8 @@ def test_bench_outputs_and_repeat_stability(tmp_path, capsys):
     rows = json.loads((tmp_path / "bench.json").read_text())["rows"]
     sections = {r["section"] for r in rows}
     assert sections == {"scan_form", "backbone"}
+    # scan rows time the HSB inner width the network scans at: 8 channels, CSG half split, ratio 2
+    assert {r["channels"] for r in rows if r["section"] == "scan_form"} == {2}
     assert (tmp_path / "bench.csv").read_text().count("\n") == len(rows) + 1
     # restricting the form filters the scan section
     rc = cli.main(["bench", "--config", str(cfg_path), "--form", "parallel", "--repeat", "1", "--out", str(tmp_path)])

@@ -183,6 +183,24 @@ class TestManifest:
             load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "loader,text,detail",
+    [
+        (load_labels, '[{"class": "vehicle",', "malformed JSON at line 1"),
+        (load_manifest, '{"split": "val",\n "scenes": [\n', "malformed JSON at line 3"),
+        (load_manifest, '[{"cloud": "a.bin", "labels": "a.json"}]', "expected a JSON object, got list"),
+        (load_manifest, '{"scenes": [["a.bin", "a.json"]]}', "entry 0: needs 'cloud' and 'labels'"),
+    ],
+    ids=["labels-truncated", "manifest-truncated", "manifest-top-level-array", "manifest-entry-not-object"],
+)
+def test_malformed_json_is_format_error_naming_file(tmp_path, loader, text, detail):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert str(path) in str(err.value) and detail in str(err.value)
+
+
 # one non-default value for every config leaf (head.classes is fixed to CLASS_NAMES)
 NON_DEFAULT_CONFIG = {
     "grid": {"x_range": [-3.2, 3.2], "y_range": [0.0, 4.8], "z_range": [-2.0, 2.0], "pillar_size": 0.4},

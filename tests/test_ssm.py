@@ -141,7 +141,60 @@ class TestScanForms:
         assert np.abs(y_rec - y_conv).max() <= 1e-6
 
 
+def _sequential(coeff, update, h0=None):
+    """Plain time loop for h_t = coeff_t * h_{t-1} + update_t, in float64."""
+    h = np.zeros(update.shape[1:]) if h0 is None else np.asarray(h0, dtype=np.float64)
+    out = np.empty(update.shape)
+    for t in range(coeff.shape[0]):
+        h = coeff[t] * h + update[t]
+        out[t] = h
+    return out
+
+
 class TestParallelScan:
+    # lengths 0-70 leave every partial trailing block at each level s <= 16; 129, 257 and 1000 reach deeper levels
+    @pytest.mark.parametrize("t_len", list(range(71)) + [129, 257, 1000])
+    def test_associative_scan_matches_loop_at_every_length(self, t_len):
+        r = rng(100 + t_len)
+        for tail in [(), (3,), (2, 3)]:
+            coeff = r.uniform(-0.99, 0.99, (t_len,) + tail)
+            update = r.normal(size=(t_len,) + tail)
+            before = (coeff.tobytes(), update.tobytes())
+            for h0 in (None, r.normal(size=tail)):
+                h = associative_scan(coeff, update, h0=h0)
+                assert h.shape == coeff.shape
+                np.testing.assert_allclose(h, _sequential(coeff, update, h0), rtol=1e-10, atol=1e-12)
+            assert (coeff.tobytes(), update.tobytes()) == before
+
+    def test_associative_scan_strided_and_read_only_inputs(self):
+        r = rng(12)
+        coeff = r.uniform(-0.99, 0.99, (37, 2, 3))
+        update = r.normal(size=(37, 2, 3))
+        # reversed views, as the adjoint passes them
+        np.testing.assert_allclose(
+            associative_scan(coeff[::-1], update[::-1]),
+            _sequential(coeff[::-1], update[::-1]),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+        # read-only broadcast coefficients, as _canon_tdm builds them
+        shared = np.broadcast_to(r.uniform(-0.99, 0.99, (2, 3)), coeff.shape)
+        assert not shared.flags.writeable
+        np.testing.assert_allclose(
+            associative_scan(shared, update, h0=np.ones((2, 3))),
+            _sequential(shared, update, np.ones((2, 3))),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
+    def test_associative_scan_float32_stays_float32(self):
+        r = rng(13)
+        coeff = r.uniform(0.5, 0.99, (300, 4, 2)).astype(np.float32)
+        update = r.normal(size=(300, 4, 2)).astype(np.float32)
+        h = associative_scan(coeff, update)
+        assert h.dtype == np.float32
+        np.testing.assert_allclose(h, _sequential(coeff.astype(np.float64), update), rtol=1e-4, atol=1e-4)
+
     @pytest.mark.parametrize("t_len", [1, 2, 3])
     def test_exhaustive_tiny_lengths(self, t_len):
         r = rng(t_len)
@@ -242,14 +295,16 @@ class TestSelective:
         assert (T.value(a) < 0).all()
 
     def test_fused_scan_grad(self):
+        # T=1 and non-power-of-two lengths exercise the rolled adjoint coefficients
         r = rng(6)
-        t_len, d, m = 5, 2, 3
-        x = T.Tensor(r.normal(size=(t_len, d)))
-        ab = T.Tensor(r.uniform(-0.9, 0.9, (t_len, d, m)))
-        bb = T.Tensor(r.normal(size=(t_len, d, m)))
-        c = T.Tensor(r.normal(size=(t_len, m)))
-        rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), [x, ab, bb, c], name="ssm_scan")
-        assert rep.passed, rep
+        d, m = 2, 3
+        for t_len in (5, 1, 2, 7, 33):
+            x = T.Tensor(r.normal(size=(t_len, d)))
+            ab = T.Tensor(r.uniform(-0.9, 0.9, (t_len, d, m)))
+            bb = T.Tensor(r.normal(size=(t_len, d, m)))
+            c = T.Tensor(r.normal(size=(t_len, m)))
+            rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), [x, ab, bb, c], name=f"ssm_scan[T={t_len}]")
+            assert rep.passed, rep
 
     def test_fused_scan_matches_recurrent_oracle(self):
         # the network scan (parallel form) against the sequential oracle, odd and power-of-two lengths

@@ -228,6 +228,22 @@ class TestStructuralOps:
         )
         assert rep.passed
 
+    def test_gather_rows_duplicate_index_grads(self):
+        # repeated rows must accumulate their gradients (the scatter-add path)
+        r = rng(9)
+        x = T.Tensor(r.normal(size=(6, 3)))
+        idx = np.array([2, 0, 2, 5, 2, 0, 1])
+        mix = r.normal(size=(7, 3))
+        rep = T.grad_check(lambda t: T.reduce_sum(T.mul(T.gather_rows(t, idx), T.Tensor(mix))), [x])
+        assert rep.passed, rep
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(T.gather_rows(x, idx), T.Tensor(mix)))
+        tape.backward(loss)
+        expected = np.zeros((6, 3))
+        np.add.at(expected, idx, mix)
+        np.testing.assert_allclose(tape.grad(x), expected, atol=1e-12)
+        assert not tape.grad(x)[[3, 4]].any()
+
     def test_scatter_rows_unique_contract(self):
         with pytest.raises(ContractViolation):
             T.scatter_rows(T.Tensor(np.zeros((2, 1))), np.array([1, 1]), 4)
