@@ -162,9 +162,7 @@ def hsb_forward(f, cfg: HsbConfig, params: HsbParams) -> T.Tensor:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
     pad = cfg.dw_kernel // 2
     f_down = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
-    scanned = ss2d_block(
-        T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d, zoh_exact=cfg.zoh_exact
-    )
+    scanned = ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d)
     f_down = T.add(scanned, f_down)
     if cfg.local_conv:
         local = T.conv2d(
@@ -279,27 +277,3 @@ def flops_csg(cfg: CsgConfig, hsb_cfg: HsbConfig, x_cells: int, y_cells: int) ->
 def flops_plain_stack(hsb_cfg: HsbConfig, layers: int, x_cells: int, y_cells: int) -> int:
     """The no-split alternative: the same HSB chain applied to all channels."""
     return layers * flops_hsb(hsb_cfg, x_cells, y_cells)
-
-
-def count_flops(block: str, shape: tuple[int, int, int], **kwargs) -> int:
-    """MAC count for a named block on a (C, X, Y) input.
-
-    Supported blocks: conv2d (kwargs out_ch, k, groups, stride), ss2d
-    (state_dim), hsb (cfg), csg (cfg, hsb_cfg), plain_stack (hsb_cfg, layers).
-    """
-    c, x_cells, y_cells = shape
-    if block == "conv2d":
-        stride = kwargs.get("stride", 1)
-        return flops_conv2d(
-            kwargs.get("out_ch", c), c, kwargs.get("k", 1),
-            x_cells // stride, y_cells // stride, kwargs.get("groups", 1),
-        )
-    if block == "ss2d":
-        return flops_ss2d(c, kwargs["state_dim"], x_cells, y_cells)
-    if block == "hsb":
-        return flops_hsb(kwargs["cfg"], x_cells, y_cells)
-    if block == "csg":
-        return flops_csg(kwargs["cfg"], kwargs["hsb_cfg"], x_cells, y_cells)
-    if block == "plain_stack":
-        return flops_plain_stack(kwargs["hsb_cfg"], kwargs["layers"], x_cells, y_cells)
-    raise ContractViolation(f"unsupported block type {block!r} for count_flops")

@@ -255,7 +255,7 @@ def cmd_bench(args) -> dict:
     # block benchmark: backbone forward with and without the cross-stage split
     from dataclasses import replace
 
-    from .blocks import count_flops
+    from .blocks import flops_csg, flops_plain_stack
 
     for csg_enabled in (True, False):
         variant_cfg = replace(cfg, model=replace(cfg.model, csg=replace(cfg.model.csg, enabled=csg_enabled)))
@@ -274,12 +274,12 @@ def cmd_bench(args) -> dict:
             digests.add(_digest_array(T.value(pyr.f5)))
         if len(digests) != 1:
             raise RuntimeError("bench altered outputs across repeats for backbone")
-        shape = (cfg.model.channels, cfg.grid.x_cells, cfg.grid.y_cells)
+        x_cells, y_cells = cfg.grid.x_cells, cfg.grid.y_cells
         csg_cfg, hsb_cfg = stage_configs(variant_cfg.model)
         if csg_cfg is not None:
-            stage_flops = count_flops("csg", shape, cfg=csg_cfg, hsb_cfg=hsb_cfg)
+            stage_flops = flops_csg(csg_cfg, hsb_cfg, x_cells, y_cells)
         else:
-            stage_flops = count_flops("plain_stack", shape, hsb_cfg=hsb_cfg, layers=cfg.model.csg.hsb_layers)
+            stage_flops = flops_plain_stack(hsb_cfg, cfg.model.csg.hsb_layers, x_cells, y_cells)
         rows.append(
             {
                 "section": "backbone",

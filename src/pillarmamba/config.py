@@ -23,13 +23,16 @@ from .pillars import GridSpec
 class EncoderConfig:
     max_points_per_pillar: int = 32
     max_pillars: int = 20000
-    activation: str = "relu"
+
+    def __post_init__(self):
+        for name in ("max_points_per_pillar", "max_pillars"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"model.encoder.{name}: must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class SsmConfig:
     state_dim: int = 8
-    zoh_exact: bool = True
 
 
 @dataclass(frozen=True)

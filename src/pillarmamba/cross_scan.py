@@ -114,7 +114,7 @@ def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int, dt
     )
 
 
-def ss2d_block(bev, params: Ss2dParams, zoh_exact: bool = True) -> T.Tensor:
+def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     """Shape-preserving four-direction selective scan over a (C, X, Y) map.
 
     Pipeline: 1x1 projection + SiLU -> directional flatten -> per-direction
@@ -125,10 +125,7 @@ def ss2d_block(bev, params: Ss2dParams, zoh_exact: bool = True) -> T.Tensor:
     _, x_cells, y_cells = tb.shape
     h = T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b))
     seqs = cross_scan_flatten(h, directions=tuple(params.directions))
-    scanned = {
-        d: selective_scan_tokens(seqs.sequences[d], params.directions[d], zoh_exact=zoh_exact)
-        for d in params.directions
-    }
+    scanned = {d: selective_scan_tokens(seqs.sequences[d], params.directions[d]) for d in params.directions}
     merged = cross_merge(scanned, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)

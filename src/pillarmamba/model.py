@@ -49,7 +49,6 @@ class PillarMambaModel:
             self.encoder,
             max_points_per_pillar=enc.max_points_per_pillar,
             max_pillars=enc.max_pillars,
-            activation=enc.activation,
         )
 
     def backbone_forward(self, bev: BevMap):

@@ -73,15 +73,16 @@ class PointCloud:
 class PillarSet:
     """Occupied pillars with capped member points.
 
-    points is padded (P, K, 4); counts holds the member count per pillar after
-    capping, original_counts before capping. Pillars are ordered by flat grid
-    index; member points keep their cloud order.
+    points holds only the kept points, (N, 4), grouped by pillar: pillar p
+    owns the counts[p] rows from starts[p]. Pillars are ordered by flat grid
+    index; member points keep their cloud order. original_counts holds the
+    member count per pillar before capping.
     """
 
     grid: GridSpec
     indices: Array  # (P, 2) int, (ix, iy)
-    points: Array  # (P, K, 4) float32
-    counts: Array  # (P,) int
+    points: Array  # (N, 4) float32, N = counts.sum()
+    counts: Array  # (P,) int, each >= 1
     original_counts: Array  # (P,) int
     counters: dict = field(default_factory=dict)
 
@@ -92,8 +93,14 @@ class PillarSet:
     def flat_indices(self) -> Array:
         return self.indices[:, 0] * self.grid.y_cells + self.indices[:, 1]
 
+    @property
+    def starts(self) -> Array:
+        """(P,) first row of each pillar in points."""
+        return np.cumsum(self.counts) - self.counts
+
     def member_points(self, p: int) -> Array:
-        return self.points[p, : self.counts[p]]
+        start = self.starts[p]
+        return self.points[start : start + self.counts[p]]
 
 
 @dataclass
@@ -109,29 +116,15 @@ def voxelize(
     grid: GridSpec,
     max_points_per_pillar: int = 32,
     max_pillars: int = 20000,
-    shuffle_seed: int | None = None,
 ) -> PillarSet:
     """Bin in-range points into pillars with deterministic first-come capping.
 
     Cells are half-open, so points exactly on the upper range bound are
-    dropped. shuffle_seed randomizes which points survive the per-pillar cap;
-    the default keeps cloud insertion order.
+    dropped. Each pillar keeps its first max_points_per_pillar points in
+    cloud order; past max_pillars the most populated pillars are kept.
     """
     pts = cloud.points
     counters = {"dropped_out_of_range": 0, "dropped_over_capacity": 0, "dropped_pillars": 0}
-    if shuffle_seed is not None:
-        order = np.random.Generator(np.random.PCG64(shuffle_seed)).permutation(len(pts))
-        pts = pts[order]
-    if len(pts) == 0:
-        return PillarSet(
-            grid=grid,
-            indices=np.zeros((0, 2), dtype=np.intp),
-            points=np.zeros((0, max_points_per_pillar, 4), dtype=np.float32),
-            counts=np.zeros(0, dtype=np.intp),
-            original_counts=np.zeros(0, dtype=np.intp),
-            counters=counters,
-        )
-
     ix = np.floor((pts[:, 0].astype(np.float64) - grid.x_range[0]) / grid.pillar_size).astype(np.intp)
     iy = np.floor((pts[:, 1].astype(np.float64) - grid.y_range[0]) / grid.pillar_size).astype(np.intp)
     in_range = (
@@ -147,59 +140,53 @@ def voxelize(
     flat = ix * grid.y_cells + iy
 
     order = np.argsort(flat, kind="stable")  # stable: preserves insertion order per pillar
-    flat_sorted = flat[order]
-    uniq, starts, counts_all = np.unique(flat_sorted, return_index=True, return_counts=True)
+    uniq, starts, counts_all = np.unique(flat[order], return_index=True, return_counts=True)
 
-    n_pillars = uniq.size
-    keep = np.arange(n_pillars)
-    if n_pillars > max_pillars:
+    kept = np.ones(uniq.size, dtype=bool)
+    if uniq.size > max_pillars:
         # keep the most populated pillars; ties resolved by lower flat index
-        rank = np.lexsort((uniq, -counts_all))
-        keep = np.sort(rank[:max_pillars])
-        counters["dropped_pillars"] = n_pillars - max_pillars
-        n_pillars = max_pillars
+        kept[:] = False
+        kept[np.lexsort((uniq, -counts_all))[:max_pillars]] = True
+        counters["dropped_pillars"] = uniq.size - max_pillars
 
-    k = max_points_per_pillar
-    padded = np.zeros((n_pillars, k, 4), dtype=np.float32)
-    counts = np.minimum(counts_all[keep], k).astype(np.intp)
-    for row, pillar in enumerate(keep):
-        members = order[starts[pillar] : starts[pillar] + counts_all[pillar]]
-        padded[row, : counts[row]] = pts[members[: counts[row]]]
-    counters["dropped_over_capacity"] = int((counts_all[keep] - counts).sum())
+    # a sorted point survives if its pillar is kept and its rank within the pillar is under the cap
+    owner = np.repeat(np.arange(uniq.size), counts_all)
+    rank = np.arange(order.size) - starts[owner]
+    survives = kept[owner] & (rank < max_points_per_pillar)
+    counts = np.minimum(counts_all[kept], max_points_per_pillar)
+    counters["dropped_over_capacity"] = int((counts_all[kept] - counts).sum())
 
-    flat_kept = uniq[keep]
+    flat_kept = uniq[kept]
     indices = np.stack([flat_kept // grid.y_cells, flat_kept % grid.y_cells], axis=1)
     return PillarSet(
         grid=grid,
         indices=indices.astype(np.intp),
-        points=padded,
-        counts=counts,
-        original_counts=counts_all[keep].astype(np.intp),
+        points=pts[order[survives]],
+        counts=counts.astype(np.intp),
+        original_counts=counts_all[kept].astype(np.intp),
         counters=counters,
     )
 
 
-def augment_features(pillars: PillarSet) -> tuple[Array, Array]:
-    """Per-point 9-dim features (P, K, 9) plus validity mask (P, K).
+def augment_features(pillars: PillarSet) -> Array:
+    """Per-point 9-dim features (N, 9), one row per kept point.
 
     Dims 0-3 are the raw point; 4-6 the offset from the pillar's point mean;
     7-8 the xy offset from the pillar cell center.
     """
-    p, k, _ = pillars.points.shape
-    mask = np.arange(k)[None, :] < pillars.counts[:, None]
-    feats = np.zeros((p, k, POINT_FEATURE_DIM), dtype=np.float32)
-    if p == 0:
-        return feats, mask
     pts = pillars.points
-    feats[:, :, :4] = pts
-    denom = np.maximum(pillars.counts, 1).astype(np.float32)[:, None]
-    mean_xyz = (pts[:, :, :3] * mask[:, :, None]).sum(axis=1) / denom  # (P, 3)
-    feats[:, :, 4:7] = pts[:, :, :3] - mean_xyz[:, None, :]
+    owners = np.repeat(np.arange(len(pillars)), pillars.counts)  # pillar of each point row
+    # np.add.at sums each pillar strictly in point order; np.add.reduceat's order differs in the last bits
+    sums = np.zeros((len(pillars), 3), dtype=np.float32)
+    np.add.at(sums, owners, pts[:, :3])
+    mean_xyz = sums / pillars.counts.astype(np.float32)[:, None]
     cx, cy = pillars.grid.cell_center(pillars.indices[:, 0], pillars.indices[:, 1])
-    feats[:, :, 7] = pts[:, :, 0] - cx.astype(np.float32)[:, None]
-    feats[:, :, 8] = pts[:, :, 1] - cy.astype(np.float32)[:, None]
-    feats *= mask[:, :, None]
-    return feats, mask
+    feats = np.empty((pts.shape[0], POINT_FEATURE_DIM), dtype=np.float32)
+    feats[:, :4] = pts
+    feats[:, 4:7] = pts[:, :3] - mean_xyz[owners]
+    feats[:, 7] = pts[:, 0] - cx.astype(np.float32)[owners]
+    feats[:, 8] = pts[:, 1] - cy.astype(np.float32)[owners]
+    return feats
 
 
 @dataclass
@@ -216,38 +203,22 @@ def init_encoder_params(rng: np.random.Generator, channels: int, dtype=np.float3
     )
 
 
-def encode_scatter(
-    features: Array,
-    mask: Array,
-    pillars: PillarSet,
-    params: EncoderParams,
-    activation: str = "relu",
-) -> BevMap:
-    """Embed per-point features, max-pool per pillar, scatter to the grid.
+def encode_scatter(features: Array, pillars: PillarSet, params: EncoderParams) -> BevMap:
+    """Embed per-point features with ReLU, max-pool per pillar, scatter to the grid.
 
     Cells without a pillar stay exactly zero; the result is differentiable
     with respect to the embedding parameters.
     """
     grid = pillars.grid
     channels = T.value(params.embed_w).shape[1]
-    n_cells = grid.x_cells * grid.y_cells
     dtype = T.value(params.embed_w).dtype
     if len(pillars) == 0:
         return BevMap(T.Tensor(np.zeros((channels, grid.x_cells, grid.y_cells), dtype=dtype)), grid)
 
-    p, k, f = features.shape
-    valid = mask.reshape(-1)
-    flat_feats = features.reshape(p * k, f)[valid].astype(dtype, copy=False)
-    embedded = T.add(T.matmul(T.Tensor(flat_feats), params.embed_w), params.embed_b)
-    if activation == "relu":
-        embedded = T.relu(embedded)
-    elif activation == "silu":
-        embedded = T.silu(embedded)
-    elif activation != "none":
-        raise ConfigurationError(f"unknown encoder activation {activation!r}")
-    padded = T.reshape(T.scatter_rows(embedded, np.flatnonzero(valid), p * k), (p, k, channels))
-    pooled = T.masked_max(padded, mask)  # (P, C)
-    grid_rows = T.scatter_rows(pooled, pillars.flat_indices, n_cells)
+    rows = T.Tensor(features.astype(dtype, copy=False))
+    embedded = T.relu(T.add(T.matmul(rows, params.embed_w), params.embed_b))
+    pooled = T.segment_max(embedded, pillars.starts)  # (P, C)
+    grid_rows = T.scatter_rows(pooled, pillars.flat_indices, grid.x_cells * grid.y_cells)
     return BevMap(T.tokens_to_bev(grid_rows, grid.x_cells, grid.y_cells), grid)
 
 
@@ -257,9 +228,7 @@ def encode_cloud(
     params: EncoderParams,
     max_points_per_pillar: int = 32,
     max_pillars: int = 20000,
-    activation: str = "relu",
 ) -> BevMap:
     """Full encoder: voxelize -> augment -> embed/pool/scatter."""
     pillars = voxelize(cloud, grid, max_points_per_pillar, max_pillars)
-    features, mask = augment_features(pillars)
-    return encode_scatter(features, mask, pillars, params, activation=activation)
+    return encode_scatter(augment_features(pillars), pillars, params)

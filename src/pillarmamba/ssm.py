@@ -327,12 +327,11 @@ def selective_params(tokens, proj: SelectiveProjections):
     return b_seq, c_seq, delta, a
 
 
-def selective_discretize(delta, a, b_seq, exact: bool = True):
+def selective_discretize(delta, a, b_seq):
     """Per-step ZOH on the tape: (T,D) delta, (D,M) a, (T,M) b -> (T,D,M) a_bar, b_bar.
 
     The exact input scale expm1(z)/a is well-conditioned here because a is
-    strictly negative on the selective path; exact=False selects the common
-    simplified scale delta*b.
+    strictly negative on the selective path.
     """
     t_len, d = T.value(delta).shape
     m = T.value(a).shape[-1]
@@ -341,18 +340,15 @@ def selective_discretize(delta, a, b_seq, exact: bool = True):
     z = T.mul(delta3, a3)
     a_bar = T.texp(z)
     b3 = T.reshape(b_seq, (t_len, 1, m))
-    if exact:
-        scale = T.mul(T.texpm1(z), T.reciprocal(a3))
-        b_bar = T.mul(scale, b3)
-    else:
-        b_bar = T.mul(delta3, b3)
+    scale = T.mul(T.texpm1(z), T.reciprocal(a3))
+    b_bar = T.mul(scale, b3)
     return a_bar, b_bar
 
 
-def selective_scan_tokens(tokens, proj: SelectiveProjections, zoh_exact: bool = True) -> T.Tensor:
+def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:
     """Full selective scan over a token sequence (T, D) -> (T, D)."""
     b_seq, c_seq, delta, a = selective_params(tokens, proj)
-    a_bar, b_bar = selective_discretize(delta, a, b_seq, exact=zoh_exact)
+    a_bar, b_bar = selective_discretize(delta, a, b_seq)
     return ssm_scan(tokens, a_bar, b_bar, c_seq)
 
 

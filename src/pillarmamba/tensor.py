@@ -301,14 +301,6 @@ def tabs(a) -> Tensor:
     return out
 
 
-def pow_const(a, p: float) -> Tensor:
-    ta = as_tensor(a)
-    d = ta.data
-    out = Tensor(d**p)
-    _record(out, (ta,), lambda g: (g * p * d ** (p - 1),))
-    return out
-
-
 def clamp(a, lo: float, hi: float) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
@@ -384,17 +376,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
     _record(out, (ta,), bwd)
     return out
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    ta = as_tensor(a)
-    d = ta.data
-    if axis is None:
-        count = d.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([d.shape[i] for i in ax]))
-    return mul(reduce_sum(ta, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reshape(a, shape) -> Tensor:
@@ -479,27 +460,30 @@ def scatter_rows(a, idx: Array, n_rows: int) -> Tensor:
     return out
 
 
-def masked_max(a, mask: Array) -> Tensor:
-    """Channelwise max over axis 1 of (P, K, C) restricted to mask (P, K).
+def segment_max(a, starts: Array) -> Tensor:
+    """Channelwise max over consecutive row segments of a 2-D (N, C) tensor -> (len(starts), C).
 
-    Every row must have at least one valid entry. Backward routes the gradient
-    to the first position attaining the max.
+    Segment s is rows starts[s] up to the next start (or N); starts must
+    begin at 0 and increase strictly, so no segment is empty. Backward routes
+    the gradient to the first row attaining the max.
     """
     ta = as_tensor(a)
     d = ta.data
-    mask = np.asarray(mask, dtype=bool)
-    if d.ndim != 3 or mask.shape != d.shape[:2]:
-        raise ContractViolation(f"masked_max expects (P,K,C) with mask (P,K), got {d.shape} / {mask.shape}")
-    if not mask.any(axis=1).all():
-        raise ContractViolation("masked_max: some row has no valid entries")
-    neg_inf = np.array(-np.inf, dtype=d.dtype)
-    masked = np.where(mask[:, :, None], d, neg_inf)
-    am = masked.argmax(axis=1)  # (P, C), first max wins
-    out = Tensor(np.take_along_axis(masked, am[:, None, :], axis=1)[:, 0, :])
+    starts = np.asarray(starts, dtype=np.intp)
+    if d.ndim != 2 or starts.ndim != 1:
+        raise ContractViolation(f"segment_max expects (N, C) rows and 1-D starts, got {d.shape} / {starts.shape}")
+    if starts.size == 0 or starts[0] != 0:
+        raise ContractViolation("segment_max: starts must begin at 0")
+    if (np.diff(starts) <= 0).any() or starts[-1] >= d.shape[0]:
+        raise ContractViolation("segment_max: some segment is empty")
+    out = Tensor(np.maximum.reduceat(d, starts, axis=0))
 
     def bwd(g):
+        # first row of each segment equal to its max (or NaN, which maximum propagates)
+        hit = (d == np.repeat(out.data, np.diff(starts, append=d.shape[0]), axis=0)) | np.isnan(d)
+        first = np.minimum.reduceat(np.where(hit, np.arange(d.shape[0])[:, None], d.shape[0]), starts, axis=0)
         gz = np.zeros_like(d)
-        np.put_along_axis(gz, am[:, None, :], g[:, None, :], axis=1)
+        gz[first, np.arange(d.shape[1])] = g
         return (gz,)
 
     _record(out, (ta,), bwd)

@@ -1,0 +1,61 @@
+"""The benchmark's traced layer sites must exist in the package.
+
+``perfbench/spans.py`` wraps public functions by module and attribute name.
+Entering its ``installed`` context resolves every site first, so a rename in
+the package fails here, in the unit tests, and not only in a traced
+benchmark run. The file is loaded by path and never modified.
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+
+from pillarmamba.config import desk_grid
+from pillarmamba.pillars import PointCloud
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    # compiled from the source text, so no bytecode cache is written next to it
+    module = types.ModuleType("perfbench_spans_under_test")
+    module.__file__ = str(SPANS_PATH)
+    sys.modules[module.__name__] = module  # dataclasses resolve their module by name
+    try:
+        exec(compile(SPANS_PATH.read_text(), str(SPANS_PATH), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def _current(site):
+    owner = importlib.import_module(site.module)
+    *path, name = site.attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return getattr(owner, name)
+
+
+def test_every_site_resolves_and_is_restored():
+    spans = _load_spans()
+    before = {site.key: _current(site) for site in spans.SITES}
+    with spans.installed(spans.Tracer()):
+        wrapped = [site.key for site in spans.SITES if _current(site) is not before[site.key]]
+    assert wrapped == [site.key for site in spans.SITES]
+    assert all(_current(site) is before[site.key] for site in spans.SITES)
+
+
+def test_voxelize_counters_read_the_pillar_set():
+    spans = _load_spans()
+    pillars_mod = importlib.import_module("pillarmamba.pillars")
+    cloud = PointCloud(np.array([[1.05, 0.05, -1.0, 0.1]] * 5 + [[99.0, 0.0, 0.0, 0.0]], dtype=np.float32))
+    with spans.installed(spans.Tracer()) as tracer:
+        result = pillars_mod.voxelize(cloud, desk_grid(), 3)
+    assert tracer.counters["pillars.points_in"] == 6
+    assert tracer.counters["pillars.pillars"] == 1
+    assert tracer.counters["pillars.points_kept"] == len(result.points) == 3
+    assert tracer.counters["pillars.dropped_over_capacity"] == 2
+    assert tracer.counters["pillars.dropped_out_of_range"] == 1

@@ -8,7 +8,6 @@ from pillarmamba import tensor as T
 from pillarmamba.blocks import (
     CsgConfig,
     HsbConfig,
-    count_flops,
     csg_forward,
     flops_conv2d,
     flops_csg,
@@ -200,10 +199,3 @@ class TestFlops:
         branch = HsbConfig(channels=32, state_dim=8)
         full = HsbConfig(channels=64, state_dim=8)
         assert flops_csg(csg, branch, 64, 64) < flops_plain_stack(full, 2, 64, 64)
-
-    def test_count_flops_dispatch(self):
-        assert count_flops("conv2d", (64, 64, 64), out_ch=64, k=1) == 16_777_216
-        hsb = HsbConfig(channels=8, state_dim=4)
-        assert count_flops("hsb", (8, 16, 16), cfg=hsb) == flops_hsb(hsb, 16, 16)
-        with pytest.raises(ContractViolation):
-            count_flops("transformer", (8, 16, 16))

@@ -206,7 +206,7 @@ NON_DEFAULT_CONFIG = {
     "grid": {"x_range": [-3.2, 3.2], "y_range": [0.0, 4.8], "z_range": [-2.0, 2.0], "pillar_size": 0.4},
     "model": {
         "channels": 32,
-        "encoder": {"max_points_per_pillar": 16, "max_pillars": 9000, "activation": "silu"},
+        "encoder": {"max_points_per_pillar": 16, "max_pillars": 9000},
         "csg": {"enabled": False, "hsb_layers": 3, "split_fraction": 0.25},
         "hsb": {
             "reduction_ratio": 4,
@@ -217,7 +217,7 @@ NON_DEFAULT_CONFIG = {
             "attention_alt_residual": True,
             "se_reduction": 8,
         },
-        "ssm": {"state_dim": 4, "zoh_exact": False},
+        "ssm": {"state_dim": 4},
     },
     "head": {"classes": list(CLASS_NAMES), "top_k": 50, "score_threshold": 0.3, "reg_weight": 2.0, "gaussian_min_overlap": 0.5},
     "eval": {"iou_thresholds": {"vehicle": 0.7, "pedestrian": 0.5}},
@@ -289,12 +289,18 @@ class TestConfig:
             ("model.ssm", "engine", "parallel", "unknown key model.ssm.engine"),
             ("model.ssm", "chunk_size", 0, "unknown key model.ssm.chunk_size"),
             ("model", "stages", 4, "unknown key model.stages"),
+            ("model.ssm", "zoh_exact", True, "unknown key model.ssm.zoh_exact"),
+            ("model.encoder", "activation", "relu", "unknown key model.encoder.activation"),
+            ("model.encoder", "max_points_per_pillar", 0, "model.encoder.max_points_per_pillar"),
+            ("model.encoder", "max_points_per_pillar", -1, "model.encoder.max_points_per_pillar"),
+            ("model.encoder", "max_pillars", 0, "model.encoder.max_pillars"),
         ],
         ids=[
             "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
             "count-unknown-class", "prior-missing-for-counted", "prior-nonpositive", "points-per-box-zero",
             "background-negative", "iou-unknown-class", "classes-subset", "classes-order",
-            "removed-engine", "removed-chunk-size", "removed-stages",
+            "removed-engine", "removed-chunk-size", "removed-stages", "removed-zoh-exact", "removed-activation",
+            "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero",
         ],
     )
     def test_bad_value_rejected_at_load_with_path(self, section, key, value, path):

@@ -42,8 +42,8 @@ class TestVoxelize:
     def test_empty_cloud(self):
         pillars = voxelize(PointCloud(np.zeros((0, 4))), desk_grid())
         assert len(pillars) == 0
-        feats, mask = augment_features(pillars)
-        assert feats.shape == (0, 32, 9) and mask.shape == (0, 32)
+        assert pillars.points.shape == (0, 4)
+        assert augment_features(pillars).shape == (0, 9)
 
     def test_single_point_index_arithmetic(self):
         pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid())
@@ -69,12 +69,6 @@ class TestVoxelize:
         assert pillars.original_counts[0] == 5
         assert pillars.counters["dropped_over_capacity"] == 2
         np.testing.assert_allclose(pillars.member_points(0)[:, 3], [0.0, 0.1, 0.2], atol=1e-6)
-
-    def test_shuffle_seed_changes_survivors(self):
-        pts = [(1.05, 0.05, -1.0, i / 10.0) for i in range(20)]
-        base = voxelize(cloud_of(*pts), desk_grid(), max_points_per_pillar=2)
-        shuffled = voxelize(cloud_of(*pts), desk_grid(), max_points_per_pillar=2, shuffle_seed=1)
-        assert not np.array_equal(base.member_points(0), shuffled.member_points(0))
 
     def test_max_pillars_drops_lowest_population(self):
         pts = [(0.1 + 0.001 * i, 0.1, -1.0, 0.5) for i in range(4)]  # 4 points, one pillar
@@ -116,25 +110,25 @@ class TestVoxelize:
 class TestAugment:
     def test_single_point_zero_mean_offsets(self):
         pillars = voxelize(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid())
-        feats, mask = augment_features(pillars)
-        assert mask.sum() == 1
-        np.testing.assert_allclose(feats[0, 0, 4:7], 0.0, atol=1e-7)
+        feats = augment_features(pillars)
+        assert feats.shape == (1, 9)
+        np.testing.assert_allclose(feats[0, 4:7], 0.0, atol=1e-7)
 
     def test_cell_center_offsets(self):
         pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid())
-        feats, _ = augment_features(pillars)
-        np.testing.assert_allclose(feats[0, 0, 7], -0.05, atol=1e-5)
-        np.testing.assert_allclose(feats[0, 0, 8], 0.01, atol=1e-5)
+        feats = augment_features(pillars)
+        np.testing.assert_allclose(feats[0, 7], -0.05, atol=1e-5)
+        np.testing.assert_allclose(feats[0, 8], 0.01, atol=1e-5)
 
     def test_symmetric_pair_offsets_negate(self):
         pillars = voxelize(cloud_of((1.02, 0.08, -1.0, 0.5), (1.08, 0.02, -0.5, 0.5)), desk_grid())
-        feats, _ = augment_features(pillars)
-        np.testing.assert_allclose(feats[0, 0, 4:7], -feats[0, 1, 4:7], atol=1e-6)
+        feats = augment_features(pillars)
+        np.testing.assert_allclose(feats[0, 4:7], -feats[1, 4:7], atol=1e-6)
 
     def test_raw_dims_passthrough(self):
         pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid())
-        feats, _ = augment_features(pillars)
-        np.testing.assert_allclose(feats[0, 0, :4], [10.05, 3.31, -1.0, 0.5], atol=1e-6)
+        feats = augment_features(pillars)
+        np.testing.assert_allclose(feats[0, :4], [10.05, 3.31, -1.0, 0.5], atol=1e-6)
 
 
 class TestEncodeScatter:
@@ -184,8 +178,7 @@ class TestEncodeScatter:
         ).astype(np.float32)
         pillars = voxelize(PointCloud(pts), grid)
         params = self._params(4, seed=4)
-        feats, mask = augment_features(pillars)
-        bev = T.value(encode_scatter(feats, mask, pillars, params).tensor)
+        bev = T.value(encode_scatter(augment_features(pillars), pillars, params).tensor)
         occupied = set(map(tuple, np.argwhere(np.abs(bev).sum(axis=0) > 0).tolist()))
         pillar_cells = set(map(tuple, pillars.indices.tolist()))
         assert occupied <= pillar_cells
@@ -200,16 +193,13 @@ class TestEncodeScatter:
         assert occupied.sum() == 1
         assert (bev[:, ~occupied] == 0.0).all()
 
-    @pytest.mark.parametrize("activation", ["relu", "silu", "none"])
-    def test_activations_supported(self, activation):
+    def test_relu_clips_negative_embeddings(self):
         params = self._params(4, seed=6)
-        bev = encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params, activation=activation)
-        assert T.value(bev.tensor).shape == (4, 64, 64)
-
-    def test_unknown_activation_rejected(self):
-        params = self._params(4)
-        with pytest.raises(ConfigurationError):
-            encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params, activation="tanh")
+        params.embed_w.value.data[...] = 0.0
+        params.embed_b.value.data[...] = [-1.0, 2.0, -0.5, 0.25]
+        bev = T.value(encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params).tensor)
+        assert bev.shape == (4, 64, 64)
+        np.testing.assert_array_equal(bev[:, 5, 32], [0.0, 2.0, 0.0, 0.25])
 
     def test_embed_gradients_flow(self):
         r = rng(7)
@@ -220,10 +210,103 @@ class TestEncodeScatter:
         cloud = PointCloud(pts.astype(np.float32))
         params = self._params(5, seed=8)
         pillars = voxelize(cloud, grid)
-        feats, mask = augment_features(pillars)
+        feats = augment_features(pillars)
         rep = T.grad_check(
-            lambda w, b: T.reduce_sum(encode_scatter(feats, mask, pillars, EncoderParams(w, b), activation="silu").tensor),
+            lambda w, b: T.reduce_sum(encode_scatter(feats, pillars, EncoderParams(w, b)).tensor),
             [params.embed_w, params.embed_b],
             eps=1e-6,
         )
         assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# padded oracle: the (P, K, 9) features, their (P, K) mask and a masked max
+# ---------------------------------------------------------------------------
+
+
+def padded_oracle(cloud, grid, w, b, k, max_pillars, mix):
+    """BEV map and embed-weight gradients of sum(mix * bev), from per-pillar padded arrays.
+
+    Pillars are found by a loop over the points, capped first-come, and kept
+    by population (ties to the lower flat index) past max_pillars.
+    """
+    members: dict[int, list[int]] = {}
+    for i, (x, y, z, _) in enumerate(cloud.points):
+        ix = int(np.floor((float(x) - grid.x_range[0]) / grid.pillar_size))
+        iy = int(np.floor((float(y) - grid.y_range[0]) / grid.pillar_size))
+        if 0 <= ix < grid.x_cells and 0 <= iy < grid.y_cells and grid.z_range[0] <= z < grid.z_range[1]:
+            members.setdefault(ix * grid.y_cells + iy, []).append(i)
+    kept = sorted(sorted(members, key=lambda f: (-len(members[f]), f))[:max_pillars])
+    p, c = len(kept), w.shape[1]
+    bev = np.zeros((c, grid.x_cells, grid.y_cells), dtype=w.dtype)
+    if p == 0:
+        return bev, np.zeros_like(w), np.zeros_like(b)
+
+    pts = np.zeros((p, k, 4), dtype=np.float32)
+    mask = np.zeros((p, k), dtype=bool)
+    for row, flat in enumerate(kept):
+        idx = members[flat][:k]
+        pts[row, : len(idx)] = cloud.points[idx]
+        mask[row, : len(idx)] = True
+    counts = mask.sum(axis=1)
+    flat_kept = np.array(kept)
+    cx, cy = grid.cell_center(flat_kept // grid.y_cells, flat_kept % grid.y_cells)
+    feats = np.zeros((p, k, 9), dtype=np.float32)
+    feats[:, :, :4] = pts
+    mean_xyz = (pts[:, :, :3] * mask[:, :, None]).sum(axis=1) / counts.astype(np.float32)[:, None]
+    feats[:, :, 4:7] = pts[:, :, :3] - mean_xyz[:, None, :]
+    feats[:, :, 7] = pts[:, :, 0] - cx.astype(np.float32)[:, None]
+    feats[:, :, 8] = pts[:, :, 1] - cy.astype(np.float32)[:, None]
+    feats *= mask[:, :, None]
+
+    rows = feats.reshape(p * k, 9)[mask.reshape(-1)]
+    pre = rows @ w + b
+    emb = np.zeros((p * k, c), dtype=w.dtype)
+    emb[mask.reshape(-1)] = np.maximum(pre, 0.0)
+    masked = np.where(mask[:, :, None], emb.reshape(p, k, c), -np.inf)
+    arg = masked.argmax(axis=1)  # (P, C), first max
+    pooled = np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :]
+    ix, iy = flat_kept // grid.y_cells, flat_kept % grid.y_cells
+    bev[:, ix, iy] = pooled.T
+
+    g_pad = np.zeros((p, k, c), dtype=w.dtype)
+    np.put_along_axis(g_pad, arg[:, None, :], mix[:, ix, iy].T[:, None, :], axis=1)
+    g_pre = g_pad.reshape(p * k, c)[mask.reshape(-1)] * (pre > 0.0).astype(w.dtype)
+    return bev, rows.T @ g_pre, g_pre.sum(axis=0)
+
+
+class TestPaddedOracle:
+    GRID = GridSpec(x_range=(0.0, 1.6), y_range=(-0.8, 0.8), z_range=(-1.0, 1.0), pillar_size=0.2)
+
+    def _cloud(self, seed, n):
+        r = rng(seed)
+        # clustered around a few centers so some pillars overflow the cap; a few points out of range
+        centers = r.uniform([-0.1, -0.9, -1.1], [1.7, 0.9, 1.1], size=(6, 3))
+        xyz = centers[r.integers(0, 6, n)] + r.normal(0.0, 0.15, (n, 3))
+        return PointCloud(np.column_stack([xyz, r.uniform(0, 1, n)]).astype(np.float32))
+
+    @pytest.mark.parametrize(
+        "seed,n,k,max_pillars",
+        [(0, 200, 4, 20000), (1, 300, 3, 10), (2, 60, 32, 5), (3, 400, 1, 20000), (4, 0, 4, 20000)],
+        ids=["capped", "capped-dropped", "dropped", "one-per-pillar", "empty"],
+    )
+    def test_forward_and_embed_grads_equal_padded_oracle(self, seed, n, k, max_pillars):
+        cloud = self._cloud(seed, n)
+        params = init_encoder_params(rng(100 + seed), 16)
+        params.embed_b.value.data[...] = rng(200 + seed).normal(0.0, 0.3, 16).astype(np.float32)
+        mix = rng(300 + seed).normal(size=(16, self.GRID.x_cells, self.GRID.y_cells)).astype(np.float32)
+        pillars = voxelize(cloud, self.GRID, k, max_pillars)
+        if n:
+            assert pillars.counters["dropped_over_capacity"] > 0 or k == 32
+            assert (pillars.counters["dropped_pillars"] > 0) == (max_pillars < 20000)
+
+        with T.Tape() as tape:
+            bev = encode_cloud(cloud, self.GRID, params, max_points_per_pillar=k, max_pillars=max_pillars)
+            loss = T.reduce_sum(T.mul(bev.tensor, T.Tensor(mix)))
+        tape.backward(loss)
+        want_bev, want_gw, want_gb = padded_oracle(
+            cloud, self.GRID, T.value(params.embed_w), T.value(params.embed_b), k, max_pillars, mix
+        )
+        assert np.array_equal(T.value(bev.tensor), want_bev)
+        assert np.array_equal(tape.grad(params.embed_w), want_gw)
+        assert np.array_equal(tape.grad(params.embed_b), want_gb)

@@ -248,23 +248,40 @@ class TestStructuralOps:
         with pytest.raises(ContractViolation):
             T.scatter_rows(T.Tensor(np.zeros((2, 1))), np.array([1, 1]), 4)
 
-    def test_masked_max_forward_and_grad(self):
-        x = np.array(
-            [[[1.0, 5.0], [2.0, 1.0], [9.0, 9.0]], [[4.0, 0.0], [3.0, 7.0], [0.0, 0.0]]]
-        )  # (P=2, K=3, C=2)
-        mask = np.array([[True, True, False], [True, True, False]])
-        out = T.value(T.masked_max(T.Tensor(x), mask))
-        np.testing.assert_array_equal(out, [[2.0, 5.0], [4.0, 7.0]])
+    def test_segment_max_forward_and_grad(self):
+        x = np.array([[1.0, 5.0], [2.0, 1.0], [9.0, 9.0], [4.0, 0.0], [3.0, 7.0]])  # segments rows 0-1, 2, 3-4
+        starts = np.array([0, 2, 3])
+        out = T.value(T.segment_max(T.Tensor(x), starts))
+        np.testing.assert_array_equal(out, [[2.0, 5.0], [9.0, 9.0], [4.0, 7.0]])
         rep = T.grad_check(
-            lambda t: T.reduce_sum(T.mul(T.masked_max(t, mask), T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])))),
+            lambda t: T.reduce_sum(T.mul(T.segment_max(t, starts), T.Tensor(np.arange(1.0, 7.0).reshape(3, 2)))),
             [T.Tensor(x)],
             eps=1e-6,
         )
         assert rep.passed
 
-    def test_masked_max_empty_row_contract(self):
+    def test_segment_max_ties_route_to_first_row(self):
+        x = T.Tensor(np.array([[3.0, 1.0], [3.0, 4.0], [2.0, 4.0], [5.0, 5.0], [5.0, 5.0]]))
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(T.segment_max(x, np.array([0, 3])), T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))))
+        tape.backward(loss)
+        np.testing.assert_array_equal(tape.grad(x), [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+
+    def test_segment_max_nan_routes_to_first_nan_row(self):
+        x = T.Tensor(np.array([[1.0], [np.nan], [2.0], [np.nan]]))
+        with T.Tape() as tape:
+            out = T.segment_max(x, np.array([0]))
+            loss = T.reduce_sum(out)
+        tape.backward(loss)
+        assert np.isnan(T.value(out)).all()
+        np.testing.assert_array_equal(tape.grad(x), [[0.0], [1.0], [0.0], [0.0]])
+
+    @pytest.mark.parametrize(
+        "starts", [[0, 1, 1], [0, 2, 1], [0, 3], [1, 2], []], ids=["repeat", "decreasing", "past-end", "not-at-0", "none"]
+    )
+    def test_segment_max_empty_segment_contract(self, starts):
         with pytest.raises(ContractViolation):
-            T.masked_max(T.Tensor(np.zeros((1, 2, 3))), np.array([[False, False]]))
+            T.segment_max(T.Tensor(np.zeros((3, 2))), np.array(starts, dtype=np.intp))
 
 
 class TestFullOperatorSweep:
@@ -277,9 +294,9 @@ class TestFullOperatorSweep:
         checks = {
             "add_mul_sub_neg": lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.neg(T.sub(a, 0.3)))),
             "matmul": lambda a, b: T.reduce_sum(T.matmul(T.add(a, b), mat)),
-            "reductions": lambda a, b: T.add(T.reduce_sum(T.reduce_mean(a, axis=0)), T.reduce_sum(b, axis=(0, 1))),
+            "reductions": lambda a, b: T.add(T.reduce_sum(T.mul(T.reduce_sum(a, axis=0, keepdims=True), b)), T.reduce_sum(b, axis=(0, 1))),
             "reciprocal": lambda a, b: T.reduce_sum(T.mul(a, T.reciprocal(T.add(T.mul(b, b), 1.0)))),
-            "pow_clamp": lambda a, b: T.reduce_sum(T.pow_const(T.clamp(T.sigmoid(a), 0.01, 0.99), 3.0)),
+            "clamp": lambda a, b: T.reduce_sum(T.mul(T.clamp(T.sigmoid(a), 0.01, 0.99), b)),
             "gap_upsample": lambda a, b: T.reduce_sum(T.global_average_pool(T.nearest_upsample_2x(T.reshape(a, (2, 2, 2))))),
             "concat_split": lambda a, b: T.reduce_sum(T.mul(T.concat(T.split(a, [1, 1], axis=0), axis=0), b)),
             "token_roundtrip": lambda a, b: T.reduce_sum(T.mul(T.bev_to_tokens(T.tokens_to_bev(T.reshape(a, (4, 2)), 2, 2)), T.reshape(b, (4, 2)))),
@@ -308,14 +325,14 @@ class TestFullOperatorSweep:
         )
         assert rep.passed, rep
 
-        mask = r.random((3, 4)) < 0.6
-        mask[:, 0] = True
+        counts = r.integers(1, 5, size=3)
+        starts = np.cumsum(counts) - counts
         mix_max = T.Tensor(r.normal(size=(3, 2)))
         rep = T.grad_check(
-            lambda t: T.reduce_sum(T.mul(T.masked_max(t, mask), mix_max)),
-            [T.Tensor(r.normal(size=(3, 4, 2)))],
+            lambda t: T.reduce_sum(T.mul(T.segment_max(t, starts), mix_max)),
+            [T.Tensor(r.normal(size=(int(counts.sum()), 2)))],
             eps=1e-7,
-            name=f"masked_max[{seed}]",
+            name=f"segment_max[{seed}]",
         )
         assert rep.passed, rep
 
