@@ -1,5 +1,5 @@
 """Command-line pipeline: scene generation, inference, gradient checking,
-single-scene training, AP evaluation, scan benchmarking, and scan-order
+single-scene training, AP evaluation, CSG backbone benchmark, and scan-order
 diagnostics.
 
 Every command honors ``--seed``, prints a JSON run report on stdout, and
@@ -10,7 +10,6 @@ exits 0 on success, 1 on runtime failure (structured error on stderr), and
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -18,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +25,15 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .backbone import stage_configs
+from .blocks import flops_csg, flops_plain_stack
 from .boxes import CLASS_IDS, Box3D, Detection
 from .config import RunConfig, config_digest, config_to_dict, default_config, load_config
 from .cross_scan import scan_diagnostics
 from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, read_json, write_dataset
 from .errors import FormatError
-from .metrics import ap_r40, pr_curve_for_class
+from .metrics import interpolated_ap, pr_curve_for_class
 from .model import PillarMambaModel, build_model, load_weights, save_weights, train_toy
-from .ssm import SsmParamsDiscrete, apply_conv_form, scan_kernel, scan_parallel_arrays, scan_recurrent_arrays
+from .pillars import BevMap
 from .verify import run_grad_suite
 
 log = logging.getLogger("pillarmamba")
@@ -171,22 +172,19 @@ def cmd_eval(args) -> dict:
         dets_per_scene.append(_detections_from_payload(read_json(det_path, "detections file"), det_path))
         gts_per_scene.append(load_labels(manifest_path.parent / labels_rel))
 
-    thresholds = {CLASS_IDS[name]: thr for name, thr in cfg.eval.iou_thresholds.items()}
-    ap = ap_r40(dets_per_scene, gts_per_scene, thresholds)
     per_class = {}
-    for name, thr in cfg.eval.iou_thresholds.items():
-        cls = CLASS_IDS[name]
-        curve = pr_curve_for_class(dets_per_scene, gts_per_scene, cls, thr)
-        matched = int(curve.is_tp.sum())
+    # class-id order, as ap_r40 reports, so mean_ap_r40 sums in the same order
+    for name, thr in sorted(cfg.eval.iou_thresholds.items(), key=lambda item: CLASS_IDS[item[0]]):
+        curve = pr_curve_for_class(dets_per_scene, gts_per_scene, CLASS_IDS[name], thr)
         per_class[name] = {
-            "ap_r40": ap[cls],
+            "ap_r40": None if curve.n_gt == 0 else interpolated_ap(curve),
             "iou_threshold": thr,
             "gt_count": curve.n_gt,
-            "tp": matched,
+            "tp": int(curve.is_tp.sum()),
             "fp": int((~curve.is_tp).sum()),
             "pr": {"recall": curve.recall.tolist(), "precision": curve.precision.tolist()},
         }
-    defined = [v for v in ap.values() if v is not None]
+    defined = [row["ap_r40"] for row in per_class.values() if row["ap_r40"] is not None]
     metrics = {
         "per_class": per_class,
         "mean_ap_r40": float(np.mean(defined)) if defined else None,
@@ -205,66 +203,12 @@ def _digest_array(arr: np.ndarray) -> str:
 def cmd_bench(args) -> dict:
     cfg = _load_cfg(args)
     rng = np.random.Generator(np.random.PCG64(args.seed))
+    x_cells, y_cells = cfg.grid.x_cells, cfg.grid.y_cells
     rows: list[dict] = []
-
-    # scan-form microbenchmark at the shape the network scans: the grid's token
-    # count by the HSB inner width
-    t_len = cfg.grid.x_cells * cfg.grid.y_cells
-    d, m = stage_configs(cfg.model)[1].inner_channels, cfg.model.ssm.state_dim
-    forms = [args.form] if args.form else ["recurrent", "parallel", "conv"]
-    ab = rng.uniform(-0.95, 0.95, (d, m))
-    bb = rng.normal(size=(d, m))
-    cb = rng.normal(size=(d, m))
-    x = rng.normal(size=(t_len, d))
-    for form in forms:
-        times = []
-        digests = set()
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            if form == "recurrent":
-                y = scan_recurrent_arrays(ab, bb, cb, x)
-            elif form == "parallel":
-                y = scan_parallel_arrays(ab, bb, cb, x)
-            elif form == "conv":
-                y = np.stack(
-                    [
-                        apply_conv_form(x[:, ch], scan_kernel(SsmParamsDiscrete(ab[ch], bb[ch], cb[ch]), t_len))
-                        for ch in range(d)
-                    ],
-                    axis=1,
-                )
-            else:
-                raise FormatError(f"unknown scan form {form!r}")
-            times.append(time.perf_counter() - t0)
-            digests.add(_digest_array(y))
-        if len(digests) != 1:
-            raise RuntimeError(f"bench altered outputs across repeats for form {form}")
-        rows.append(
-            {
-                "section": "scan_form",
-                "name": form,
-                "seq_len": t_len,
-                "channels": d,
-                "repeat": args.repeat,
-                "best_s": min(times),
-                "mean_s": float(np.mean(times)),
-                "output_digest": digests.pop(),
-            }
-        )
-
-    # block benchmark: backbone forward with and without the cross-stage split
-    from dataclasses import replace
-
-    from .blocks import flops_csg, flops_plain_stack
-
     for csg_enabled in (True, False):
         variant_cfg = replace(cfg, model=replace(cfg.model, csg=replace(cfg.model.csg, enabled=csg_enabled)))
         model = build_model(variant_cfg, seed=args.seed)
-        bev = T.Tensor(
-            rng.normal(size=(cfg.model.channels, cfg.grid.x_cells, cfg.grid.y_cells)).astype(np.float32)
-        )
-        from .pillars import BevMap
-
+        bev = T.Tensor(rng.normal(size=(cfg.model.channels, x_cells, y_cells)).astype(np.float32))
         times = []
         digests = set()
         for _ in range(args.repeat):
@@ -274,7 +218,6 @@ def cmd_bench(args) -> dict:
             digests.add(_digest_array(T.value(pyr.f5)))
         if len(digests) != 1:
             raise RuntimeError("bench altered outputs across repeats for backbone")
-        x_cells, y_cells = cfg.grid.x_cells, cfg.grid.y_cells
         csg_cfg, hsb_cfg = stage_configs(variant_cfg.model)
         if csg_cfg is not None:
             stage_flops = flops_csg(csg_cfg, hsb_cfg, x_cells, y_cells)
@@ -295,14 +238,8 @@ def cmd_bench(args) -> dict:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "bench.json"
-    csv_path = out_dir / "bench.csv"
     _dump_json(json_path, {"rows": rows})
-    fields = sorted({k for row in rows for k in row})
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    return {"outputs": [str(json_path), str(csv_path)], "metrics": {"rows": len(rows)}}
+    return {"outputs": [str(json_path)], "metrics": {"rows": len(rows)}}
 
 
 def cmd_diagnose_scan(args) -> dict:
@@ -327,6 +264,13 @@ def cmd_diagnose_scan(args) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,11 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="metrics JSON path (default: <dets>/metrics.json)")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("bench", help="wall-time of scan forms and CSG on/off backbones")
+    p = sub.add_parser("bench", help="wall-time of CSG on/off backbones")
     add_common(p)
-    p.add_argument("--form", choices=["recurrent", "parallel", "conv"], help="restrict scan-form section")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--out", help="output directory for bench.json/bench.csv")
+    p.add_argument("--repeat", type=_positive_int, default=3)
+    p.add_argument("--out", help="output directory for bench.json")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("diagnose-scan", help="neighbor-distance and empty-run statistics")

@@ -3,11 +3,11 @@
 Three mutually verified execution forms of the discrete recurrence
 ``h_t = a_bar * h_{t-1} + b_bar * x_t``, ``y_t = c_bar . h_t``:
 
-* ``scan_recurrent`` — exact sequential evaluation (the oracle),
+* ``scan_recurrent_arrays`` — exact sequential evaluation (the oracle),
 * ``scan_kernel`` / ``apply_conv_form`` — causal global convolution,
   valid for time-invariant parameters only,
-* ``scan_parallel`` — work-efficient prefix scan (Brent-Kung, in place on
-  strided views) over the associative lift
+* ``scan_parallel_arrays`` — work-efficient prefix scan (Brent-Kung, in
+  place on strided views) over the associative lift
   ``(a, u) o (a', u') = (a*a', a'*u + u')``.
 
 Plus zero-order-hold discretization and the input-conditioned (selective)
@@ -66,15 +66,6 @@ class SsmParamsDiscrete:
         self.a_bar = np.asarray(self.a_bar, dtype=np.float64)
         self.b_bar = np.asarray(self.b_bar, dtype=np.float64)
         self.c_bar = np.asarray(self.c_bar, dtype=np.float64)
-
-
-@dataclass
-class ScanSequence:
-    """Input sequence x (T,) or (T, D) with optional output and initial state."""
-
-    x: Array
-    y: Array | None = None
-    h0: Array | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +139,6 @@ def scan_recurrent_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0
         h = ab[t] * h + bb[t] * x[t][:, None]
         y[t] = (cb[t] * h).sum(axis=-1)
     return y
-
-
-def scan_recurrent(disc: SsmParamsDiscrete, seq: ScanSequence) -> ScanSequence:
-    """Fill seq.y by exact sequential evaluation of the discrete recurrence."""
-    squeeze = np.asarray(seq.x).ndim == 1
-    y = scan_recurrent_arrays(disc.a_bar, disc.b_bar, disc.c_bar, seq.x, seq.h0)
-    seq.y = y[:, 0] if squeeze else y
-    return seq
 
 
 def scan_kernel(disc: SsmParamsDiscrete, t_len: int) -> Array:
@@ -244,13 +227,6 @@ def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0:
     cb = _canon_tdm(c_bar, t_len, d, m)
     h = associative_scan(ab, bb * x[:, :, None], h0=h0)
     return (cb * h).sum(axis=-1)
-
-
-def scan_parallel(disc: SsmParamsDiscrete, seq: ScanSequence) -> ScanSequence:
-    squeeze = np.asarray(seq.x).ndim == 1
-    y = scan_parallel_arrays(disc.a_bar, disc.b_bar, disc.c_bar, seq.x, seq.h0)
-    seq.y = y[:, 0] if squeeze else y
-    return seq
 
 
 # ---------------------------------------------------------------------------

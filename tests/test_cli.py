@@ -1,5 +1,5 @@
 """Command-line contract tests: exit codes, pipeline outputs, determinism,
-weights round trip, worker-count invariance, bench digests."""
+weights round trip, worker-count invariance, bench rows and digests."""
 
 import json
 import shutil
@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from pillarmamba import cli
+from pillarmamba import metrics as metrics_mod
+from pillarmamba.boxes import CLASS_IDS
 from pillarmamba.config import config_from_dict, config_to_dict, default_config
 from pillarmamba.data_io import load_cloud, load_labels
 from pillarmamba.model import build_model, load_weights, save_weights
@@ -56,7 +58,7 @@ def test_gen_writes_declared_outputs(dataset):
     load_labels(dataset / manifest["scenes"][0]["labels"])
 
 
-def test_forward_then_eval_pipeline(dataset, tiny_cfg_path, tmp_path, capsys):
+def test_forward_then_eval_pipeline(dataset, tiny_cfg_path, tmp_path, capsys, monkeypatch):
     dets = tmp_path / "dets"
     rc = cli.main(
         ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(dets), "--seed", "1"]
@@ -66,14 +68,34 @@ def test_forward_then_eval_pipeline(dataset, tiny_cfg_path, tmp_path, capsys):
     assert report["command"] == "forward"
     assert (dets / "dets_0000.json").exists() and (dets / "dets_0001.json").exists()
 
+    calls = []
+    match_scene = metrics_mod.match_scene
+
+    def counting_match_scene(*args, **kwargs):
+        calls.append(1)
+        return match_scene(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "match_scene", counting_match_scene)
     rc = cli.main(
         ["eval", "--config", tiny_cfg_path, "--dets", str(dets), "--manifest", str(dataset / "manifest.json")]
     )
     assert rc == 0
+    assert len(calls) == 2 * 3  # each scene matched once per class
     metrics = json.loads((dets / "metrics.json").read_text())
     assert set(metrics["per_class"]) == {"vehicle", "pedestrian", "cyclist"}
     for entry in metrics["per_class"].values():
         assert entry["ap_r40"] is None or 0.0 <= entry["ap_r40"] <= 1.0
+    # per-class AP is the library's ap_r40 on the same detections
+    manifest = json.loads((dataset / "manifest.json").read_text())["scenes"]
+    dets_per_scene = [
+        cli._detections_from_payload(json.loads(path.read_text()), path) for path in sorted(dets.glob("dets_*.json"))
+    ]
+    gts_per_scene = [load_labels(dataset / entry["labels"]) for entry in manifest]
+    thresholds = {CLASS_IDS[name]: thr for name, thr in default_config().eval.iou_thresholds.items()}
+    expected = metrics_mod.ap_r40(dets_per_scene, gts_per_scene, thresholds)
+    assert {name: entry["ap_r40"] for name, entry in metrics["per_class"].items()} == {
+        name: expected[CLASS_IDS[name]] for name in metrics["per_class"]
+    }
 
 
 def test_pipeline_determinism_byte_identical(tiny_cfg_path, tmp_path):
@@ -210,16 +232,23 @@ def test_bench_outputs_and_repeat_stability(tmp_path, capsys):
     rc = cli.main(["bench", "--config", str(cfg_path), "--repeat", "2", "--out", str(tmp_path)])
     assert rc == 0
     rows = json.loads((tmp_path / "bench.json").read_text())["rows"]
-    sections = {r["section"] for r in rows}
-    assert sections == {"scan_form", "backbone"}
-    # scan rows time the HSB inner width the network scans at: 8 channels, CSG half split, ratio 2
-    assert {r["channels"] for r in rows if r["section"] == "scan_form"} == {2}
-    assert (tmp_path / "bench.csv").read_text().count("\n") == len(rows) + 1
-    # restricting the form filters the scan section
-    rc = cli.main(["bench", "--config", str(cfg_path), "--form", "parallel", "--repeat", "1", "--out", str(tmp_path)])
-    assert rc == 0
-    rows = json.loads((tmp_path / "bench.json").read_text())["rows"]
-    assert [r["name"] for r in rows if r["section"] == "scan_form"] == ["parallel"]
+    assert [r["name"] for r in rows] == ["csg", "no_csg"]
+    keys = {"section", "name", "repeat", "best_s", "mean_s", "stage1_mac_count", "output_digest"}
+    for r in rows:
+        assert r["section"] == "backbone"
+        assert set(r) == keys
+        assert r["repeat"] == 2
+        assert r["mean_s"] >= r["best_s"] > 0
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--form", "parallel"], ["--repeat", "0"], ["--repeat", "-1"]])
+def test_bench_usage_errors_exit_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--out", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "bench.json").exists()
 
 
 def test_diagnose_scan_with_occupancy(tmp_path, capsys):

@@ -12,7 +12,6 @@ from conftest import rng
 from pillarmamba import tensor as T
 from pillarmamba.errors import ConfigurationError, ContractViolation
 from pillarmamba.ssm import (
-    ScanSequence,
     SsmParamsContinuous,
     SsmParamsDiscrete,
     ZOH_SERIES_SWITCH,
@@ -21,9 +20,7 @@ from pillarmamba.ssm import (
     discretize_zoh,
     init_selective_projections,
     scan_kernel,
-    scan_parallel,
     scan_parallel_arrays,
-    scan_recurrent,
     scan_recurrent_arrays,
     selective_params,
     selective_scan_tokens,
@@ -87,20 +84,17 @@ class TestZoh:
 
 class TestScanForms:
     def test_hand_recurrence(self):
-        disc = SsmParamsDiscrete(a_bar=[0.5], b_bar=[1.0], c_bar=[1.0])
-        seq = scan_recurrent(disc, ScanSequence(x=np.array([1.0, 1.0, 1.0])))
-        np.testing.assert_allclose(seq.y, [1.0, 1.5, 1.75])
+        y = scan_recurrent_arrays([0.5], [1.0], [1.0], np.array([1.0, 1.0, 1.0]))[:, 0]
+        np.testing.assert_allclose(y, [1.0, 1.5, 1.75])
 
     def test_zero_input(self):
-        disc = SsmParamsDiscrete(a_bar=[0.3, -0.2], b_bar=[1.0, 2.0], c_bar=[1.0, 1.0])
-        seq = scan_recurrent(disc, ScanSequence(x=np.zeros(5)))
-        np.testing.assert_array_equal(seq.y, 0.0)
+        y = scan_recurrent_arrays([0.3, -0.2], [1.0, 2.0], [1.0, 1.0], np.zeros(5))[:, 0]
+        np.testing.assert_array_equal(y, 0.0)
 
     def test_memoryless(self):
-        disc = SsmParamsDiscrete(a_bar=[0.0], b_bar=[0.7], c_bar=[2.0])
         x = rng(0).normal(size=8)
-        seq = scan_recurrent(disc, ScanSequence(x=x))
-        np.testing.assert_allclose(seq.y, 1.4 * x)
+        y = scan_recurrent_arrays([0.0], [0.7], [2.0], x)[:, 0]
+        np.testing.assert_allclose(y, 1.4 * x)
 
     def test_kernel_values(self):
         disc = SsmParamsDiscrete(a_bar=[0.5], b_bar=[1.0], c_bar=[1.0])
@@ -136,7 +130,7 @@ class TestScanForms:
             a_bar=r.uniform(-0.99, 0.99, m), b_bar=r.normal(size=m), c_bar=r.normal(size=m)
         )
         x = r.normal(size=t_len)
-        y_rec = scan_recurrent(disc, ScanSequence(x=x)).y
+        y_rec = scan_recurrent_arrays(disc.a_bar, disc.b_bar, disc.c_bar, x)[:, 0]
         y_conv = apply_conv_form(x, scan_kernel(disc, t_len))
         assert np.abs(y_rec - y_conv).max() <= 1e-6
 
@@ -231,11 +225,6 @@ class TestParallelScan:
         # coefficient 0 resets the state: those outputs equal the bare input
         np.testing.assert_allclose(y_seq[0::2], x[0::2], atol=1e-12)
 
-    def test_dataclass_wrapper(self):
-        disc = SsmParamsDiscrete(a_bar=[0.5], b_bar=[1.0], c_bar=[1.0])
-        seq = scan_parallel(disc, ScanSequence(x=np.array([1.0, 1.0, 1.0])))
-        np.testing.assert_allclose(seq.y, [1.0, 1.5, 1.75], atol=1e-12)
-
     def test_associative_scan_with_initial_state(self):
         r = rng(5)
         coeff = r.uniform(-0.9, 0.9, (6, 3))
@@ -258,7 +247,7 @@ class TestStability:
         )
         disc = discretize_zoh(cont)
         x = r.uniform(-1.0, 1.0, 200)
-        y = scan_recurrent(disc, ScanSequence(x=x)).y
+        y = scan_recurrent_arrays(disc.a_bar, disc.b_bar, disc.c_bar, x)[:, 0]
         bound = np.abs(x).max() * np.sum(np.abs(disc.c_bar) * np.abs(disc.b_bar) / (1.0 - np.abs(disc.a_bar)))
         assert np.abs(y).max() <= bound + 1e-9
 
