@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate synthetic scenes and a manifest")
     add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=int, default=4)
+    p.add_argument("--scenes", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("forward", help="run inference over a manifest")
@@ -296,18 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--weights", help="weights file; omitted = seeded random init")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite; exit 1 on failure")
     add_common(p)
-    p.add_argument("--seeds", type=int, default=20, help="seeded shapes per operator")
+    p.add_argument("--seeds", type=_positive_int, default=20, help="seeded shapes per operator")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="gradient descent on one scene")
     add_common(p)
     p.add_argument("--scene", required=True, help="cloud .bin path; labels at same stem .json")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=_positive_int)
     p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True, help="weights output path")
     p.set_defaults(fn=cmd_train_toy)

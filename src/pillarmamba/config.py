@@ -88,6 +88,10 @@ class TrainConfig:
     lr: float = 0.02
     steps: int = 300
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigurationError(f"train.steps: must be at least 1, got {self.steps}")
+
 
 @dataclass(frozen=True)
 class DataConfig:

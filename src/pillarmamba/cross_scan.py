@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,36 +50,19 @@ def inverse_permutation(direction: str, x_cells: int, y_cells: int) -> Array:
     return inv
 
 
-@dataclass
-class DirectionalSequences:
-    """One token sequence (T, C) per scan direction plus the source grid shape."""
-
-    sequences: dict[str, T.Tensor]
-    x_cells: int
-    y_cells: int
-
-
-def cross_scan_flatten(bev, directions: Sequence[str] = DIRECTIONS) -> DirectionalSequences:
-    """Flatten (C, X, Y) into per-direction (X*Y, C) token sequences."""
+def cross_scan_flatten(bev) -> tuple[T.Tensor, ...]:
+    """Flatten (C, X, Y) into one (X*Y, C) token sequence per direction, in ``DIRECTIONS`` order."""
     tb = T.as_tensor(bev)
     _, x_cells, y_cells = tb.shape
     tokens = T.bev_to_tokens(tb)
-    seqs = {d: T.gather_rows(tokens, direction_permutation(d, x_cells, y_cells)) for d in directions}
-    return DirectionalSequences(sequences=seqs, x_cells=x_cells, y_cells=y_cells)
+    return tuple(T.gather_rows(tokens, direction_permutation(d, x_cells, y_cells)) for d in DIRECTIONS)
 
 
-def cross_merge(outputs: Mapping[str, "T.Tensor"], x_cells: int, y_cells: int) -> T.Tensor:
-    """Inverse-permute each directional output to grid order and sum: -> (C, X, Y)."""
-    if not outputs:
-        raise ContractViolation("cross_merge needs at least one directional output")
-    shapes = {tuple(T.value(v).shape) for v in outputs.values()}
-    if len(shapes) != 1:
-        raise ContractViolation(f"directional outputs disagree in shape: {sorted(shapes)}")
+def cross_merge(outputs: Sequence["T.Tensor"], x_cells: int, y_cells: int) -> T.Tensor:
+    """Inverse-permute each directional output (``DIRECTIONS`` order) to grid order and sum: -> (C, X, Y)."""
     acc = None
-    for d in DIRECTIONS:  # fixed reduction order for determinism
-        if d not in outputs:
-            continue
-        grid_tokens = T.gather_rows(outputs[d], inverse_permutation(d, x_cells, y_cells))
+    for d, out in zip(DIRECTIONS, outputs, strict=True):  # fixed reduction order for determinism
+        grid_tokens = T.gather_rows(out, inverse_permutation(d, x_cells, y_cells))
         acc = grid_tokens if acc is None else T.add(acc, grid_tokens)
     return T.tokens_to_bev(acc, x_cells, y_cells)
 
@@ -91,7 +74,7 @@ class Ss2dParams:
 
     in_proj_w: T.Param
     in_proj_b: T.Param
-    directions: dict[str, SelectiveProjections]
+    directions: tuple[SelectiveProjections, ...]
     norm_gamma: T.Param
     norm_beta: T.Param
     out_proj_w: T.Param
@@ -101,7 +84,7 @@ class Ss2dParams:
 def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int, dtype=np.float32, name: str = "ss2d") -> Ss2dParams:
     c = channels
     in_proj_w, in_proj_b = T.conv_param(rng, f"{name}.in_proj", c, c, 1, dtype, gain=2.0)  # feeds silu
-    directions = {d: init_selective_projections(rng, c, state_dim, dtype=dtype, name=f"{name}.{d}") for d in DIRECTIONS}
+    directions = tuple(init_selective_projections(rng, c, state_dim, dtype=dtype, name=f"{name}.{d}") for d in DIRECTIONS)
     out_proj_w, out_proj_b = T.conv_param(rng, f"{name}.out_proj", c, c, 1, dtype)
     return Ss2dParams(
         in_proj_w=in_proj_w,
@@ -124,8 +107,8 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     tb = T.as_tensor(bev)
     _, x_cells, y_cells = tb.shape
     h = T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b))
-    seqs = cross_scan_flatten(h, directions=tuple(params.directions))
-    scanned = {d: selective_scan_tokens(seqs.sequences[d], params.directions[d]) for d in params.directions}
+    seqs = cross_scan_flatten(h)
+    scanned = [selective_scan_tokens(seq, proj) for seq, proj in zip(seqs, params.directions, strict=True)]
     merged = cross_merge(scanned, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)

@@ -35,10 +35,6 @@ class PillarMambaModel:
     def params(self) -> list[T.Param]:
         return [p for _, p in self.named_params()]
 
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
-
     # ---- forward pieces -------------------------------------------------
 
     def encode(self, cloud: PointCloud) -> BevMap:
@@ -158,19 +154,18 @@ def train_toy(
     params = model.params()
     losses = []
     for step in range(steps):
-        model.zero_grads()
         with T.Tape() as tape:
             total, breakdown = loss_on_scene(model, cloud, targets)
         tape.backward(total)
-        tape.accumulate(params)
+        # float64 gradients (the focal term promotes) round to the parameter dtype
+        grads = [tape.grad(p).astype(p.value.data.dtype, copy=False) for p in params]
         if max_grad_norm > 0:
-            norm = float(np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params)))
+            norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)))
             if norm > max_grad_norm:
                 scale = max_grad_norm / norm
-                for p in params:
-                    p.grad *= scale
-        for p in params:
-            p.value.data -= lr * p.grad
+                grads = [g * scale for g in grads]  # not in place: leaves may share one cotangent array
+        for p, g in zip(params, grads):
+            p.value.data -= lr * g
         losses.append(breakdown["total"])
         if log_fn is not None and (step % log_every == 0 or step == steps - 1):
             log_fn(step, breakdown)

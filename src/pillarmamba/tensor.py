@@ -8,8 +8,9 @@ single precision; oracle and gradient checks run the same operators in double.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,9 +31,13 @@ def _stable_sigmoid(x: Array) -> Array:
 
 
 class Tensor:
-    """Immutable-by-convention dense array value participating in the tape."""
+    """Immutable-by-convention dense array value participating in the tape.
 
-    __slots__ = ("data",)
+    Hashes by identity (no ``__eq__``), so the tape keys cotangents by the
+    tensor object itself.
+    """
+
+    __slots__ = ("data", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -63,21 +68,17 @@ class Tensor:
 
 
 class Param:
-    """A learnable value plus its accumulated gradient."""
+    """A named learnable value; its gradient is read from a tape, ``tape.grad(param)``."""
 
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "name")
 
     def __init__(self, value, name: str = ""):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad = np.zeros_like(self.value.data)
         self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Param({self.name or '<anon>'}, shape={self.value.shape})"
@@ -131,19 +132,26 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Recorded-operation tape; reverse walk yields gradients.
+    """Recorded-operation tape; one reverse walk yields the gradients of its leaves.
 
     Usage::
 
         with Tape() as tape:
             loss = ...            # compose ops
         tape.backward(loss)
-        g = tape.grad(some_tensor_or_param)
+        g = tape.grad(some_param_or_input)
+
+    ``backward`` runs once per tape. It pops each record before running its
+    closure and drops each cotangent once used, so saved arrays are freed as
+    the walk goes. Afterwards the tape holds no records, only the gradients
+    of leaves: parameters, and inputs that no record produced. A leaf the
+    walk never reached reads as zeros; a tensor a record produced raises.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._grads: dict[int, Array] | None = None
+        self._grads: dict[Tensor, Array] | None = None
+        self._produced: weakref.WeakSet = weakref.WeakSet()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -157,33 +165,37 @@ class Tape:
         self._records.append((out, tuple(parents), backward))
 
     def backward(self, root: Tensor) -> None:
+        if self._grads is not None:
+            raise ContractViolation("backward already ran on this tape, which freed its records")
         if root.size != 1:
             raise ContractViolation(
                 f"backward root must be scalar (sum-reduce first), got shape {root.shape}"
             )
-        grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
-        for out, parents, bwd in reversed(self._records):
-            g = grads.get(id(out))
+        self._grads = grads = {root: np.ones_like(root.data)}
+        while self._records:
+            out, parents, bwd = self._records.pop()
+            self._produced.add(out)
+            g = grads.pop(out, None)
             if g is None:
                 continue
-            parent_grads = bwd(g)
-            for parent, pg in zip(parents, parent_grads):
+            for parent, pg in zip(parents, bwd(g)):
                 if pg is None:
                     continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        self._grads = grads
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
 
     def grad(self, obj: "Tensor | Param") -> Array:
         if self._grads is None:
             raise RuntimeError("call backward() before querying gradients")
         t = obj.value if isinstance(obj, Param) else obj
-        g = self._grads.get(id(t))
-        return np.zeros_like(t.data) if g is None else g
-
-    def accumulate(self, params: Iterable[Param]) -> None:
-        for p in params:
-            p.grad += self.grad(p)
+        g = self._grads.get(t)
+        if g is not None:
+            return g
+        if t in self._produced:
+            raise ContractViolation(
+                f"no gradient kept for {t!r}: a record produced it, and backward keeps only leaf gradients"
+            )
+        return np.zeros_like(t.data)
 
 
 def _active_tape() -> Tape | None:

@@ -251,6 +251,30 @@ def test_bench_usage_errors_exit_2(argv, tmp_path, capsys):
     assert not (tmp_path / "bench.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--scenes", "0"],
+        ["gen", "--scenes", "-2"],
+        ["forward", "--manifest", "manifest.json", "--workers", "-3"],
+        ["forward", "--manifest", "manifest.json", "--workers", "0"],
+        ["gradcheck", "--seeds", "0"],
+        ["train-toy", "--scene", "scene.bin", "--steps", "0"],
+    ],
+    ids=[
+        "gen-scenes-0", "gen-scenes-negative", "forward-workers-negative", "forward-workers-0",
+        "gradcheck-seeds-0", "train-toy-steps-0",
+    ],
+)
+def test_count_flag_usage_errors_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *([] if argv[0] == "gradcheck" else ["--out", str(out)])])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_scan_with_occupancy(tmp_path, capsys):
     occ = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
     occ_path = tmp_path / "occ.json"

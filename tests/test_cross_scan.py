@@ -33,16 +33,16 @@ class TestFlatten:
     def test_2x2_enumeration(self):
         bev = _grid_tokens([[1, 2], [3, 4]])
         seqs = cross_scan_flatten(bev)
-        got = {d: T.value(seqs.sequences[d]).reshape(-1).tolist() for d in DIRECTIONS}
+        assert len(seqs) == len(DIRECTIONS)
+        got = {d: T.value(s).reshape(-1).tolist() for d, s in zip(DIRECTIONS, seqs)}
         assert got["row_forward"] == [1, 2, 3, 4]
         assert got["col_forward"] == [1, 3, 2, 4]
         assert got["row_reverse"] == [4, 3, 2, 1]
         assert got["col_reverse"] == [4, 2, 3, 1]
 
     def test_1x1_degenerate(self):
-        seqs = cross_scan_flatten(_grid_tokens([[7.0]]))
-        for d in DIRECTIONS:
-            assert T.value(seqs.sequences[d]).reshape(-1).tolist() == [7.0]
+        for seq in cross_scan_flatten(_grid_tokens([[7.0]])):
+            assert T.value(seq).reshape(-1).tolist() == [7.0]
 
     @pytest.mark.parametrize("x_cells,y_cells", [(2, 2), (3, 3)])
     def test_bijection_exhaustive(self, x_cells, y_cells):
@@ -58,34 +58,27 @@ class TestFlatten:
         r = rng(seed)
         x = r.normal(size=(2, x_cells, y_cells))
         seqs = cross_scan_flatten(T.Tensor(x))
-        for d in DIRECTIONS:
+        for d, seq in zip(DIRECTIONS, seqs):
             inv = inverse_permutation(d, x_cells, y_cells)
-            back = T.value(T.gather_rows(seqs.sequences[d], inv))
+            back = T.value(T.gather_rows(seq, inv))
             np.testing.assert_array_equal(back, x.reshape(2, -1).T)
 
     def test_each_sequence_is_token_permutation(self):
         r = rng(11)
         x = r.normal(size=(3, 5, 7))
-        seqs = cross_scan_flatten(T.Tensor(x))
         base = np.sort(x.reshape(3, -1).T, axis=0)
-        for d in DIRECTIONS:
-            np.testing.assert_array_equal(np.sort(T.value(seqs.sequences[d]), axis=0), base)
+        for seq in cross_scan_flatten(T.Tensor(x)):
+            np.testing.assert_array_equal(np.sort(T.value(seq), axis=0), base)
 
     def test_transpose_swaps_row_and_col_contents(self):
         r = rng(12)
         x = r.normal(size=(2, 4, 6))
         xt = np.transpose(x, (0, 2, 1))
-        seqs = cross_scan_flatten(T.Tensor(x))
-        seqs_t = cross_scan_flatten(T.Tensor(xt))
-        np.testing.assert_array_equal(
-            T.value(seqs_t.sequences["row_forward"]), T.value(seqs.sequences["col_forward"])
-        )
-        np.testing.assert_array_equal(
-            T.value(seqs_t.sequences["col_forward"]), T.value(seqs.sequences["row_forward"])
-        )
-        np.testing.assert_array_equal(
-            T.value(seqs_t.sequences["row_reverse"]), T.value(seqs.sequences["col_reverse"])
-        )
+        seqs = dict(zip(DIRECTIONS, cross_scan_flatten(T.Tensor(x))))
+        seqs_t = dict(zip(DIRECTIONS, cross_scan_flatten(T.Tensor(xt))))
+        np.testing.assert_array_equal(T.value(seqs_t["row_forward"]), T.value(seqs["col_forward"]))
+        np.testing.assert_array_equal(T.value(seqs_t["col_forward"]), T.value(seqs["row_forward"]))
+        np.testing.assert_array_equal(T.value(seqs_t["row_reverse"]), T.value(seqs["col_reverse"]))
 
 
 class TestMerge:
@@ -93,15 +86,14 @@ class TestMerge:
         r = rng(13)
         x = r.normal(size=(3, 4, 5))
         seqs = cross_scan_flatten(T.Tensor(x))
-        merged = cross_merge(seqs.sequences, 4, 5)
+        merged = cross_merge(seqs, 4, 5)
         np.testing.assert_allclose(T.value(merged), 4.0 * x, atol=1e-12)
 
     def test_zeroed_direction_additivity(self):
         r = rng(14)
         x = r.normal(size=(2, 3, 3))
-        seqs = cross_scan_flatten(T.Tensor(x))
-        outputs = dict(seqs.sequences)
-        outputs["col_reverse"] = T.Tensor(np.zeros_like(T.value(outputs["col_reverse"])))
+        outputs = list(cross_scan_flatten(T.Tensor(x)))
+        outputs[DIRECTIONS.index("col_reverse")] = T.Tensor(np.zeros_like(T.value(outputs[0])))
         merged = cross_merge(outputs, 3, 3)
         np.testing.assert_allclose(T.value(merged), 3.0 * x, atol=1e-12)
 
@@ -109,35 +101,28 @@ class TestMerge:
         # a_bar=0, b_bar=c_bar=1 scan is the identity map on each sequence
         r = rng(15)
         x = r.normal(size=(2, 4, 4))
-        seqs = cross_scan_flatten(T.Tensor(x))
-        outputs = {}
-        for d in DIRECTIONS:
-            tokens = T.value(seqs.sequences[d])
-            y = scan_recurrent_arrays(np.zeros(1), np.ones(1), np.ones(1), tokens)
-            outputs[d] = T.Tensor(y)
+        outputs = [
+            T.Tensor(scan_recurrent_arrays(np.zeros(1), np.ones(1), np.ones(1), T.value(seq)))
+            for seq in cross_scan_flatten(T.Tensor(x))
+        ]
         merged = cross_merge(outputs, 4, 4)
         np.testing.assert_allclose(T.value(merged), 4.0 * x, atol=1e-12)
 
     def test_single_direction_matches_plain_recurrent_scan(self):
-        # scalar time-invariant parameters, row-major order only
+        # scalar time-invariant parameters, row-major order only; the other directions output zeros
         r = rng(16)
         x = r.normal(size=(1, 3, 4))
         a_bar, b_bar, c_bar = np.array([0.7]), np.array([0.5]), np.array([1.3])
-        seqs = cross_scan_flatten(T.Tensor(x), directions=("row_forward",))
-        y_tokens = scan_recurrent_arrays(a_bar, b_bar, c_bar, T.value(seqs.sequences["row_forward"]))
-        merged = cross_merge({"row_forward": T.Tensor(y_tokens)}, 3, 4)
+        row_forward, *rest = cross_scan_flatten(T.Tensor(x))
+        y_tokens = scan_recurrent_arrays(a_bar, b_bar, c_bar, T.value(row_forward))
+        merged = cross_merge([T.Tensor(y_tokens)] + [T.Tensor(np.zeros_like(T.value(s))) for s in rest], 3, 4)
         direct = scan_recurrent_arrays(a_bar, b_bar, c_bar, x.reshape(1, -1).T).T.reshape(1, 3, 4)
         np.testing.assert_allclose(T.value(merged), direct, atol=1e-12)
 
-    def test_shape_disagreement_rejected(self):
-        with pytest.raises(ContractViolation):
-            cross_merge(
-                {"row_forward": T.Tensor(np.zeros((4, 2))), "col_forward": T.Tensor(np.zeros((4, 3)))}, 2, 2
-            )
-
-    def test_empty_outputs_rejected(self):
-        with pytest.raises(ContractViolation):
-            cross_merge({}, 2, 2)
+    def test_output_count_must_match_directions(self):
+        seqs = cross_scan_flatten(T.Tensor(np.zeros((1, 2, 2))))
+        with pytest.raises(ValueError):
+            cross_merge(seqs[:3], 2, 2)
 
 
 class TestSs2dBlock:

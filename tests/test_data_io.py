@@ -294,13 +294,14 @@ class TestConfig:
             ("model.encoder", "max_points_per_pillar", 0, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_points_per_pillar", -1, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_pillars", 0, "model.encoder.max_pillars"),
+            ("train", "steps", 0, "train.steps"),
         ],
         ids=[
             "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
             "count-unknown-class", "prior-missing-for-counted", "prior-nonpositive", "points-per-box-zero",
             "background-negative", "iou-unknown-class", "classes-subset", "classes-order",
             "removed-engine", "removed-chunk-size", "removed-stages", "removed-zoh-exact", "removed-activation",
-            "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero",
+            "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero", "train-steps-zero",
         ],
     )
     def test_bad_value_rejected_at_load_with_path(self, section, key, value, path):

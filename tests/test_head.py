@@ -148,14 +148,11 @@ class TestLoss:
         reg = T.Param(r.normal(size=(8, 16, 16)) * 0.5, name="reg")
         losses = []
         for _ in range(50):
-            hm.zero_grad()
-            reg.zero_grad()
             with T.Tape() as tape:
                 total, _ = detection_loss(RawMaps(T.add(hm, 0.0), T.add(reg, 0.0)), targets)
             tape.backward(total)
-            tape.accumulate([hm, reg])
-            hm.value.data -= 0.5 * hm.grad
-            reg.value.data -= 0.5 * reg.grad
+            hm.value.data -= 0.5 * tape.grad(hm)
+            reg.value.data -= 0.5 * tape.grad(reg)
             losses.append(total.item())
         assert np.mean(losses[-10:]) < 0.5 * np.mean(losses[:10])
 

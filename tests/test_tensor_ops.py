@@ -1,5 +1,6 @@
 """Operator-level tests: identities, hand-computed cases, finite differences."""
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,18 +359,52 @@ class TestTapeMechanics:
         tape.backward(out)
         assert tape.grad(x)[0] == pytest.approx(5.0)
 
-    def test_param_accumulate_and_zero(self):
-        p = T.Param(np.array([1.0, 2.0]), name="p")
+    def test_reused_tensor_gives_exact_leaf_gradients(self):
+        # mid = p * x is used three times: out = sum(mid * mid + mid * x + p)
+        p = T.Param(np.array([1.5, -2.0]), name="p")
+        x = T.Tensor(np.array([0.5, 4.0]))
         with T.Tape() as tape:
-            out = T.reduce_sum(T.mul(p, p))
+            mid = T.mul(p, x)
+            out = T.reduce_sum(T.add(T.add(T.mul(mid, mid), T.mul(mid, x)), p))
         tape.backward(out)
-        tape.accumulate([p])
-        np.testing.assert_allclose(p.grad, [2.0, 4.0])
-        tape.accumulate([p])
-        np.testing.assert_allclose(p.grad, [4.0, 8.0])
-        p.zero_grad()
-        np.testing.assert_array_equal(p.grad, 0.0)
-        assert p.grad.shape == p.value.shape
+        pv, xv = p.value.data, x.data
+        # d/dp = 2 p x^2 + x^2 + 1, d/dx = 2 p^2 x + 2 p x; exact in binary
+        np.testing.assert_array_equal(tape.grad(p), 2 * pv * xv**2 + xv**2 + 1)
+        np.testing.assert_array_equal(tape.grad(x), 2 * pv**2 * xv + 2 * pv * xv)
+
+    def test_backward_frees_records_and_keeps_only_leaves(self):
+        x = T.Tensor(np.array([1.0, 2.0]))
+        unused = T.Tensor(np.array([3.0]))
+        with T.Tape() as tape:
+            mid = T.mul(x, x)
+            out = T.reduce_sum(T.texp(mid))
+        mid_ref = weakref.ref(mid)
+        del mid
+        assert mid_ref() is not None  # held by the records
+        tape.backward(out)
+        assert mid_ref() is None
+        assert not tape._records
+        assert list(tape._grads) == [x]
+        np.testing.assert_array_equal(tape.grad(unused), [0.0])
+
+    def test_second_backward_raises(self):
+        x = T.Tensor(np.array([2.0]))
+        with T.Tape() as tape:
+            out = T.reduce_sum(T.mul(x, x))
+        tape.backward(out)
+        with pytest.raises(ContractViolation, match="already ran"):
+            tape.backward(out)
+        assert tape.grad(x)[0] == 4.0
+
+    def test_grad_of_produced_tensor_raises(self):
+        x = T.Tensor(np.array([2.0]))
+        with T.Tape() as tape:
+            mid = T.mul(x, x)
+            out = T.reduce_sum(mid)
+        tape.backward(out)
+        for produced in (mid, out):
+            with pytest.raises(ContractViolation, match="leaf"):
+                tape.grad(produced)
 
     def test_collect_params_walks_declaration_order(self):
         @dataclass
