@@ -102,12 +102,15 @@ def load_weights(path, model: PillarMambaModel) -> None:
         magic = fh.read(4)
         if magic != WEIGHTS_MAGIC:
             raise FormatError(f"weights file {path}: bad magic {magic!r}")
-        (manifest_len,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(manifest_len).decode())
+        try:
+            (manifest_len,) = struct.unpack("<I", fh.read(4))
+            entries = json.loads(fh.read(manifest_len).decode())["params"]
+            theirs = {e["name"]: tuple(e["shape"]) for e in entries}
+        except (struct.error, ValueError, KeyError, TypeError) as exc:  # ValueError: JSON and UTF-8 decoding
+            raise FormatError(f"weights file {path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
         params = model.params()
         expected = _manifest(params)
-        if manifest["params"] != expected:
-            theirs = {e["name"]: tuple(e["shape"]) for e in manifest["params"]}
+        if entries != expected:
             ours = {e["name"]: tuple(e["shape"]) for e in expected}
             missing = sorted(set(ours) - set(theirs))
             extra = sorted(set(theirs) - set(ours))

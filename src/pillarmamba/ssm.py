@@ -11,8 +11,8 @@ Three mutually verified execution forms of the discrete recurrence
   ``(a, u) o (a', u') = (a*a', a'*u + u')``.
 
 Plus zero-order-hold discretization and the input-conditioned (selective)
-parameterization used by the network path, differentiable on the tape; the
-network's scan runs the parallel form.
+parameterization of the network path, whose scan ``ssm_scan`` is one tape
+op: per-step ZOH, then the parallel form, with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -230,44 +230,73 @@ def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0:
 
 
 # ---------------------------------------------------------------------------
-# differentiable fused scan (network path)
+# differentiable selective scan (network path)
 # ---------------------------------------------------------------------------
 
 
-def ssm_scan(x, a_bar, b_bar, c_seq) -> T.Tensor:
-    """Differentiable selective scan: x (T,D), a_bar/b_bar (T,D,M), c (T,M) -> y (T,D).
+def selective_discretize(delta: Array, a: Array, b_seq: Array) -> tuple[Array, Array]:
+    """Per-step ZOH: (T,D) delta, (D,M) a, (T,M) b -> (T,D,M) a_bar, b_bar.
 
-    The forward state and the backward adjoint (itself a first-order
-    recurrence) are both evaluated by the parallel scan; the recurrent and
-    convolution forms are the verified references.
+    b_bar = expm1(z) * (1/a) * b with z = delta*a. The exact input scale is
+    well-conditioned here because a is strictly negative on the selective
+    path; ``zoh_factors`` is its float64 reference.
     """
-    tx, ta, tb, tc = (T.as_tensor(v) for v in (x, a_bar, b_bar, c_seq))
-    xd, ab, bb, c = tx.data, ta.data, tb.data, tc.data
+    z = delta[:, :, None] * a
+    scale = np.expm1(z) * (1.0 / a)
+    return np.exp(z), scale * b_seq[:, None, :]
+
+
+def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
+    """Differentiable selective scan, ZOH inside, as one tape record.
+
+    x, delta (T,D); a (D,M); b_seq, c_seq (T,M) -> y (T,D), with
+    h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t. The forward
+    state and the backward adjoint (itself a first-order recurrence) both
+    run the parallel scan. The record keeps the inputs and h; the backward
+    recomputes the (T,D,M) discretization instead of saving it (Gu & Dao,
+    arXiv 2312.00752, sec. 3.3). ``zoh_factors`` with the recurrent form is
+    the reference.
+    """
+    tx, td, ta, tb, tc = (T.as_tensor(v) for v in (x, delta, a, b_seq, c_seq))
+    xd, dd, ad, bd, c = tx.data, td.data, ta.data, tb.data, tc.data
     t_len, d = xd.shape
-    m = ab.shape[-1]
-    if ab.shape != (t_len, d, m) or bb.shape != (t_len, d, m) or c.shape != (t_len, m):
+    m = ad.shape[-1]
+    if dd.shape != (t_len, d) or ad.shape != (d, m) or bd.shape != (t_len, m) or c.shape != (t_len, m):
         raise ContractViolation(
-            f"ssm_scan shape mismatch: x {xd.shape}, a_bar {ab.shape}, b_bar {bb.shape}, c {c.shape}"
+            f"ssm_scan shape mismatch: x {xd.shape}, delta {dd.shape}, a {ad.shape}, b {bd.shape}, c {c.shape}"
         )
+    ab, bb = selective_discretize(dd, ad, bd)
     h = associative_scan(ab, bb * xd[:, :, None])
-    y = np.einsum("tm,tdm->td", c, h)
-    out = T.Tensor(y)
+    out = T.Tensor(np.einsum("tm,tdm->td", c, h))
 
     def bwd(gy):
+        delta3, b3 = dd[:, :, None], bd[:, None, :]
+        z = delta3 * ad
+        a_bar, em1, recip = np.exp(z), np.expm1(z), 1.0 / ad
+        scale = em1 * recip
+        b_bar = scale * b3
         # adjoint lambda_t = c_t*gy_t + a_{t+1}*lambda_{t+1}: reversed first-order recurrence
         gh = c[:, None, :] * gy[:, :, None]
         # reversed position k needs a_{T-k}; position 0 only multiplies the zero initial state
-        coeff_rev = np.roll(ab[::-1], 1, axis=0)
+        coeff_rev = np.roll(a_bar[::-1], 1, axis=0)
         lam = associative_scan(coeff_rev, gh[::-1])[::-1]
         g_ab = np.empty_like(lam)
         g_ab[:1] = 0.0
         np.multiply(lam[1:], h[:-1], out=g_ab[1:])
         g_bb = lam * xd[:, :, None]
-        g_x = np.einsum("tdm,tdm->td", lam, bb)
+        g_x = np.einsum("tdm,tdm->td", lam, b_bar)
         g_c = np.einsum("td,tdm->tm", gy, h)
-        return g_x, g_ab, g_bb, g_c
+        # through b_bar = expm1(z) * (1/a) * b, a_bar = exp(z), z = delta*a, term by term in the
+        # order of the tape's mul/exp/reciprocal rules, so results equal that composition bit for bit
+        g_scale = g_bb * b3
+        g_b = (g_bb * scale).sum(axis=1)
+        g_recip = (g_scale * em1).sum(axis=0)
+        g_z = g_scale * recip * a_bar + g_ab * a_bar
+        g_delta = (g_z * ad).sum(axis=2)
+        g_a = -g_recip / (ad * ad) + (g_z * delta3).sum(axis=0)
+        return g_x, g_delta, g_a, g_b, g_c
 
-    T._record(out, (tx, ta, tb, tc), bwd)
+    T._record(out, (tx, td, ta, tb, tc), bwd)
     return out
 
 
@@ -303,29 +332,10 @@ def selective_params(tokens, proj: SelectiveProjections):
     return b_seq, c_seq, delta, a
 
 
-def selective_discretize(delta, a, b_seq):
-    """Per-step ZOH on the tape: (T,D) delta, (D,M) a, (T,M) b -> (T,D,M) a_bar, b_bar.
-
-    The exact input scale expm1(z)/a is well-conditioned here because a is
-    strictly negative on the selective path.
-    """
-    t_len, d = T.value(delta).shape
-    m = T.value(a).shape[-1]
-    delta3 = T.reshape(delta, (t_len, d, 1))
-    a3 = T.reshape(a, (1, d, m))
-    z = T.mul(delta3, a3)
-    a_bar = T.texp(z)
-    b3 = T.reshape(b_seq, (t_len, 1, m))
-    scale = T.mul(T.texpm1(z), T.reciprocal(a3))
-    b_bar = T.mul(scale, b3)
-    return a_bar, b_bar
-
-
 def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:
     """Full selective scan over a token sequence (T, D) -> (T, D)."""
     b_seq, c_seq, delta, a = selective_params(tokens, proj)
-    a_bar, b_bar = selective_discretize(delta, a, b_seq)
-    return ssm_scan(tokens, a_bar, b_bar, c_seq)
+    return ssm_scan(tokens, delta, a, b_seq, c_seq)
 
 
 def init_selective_projections(

@@ -273,27 +273,11 @@ def neg(a) -> Tensor:
     return out
 
 
-def reciprocal(a) -> Tensor:
-    ta = as_tensor(a)
-    d = ta.data
-    out = Tensor(1.0 / d)
-    _record(out, (ta,), lambda g: (-g / (d * d),))
-    return out
-
-
 def texp(a) -> Tensor:
     ta = as_tensor(a)
     e = np.exp(ta.data)
     out = Tensor(e)
     _record(out, (ta,), lambda g: (g * e,))
-    return out
-
-
-def texpm1(a) -> Tensor:
-    ta = as_tensor(a)
-    d = ta.data
-    out = Tensor(np.expm1(d))
-    _record(out, (ta,), lambda g: (g * np.exp(d),))
     return out
 
 

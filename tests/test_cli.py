@@ -3,6 +3,7 @@ weights round trip, worker-count invariance, bench rows and digests."""
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from pillarmamba import metrics as metrics_mod
 from pillarmamba.boxes import CLASS_IDS
 from pillarmamba.config import config_from_dict, config_to_dict, default_config
 from pillarmamba.data_io import load_cloud, load_labels
-from pillarmamba.model import build_model, load_weights, save_weights
+from pillarmamba.model import WEIGHTS_MAGIC, build_model, load_weights, save_weights
 from pillarmamba.errors import FormatError
 
 
@@ -161,6 +162,33 @@ def test_weights_roundtrip_exact_for_f32(tiny_cfg_path, tmp_path):
     load_weights(path, clone)
     for (_, a), (_, b) in zip(model.named_params(), clone.named_params()):
         np.testing.assert_array_equal(a.value.data, b.value.data)
+
+
+def _length_prefixed(manifest: bytes) -> bytes:
+    return struct.pack("<I", len(manifest)) + manifest
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"\x05\x00",
+        _length_prefixed(b"{not json"),
+        _length_prefixed(b'{"weights": []}'),
+        _length_prefixed(b'[{"name": "x", "shape": [1]}]'),
+        _length_prefixed(b'{"params": [["x", [1]]]}'),
+    ],
+    ids=["short-header", "bad-json", "no-params", "top-level-list", "non-object-entry"],
+)
+def test_malformed_weights_header_is_format_error(dataset, tiny_cfg_path, tmp_path, capsys, header):
+    path = tmp_path / "w.pmw"
+    path.write_bytes(WEIGHTS_MAGIC + header)
+    rc = cli.main(
+        ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets"), "--weights", str(path)]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "FormatError"
+    assert str(path) in err["message"]
 
 
 def test_eval_missing_dets_is_runtime_error(dataset, tiny_cfg_path, tmp_path, capsys):

@@ -283,29 +283,42 @@ class TestSelective:
         assert (T.value(delta) > 0).all()
         assert (T.value(a) < 0).all()
 
+    @staticmethod
+    def _scan_inputs(r, t_len, d, m):
+        # (x, delta, a, b, c) in float64; delta*a stays on the exact (non-series) ZOH branch
+        return (
+            r.normal(size=(t_len, d)),
+            r.uniform(0.05, 0.5, (t_len, d)),
+            -r.uniform(0.2, 1.5, (d, m)),
+            r.normal(size=(t_len, m)),
+            r.normal(size=(t_len, m)),
+        )
+
     def test_fused_scan_grad(self):
-        # T=1 and non-power-of-two lengths exercise the rolled adjoint coefficients
+        # central differences w.r.t. all five inputs; T=1 and non-power-of-two
+        # lengths exercise the rolled adjoint coefficients
         r = rng(6)
-        d, m = 2, 3
-        for t_len in (5, 1, 2, 7, 33):
-            x = T.Tensor(r.normal(size=(t_len, d)))
-            ab = T.Tensor(r.uniform(-0.9, 0.9, (t_len, d, m)))
-            bb = T.Tensor(r.normal(size=(t_len, d, m)))
-            c = T.Tensor(r.normal(size=(t_len, m)))
-            rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), [x, ab, bb, c], name=f"ssm_scan[T={t_len}]")
+        for t_len in (1, 2, 5, 7, 33):
+            inputs = [T.Tensor(v) for v in self._scan_inputs(r, t_len, 2, 3)]
+            rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), inputs, name=f"ssm_scan[T={t_len}]")
             assert rep.passed, rep
 
     def test_fused_scan_matches_recurrent_oracle(self):
-        # the network scan (parallel form) against the sequential oracle, odd and power-of-two lengths
+        # the network scan (ZOH inside, parallel form) against zoh_factors + the sequential oracle
         r = rng(11)
         for t_len, d, m in [(1, 1, 1), (2, 3, 2), (37, 4, 3), (64, 2, 8), (257, 3, 4)]:
-            x = r.normal(size=(t_len, d))
-            ab = r.uniform(-0.99, 0.99, (t_len, d, m))
-            bb = r.normal(size=(t_len, d, m))
-            c = r.normal(size=(t_len, m))
-            y = T.value(ssm_scan(T.Tensor(x), T.Tensor(ab), T.Tensor(bb), T.Tensor(c)))
-            ref = scan_recurrent_arrays(ab, bb, c[:, None, :], x)
+            x, delta, a, b, c = self._scan_inputs(r, t_len, d, m)
+            y = T.value(ssm_scan(*(T.Tensor(v) for v in (x, delta, a, b, c))))
+            a_bar, scale = zoh_factors(a, delta[:, :, None])
+            ref = scan_recurrent_arrays(a_bar, scale * b[:, None, :], c[:, None, :], x)
             np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
+
+    def test_one_tape_record_per_scan(self):
+        # 3 matmul + 3 add + softplus + exp + neg for the projections, then the scan itself
+        proj = init_selective_projections(rng(12), channels=3, state_dim=2, dtype=np.float64)
+        with T.Tape() as tape:
+            selective_scan_tokens(T.Tensor(rng(13).normal(size=(6, 3))), proj)
+        assert len(tape._records) == 10
 
     def test_grad_through_projections_and_zoh(self):
         r = rng(7)
