@@ -245,11 +245,16 @@ def cmd_bench(args) -> dict:
 def cmd_diagnose_scan(args) -> dict:
     try:
         gx, gy = (int(v) for v in args.grid.lower().split("x"))
-    except ValueError as exc:
-        raise FormatError(f"--grid must look like 16x16, got {args.grid!r}") from exc
+    except ValueError:
+        gx = gy = 0
+    if min(gx, gy) < 1:
+        raise FormatError(f"--grid must look like 16x16, got {args.grid!r}")
     occupancy = None
     if args.occupancy:
         raw = read_json(args.occupancy, "occupancy file")
+        rows_ok = isinstance(raw, list) and all(isinstance(r, list) and len(r) == len(raw[0]) for r in raw)
+        if not rows_ok or any(type(v) not in (int, bool) or v not in (0, 1) for r in raw for v in r):
+            raise FormatError(f"occupancy file {args.occupancy}: expected equal-length rows of 0, 1, true or false")
         occupancy = np.asarray(raw, dtype=bool)
         if occupancy.shape != (gx, gy):
             raise FormatError(f"occupancy shape {occupancy.shape} does not match grid {gx}x{gy}")

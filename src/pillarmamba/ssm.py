@@ -111,31 +111,26 @@ def discretize_zoh(cont: SsmParamsContinuous) -> SsmParamsDiscrete:
 # ---------------------------------------------------------------------------
 
 
-def _canon_tdm(p: Array, t: int, d: int, m: int) -> Array:
-    """Broadcast (M,), (D,M), (T,M) is ambiguous -> disallowed, (T,D,M) to (T,D,M)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, None, :]
-    elif p.ndim == 2:
-        p = p[None, :, :]
-    elif p.ndim != 3:
-        raise ContractViolation(f"parameter rank must be 1..3, got shape {p.shape}")
-    return np.broadcast_to(p, (t, d, m))
-
-
-def scan_recurrent_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0: Array | None = None) -> Array:
-    """Sequential oracle. x: (T, D); params broadcastable to (T, D, M). Returns y (T, D)."""
+def _canon_scan_args(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> tuple[Array, Array, Array, Array]:
+    """x as float64 (T, D); parameters (M,), (D, M) or (T, D, M) as read-only float64 (T, D, M) views."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     t_len, d = x.shape
     m = np.asarray(a_bar).shape[-1]
-    ab = _canon_tdm(a_bar, t_len, d, m)
-    bb = _canon_tdm(b_bar, t_len, d, m)
-    cb = _canon_tdm(c_bar, t_len, d, m)
-    h = np.zeros((d, m), dtype=np.float64) if h0 is None else np.array(h0, dtype=np.float64)
-    y = np.zeros((t_len, d), dtype=np.float64)
-    for t in range(t_len):
+    params = [np.asarray(p, dtype=np.float64) for p in (a_bar, b_bar, c_bar)]
+    for p in params:
+        if not 1 <= p.ndim <= 3:
+            raise ContractViolation(f"parameter rank must be 1..3, got shape {p.shape}")
+    return x, *(np.broadcast_to(p, (t_len, d, m)) for p in params)
+
+
+def scan_recurrent_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> Array:
+    """Sequential oracle from a zero state. x: (T, D); params broadcastable to (T, D, M). Returns y (T, D)."""
+    x, ab, bb, cb = _canon_scan_args(a_bar, b_bar, c_bar, x)
+    h = np.zeros(ab.shape[1:], dtype=np.float64)
+    y = np.zeros(x.shape, dtype=np.float64)
+    for t in range(x.shape[0]):
         h = ab[t] * h + bb[t] * x[t][:, None]
         y[t] = (cb[t] * h).sum(axis=-1)
     return y
@@ -178,29 +173,22 @@ def apply_conv_form(x: Array, kernel: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def associative_scan(coeff: Array, update: Array, h0: Array | None = None) -> Array:
-    """Inclusive prefix evaluation of h_t = coeff_t * h_{t-1} + update_t.
+def associative_scan(a: Array, u: Array) -> Array:
+    """In place: overwrite u with h_t = a_t * h_{t-1} + u_t (h_{-1} = 0), return it, clobber a.
 
-    Brent-Kung sweep over the associative composition
-    (a, u) o (a', u') = (a*a', a'*u + u'), in place on one copy of each
-    input through basic strided views, with no padding. The up-sweep leaves
-    at each position 2s*k - 1 the composition of the length-2s block ending
-    there; the down-sweep completes positions (2k+1)*s - 1 from the finished
-    prefixes s before them. A finished prefix is read only for its state, so
-    the down-sweep never updates coefficients and the top up-sweep level
-    skips them. h0 enters as u_0 += a_0 * h0. The combine order is fixed,
-    so results are deterministic for a given length; the inputs are not
-    modified.
+    a and u are buffers the caller owns, of one shape and dtype (strided
+    views are fine). Brent-Kung sweep over the associative composition
+    (a, u) o (a', u') = (a*a', a'*u + u') through basic strided views, with
+    no padding. The up-sweep leaves at each position 2s*k - 1 the
+    composition of the length-2s block ending there; the down-sweep
+    completes positions (2k+1)*s - 1 from the finished prefixes s before
+    them. A finished prefix is read only for its state, so the down-sweep
+    never updates coefficients and the top up-sweep level skips them. The
+    combine order is fixed, so results are deterministic for a given length.
     """
-    dtype = np.result_type(coeff, update) if h0 is None else np.result_type(coeff, update, h0)
-    a = np.array(coeff, dtype=dtype)
-    u = np.array(np.broadcast_to(update, a.shape), dtype=dtype)
+    if a.shape != u.shape or a.dtype != u.dtype:
+        raise ContractViolation(f"associative_scan buffers differ: a {a.shape} {a.dtype}, u {u.shape} {u.dtype}")
     t_len = a.shape[0]
-    if t_len == 0:
-        return u
-    if h0 is not None:
-        u[0] += a[0] * h0
-
     s = 1
     while 2 * s <= t_len:
         hi = slice(2 * s - 1, None, 2 * s)
@@ -215,17 +203,10 @@ def associative_scan(coeff: Array, update: Array, h0: Array | None = None) -> Ar
     return u
 
 
-def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0: Array | None = None) -> Array:
+def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> Array:
     """Parallel-scan evaluation; same contract as scan_recurrent_arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    t_len, d = x.shape
-    m = np.asarray(a_bar).shape[-1]
-    ab = _canon_tdm(a_bar, t_len, d, m)
-    bb = _canon_tdm(b_bar, t_len, d, m)
-    cb = _canon_tdm(c_bar, t_len, d, m)
-    h = associative_scan(ab, bb * x[:, :, None], h0=h0)
+    x, ab, bb, cb = _canon_scan_args(a_bar, b_bar, c_bar, x)
+    h = associative_scan(ab.copy(), bb * x[:, :, None])
     return (cb * h).sum(axis=-1)
 
 
@@ -234,16 +215,22 @@ def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array, h0:
 # ---------------------------------------------------------------------------
 
 
-def selective_discretize(delta: Array, a: Array, b_seq: Array) -> tuple[Array, Array]:
-    """Per-step ZOH: (T,D) delta, (D,M) a, (T,M) b -> (T,D,M) a_bar, b_bar.
+def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array) -> tuple[Array, Array]:
+    """Per-step ZOH into the scan's two fresh buffers: (T,D) delta, (D,M) a, (T,M) b, (T,D) x -> (T,D,M).
 
-    b_bar = expm1(z) * (1/a) * b with z = delta*a. The exact input scale is
+    Returns a_bar = exp(z) and the scan input b_bar * x, where
+    b_bar = expm1(z) * (1/a) * b and z = delta*a, built in place in that op
+    order, in the widest input dtype. The exact input scale is
     well-conditioned here because a is strictly negative on the selective
     path; ``zoh_factors`` is its float64 reference.
     """
-    z = delta[:, :, None] * a
-    scale = np.expm1(z) * (1.0 / a)
-    return np.exp(z), scale * b_seq[:, None, :]
+    z = np.multiply(delta[:, :, None], a, dtype=np.result_type(delta, a, b_seq, x))
+    a_bar = np.exp(z)
+    u = np.expm1(z, out=z)
+    u *= 1.0 / a
+    u *= b_seq[:, None, :]
+    u *= x[:, :, None]
+    return a_bar, u
 
 
 def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
@@ -253,9 +240,9 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
     h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t. The forward
     state and the backward adjoint (itself a first-order recurrence) both
     run the parallel scan. The record keeps the inputs and h; the backward
-    recomputes the (T,D,M) discretization instead of saving it (Gu & Dao,
-    arXiv 2312.00752, sec. 3.3). ``zoh_factors`` with the recurrent form is
-    the reference.
+    recomputes each (T,D,M) discretization term when it first needs it
+    (Gu & Dao, arXiv 2312.00752, sec. 3.3) and reuses its buffer after its
+    last use. ``zoh_factors`` with the recurrent form is the reference.
     """
     tx, td, ta, tb, tc = (T.as_tensor(v) for v in (x, delta, a, b_seq, c_seq))
     xd, dd, ad, bd, c = tx.data, td.data, ta.data, tb.data, tc.data
@@ -265,33 +252,35 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
         raise ContractViolation(
             f"ssm_scan shape mismatch: x {xd.shape}, delta {dd.shape}, a {ad.shape}, b {bd.shape}, c {c.shape}"
         )
-    ab, bb = selective_discretize(dd, ad, bd)
-    h = associative_scan(ab, bb * xd[:, :, None])
+    h = associative_scan(*selective_discretize(dd, ad, bd, xd))
     out = T.Tensor(np.einsum("tm,tdm->td", c, h))
 
     def bwd(gy):
-        delta3, b3 = dd[:, :, None], bd[:, None, :]
-        z = delta3 * ad
-        a_bar, em1, recip = np.exp(z), np.expm1(z), 1.0 / ad
-        scale = em1 * recip
-        b_bar = scale * b3
-        # adjoint lambda_t = c_t*gy_t + a_{t+1}*lambda_{t+1}: reversed first-order recurrence
-        gh = c[:, None, :] * gy[:, :, None]
-        # reversed position k needs a_{T-k}; position 0 only multiplies the zero initial state
-        coeff_rev = np.roll(a_bar[::-1], 1, axis=0)
-        lam = associative_scan(coeff_rev, gh[::-1])[::-1]
-        g_ab = np.empty_like(lam)
-        g_ab[:1] = 0.0
-        np.multiply(lam[1:], h[:-1], out=g_ab[1:])
-        g_bb = lam * xd[:, :, None]
-        g_x = np.einsum("tdm,tdm->td", lam, b_bar)
-        g_c = np.einsum("td,tdm->tm", gy, h)
+        delta3, b3, recip = dd[:, :, None], bd[:, None, :], 1.0 / ad
+        a_bar = np.exp(delta3 * ad)
+        # adjoint lambda_t = c_t*gy_t + a_{t+1}*lambda_{t+1}: reversed first-order recurrence;
+        # reversed position k needs a_{T-k}, and position 0 only multiplies the zero initial state
+        lam = associative_scan(np.roll(a_bar[::-1], 1, axis=0), (c[:, None, :] * gy[:, :, None])[::-1])[::-1]
         # through b_bar = expm1(z) * (1/a) * b, a_bar = exp(z), z = delta*a, term by term in the
         # order of the tape's mul/exp/reciprocal rules, so results equal that composition bit for bit
+        g_bb = lam * xd[:, :, None]
         g_scale = g_bb * b3
-        g_b = (g_bb * scale).sum(axis=1)
-        g_recip = (g_scale * em1).sum(axis=0)
-        g_z = g_scale * recip * a_bar + g_ab * a_bar
+        zoh = np.expm1(delta3 * ad)  # expm1(z), then in place the input scale, then b_bar
+        g_recip = (g_scale * zoh).sum(axis=0)
+        zoh *= recip
+        g_bb *= zoh
+        g_b = g_bb.sum(axis=1)
+        zoh *= b3
+        g_x = np.einsum("tdm,tdm->td", lam, zoh)
+        g_c = np.einsum("td,tdm->tm", gy, h)
+        g_ab = lam  # lambda_t * h_{t-1}, 0 at t = 0
+        g_ab[0] = 0.0
+        g_ab[1:] *= h[:-1]
+        g_ab *= a_bar
+        g_z = g_scale  # g_scale * recip * a_bar + g_ab * a_bar
+        g_z *= recip
+        g_z *= a_bar
+        g_z += g_ab
         g_delta = (g_z * ad).sum(axis=2)
         g_a = -g_recip / (ad * ad) + (g_z * delta3).sum(axis=0)
         return g_x, g_delta, g_a, g_b, g_c

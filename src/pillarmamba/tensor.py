@@ -428,6 +428,8 @@ def gather_rows(a, idx: Array) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
     idx = np.asarray(idx, dtype=np.intp)
+    if (idx < 0).any():
+        raise ContractViolation("gather_rows requires nonnegative row indices")
     out = Tensor(d[idx])
 
     def bwd(g):
@@ -443,12 +445,12 @@ def gather_rows(a, idx: Array) -> Tensor:
 
 
 def scatter_rows(a, idx: Array, n_rows: int) -> Tensor:
-    """Place rows of a 2-D tensor at unique row indices of a zero output."""
+    """Place rows of a 2-D tensor at unique nonnegative row indices of a zero output."""
     ta = as_tensor(a)
     d = ta.data
     idx = np.asarray(idx, dtype=np.intp)
-    if np.unique(idx).size != idx.size:
-        raise ContractViolation("scatter_rows requires unique destination indices")
+    if (idx < 0).any() or np.bincount(idx, minlength=1).max() > 1:
+        raise ContractViolation("scatter_rows requires unique nonnegative destination indices")
     out_data = np.zeros((n_rows,) + d.shape[1:], dtype=d.dtype)
     out_data[idx] = d
     out = Tensor(out_data)

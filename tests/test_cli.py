@@ -319,11 +319,42 @@ def test_diagnose_scan_with_occupancy(tmp_path, capsys):
     assert rc == 0
 
 
-def test_diagnose_scan_bad_grid(capsys):
-    rc = cli.main(["diagnose-scan", "--grid", "16by16"])
+@pytest.mark.parametrize(
+    "occ",
+    [
+        [[1, 0, 0, 0], [0, "x", 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, 2.5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, None, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [1, 0, 0, 0],
+        {"occupancy": [[1]]},
+    ],
+    ids=["string", "fraction", "two", "null", "ragged", "flat", "object"],
+)
+def test_diagnose_scan_bad_occupancy_entries(occ, tmp_path, capsys):
+    occ_path = tmp_path / "occ.json"
+    occ_path.write_text(json.dumps(occ))
+    rc = cli.main(["diagnose-scan", "--grid", "4x4", "--occupancy", str(occ_path)])
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert "16by16" in err["error"]["message"]
+    assert err["error"]["type"] == "FormatError"
+    assert str(occ_path) in err["error"]["message"]
+
+
+def test_diagnose_scan_boolean_occupancy(tmp_path, capsys):
+    occ_path = tmp_path / "occ.json"
+    occ_path.write_text(json.dumps([[True, False], [False, 0]]))
+    assert cli.main(["diagnose-scan", "--grid", "2x2", "--occupancy", str(occ_path)]) == 0
+
+
+def test_diagnose_scan_bad_grid(capsys):
+    for grid in ["16by16", "0x4", "4x0", "0x0", "3x-4"]:
+        rc = cli.main(["diagnose-scan", "--grid", grid])
+        assert rc == 1, grid
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "FormatError"
+        assert grid in err["error"]["message"]
 
 
 def test_run_report_schema(tiny_cfg_path, tmp_path, capsys):

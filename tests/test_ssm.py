@@ -2,6 +2,7 @@
 selective parameterization, and gradients through the fused scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pillarmamba.ssm import (
     scan_kernel,
     scan_parallel_arrays,
     scan_recurrent_arrays,
+    selective_discretize,
     selective_params,
     selective_scan_tokens,
     ssm_scan,
@@ -135,9 +137,9 @@ class TestScanForms:
         assert np.abs(y_rec - y_conv).max() <= 1e-6
 
 
-def _sequential(coeff, update, h0=None):
-    """Plain time loop for h_t = coeff_t * h_{t-1} + update_t, in float64."""
-    h = np.zeros(update.shape[1:]) if h0 is None else np.asarray(h0, dtype=np.float64)
+def _sequential(coeff, update):
+    """Plain time loop for h_t = coeff_t * h_{t-1} + update_t from a zero state, in float64."""
+    h = np.zeros(update.shape[1:])
     out = np.empty(update.shape)
     for t in range(coeff.shape[0]):
         h = coeff[t] * h + update[t]
@@ -153,39 +155,34 @@ class TestParallelScan:
         for tail in [(), (3,), (2, 3)]:
             coeff = r.uniform(-0.99, 0.99, (t_len,) + tail)
             update = r.normal(size=(t_len,) + tail)
-            before = (coeff.tobytes(), update.tobytes())
-            for h0 in (None, r.normal(size=tail)):
-                h = associative_scan(coeff, update, h0=h0)
-                assert h.shape == coeff.shape
-                np.testing.assert_allclose(h, _sequential(coeff, update, h0), rtol=1e-10, atol=1e-12)
-            assert (coeff.tobytes(), update.tobytes()) == before
+            u = update.copy()
+            h = associative_scan(coeff.copy(), u)
+            assert h is u  # the state overwrites the caller's update buffer
+            np.testing.assert_allclose(h, _sequential(coeff, update), rtol=1e-10, atol=1e-12)
 
-    def test_associative_scan_strided_and_read_only_inputs(self):
+    def test_associative_scan_on_reversed_views(self):
+        # reversed views of fresh buffers, as the adjoint passes them
         r = rng(12)
         coeff = r.uniform(-0.99, 0.99, (37, 2, 3))
         update = r.normal(size=(37, 2, 3))
-        # reversed views, as the adjoint passes them
-        np.testing.assert_allclose(
-            associative_scan(coeff[::-1], update[::-1]),
-            _sequential(coeff[::-1], update[::-1]),
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        # read-only broadcast coefficients, as _canon_tdm builds them
-        shared = np.broadcast_to(r.uniform(-0.99, 0.99, (2, 3)), coeff.shape)
-        assert not shared.flags.writeable
-        np.testing.assert_allclose(
-            associative_scan(shared, update, h0=np.ones((2, 3))),
-            _sequential(shared, update, np.ones((2, 3))),
-            rtol=1e-10,
-            atol=1e-12,
-        )
+        expected = _sequential(coeff[::-1], update[::-1])
+        np.testing.assert_allclose(associative_scan(coeff[::-1], update[::-1]), expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(update[::-1], expected, rtol=1e-10, atol=1e-12)
+
+    def test_associative_scan_rejects_mismatched_buffers(self):
+        a = np.full((5, 2), 0.5)
+        with pytest.raises(ContractViolation):
+            associative_scan(a, np.ones((5, 1)))  # no broadcast
+        with pytest.raises(ContractViolation):
+            associative_scan(a, np.ones((5, 2), dtype=np.float32))  # no promotion
+        with pytest.raises(ContractViolation):
+            associative_scan(a.astype(np.float32), np.ones((5, 2)))
 
     def test_associative_scan_float32_stays_float32(self):
         r = rng(13)
         coeff = r.uniform(0.5, 0.99, (300, 4, 2)).astype(np.float32)
         update = r.normal(size=(300, 4, 2)).astype(np.float32)
-        h = associative_scan(coeff, update)
+        h = associative_scan(coeff.copy(), update.copy())
         assert h.dtype == np.float32
         np.testing.assert_allclose(h, _sequential(coeff.astype(np.float64), update), rtol=1e-4, atol=1e-4)
 
@@ -224,17 +221,6 @@ class TestParallelScan:
         np.testing.assert_allclose(y_par, y_seq, atol=1e-12)
         # coefficient 0 resets the state: those outputs equal the bare input
         np.testing.assert_allclose(y_seq[0::2], x[0::2], atol=1e-12)
-
-    def test_associative_scan_with_initial_state(self):
-        r = rng(5)
-        coeff = r.uniform(-0.9, 0.9, (6, 3))
-        update = r.normal(size=(6, 3))
-        h0 = r.normal(size=3)
-        h = associative_scan(coeff, update, h0=h0)
-        prev = h0.copy()
-        for t in range(6):
-            prev = coeff[t] * prev + update[t]
-            np.testing.assert_allclose(h[t], prev, atol=1e-12)
 
 
 class TestStability:
@@ -312,6 +298,49 @@ class TestSelective:
             a_bar, scale = zoh_factors(a, delta[:, :, None])
             ref = scan_recurrent_arrays(a_bar, scale * b[:, None, :], c[:, None, :], x)
             np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
+
+    def test_scan_leaves_its_inputs_untouched(self):
+        # the kernel works in place on buffers it allocates; grad_check perturbs these very arrays
+        inputs = [T.Tensor(v) for v in self._scan_inputs(rng(14), 37, 3, 4)]
+        before = [t.data.tobytes() for t in inputs]
+        with T.Tape() as tape:
+            loss = T.reduce_sum(ssm_scan(*inputs))
+        assert [t.data.tobytes() for t in inputs] == before
+        tape.backward(loss)
+        assert [t.data.tobytes() for t in inputs] == before
+
+    def test_discretize_fills_buffers_in_the_widest_dtype(self):
+        # the buffers are built in place, so a float64 x must not be rounded into float32 buffers
+        x, delta, a, b, _ = self._scan_inputs(rng(17), 5, 2, 3)
+        a_bar, u = selective_discretize(*(v.astype(np.float32) for v in (delta, a, b)), x)
+        assert a_bar.dtype == u.dtype == np.float64
+        ref_a_bar, scale = zoh_factors(a, delta[:, :, None])
+        np.testing.assert_allclose(a_bar, ref_a_bar, rtol=1e-6)
+        np.testing.assert_allclose(u, scale * b[:, None, :] * x[:, :, None], rtol=1e-5, atol=1e-7)
+
+    def test_scan_working_set(self):
+        # one float32 scan at (T, D, M) = (4096, 16, 8), in 2 MiB (T, D, M) buffers: the forward
+        # fills the scan's two buffers in place; the backward recomputes each ZOH term when first needed
+        t_len, d, m = 4096, 16, 8
+        buf = t_len * d * m * 4
+        proj = init_selective_projections(rng(15), channels=d, state_dim=m)
+        tokens = T.Tensor(rng(16).normal(size=(t_len, d)).astype(np.float32))
+        selective_scan_tokens(tokens, proj)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            selective_scan_tokens(tokens, proj)
+            forward = tracemalloc.get_traced_memory()[1] - start
+            with T.Tape() as tape:
+                loss = T.reduce_sum(selective_scan_tokens(tokens, proj))
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            backward = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert forward <= 3.5 * buf, f"forward peak {forward / buf:.2f} buffers"
+        assert backward <= 8 * buf, f"backward peak {backward / buf:.2f} buffers"
 
     def test_one_tape_record_per_scan(self):
         # 3 matmul + 3 add + softplus + exp + neg for the projections, then the scan itself

@@ -248,6 +248,15 @@ class TestStructuralOps:
         with pytest.raises(ContractViolation):
             T.scatter_rows(T.Tensor(np.zeros((2, 1))), np.array([1, 1]), 4)
 
+    def test_scatter_rows_rejects_negative_index(self):
+        # numpy would wrap -1 to the last row
+        with pytest.raises(ContractViolation):
+            T.scatter_rows(T.Tensor(np.ones((1, 2))), np.array([-1]), 4)
+
+    def test_gather_rows_rejects_negative_index(self):
+        with pytest.raises(ContractViolation):
+            T.gather_rows(T.Tensor(np.arange(8.0).reshape(4, 2)), np.array([0, -1]))
+
     def test_segment_max_forward_and_grad(self):
         x = np.array([[1.0, 5.0], [2.0, 1.0], [9.0, 9.0], [4.0, 0.0], [3.0, 7.0]])  # segments rows 0-1, 2, 3-4
         starts = np.array([0, 2, 3])
