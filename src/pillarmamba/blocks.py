@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import CsgToggles, HsbToggles, SsmConfig
-from .cross_scan import Ss2dParams, init_ss2d_params, ss2d_block
+from .cross_scan import DIRECTIONS, Ss2dParams, init_ss2d_params, ss2d_block
 from .errors import ConfigurationError, ContractViolation
 
 Array = np.ndarray
@@ -237,7 +237,7 @@ def flops_conv2d(out_ch: int, in_ch: int, k: int, out_h: int, out_w: int, groups
     return out_ch * (in_ch // groups) * k * k * out_h * out_w
 
 
-def flops_ss2d(channels: int, state_dim: int, x_cells: int, y_cells: int, n_directions: int = 4) -> int:
+def flops_ss2d(channels: int, state_dim: int, x_cells: int, y_cells: int) -> int:
     t = x_cells * y_cells
     c, m = channels, state_dim
     total = 2 * flops_conv2d(c, c, 1, x_cells, y_cells)  # in/out projections
@@ -246,7 +246,7 @@ def flops_ss2d(channels: int, state_dim: int, x_cells: int, y_cells: int, n_dire
     per_dir += t * c * c + t * c  # delta projection + softplus
     per_dir += 2 * t * c * m  # discretization (exp + scale*b)
     per_dir += 3 * t * c * m  # scan update + output accumulate
-    total += n_directions * per_dir
+    total += len(DIRECTIONS) * per_dir
     total += 2 * t * c  # merge-site normalization
     return total
 

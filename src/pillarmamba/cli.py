@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,12 +26,12 @@ from . import tensor as T
 from .backbone import stage_configs
 from .blocks import flops_csg, flops_plain_stack
 from .boxes import CLASS_IDS, Box3D, Detection
-from .config import RunConfig, config_digest, config_to_dict, default_config, load_config
+from .config import RunConfig, config_digest, default_config, load_config
 from .cross_scan import scan_diagnostics
 from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, read_json, write_dataset
 from .errors import FormatError
 from .metrics import interpolated_ap, pr_curve_for_class
-from .model import PillarMambaModel, build_model, load_weights, save_weights, train_toy
+from .model import build_model, load_weights, save_weights, train_toy
 from .pillars import BevMap
 from .verify import run_grad_suite
 
@@ -48,10 +47,6 @@ def _setup_logging() -> None:
 
 def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
-def _load_cfg(args) -> RunConfig:
-    return load_config(args.config) if args.config else default_config()
 
 
 def _detections_payload(scene_name: str, dets: list[Detection]) -> dict:
@@ -70,58 +65,31 @@ def _detections_from_payload(payload, path: Path) -> list[Detection]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args) -> dict:
-    cfg = _load_cfg(args)
+def cmd_gen(args, cfg: RunConfig) -> dict:
     manifest = write_dataset(args.out, cfg, n_scenes=args.scenes, seed=args.seed)
     return {"outputs": [str(manifest)], "metrics": {"scenes": args.scenes}}
 
 
-_WORKER_STATE: dict = {}
-
-
-def _forward_one(payload) -> dict:
-    """Run one scene; usable from worker processes (model cached per process)."""
-    cfg_dict, weights, seed, cloud_path, scene_name = payload
-    key = (json.dumps(cfg_dict, sort_keys=True), weights, seed)
-    if _WORKER_STATE.get("key") != key:
-        from .config import config_from_dict
-
-        cfg = config_from_dict(cfg_dict)
-        model = build_model(cfg, seed=seed)
-        if weights:
-            load_weights(weights, model)
-        _WORKER_STATE.update(key=key, model=model)
-    model: PillarMambaModel = _WORKER_STATE["model"]
-    dets = model.detect(load_cloud(cloud_path))
-    return _detections_payload(scene_name, dets)
-
-
-def cmd_forward(args) -> dict:
-    cfg = _load_cfg(args)
+def cmd_forward(args, cfg: RunConfig) -> dict:
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
+    model = build_model(cfg, seed=args.seed)
+    if args.weights:
+        load_weights(args.weights, model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (config_to_dict(cfg), args.weights, args.seed, str(manifest_path.parent / cloud_rel), cloud_rel)
-        for cloud_rel, _ in manifest.entries
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            payloads = list(pool.map(_forward_one, jobs))
-    else:
-        payloads = [_forward_one(j) for j in jobs]
     outputs = []
     n_dets = 0
-    for i, payload in enumerate(payloads):  # manifest order
+    for i, (cloud_rel, _) in enumerate(manifest.entries):
+        dets = model.detect(load_cloud(manifest_path.parent / cloud_rel))
         path = out_dir / f"dets_{i:04d}.json"
-        _dump_json(path, payload)
+        _dump_json(path, _detections_payload(cloud_rel, dets))
         outputs.append(str(path))
-        n_dets += len(payload["detections"])
-    return {"outputs": outputs, "metrics": {"scenes": len(payloads), "detections": n_dets}}
+        n_dets += len(dets)
+    return {"outputs": outputs, "metrics": {"scenes": len(outputs), "detections": n_dets}}
 
 
-def cmd_gradcheck(args) -> dict:
+def cmd_gradcheck(args, cfg: RunConfig) -> dict:
     reports = run_grad_suite(seeds_per_check=args.seeds)
     failures = [r for r in reports if not r.passed]
     for r in reports:
@@ -135,8 +103,7 @@ def cmd_gradcheck(args) -> dict:
     return {"outputs": [], "metrics": {"checks": len(reports), "worst_rel_error": worst}}
 
 
-def cmd_train_toy(args) -> dict:
-    cfg = _load_cfg(args)
+def cmd_train_toy(args, cfg: RunConfig) -> dict:
     cloud_path = Path(args.scene)
     labels_path = cloud_path.with_suffix(".json")
     if not labels_path.exists():
@@ -158,8 +125,7 @@ def cmd_train_toy(args) -> dict:
     }
 
 
-def cmd_eval(args) -> dict:
-    cfg = _load_cfg(args)
+def cmd_eval(args, cfg: RunConfig) -> dict:
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
     dets_dir = Path(args.dets)
@@ -200,8 +166,7 @@ def _digest_array(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def cmd_bench(args) -> dict:
-    cfg = _load_cfg(args)
+def cmd_bench(args, cfg: RunConfig) -> dict:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     x_cells, y_cells = cfg.grid.x_cells, cfg.grid.y_cells
     rows: list[dict] = []
@@ -242,7 +207,7 @@ def cmd_bench(args) -> dict:
     return {"outputs": [str(json_path)], "metrics": {"rows": len(rows)}}
 
 
-def cmd_diagnose_scan(args) -> dict:
+def cmd_diagnose_scan(args, cfg: RunConfig) -> dict:
     try:
         gx, gy = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
@@ -301,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--weights", help="weights file; omitted = seeded random init")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite; exit 1 on failure")
@@ -347,19 +311,15 @@ def main(argv=None) -> int:
     np.seterr(over="ignore", invalid="ignore", divide="ignore")
     t0 = time.perf_counter()
     try:
-        result = args.fn(args)
+        cfg = load_config(args.config) if args.config else default_config()
+        result = args.fn(args, cfg)
     except Exception as exc:  # structured failure, exit 1
         log.debug("command failed", exc_info=True)
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
         return 1
-    cfg = None
-    try:
-        cfg = _load_cfg(args)
-    except Exception:
-        pass
     report = {
         "command": args.command,
-        "config_digest": config_digest(cfg) if cfg else None,
+        "config_digest": config_digest(cfg),
         "seed": getattr(args, "seed", None),
         "wall_time_s": round(time.perf_counter() - t0, 4),
         "outputs": result.get("outputs", []),

@@ -64,16 +64,10 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class HeadConfig:
-    classes: tuple[ClassName, ...] = CLASS_NAMES
     top_k: int = 100
     score_threshold: float = 0.1
     reg_weight: float = 1.0
     gaussian_min_overlap: float = 0.7
-
-    def __post_init__(self):
-        # generation, targets and eval all index boxes.CLASS_NAMES
-        if tuple(self.classes) != CLASS_NAMES:
-            raise ConfigurationError(f"head.classes: must be {list(CLASS_NAMES)}, got {list(self.classes)}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +161,9 @@ def _load(tp, raw, path: str):
     """Check parsed JSON ``raw`` against the type hint ``tp`` and convert it.
 
     Dataclasses load from objects (absent fields take their defaults, unknown
-    keys are rejected), ``dict[K, V]`` from objects, ``tuple`` from lists,
-    ``Literal`` by membership; an int widens to float, a bool is not an int.
+    keys are rejected), ``dict[K, V]`` from objects, fixed-length ``tuple``
+    from lists, ``Literal`` by membership; an int widens to float, a bool is
+    not an int.
     """
     if is_dataclass(tp):
         if not isinstance(raw, dict):
@@ -190,10 +185,9 @@ def _load(tp, raw, path: str):
     if origin is tuple:
         if not isinstance(raw, (list, tuple)):
             raise ConfigurationError(f"{path}: expected a list, got {raw!r}")
-        types = [args[0]] * len(raw) if args[-1] is Ellipsis else args
-        if len(types) != len(raw):
-            raise ConfigurationError(f"{path}: expected a list of {len(types)} values, got {raw!r}")
-        return tuple(_load(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, raw)))
+        if len(args) != len(raw):
+            raise ConfigurationError(f"{path}: expected a list of {len(args)} values, got {raw!r}")
+        return tuple(_load(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, raw)))
     if origin is Literal:
         if raw not in args:
             raise ConfigurationError(f"{path}: expected one of {list(args)}, got {raw!r}")

@@ -157,10 +157,12 @@ def detection_loss(raw: RawMaps, targets: HeadTargets, reg_weight: float = 1.0):
     hm_t = targets.heatmap.astype(dtype, copy=False)
     pos_mask = (hm_t >= 1.0).astype(dtype)
     neg_weight = ((1.0 - hm_t) ** 4).astype(dtype) * (1.0 - pos_mask)
-    norm = 1.0 / max(targets.n_positives, 1)
+    # 0-d constants in the map's dtype: a 0-d float64 array would promote the loss
+    one = np.asarray(1.0, dtype)
+    norm = np.asarray(1.0 / max(targets.n_positives, 1), dtype)
 
     p = T.clamp(T.sigmoid(raw.heatmap), 1e-6, 1.0 - 1e-6)
-    one_minus_p = T.sub(1.0, p)
+    one_minus_p = T.sub(one, p)
     pos_term = T.mul(T.mul(_square(one_minus_p), T.tlog(p)), pos_mask)
     neg_term = T.mul(T.mul(_square(p), T.tlog(one_minus_p)), neg_weight)
     focal = T.mul(T.neg(T.add(T.reduce_sum(pos_term), T.reduce_sum(neg_term))), norm)
@@ -169,7 +171,7 @@ def detection_loss(raw: RawMaps, targets: HeadTargets, reg_weight: float = 1.0):
     reg_t = targets.regression.astype(dtype, copy=False)
     l1 = T.mul(T.reduce_sum(T.mul(T.tabs(T.sub(raw.regression, reg_t)), reg_mask)), norm)
 
-    total = T.add(focal, T.mul(l1, reg_weight))
+    total = T.add(focal, T.mul(l1, np.asarray(reg_weight, dtype)))
     breakdown = {"focal": focal.item(), "l1": l1.item(), "total": total.item()}
     return total, breakdown
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneParams, backbone_forward, init_backbone_params, validate_grid_for_backbone
-from .boxes import Box3D, Detection
+from .boxes import CLASS_NAMES, Box3D, Detection
 from .config import RunConfig
 from .errors import FormatError
 from .head import HeadParams, HeadTargets, RawMaps, build_targets, decode, detection_loss, head_forward, init_head_params
@@ -62,7 +62,7 @@ class PillarMambaModel:
 
     def targets_for(self, boxes: list[Box3D]) -> HeadTargets:
         return build_targets(
-            boxes, self.cfg.grid, len(self.cfg.head.classes), min_overlap=self.cfg.head.gaussian_min_overlap
+            boxes, self.cfg.grid, len(CLASS_NAMES), min_overlap=self.cfg.head.gaussian_min_overlap
         )
 
 
@@ -73,7 +73,7 @@ def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaM
     c = cfg.model.channels
     encoder = init_encoder_params(rng, c, dtype=dtype)
     backbone = init_backbone_params(rng, cfg.model, dtype=dtype)
-    head = init_head_params(rng, c, len(cfg.head.classes), dtype=dtype)
+    head = init_head_params(rng, c, len(CLASS_NAMES), dtype=dtype)
     return PillarMambaModel(cfg=cfg, encoder=encoder, backbone=backbone, head=head, dtype=dtype)
 
 
@@ -151,7 +151,9 @@ def train_toy(
 
     First-order only (no momentum, no adaptivity). The global gradient norm is
     clipped: the input-conditioned step sizes make some bias directions
-    violently curved, and an unclipped step catapults the parameters.
+    violently curved, and an unclipped step catapults the parameters. A
+    non-finite loss or gradient norm raises ``FloatingPointError`` before
+    that step's update.
     """
     targets = model.targets_for(boxes)
     params = model.params()
@@ -160,13 +162,13 @@ def train_toy(
         with T.Tape() as tape:
             total, breakdown = loss_on_scene(model, cloud, targets)
         tape.backward(total)
-        # float64 gradients (the focal term promotes) round to the parameter dtype
-        grads = [tape.grad(p).astype(p.value.data.dtype, copy=False) for p in params]
-        if max_grad_norm > 0:
-            norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)))
-            if norm > max_grad_norm:
-                scale = max_grad_norm / norm
-                grads = [g * scale for g in grads]  # not in place: leaves may share one cotangent array
+        grads = [tape.grad(p) for p in params]
+        norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)))
+        if not (np.isfinite(breakdown["total"]) and np.isfinite(norm)):
+            raise FloatingPointError(f"train_toy step {step}: loss {breakdown['total']}, gradient norm {norm}")
+        if 0 < max_grad_norm < norm:
+            scale = max_grad_norm / norm
+            grads = [g * scale for g in grads]  # not in place: leaves may share one cotangent array
         for p, g in zip(params, grads):
             p.value.data -= lr * g
         losses.append(breakdown["total"])

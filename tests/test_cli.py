@@ -1,7 +1,10 @@
-"""Command-line contract tests: exit codes, pipeline outputs, determinism,
-weights round trip, worker-count invariance, bench rows and digests."""
+"""Command-line contract tests: exit codes, one config read per command,
+pipeline outputs, determinism, weights round trip, bench rows and digests,
+and the README's CLI examples."""
 
 import json
+import re
+import shlex
 import shutil
 import struct
 from pathlib import Path
@@ -43,10 +46,15 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gen", "--out", "/tmp/x", "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(tmp_path):
+    for argv in (
+        ["gen", "--out", str(tmp_path / "x"), "--frobnicate"],
+        ["forward", "--manifest", "manifest.json", "--out", str(tmp_path / "x"), "--workers", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_writes_declared_outputs(dataset):
@@ -114,19 +122,54 @@ def test_pipeline_determinism_byte_identical(tiny_cfg_path, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_forward_workers_match_serial(dataset, tiny_cfg_path, tmp_path):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    for out, workers in ((serial, "1"), (parallel, "2")):
-        rc = cli.main(
-            [
-                "forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"),
-                "--out", str(out), "--seed", "5", "--workers", workers,
-            ]
-        )
-        assert rc == 0
+SUBCOMMANDS = ["gen", "forward", "gradcheck", "train-toy", "eval", "bench", "diagnose-scan"]
+
+
+@pytest.mark.parametrize("error_type", ["ConfigurationError", "FileNotFoundError"], ids=["malformed", "missing"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_bad_config_fails_every_subcommand(command, error_type, dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    if error_type == "ConfigurationError":
+        cfg_path.write_text(json.dumps({"grid": 3}))
+    dets = tmp_path / "dets"
+    dets.mkdir()
     for i in range(2):
-        assert (serial / f"dets_{i:04d}.json").read_bytes() == (parallel / f"dets_{i:04d}.json").read_bytes()
+        (dets / f"dets_{i:04d}.json").write_text(json.dumps({"scene": f"scene_{i:04d}", "detections": []}))
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["--out", str(out), "--scenes", "1"],
+        "forward": ["--manifest", str(dataset / "manifest.json"), "--out", str(out)],
+        "gradcheck": ["--seeds", "1"],
+        "train-toy": ["--scene", str(dataset / "scene_0000.bin"), "--steps", "1", "--out", str(out)],
+        "eval": ["--dets", str(dets), "--manifest", str(dataset / "manifest.json"), "--out", str(out)],
+        "bench": ["--repeat", "1", "--out", str(out)],
+        "diagnose-scan": ["--grid", "4x4", "--out", str(out)],
+    }[command]
+    assert cli.main([command, "--config", str(cfg_path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no run report
+    err = json.loads(captured.err.strip().splitlines()[-1])["error"]
+    assert err["type"] == error_type
+    assert ("grid" if error_type == "ConfigurationError" else str(cfg_path)) in err["message"]
+    assert not out.exists()
+
+
+def test_forward_reads_config_once_and_builds_one_model(dataset, tiny_cfg_path, tmp_path, monkeypatch):
+    calls = {"load_config": 0, "build_model": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counting("load_config", cli.load_config)
+    counting("build_model", cli.build_model)
+    argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == {"load_config": 1, "build_model": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dets_0000.json", "dets_0001.json"]
 
 
 def test_train_toy_writes_loadable_weights(dataset, tiny_cfg_path, tmp_path):
@@ -138,6 +181,15 @@ def test_train_toy_writes_loadable_weights(dataset, tiny_cfg_path, tmp_path):
     cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
     model = build_model(cfg, seed=0)
     load_weights(weights, model)
+
+
+def test_train_toy_non_finite_loss_exits_1_without_weights(dataset, tiny_cfg_path, tmp_path, capsys):
+    weights = tmp_path / "w.pmw"
+    argv = ["train-toy", "--config", tiny_cfg_path, "--scene", str(dataset / "scene_0000.bin")]
+    assert cli.main([*argv, "--lr", "1e30", "--steps", "3", "--out", str(weights)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "FloatingPointError" and "step 1" in err["message"]
+    assert not weights.exists()
 
 
 def test_weights_model_mismatch_detected(tiny_cfg_path, tmp_path):
@@ -284,14 +336,11 @@ def test_bench_usage_errors_exit_2(argv, tmp_path, capsys):
     [
         ["gen", "--scenes", "0"],
         ["gen", "--scenes", "-2"],
-        ["forward", "--manifest", "manifest.json", "--workers", "-3"],
-        ["forward", "--manifest", "manifest.json", "--workers", "0"],
         ["gradcheck", "--seeds", "0"],
         ["train-toy", "--scene", "scene.bin", "--steps", "0"],
     ],
     ids=[
-        "gen-scenes-0", "gen-scenes-negative", "forward-workers-negative", "forward-workers-0",
-        "gradcheck-seeds-0", "train-toy-steps-0",
+        "gen-scenes-0", "gen-scenes-negative", "gradcheck-seeds-0", "train-toy-steps-0",
     ],
 )
 def test_count_flag_usage_errors_exit_2(argv, tmp_path, capsys):
@@ -364,3 +413,13 @@ def test_run_report_schema(tiny_cfg_path, tmp_path, capsys):
     assert set(report) == {"command", "config_digest", "seed", "wall_time_s", "outputs", "metrics"}
     assert report["seed"] == 9
     assert report["config_digest"]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("pillarmamba ")]
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])  # exits 2 on a flag the CLI no longer has
+    assert {argv[1] for argv in lines} == set(SUBCOMMANDS)

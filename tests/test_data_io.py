@@ -8,7 +8,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from pillarmamba.boxes import CLASS_NAMES, Box3D
+from pillarmamba.boxes import Box3D
 from pillarmamba.config import (
     config_from_dict,
     config_to_dict,
@@ -201,7 +201,7 @@ def test_malformed_json_is_format_error_naming_file(tmp_path, loader, text, deta
     assert str(path) in str(err.value) and detail in str(err.value)
 
 
-# one non-default value for every config leaf (head.classes is fixed to CLASS_NAMES)
+# one non-default value for every config leaf
 NON_DEFAULT_CONFIG = {
     "grid": {"x_range": [-3.2, 3.2], "y_range": [0.0, 4.8], "z_range": [-2.0, 2.0], "pillar_size": 0.4},
     "model": {
@@ -219,7 +219,7 @@ NON_DEFAULT_CONFIG = {
         },
         "ssm": {"state_dim": 4},
     },
-    "head": {"classes": list(CLASS_NAMES), "top_k": 50, "score_threshold": 0.3, "reg_weight": 2.0, "gaussian_min_overlap": 0.5},
+    "head": {"top_k": 50, "score_threshold": 0.3, "reg_weight": 2.0, "gaussian_min_overlap": 0.5},
     "eval": {"iou_thresholds": {"vehicle": 0.7, "pedestrian": 0.5}},
     "train": {"lr": 0.01, "steps": 40},
     "data": {
@@ -264,7 +264,7 @@ class TestConfig:
     def test_every_field_roundtrip(self):
         cfg = config_from_dict(json.loads(json.dumps(NON_DEFAULT_CONFIG)))
         defaults = dict(_config_leaves(default_config()))
-        assert [name for name, value in _config_leaves(cfg) if value == defaults[name]] == ["head.classes"]
+        assert [name for name, value in _config_leaves(cfg) if value == defaults[name]] == []
         dumped = config_to_dict(cfg)
         assert _canonical(dumped) == _canonical(NON_DEFAULT_CONFIG)
         assert _canonical(config_to_dict(config_from_dict(dumped))) == _canonical(dumped)
@@ -284,8 +284,8 @@ class TestConfig:
             ("data", "points_per_box", 0, "data.points_per_box"),
             ("data", "background_points", -1, "data.background_points"),
             ("eval", "iou_thresholds", {"truck": 0.5}, "eval.iou_thresholds.truck"),
-            ("head", "classes", ["vehicle", "pedestrian"], "head.classes"),
-            ("head", "classes", ["pedestrian", "vehicle", "cyclist"], "head.classes"),
+            ("head", "classes", ["vehicle", "pedestrian"], "unknown key head.classes"),
+            ("head", "classes", ["pedestrian", "vehicle", "cyclist"], "unknown key head.classes"),
             ("model.ssm", "engine", "parallel", "unknown key model.ssm.engine"),
             ("model.ssm", "chunk_size", 0, "unknown key model.ssm.chunk_size"),
             ("model", "stages", 4, "unknown key model.stages"),

@@ -1,4 +1,5 @@
-"""Whole-model gradient check: encoder -> backbone -> head -> loss in float64."""
+"""Whole-model checks: the float64 gradient check (encoder -> backbone -> head
+-> loss), float32 gradients staying float32, and train_toy's non-finite stop."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import rng
 from pillarmamba import tensor as T
 from pillarmamba.boxes import Box3D
 from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig
-from pillarmamba.model import build_model, loss_on_scene
+from pillarmamba.model import build_model, loss_on_scene, train_toy
 from pillarmamba.pillars import GridSpec, PointCloud
 
 GRID = GridSpec(x_range=(0.0, 1.6), y_range=(-0.8, 0.8), z_range=(-3.0, 1.0), pillar_size=0.2)  # 8x8
@@ -70,3 +71,28 @@ def test_directional_derivative_matches_central_difference(case):
     numeric = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
     assert abs(analytic) > 1e-3
     assert abs(analytic - numeric) <= 1e-7 * max(abs(analytic), abs(numeric))
+
+
+def _small_model(dtype):
+    model_cfg = ModelConfig(channels=4, hsb=HsbToggles(se_reduction=2), ssm=SsmConfig(state_dim=2))
+    return build_model(RunConfig(grid=GRID, model=model_cfg), seed=3, dtype=dtype)
+
+
+def test_float32_loss_and_gradients_stay_float32():
+    model = _small_model(np.float32)
+    with T.Tape() as tape:
+        total, _ = loss_on_scene(model, _cloud(), model.targets_for([BOX]))
+    tape.backward(total)
+    assert T.value(total).dtype == np.float32
+    assert [p.name for p in model.params() if tape.grad(p).dtype != np.float32] == []
+
+
+def test_train_toy_stops_on_non_finite_loss():
+    model = _small_model(np.float32)
+    params = model.params()
+    params[0].value.data[0, 0] = np.nan
+    before = [p.value.data.copy() for p in params]
+    with pytest.raises(FloatingPointError, match="step 0"):
+        train_toy(model, _cloud(), [BOX], steps=3, lr=0.02)
+    for p, b in zip(params, before):  # raised before the update
+        np.testing.assert_array_equal(p.value.data, b)
