@@ -26,8 +26,7 @@ STAGES = 4  # the pyramid contract enumerates F1..F4 plus the fused F5
 def stage_configs(cfg: ModelConfig) -> tuple[CsgConfig | None, HsbConfig]:
     """Per-stage block configs: the CSG (None for a plain HSB chain) and the HSB at the width it runs."""
     csg = CsgConfig(channels=cfg.channels, **vars(cfg.csg)) if cfg.csg.enabled else None
-    width = cfg.channels if csg is None else csg.branch_channels
-    return csg, HsbConfig(channels=width, **vars(cfg.hsb), **vars(cfg.ssm))
+    return csg, HsbConfig(channels=cfg.hsb_channels, **vars(cfg.hsb), **vars(cfg.ssm))
 
 
 @dataclass

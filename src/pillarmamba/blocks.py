@@ -27,17 +27,9 @@ Array = np.ndarray
 
 @dataclass(frozen=True, kw_only=True)
 class HsbConfig(HsbToggles, SsmConfig):
-    """The HSB toggles and scan settings resolved at one channel width."""
+    """The HSB toggles and scan settings resolved at one channel width; ``ModelConfig`` checks the widths."""
 
     channels: int
-
-    def __post_init__(self):
-        if self.channels % self.reduction_ratio != 0:
-            raise ConfigurationError(
-                f"channels {self.channels} not divisible by reduction_ratio {self.reduction_ratio}"
-            )
-        if self.dw_kernel % 2 != 1:
-            raise ConfigurationError(f"dw_kernel must be odd, got {self.dw_kernel}")
 
     @property
     def inner_channels(self) -> int:
@@ -46,16 +38,9 @@ class HsbConfig(HsbToggles, SsmConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class CsgConfig(CsgToggles):
-    """The cross-stage split resolved at one channel width."""
+    """The cross-stage split resolved at one channel width; ``ModelConfig`` checks the widths."""
 
     channels: int
-
-    def __post_init__(self):
-        split = self.channels * self.split_fraction
-        if abs(split - round(split)) > 1e-12 or not (0 < round(split) < self.channels):
-            raise ConfigurationError(
-                f"split_fraction {self.split_fraction} of {self.channels} channels is not a proper integer split"
-            )
 
     @property
     def branch_channels(self) -> int:

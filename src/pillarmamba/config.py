@@ -61,6 +61,37 @@ class ModelConfig:
     hsb: HsbToggles = field(default_factory=HsbToggles)
     ssm: SsmConfig = field(default_factory=SsmConfig)
 
+    def __post_init__(self):
+        # every block width follows from these, so a contradiction fails at load, not at build
+        for key, value in (
+            ("channels", self.channels),
+            ("hsb.reduction_ratio", self.hsb.reduction_ratio),
+            ("hsb.se_reduction", self.hsb.se_reduction),
+            ("ssm.state_dim", self.ssm.state_dim),
+            ("csg.hsb_layers", self.csg.hsb_layers),
+        ):
+            if value < 1:
+                raise ConfigurationError(f"model.{key}: must be at least 1, got {value}")
+        if self.hsb.dw_kernel < 1 or self.hsb.dw_kernel % 2 != 1:
+            raise ConfigurationError(f"model.hsb.dw_kernel: must be odd and positive, got {self.hsb.dw_kernel}")
+        if self.csg.enabled:
+            split = self.channels * self.csg.split_fraction
+            if abs(split - self.hsb_channels) > 1e-12 or not 0 < self.hsb_channels < self.channels:
+                raise ConfigurationError(
+                    f"model.csg.split_fraction: {self.csg.split_fraction} of model.channels {self.channels}"
+                    " is not a proper integer split"
+                )
+        if self.hsb_channels % self.hsb.reduction_ratio != 0:
+            width = f"model.channels {self.channels}"
+            if self.csg.enabled:
+                width = f"the CSG branch width {self.hsb_channels} ({width} x model.csg.split_fraction {self.csg.split_fraction})"
+            raise ConfigurationError(f"model.hsb.reduction_ratio: {self.hsb.reduction_ratio} does not divide {width}")
+
+    @property
+    def hsb_channels(self) -> int:
+        """The width the HSBs run at: the CSG branch when the split is on, else all channels."""
+        return round(self.channels * self.csg.split_fraction) if self.csg.enabled else self.channels
+
 
 @dataclass(frozen=True)
 class HeadConfig:

@@ -214,9 +214,6 @@ class DatasetManifest:
     entries: list[tuple[str, str]]
     split: str = "val"
 
-    def resolve(self, base: Path) -> list[tuple[Path, Path]]:
-        return [(base / c, base / l) for c, l in self.entries]
-
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
     payload = {

@@ -22,50 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 
 Array = np.ndarray
 
 ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
-
-
-# ---------------------------------------------------------------------------
-# parameter containers (single-channel, time-invariant contract types)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SsmParamsContinuous:
-    """Diagonal continuous parameters: a (M,), b (M,), c (M,), delta scalar or (T,)."""
-
-    a: Array
-    b: Array
-    c: Array
-    delta: Array
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
-        self.delta = np.asarray(self.delta, dtype=np.float64)
-        if np.any(self.a > 0):
-            raise ConfigurationError("continuous state matrix entries must be nonpositive")
-        if np.any(self.delta <= 0):
-            raise ConfigurationError(f"delta must be positive, got min {self.delta.min()}")
-
-
-@dataclass
-class SsmParamsDiscrete:
-    """Diagonal discrete parameters; time-invariant shapes (M,)."""
-
-    a_bar: Array
-    b_bar: Array
-    c_bar: Array
-
-    def __post_init__(self):
-        self.a_bar = np.asarray(self.a_bar, dtype=np.float64)
-        self.b_bar = np.asarray(self.b_bar, dtype=np.float64)
-        self.c_bar = np.asarray(self.c_bar, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +52,6 @@ def zoh_factors(a: Array, delta: Array) -> tuple[Array, Array]:
         exact = np.expm1(z) / safe_a
     scale = np.where(small, series, exact)
     return a_bar, scale
-
-
-def discretize_zoh(cont: SsmParamsContinuous) -> SsmParamsDiscrete:
-    """Zero-order-hold discretization of diagonal continuous parameters.
-
-    Per-step delta (T,) broadcasts against a (M,) to per-step (T, M) discrete
-    parameters; scalar delta keeps the time-invariant (M,) shapes.
-    """
-    if np.any(cont.delta <= 0):
-        raise ConfigurationError("delta must be positive")
-    delta = cont.delta if cont.delta.ndim == 0 else cont.delta[:, None]
-    a_bar, scale = zoh_factors(cont.a, delta)
-    return SsmParamsDiscrete(a_bar=a_bar, b_bar=scale * cont.b, c_bar=np.broadcast_to(cont.c, a_bar.shape).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +84,20 @@ def scan_recurrent_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) ->
     return y
 
 
-def scan_kernel(disc: SsmParamsDiscrete, t_len: int) -> Array:
-    """Causal convolution kernel K[k] = sum_i c_i * a_i^k * b_i, length T.
+def scan_kernel(a_bar: Array, b_bar: Array, c_bar: Array, t_len: int) -> Array:
+    """Causal convolution kernel K[k] = sum_i c_i * a_i^k * b_i, length T, from (M,) parameters.
 
     Time-invariant parameters only: per-step parameter arrays are rejected.
     """
-    if disc.a_bar.ndim != 1 or disc.b_bar.ndim != 1 or disc.c_bar.ndim != 1:
+    a_bar, b_bar, c_bar = (np.asarray(p, dtype=np.float64) for p in (a_bar, b_bar, c_bar))
+    if a_bar.ndim != 1 or b_bar.ndim != 1 or c_bar.ndim != 1:
         raise ContractViolation(
-            "scan_kernel requires time-invariant (M,) parameters; "
-            f"got shapes {disc.a_bar.shape}/{disc.b_bar.shape}/{disc.c_bar.shape}"
+            f"scan_kernel requires time-invariant (M,) parameters; got shapes {a_bar.shape}/{b_bar.shape}/{c_bar.shape}"
         )
-    powers = np.ones((t_len, disc.a_bar.shape[0]), dtype=np.float64)
+    powers = np.ones((t_len, a_bar.shape[0]), dtype=np.float64)
     if t_len > 1:
-        powers[1:] = np.cumprod(np.broadcast_to(disc.a_bar, (t_len - 1, disc.a_bar.shape[0])), axis=0)
-    return powers @ (disc.c_bar * disc.b_bar)
+        powers[1:] = np.cumprod(np.broadcast_to(a_bar, (t_len - 1, a_bar.shape[0])), axis=0)
+    return powers @ (c_bar * b_bar)
 
 
 def apply_conv_form(x: Array, kernel: Array) -> Array:

@@ -60,9 +60,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> Array:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
@@ -458,6 +455,24 @@ def scatter_rows(a, idx: Array, n_rows: int) -> Tensor:
     return out
 
 
+def _segment_reduce(ufunc, d: Array, starts: Array) -> Array:
+    """``ufunc.reduceat(d, starts, axis=0)`` for nonempty segments, one vectorized pass per within-segment rank.
+
+    Segments are visited longest first, so the ones still open at rank r
+    are a prefix; each row is combined in row order, as reduceat does.
+    """
+    counts = np.diff(starts, append=d.shape[0])
+    order = np.argsort(-counts, kind="stable")
+    first, counts = starts[order], counts[order]
+    acc = d[first]
+    for r in range(1, counts[0]):
+        k = np.count_nonzero(counts > r)
+        ufunc(acc[:k], d[first[:k] + r], out=acc[:k])
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
 def segment_max(a, starts: Array) -> Tensor:
     """Channelwise max over consecutive row segments of a 2-D (N, C) tensor -> (len(starts), C).
 
@@ -474,12 +489,12 @@ def segment_max(a, starts: Array) -> Tensor:
         raise ContractViolation("segment_max: starts must begin at 0")
     if (np.diff(starts) <= 0).any() or starts[-1] >= d.shape[0]:
         raise ContractViolation("segment_max: some segment is empty")
-    out = Tensor(np.maximum.reduceat(d, starts, axis=0))
+    out = Tensor(_segment_reduce(np.maximum, d, starts))
 
     def bwd(g):
         # first row of each segment equal to its max (or NaN, which maximum propagates)
         hit = (d == np.repeat(out.data, np.diff(starts, append=d.shape[0]), axis=0)) | np.isnan(d)
-        first = np.minimum.reduceat(np.where(hit, np.arange(d.shape[0])[:, None], d.shape[0]), starts, axis=0)
+        first = _segment_reduce(np.minimum, np.where(hit, np.arange(d.shape[0])[:, None], d.shape[0]), starts)
         gz = np.zeros_like(d)
         gz[first, np.arange(d.shape[1])] = g
         return (gz,)

@@ -16,7 +16,6 @@ from . import tensor as T
 from .blocks import CsgConfig, HsbConfig, csg_forward, hsb_forward, init_csg_params, init_hsb_params, init_se_params, se_attention
 from .cross_scan import init_ss2d_params, ss2d_block
 from .ssm import (
-    SsmParamsDiscrete,
     apply_conv_form,
     init_selective_projections,
     scan_kernel,
@@ -158,13 +157,11 @@ def run_conv_equivalence(n_seeds: int = 50, tol: float = SCAN_TOL) -> Equivalenc
         y_conv = np.empty_like(x)
         y_rec = np.empty_like(x)
         for ch in range(d):
-            disc = SsmParamsDiscrete(
-                a_bar=rng.uniform(-0.99, 0.99, m),
-                b_bar=rng.normal(size=m),
-                c_bar=rng.normal(size=m),
-            )
-            y_rec[:, ch] = scan_recurrent_arrays(disc.a_bar, disc.b_bar, disc.c_bar, x[:, ch])[:, 0]
-            y_conv[:, ch] = apply_conv_form(x[:, ch], scan_kernel(disc, t_len))
+            a_bar = rng.uniform(-0.99, 0.99, m)
+            b_bar = rng.normal(size=m)
+            c_bar = rng.normal(size=m)
+            y_rec[:, ch] = scan_recurrent_arrays(a_bar, b_bar, c_bar, x[:, ch])[:, 0]
+            y_conv[:, ch] = apply_conv_form(x[:, ch], scan_kernel(a_bar, b_bar, c_bar, t_len))
         worst = max(worst, float(np.abs(y_rec - y_conv).max()))
     return EquivalenceReport("recurrent-vs-conv", worst, worst <= tol)
 

@@ -19,6 +19,7 @@ from pillarmamba.blocks import (
     init_se_params,
     se_attention,
 )
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig
 from pillarmamba.errors import ConfigurationError, ContractViolation
 
 TOGGLE_ROWS = [  # the four ablation rows: none, LC, LC+Res, LC+Res+Attn
@@ -96,8 +97,9 @@ class TestHsb:
             hsb_forward(T.Tensor(np.zeros((6, 4, 4))), cfg, params)
 
     def test_indivisible_reduction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HsbConfig(channels=5, reduction_ratio=2)
+        # the width rule is the model section's: it fails at load, naming the key
+        with pytest.raises(ConfigurationError, match=r"model\.hsb\.reduction_ratio"):
+            ModelConfig(channels=5, csg=CsgToggles(enabled=False), hsb=HsbToggles(reduction_ratio=2))
 
     def test_attention_only_gates_trunk(self):
         cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2, local_conv=False, residual=False, attention=True)
@@ -141,8 +143,8 @@ class TestCsg:
             init_csg_params(rng(16), CsgConfig(channels=8), HsbConfig(channels=3, reduction_ratio=1), dtype=np.float64)
 
     def test_improper_split_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CsgConfig(channels=5, split_fraction=0.5)
+        with pytest.raises(ConfigurationError, match=r"model\.csg\.split_fraction"):
+            ModelConfig(channels=5, csg=CsgToggles(split_fraction=0.5))
 
     def test_shape_and_finiteness(self):
         cfg = CsgConfig(channels=8)

@@ -123,14 +123,26 @@ def test_pipeline_determinism_byte_identical(tiny_cfg_path, tmp_path):
 
 
 SUBCOMMANDS = ["gen", "forward", "gradcheck", "train-toy", "eval", "bench", "diagnose-scan"]
+# id -> (config written, None for no file; error type; text the message names, None for the file path)
+BAD_CONFIGS = {
+    "malformed": ({"grid": 3}, "ConfigurationError", "grid"),
+    "missing": (None, "FileNotFoundError", None),
+    # well-typed, but no model can be built from it: checked at load, before any command runs
+    "contradictory": (
+        {"grid": config_to_dict(default_config())["grid"], "model": {"channels": 6, "hsb": {"dw_kernel": 4}}},
+        "ConfigurationError",
+        "model.hsb.dw_kernel",
+    ),
+}
 
 
-@pytest.mark.parametrize("error_type", ["ConfigurationError", "FileNotFoundError"], ids=["malformed", "missing"])
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_bad_config_fails_every_subcommand(command, error_type, dataset, tmp_path, capsys):
+def test_bad_config_fails_every_subcommand(command, case, dataset, tmp_path, capsys):
+    raw, error_type, detail = BAD_CONFIGS[case]
     cfg_path = tmp_path / "cfg.json"
-    if error_type == "ConfigurationError":
-        cfg_path.write_text(json.dumps({"grid": 3}))
+    if raw is not None:
+        cfg_path.write_text(json.dumps(raw))
     dets = tmp_path / "dets"
     dets.mkdir()
     for i in range(2):
@@ -150,7 +162,7 @@ def test_bad_config_fails_every_subcommand(command, error_type, dataset, tmp_pat
     assert captured.out == ""  # no run report
     err = json.loads(captured.err.strip().splitlines()[-1])["error"]
     assert err["type"] == error_type
-    assert ("grid" if error_type == "ConfigurationError" else str(cfg_path)) in err["message"]
+    assert (detail or str(cfg_path)) in err["message"]
     assert not out.exists()
 
 

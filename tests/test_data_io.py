@@ -295,6 +295,15 @@ class TestConfig:
             ("model.encoder", "max_points_per_pillar", -1, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_pillars", 0, "model.encoder.max_pillars"),
             ("train", "steps", 0, "train.steps"),
+            ("model", "channels", 0, "model.channels"),
+            ("model.hsb", "reduction_ratio", 0, "model.hsb.reduction_ratio"),
+            ("model.hsb", "se_reduction", 0, "model.hsb.se_reduction"),
+            ("model.hsb", "dw_kernel", 4, "model.hsb.dw_kernel"),
+            ("model.hsb", "dw_kernel", -1, "model.hsb.dw_kernel"),
+            ("model.ssm", "state_dim", 0, "model.ssm.state_dim"),
+            ("model.csg", "hsb_layers", 0, "model.csg.hsb_layers"),
+            ("model.csg", "split_fraction", 0.3, "model.csg.split_fraction"),
+            ("model", "channels", 6, "model.hsb.reduction_ratio"),
         ],
         ids=[
             "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
@@ -302,6 +311,8 @@ class TestConfig:
             "background-negative", "iou-unknown-class", "classes-subset", "classes-order",
             "removed-engine", "removed-chunk-size", "removed-stages", "removed-zoh-exact", "removed-activation",
             "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero", "train-steps-zero",
+            "channels-zero", "reduction-ratio-zero", "se-reduction-zero", "dw-kernel-even", "dw-kernel-negative",
+            "state-dim-zero", "hsb-layers-zero", "split-improper", "branch-indivisible",
         ],
     )
     def test_bad_value_rejected_at_load_with_path(self, section, key, value, path):

@@ -1,13 +1,17 @@
 """Whole-model checks: the float64 gradient check (encoder -> backbone -> head
--> loss), float32 gradients staying float32, and train_toy's non-finite stop."""
+-> loss), float32 gradients staying float32, train_toy's non-finite stop, and
+model sections that load only when they build and run."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rng
 from pillarmamba import tensor as T
 from pillarmamba.boxes import Box3D
-from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, config_from_dict
+from pillarmamba.errors import ConfigurationError
 from pillarmamba.model import build_model, loss_on_scene, train_toy
 from pillarmamba.pillars import GridSpec, PointCloud
 
@@ -96,3 +100,38 @@ def test_train_toy_stops_on_non_finite_loss():
         train_toy(model, _cloud(), [BOX], steps=3, lr=0.02)
     for p, b in zip(params, before):  # raised before the update
         np.testing.assert_array_equal(p.value.data, b)
+
+
+@settings(max_examples=40)
+@given(
+    channels=st.integers(0, 8),
+    csg_enabled=st.booleans(),
+    split_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    reduction_ratio=st.integers(0, 2),
+    se_reduction=st.integers(0, 2),
+    dw_kernel=st.integers(0, 5),
+    state_dim=st.integers(0, 2),
+    hsb_layers=st.integers(0, 2),
+)
+# sections that must load, so every run builds some models: CSG at width 2, a plain chain at reduction 1
+@example(4, True, 0.5, 2, 2, 3, 2, 1)
+@example(3, False, 0.5, 1, 1, 5, 1, 2)
+def test_model_section_loads_only_if_it_builds_and_runs(
+    channels, csg_enabled, split_fraction, reduction_ratio, se_reduction, dw_kernel, state_dim, hsb_layers
+):
+    raw = {
+        "grid": {"x_range": [0.0, 1.6], "y_range": [-0.8, 0.8], "z_range": [-3.0, 1.0], "pillar_size": 0.2},
+        "model": {
+            "channels": channels,
+            "csg": {"enabled": csg_enabled, "split_fraction": split_fraction, "hsb_layers": hsb_layers},
+            "hsb": {"reduction_ratio": reduction_ratio, "se_reduction": se_reduction, "dw_kernel": dw_kernel},
+            "ssm": {"state_dim": state_dim},
+        },
+    }
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigurationError:
+        return
+    maps = build_model(cfg, seed=0).forward_cloud(_cloud())
+    assert T.value(maps.heatmap).shape[1:] == (8, 8)
+    assert np.isfinite(T.value(maps.heatmap)).all() and np.isfinite(T.value(maps.regression)).all()

@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import rng
 from pillarmamba import tensor as T
-from pillarmamba.errors import ConfigurationError, ContractViolation
+from pillarmamba.errors import ContractViolation
 from pillarmamba.ssm import (
-    SsmParamsContinuous,
-    SsmParamsDiscrete,
     ZOH_SERIES_SWITCH,
     apply_conv_form,
     associative_scan,
-    discretize_zoh,
     init_selective_projections,
     scan_kernel,
     scan_parallel_arrays,
@@ -33,21 +30,22 @@ from pillarmamba.ssm import (
 
 class TestZoh:
     def test_zero_decay_limit(self):
-        disc = discretize_zoh(SsmParamsContinuous(a=[0.0], b=[2.0], c=[1.0], delta=0.5))
-        assert disc.a_bar[0] == pytest.approx(1.0, abs=1e-15)
-        assert disc.b_bar[0] == pytest.approx(1.0, abs=1e-15)  # delta * b
+        a_bar, scale = zoh_factors([0.0], 0.5)
+        assert a_bar[0] == pytest.approx(1.0, abs=1e-15)
+        assert scale[0] * 2.0 == pytest.approx(1.0, abs=1e-15)  # b_bar = delta * b
 
     def test_scalar_closed_form(self):
-        disc = discretize_zoh(SsmParamsContinuous(a=[-1.0], b=[2.0], c=[1.0], delta=0.5))
-        assert disc.a_bar[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
-        assert disc.b_bar[0] == pytest.approx((1.0 - math.exp(-0.5)) * 2.0, abs=1e-9)
-        assert disc.b_bar[0] == pytest.approx(0.78693868, abs=1e-8)
+        a_bar, scale = zoh_factors([-1.0], 0.5)
+        b_bar = scale[0] * 2.0
+        assert a_bar[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert b_bar == pytest.approx((1.0 - math.exp(-0.5)) * 2.0, abs=1e-9)
+        assert b_bar == pytest.approx(0.78693868, abs=1e-8)
 
     def test_small_delta_first_order(self):
         delta = 1e-8
-        disc = discretize_zoh(SsmParamsContinuous(a=[-1.0], b=[2.0], c=[1.0], delta=delta))
-        assert abs(disc.a_bar[0] - (1.0 + delta * -1.0)) <= 1e-10
-        assert abs(disc.b_bar[0] - delta * 2.0) <= 1e-10
+        a_bar, scale = zoh_factors([-1.0], delta)
+        assert abs(a_bar[0] - (1.0 + delta * -1.0)) <= 1e-10
+        assert abs(scale[0] * 2.0 - delta * 2.0) <= 1e-10
 
     def test_series_branch_matches_exact_at_switchover(self):
         # both branches evaluated at |delta*a| == 1e-6 agree to well under 1e-9
@@ -68,20 +66,10 @@ class TestZoh:
         exact_scale = np.expm1(delta * a[0]) / a[0]
         assert abs(series_scale - exact_scale) <= 1e-9
 
-    def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ConfigurationError):
-            discretize_zoh(SsmParamsContinuous(a=[-1.0], b=[1.0], c=[1.0], delta=0.0))
-        with pytest.raises(ConfigurationError):
-            SsmParamsContinuous(a=[-1.0], b=[1.0], c=[1.0], delta=-0.1)
-
-    def test_positive_a_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SsmParamsContinuous(a=[0.5], b=[1.0], c=[1.0], delta=0.1)
-
     def test_per_step_delta_shapes(self):
-        disc = discretize_zoh(SsmParamsContinuous(a=[-1.0, -2.0], b=[1.0, 1.0], c=[1.0, 1.0], delta=[0.1, 0.2, 0.3]))
-        assert disc.a_bar.shape == (3, 2)
-        assert np.all(np.abs(disc.a_bar) < 1.0)  # stability with a < 0, delta > 0
+        a_bar, scale = zoh_factors([-1.0, -2.0], np.array([0.1, 0.2, 0.3])[:, None])
+        assert a_bar.shape == scale.shape == (3, 2)
+        assert np.all(np.abs(a_bar) < 1.0)  # stability with a < 0, delta > 0
 
 
 class TestScanForms:
@@ -99,41 +87,34 @@ class TestScanForms:
         np.testing.assert_allclose(y, 1.4 * x)
 
     def test_kernel_values(self):
-        disc = SsmParamsDiscrete(a_bar=[0.5], b_bar=[1.0], c_bar=[1.0])
-        np.testing.assert_allclose(scan_kernel(disc, 3), [1.0, 0.5, 0.25])
+        np.testing.assert_allclose(scan_kernel([0.5], [1.0], [1.0], 3), [1.0, 0.5, 0.25])
 
     def test_kernel_matches_recurrent(self):
-        disc = SsmParamsDiscrete(a_bar=[0.5], b_bar=[1.0], c_bar=[1.0])
         x = np.array([1.0, 1.0, 1.0])
-        y = apply_conv_form(x, scan_kernel(disc, 3))
+        y = apply_conv_form(x, scan_kernel([0.5], [1.0], [1.0], 3))
         np.testing.assert_allclose(y, [1.0, 1.5, 1.75])
 
     def test_kernel_zero_b(self):
-        disc = SsmParamsDiscrete(a_bar=[0.5, 0.2], b_bar=[0.0, 0.0], c_bar=[1.0, 3.0])
-        kernel = scan_kernel(disc, 4)
+        kernel = scan_kernel([0.5, 0.2], [0.0, 0.0], [1.0, 3.0], 4)
         np.testing.assert_array_equal(kernel, 0.0)
         np.testing.assert_array_equal(apply_conv_form(rng(1).normal(size=4), kernel), 0.0)
 
     def test_single_step(self):
-        disc = SsmParamsDiscrete(a_bar=[0.9], b_bar=[0.5], c_bar=[3.0])
-        y = apply_conv_form(np.array([2.0]), scan_kernel(disc, 1))
+        y = apply_conv_form(np.array([2.0]), scan_kernel([0.9], [0.5], [3.0], 1))
         assert y[0] == pytest.approx(3.0 * 0.5 * 2.0)
 
     def test_kernel_rejects_per_step_params(self):
-        disc = SsmParamsDiscrete(a_bar=np.zeros((4, 2)), b_bar=np.zeros((4, 2)), c_bar=np.zeros((4, 2)))
         with pytest.raises(ContractViolation):
-            scan_kernel(disc, 4)
+            scan_kernel(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)), 4)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_equals_recurrent_random(self, seed):
         r = rng(seed)
         m, t_len = int(r.integers(1, 9)), int(r.integers(1, 65))
-        disc = SsmParamsDiscrete(
-            a_bar=r.uniform(-0.99, 0.99, m), b_bar=r.normal(size=m), c_bar=r.normal(size=m)
-        )
+        a_bar, b_bar, c_bar = r.uniform(-0.99, 0.99, m), r.normal(size=m), r.normal(size=m)
         x = r.normal(size=t_len)
-        y_rec = scan_recurrent_arrays(disc.a_bar, disc.b_bar, disc.c_bar, x)[:, 0]
-        y_conv = apply_conv_form(x, scan_kernel(disc, t_len))
+        y_rec = scan_recurrent_arrays(a_bar, b_bar, c_bar, x)[:, 0]
+        y_conv = apply_conv_form(x, scan_kernel(a_bar, b_bar, c_bar, t_len))
         assert np.abs(y_rec - y_conv).max() <= 1e-6
 
 
@@ -228,13 +209,12 @@ class TestStability:
     def test_bounded_outputs(self, seed):
         r = rng(seed)
         m = int(r.integers(1, 6))
-        cont = SsmParamsContinuous(
-            a=-r.uniform(0.1, 3.0, m), b=r.normal(size=m), c=r.normal(size=m), delta=float(r.uniform(0.05, 1.0))
-        )
-        disc = discretize_zoh(cont)
+        a, b, c, delta = -r.uniform(0.1, 3.0, m), r.normal(size=m), r.normal(size=m), float(r.uniform(0.05, 1.0))
+        a_bar, scale = zoh_factors(a, delta)
+        b_bar = scale * b
         x = r.uniform(-1.0, 1.0, 200)
-        y = scan_recurrent_arrays(disc.a_bar, disc.b_bar, disc.c_bar, x)[:, 0]
-        bound = np.abs(x).max() * np.sum(np.abs(disc.c_bar) * np.abs(disc.b_bar) / (1.0 - np.abs(disc.a_bar)))
+        y = scan_recurrent_arrays(a_bar, b_bar, c, x)[:, 0]
+        bound = np.abs(x).max() * np.sum(np.abs(c) * np.abs(b_bar) / (1.0 - np.abs(a_bar)))
         assert np.abs(y).max() <= bound + 1e-9
 
 
