@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import CsgConfig, CsgParams, HsbConfig, HsbParams, csg_forward, hsb_forward, init_csg_params, init_hsb_params
+from .blocks import CsgParams, HsbParams, csg_forward, hsb_forward, init_csg_params, init_hsb_params
 from .config import ModelConfig
 from .errors import ConfigurationError
 
@@ -23,21 +23,9 @@ Array = np.ndarray
 STAGES = 4  # the pyramid contract enumerates F1..F4 plus the fused F5
 
 
-def stage_configs(cfg: ModelConfig) -> tuple[CsgConfig | None, HsbConfig]:
-    """Per-stage block configs: the CSG (None for a plain HSB chain) and the HSB at the width it runs."""
-    csg = CsgConfig(channels=cfg.channels, **vars(cfg.csg)) if cfg.csg.enabled else None
-    return csg, HsbConfig(channels=cfg.hsb_channels, **vars(cfg.hsb), **vars(cfg.ssm))
-
-
-@dataclass
-class StageParams:
-    csg: CsgParams | None
-    plain: tuple[HsbParams, ...] | None
-
-
 @dataclass
 class BackboneParams:
-    stages: tuple[StageParams, ...]
+    stages: tuple[CsgParams | tuple[HsbParams, ...], ...]  # a CSG, or a plain HSB chain when the split is off
     down_convs: tuple[tuple[T.Param, T.Param], ...]  # stride-2 3x3 between stages
     lateral_f3: tuple[T.Param, T.Param]  # 1x1 after x2 upsample of F3
     lateral_f4: tuple[T.Param, T.Param]  # 1x1 after x4 upsample of F4
@@ -63,16 +51,14 @@ def validate_grid_for_backbone(x_cells: int, y_cells: int) -> None:
 
 def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "backbone") -> BackboneParams:
     c = cfg.channels
-    csg_cfg, hsb_cfg = stage_configs(cfg)
     stages = []
     for i in range(STAGES):
-        if csg_cfg is not None:
-            stages.append(StageParams(csg=init_csg_params(rng, csg_cfg, hsb_cfg, dtype, name=f"{name}.stage{i}.csg"), plain=None))
+        if cfg.csg.enabled:
+            stages.append(init_csg_params(rng, cfg, dtype, name=f"{name}.stage{i}.csg"))
         else:
-            plain = tuple(
-                init_hsb_params(rng, hsb_cfg, dtype, name=f"{name}.stage{i}.hsb{j}") for j in range(cfg.csg.hsb_layers)
+            stages.append(
+                tuple(init_hsb_params(rng, cfg, dtype, name=f"{name}.stage{i}.hsb{j}") for j in range(cfg.csg.hsb_layers))
             )
-            stages.append(StageParams(csg=None, plain=plain))
     down_convs = tuple(
         T.conv_param(rng, f"{name}.down{i}", c, c, 3, dtype) for i in range(STAGES - 1)
     )
@@ -86,11 +72,11 @@ def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.fl
     )
 
 
-def _stage_forward(x, csg_cfg: CsgConfig | None, hsb_cfg: HsbConfig, stage: StageParams):
-    if stage.csg is not None:
-        return csg_forward(x, csg_cfg, hsb_cfg, stage.csg)
-    for hsb_params in stage.plain:
-        x = hsb_forward(x, hsb_cfg, hsb_params)
+def _stage_forward(x, cfg: ModelConfig, stage: CsgParams | tuple[HsbParams, ...]):
+    if cfg.csg.enabled:
+        return csg_forward(x, cfg, stage)
+    for hsb_params in stage:
+        x = hsb_forward(x, cfg, hsb_params)
     return x
 
 
@@ -99,15 +85,14 @@ def backbone_forward(f0, cfg: ModelConfig, params: BackboneParams) -> FeaturePyr
     t0 = T.as_tensor(f0)
     _, x_cells, y_cells = t0.shape
     validate_grid_for_backbone(x_cells, y_cells)
-    csg_cfg, hsb_cfg = stage_configs(cfg)
 
-    f1 = _stage_forward(t0, csg_cfg, hsb_cfg, params.stages[0])
+    f1 = _stage_forward(t0, cfg, params.stages[0])
     levels = [f1]
     x = f1
     for i in range(1, STAGES):
         w, b = params.down_convs[i - 1]
         x = T.conv2d(x, w, b, stride=2, padding=1)
-        x = _stage_forward(x, csg_cfg, hsb_cfg, params.stages[i])
+        x = _stage_forward(x, cfg, params.stages[i])
         levels.append(x)
     f1, f2, f3, f4 = levels
 

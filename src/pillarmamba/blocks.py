@@ -8,6 +8,10 @@ CSG: 1x1 channel mix, split in half, run the HSB chain on one half only,
 concatenate, 1x1 channel mix back; the bypass half is what buys the
 compute saving.
 
+Both read the ``model`` config section (``ModelConfig``) directly, whose
+load-time rules fix every width: the HSB runs at ``hsb_channels`` (the CSG
+branch when the split is on) and its trunk at ``hsb_inner_channels``.
+
 Also provides analytic multiply-accumulate counts for the supported blocks.
 """
 
@@ -18,33 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import CsgToggles, HsbToggles, SsmConfig
+from .config import ModelConfig
 from .cross_scan import DIRECTIONS, Ss2dParams, init_ss2d_params, ss2d_block
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True, kw_only=True)
-class HsbConfig(HsbToggles, SsmConfig):
-    """The HSB toggles and scan settings resolved at one channel width; ``ModelConfig`` checks the widths."""
-
-    channels: int
-
-    @property
-    def inner_channels(self) -> int:
-        return self.channels // self.reduction_ratio
-
-
-@dataclass(frozen=True, kw_only=True)
-class CsgConfig(CsgToggles):
-    """The cross-stage split resolved at one channel width; ``ModelConfig`` checks the widths."""
-
-    channels: int
-
-    @property
-    def branch_channels(self) -> int:
-        return round(self.channels * self.split_fraction)
 
 
 @dataclass
@@ -102,26 +84,26 @@ def se_attention(f_up, se: SeParams) -> T.Tensor:
     return T.reshape(gates, (-1,))
 
 
-def init_hsb_params(rng: np.random.Generator, cfg: HsbConfig, dtype=np.float32, name: str = "hsb") -> HsbParams:
-    c, ci, k = cfg.channels, cfg.inner_channels, cfg.dw_kernel
+def init_hsb_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "hsb") -> HsbParams:
+    c, ci, k = cfg.hsb_channels, cfg.hsb_inner_channels, cfg.hsb.dw_kernel
     down_w, down_b = T.conv_param(rng, f"{name}.conv_down", ci, c, 1, dtype)
     up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, ci, 1, dtype)
     mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}")
     norm_lc_gamma = norm_lc_beta = dw_inner_w = dw_inner_b = None
-    if cfg.local_conv:
+    if cfg.hsb.local_conv:
         norm_lc_gamma = mk(np.ones(ci), "norm_lc.gamma")
         norm_lc_beta = mk(np.zeros(ci), "norm_lc.beta")
         dw_inner_w, dw_inner_b = T.conv_param(rng, f"{name}.dw_inner", ci, 1, k, dtype)
     dw_outer_w = dw_outer_b = None
-    if cfg.residual:
+    if cfg.hsb.residual:
         dw_outer_w, dw_outer_b = T.conv_param(rng, f"{name}.dw_outer", c, 1, k, dtype)
-    se = init_se_params(rng, c, cfg.se_reduction, dtype, name=f"{name}.se") if cfg.attention else None
+    se = init_se_params(rng, c, cfg.hsb.se_reduction, dtype, name=f"{name}.se") if cfg.hsb.attention else None
     return HsbParams(
         conv_down_w=down_w,
         conv_down_b=down_b,
         norm_ss_gamma=mk(np.ones(ci), "norm_ss.gamma"),
         norm_ss_beta=mk(np.zeros(ci), "norm_ss.beta"),
-        ss2d=init_ss2d_params(rng, ci, cfg.state_dim, dtype=dtype, name=f"{name}.ss2d"),
+        ss2d=init_ss2d_params(rng, ci, cfg.ssm.state_dim, dtype=dtype, name=f"{name}.ss2d"),
         norm_lc_gamma=norm_lc_gamma,
         norm_lc_beta=norm_lc_beta,
         dw_inner_w=dw_inner_w,
@@ -134,8 +116,8 @@ def init_hsb_params(rng: np.random.Generator, cfg: HsbConfig, dtype=np.float32, 
     )
 
 
-def hsb_forward(f, cfg: HsbConfig, params: HsbParams) -> T.Tensor:
-    """Shape-preserving hybrid block on a (C, X, Y) map.
+def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
+    """Shape-preserving hybrid block on a (``cfg.hsb_channels``, X, Y) map.
 
     Channel-reduced trunk: pre-norm selective scan residual, then (if enabled)
     a pre-norm depthwise-conv residual, then channel expansion. The output
@@ -143,66 +125,55 @@ def hsb_forward(f, cfg: HsbConfig, params: HsbParams) -> T.Tensor:
     block input, gated by squeeze-excite channel attention when enabled.
     """
     tf = T.as_tensor(f)
-    if tf.shape[0] != cfg.channels:
-        raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
-    pad = cfg.dw_kernel // 2
+    c, hsb = cfg.hsb_channels, cfg.hsb
+    if tf.shape[0] != c:
+        raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {c}")
+    pad = hsb.dw_kernel // 2
     f_down = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
     scanned = ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d)
     f_down = T.add(scanned, f_down)
-    if cfg.local_conv:
+    if hsb.local_conv:
         local = T.conv2d(
             T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta),
             params.dw_inner_w,
             params.dw_inner_b,
             padding=pad,
-            groups=cfg.inner_channels,
+            groups=cfg.hsb_inner_channels,
         )
         f_down = T.add(local, f_down)
     f_up = T.conv2d(f_down, params.conv_up_w, params.conv_up_b)
 
-    if cfg.residual:
-        dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad, groups=cfg.channels)
-        if cfg.attention:
-            gates = T.reshape(se_attention(f_up, params.se), (cfg.channels, 1, 1))
+    if hsb.residual:
+        dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad, groups=c)
+        if hsb.attention:
+            gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
             gated = T.mul(gates, dw_f)
-            return T.add(f_up, gated) if cfg.attention_alt_residual else gated
+            return T.add(f_up, gated) if hsb.attention_alt_residual else gated
         return T.add(f_up, dw_f)
-    if cfg.attention:
+    if hsb.attention:
         # attention without the residual path: gate the expanded trunk itself
-        gates = T.reshape(se_attention(f_up, params.se), (cfg.channels, 1, 1))
+        gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
         return T.mul(gates, f_up)
     return f_up
 
 
-def init_csg_params(
-    rng: np.random.Generator,
-    cfg: CsgConfig,
-    hsb_cfg: HsbConfig,
-    dtype=np.float32,
-    name: str = "csg",
-) -> CsgParams:
-    if hsb_cfg.channels != cfg.branch_channels:
-        raise ConfigurationError(
-            f"HSB channels {hsb_cfg.channels} must equal the CSG branch width {cfg.branch_channels}"
-        )
+def init_csg_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "csg") -> CsgParams:
     c = cfg.channels
     down_w, down_b = T.conv_param(rng, f"{name}.conv_down", c, c, 1, dtype)
     up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, c, 1, dtype)
-    hsbs = tuple(
-        init_hsb_params(rng, hsb_cfg, dtype=dtype, name=f"{name}.hsb{i}") for i in range(cfg.hsb_layers)
-    )
+    hsbs = tuple(init_hsb_params(rng, cfg, dtype=dtype, name=f"{name}.hsb{i}") for i in range(cfg.csg.hsb_layers))
     return CsgParams(conv_down_w=down_w, conv_down_b=down_b, hsbs=hsbs, conv_up_w=up_w, conv_up_b=up_b)
 
 
-def csg_forward(f, cfg: CsgConfig, hsb_cfg: HsbConfig, params: CsgParams) -> T.Tensor:
+def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
     """Split-channel group: HSB chain on one half, identity bypass on the other."""
     tf = T.as_tensor(f)
     if tf.shape[0] != cfg.channels:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
     mixed = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
-    branch, bypass = T.split(mixed, [cfg.branch_channels, cfg.channels - cfg.branch_channels], axis=0)
+    branch, bypass = T.split(mixed, [cfg.hsb_channels, cfg.channels - cfg.hsb_channels], axis=0)
     for hsb_params in params.hsbs:
-        branch = hsb_forward(branch, hsb_cfg, hsb_params)
+        branch = hsb_forward(branch, cfg, hsb_params)
     merged = T.concat([branch, bypass], axis=0)
     return T.conv2d(merged, params.conv_up_w, params.conv_up_b)
 
@@ -236,29 +207,26 @@ def flops_ss2d(channels: int, state_dim: int, x_cells: int, y_cells: int) -> int
     return total
 
 
-def flops_hsb(cfg: HsbConfig, x_cells: int, y_cells: int) -> int:
-    c, ci, k = cfg.channels, cfg.inner_channels, cfg.dw_kernel
-    t = x_cells * y_cells
+def flops_hsb(cfg: ModelConfig, x_cells: int, y_cells: int) -> int:
+    c, ci, hsb = cfg.hsb_channels, cfg.hsb_inner_channels, cfg.hsb
+    k, t = hsb.dw_kernel, x_cells * y_cells
     total = flops_conv2d(ci, c, 1, x_cells, y_cells)  # conv_down
     total += 2 * t * ci  # pre-scan norm
-    total += flops_ss2d(ci, cfg.state_dim, x_cells, y_cells)
-    if cfg.local_conv:
+    total += flops_ss2d(ci, cfg.ssm.state_dim, x_cells, y_cells)
+    if hsb.local_conv:
         total += 2 * t * ci + flops_conv2d(ci, ci, k, x_cells, y_cells, groups=ci)
     total += flops_conv2d(c, ci, 1, x_cells, y_cells)  # conv_up
-    if cfg.residual:
+    if hsb.residual:
         total += flops_conv2d(c, c, k, x_cells, y_cells, groups=c)
-    if cfg.attention:
-        hidden = max(1, c // cfg.se_reduction)
+    if hsb.attention:
+        hidden = max(1, c // hsb.se_reduction)
         total += t * c + c * hidden * 2 + t * c  # GAP + gate MLP + gating mul
     return total
 
 
-def flops_csg(cfg: CsgConfig, hsb_cfg: HsbConfig, x_cells: int, y_cells: int) -> int:
-    total = 2 * flops_conv2d(cfg.channels, cfg.channels, 1, x_cells, y_cells)
-    total += cfg.hsb_layers * flops_hsb(hsb_cfg, x_cells, y_cells)
+def flops_stage(cfg: ModelConfig, x_cells: int, y_cells: int) -> int:
+    """One backbone stage: the HSB chain, plus the CSG's two 1x1 channel mixes when the split is on."""
+    total = cfg.csg.hsb_layers * flops_hsb(cfg, x_cells, y_cells)
+    if cfg.csg.enabled:
+        total += 2 * flops_conv2d(cfg.channels, cfg.channels, 1, x_cells, y_cells)
     return total
-
-
-def flops_plain_stack(hsb_cfg: HsbConfig, layers: int, x_cells: int, y_cells: int) -> int:
-    """The no-split alternative: the same HSB chain applied to all channels."""
-    return layers * flops_hsb(hsb_cfg, x_cells, y_cells)

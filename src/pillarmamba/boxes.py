@@ -52,6 +52,10 @@ class Box3D:
     def z_interval(self) -> tuple[float, float]:
         return (self.z - self.h / 2.0, self.z + self.h / 2.0)
 
+    @property
+    def volume(self) -> float:
+        return self.l * self.w * self.h
+
 
 @dataclass
 class Detection:

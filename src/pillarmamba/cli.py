@@ -23,14 +23,13 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .backbone import stage_configs
-from .blocks import flops_csg, flops_plain_stack
+from .blocks import flops_stage
 from .boxes import CLASS_IDS, Box3D, Detection
 from .config import RunConfig, config_digest, default_config, load_config
 from .cross_scan import scan_diagnostics
 from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, read_json, write_dataset
 from .errors import FormatError
-from .metrics import interpolated_ap, pr_curve_for_class
+from .metrics import MIN_VOLUME, interpolated_ap, pr_curve_for_class
 from .model import build_model, load_weights, save_weights, train_toy
 from .pillars import BevMap
 from .verify import run_grad_suite
@@ -159,7 +158,11 @@ def cmd_eval(args, cfg: RunConfig) -> dict:
     out_path = Path(args.out) if args.out else dets_dir / "metrics.json"
     _dump_json(out_path, metrics)
     summary = {name: per_class[name]["ap_r40"] for name in per_class}
-    return {"outputs": [str(out_path)], "metrics": {"ap_r40": summary, "mean_ap_r40": metrics["mean_ap_r40"]}}
+    degenerate = sum(d.box.volume < MIN_VOLUME for dets in dets_per_scene for d in dets)
+    return {
+        "outputs": [str(out_path)],
+        "metrics": {"ap_r40": summary, "mean_ap_r40": metrics["mean_ap_r40"], "degenerate_detections": degenerate},
+    }
 
 
 def _digest_array(arr: np.ndarray) -> str:
@@ -183,11 +186,6 @@ def cmd_bench(args, cfg: RunConfig) -> dict:
             digests.add(_digest_array(T.value(pyr.f5)))
         if len(digests) != 1:
             raise RuntimeError("bench altered outputs across repeats for backbone")
-        csg_cfg, hsb_cfg = stage_configs(variant_cfg.model)
-        if csg_cfg is not None:
-            stage_flops = flops_csg(csg_cfg, hsb_cfg, x_cells, y_cells)
-        else:
-            stage_flops = flops_plain_stack(hsb_cfg, cfg.model.csg.hsb_layers, x_cells, y_cells)
         rows.append(
             {
                 "section": "backbone",
@@ -195,7 +193,7 @@ def cmd_bench(args, cfg: RunConfig) -> dict:
                 "repeat": args.repeat,
                 "best_s": min(times),
                 "mean_s": float(np.mean(times)),
-                "stage1_mac_count": stage_flops,
+                "stage1_mac_count": flops_stage(variant_cfg.model, x_cells, y_cells),
                 "output_digest": digests.pop(),
             }
         )

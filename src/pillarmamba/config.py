@@ -92,6 +92,11 @@ class ModelConfig:
         """The width the HSBs run at: the CSG branch when the split is on, else all channels."""
         return round(self.channels * self.csg.split_fraction) if self.csg.enabled else self.channels
 
+    @property
+    def hsb_inner_channels(self) -> int:
+        """The HSB trunk width, between its 1x1 reduce and expand convs."""
+        return self.hsb_channels // self.hsb.reduction_ratio
+
 
 @dataclass(frozen=True)
 class HeadConfig:

@@ -9,7 +9,6 @@ sampled at 40 evenly spaced recall positions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,7 @@ from .boxes import Box3D, Detection
 Array = np.ndarray
 
 N_RECALL_POSITIONS = 40
-
-degenerate_box_counter = Counter()  # module-level warning counter
+MIN_VOLUME = 1e-12  # rotated_iou_3d scores a box with less volume 0 against every box
 
 
 def _clip_polygon(subject: Array, clip: Array) -> Array:
@@ -70,7 +68,6 @@ def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     area_a = a.l * a.w
     area_b = b.l * b.w
     if area_a < 1e-12 or area_b < 1e-12:
-        degenerate_box_counter["zero_area_bev"] += 1
         return 0.0
     inter = rotated_intersection_area(a, b)
     union = area_a + area_b - inter
@@ -79,10 +76,8 @@ def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
 
 def rotated_iou_3d(a: Box3D, b: Box3D) -> float:
     """Exact 3D IoU for yaw-only boxes: BEV intersection area x z overlap."""
-    vol_a = a.l * a.w * a.h
-    vol_b = b.l * b.w * b.h
-    if vol_a < 1e-12 or vol_b < 1e-12:
-        degenerate_box_counter["zero_volume"] += 1
+    vol_a, vol_b = a.volume, b.volume
+    if vol_a < MIN_VOLUME or vol_b < MIN_VOLUME:
         return 0.0
     z_lo = max(a.z_interval[0], b.z_interval[0])
     z_hi = min(a.z_interval[1], b.z_interval[1])

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import CsgConfig, HsbConfig, csg_forward, hsb_forward, init_csg_params, init_hsb_params, init_se_params, se_attention
+from .blocks import csg_forward, hsb_forward, init_csg_params, init_hsb_params, init_se_params, se_attention
+from .config import CsgToggles, HsbToggles, ModelConfig, SsmConfig
 from .cross_scan import init_ss2d_params, ss2d_block
 from .ssm import (
     apply_conv_form,
@@ -91,7 +92,12 @@ def check_hsb(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
     toggles = [(True, True, True), (True, True, False), (True, False, False), (False, False, False)]
     lc, res, attn = toggles[seed % len(toggles)]
-    cfg = HsbConfig(channels=4, local_conv=lc, residual=res, attention=attn, state_dim=2, se_reduction=2)
+    cfg = ModelConfig(
+        channels=4,
+        csg=CsgToggles(enabled=False),
+        hsb=HsbToggles(local_conv=lc, residual=res, attention=attn, se_reduction=2),
+        ssm=SsmConfig(state_dim=2),
+    )
     params = init_hsb_params(rng, cfg, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
     inputs = [x] + T.collect_params(params)
@@ -101,12 +107,11 @@ def check_hsb(seed: int) -> T.GradCheckReport:
 
 def check_csg(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
-    cfg = CsgConfig(channels=4, hsb_layers=1)
-    hsb_cfg = HsbConfig(channels=2, state_dim=2, se_reduction=2)
-    params = init_csg_params(rng, cfg, hsb_cfg, dtype=np.float64)
+    cfg = ModelConfig(channels=4, csg=CsgToggles(hsb_layers=1), hsb=HsbToggles(se_reduction=2), ssm=SsmConfig(state_dim=2))
+    params = init_csg_params(rng, cfg, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
     inputs = [x] + T.collect_params(params)
-    fn = lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, hsb_cfg, params))
+    fn = lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, params))
     return T.grad_check(fn, inputs, name=f"csg[seed={seed}]")
 
 

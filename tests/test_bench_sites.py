@@ -1,9 +1,11 @@
-"""The benchmark's traced layer sites must exist in the package.
+"""The benchmark's traced layer sites must exist in the package and be called.
 
 ``perfbench/spans.py`` wraps public functions by module and attribute name.
 Entering its ``installed`` context resolves every site first, so a rename in
 the package fails here, in the unit tests, and not only in a traced
-benchmark run. The file is loaded by path and never modified.
+benchmark run. A tiny inference and training step must also call every site
+its workload requires, so a call that bypasses a module attribute fails here
+too. The file is loaded by path and never modified.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import numpy as np
 
 from pillarmamba.config import desk_grid
 from pillarmamba.pillars import PointCloud
+from test_model import BOX, _cloud, _small_model
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -59,3 +62,19 @@ def test_voxelize_counters_read_the_pillar_set():
     assert tracer.counters["pillars.points_kept"] == len(result.points) == 3
     assert tracer.counters["pillars.dropped_over_capacity"] == 2
     assert tracer.counters["pillars.dropped_out_of_range"] == 1
+
+
+def test_traced_workloads_call_every_required_site():
+    # the benchmark's calls on the C=4 model and 8x8 grid of the whole-model checks; a site that a
+    # refactor stops calling through its module attribute fails the coverage check here
+    spans = _load_spans()
+    metrics_mod = importlib.import_module("pillarmamba.metrics")
+    model_mod = importlib.import_module("pillarmamba.model")
+    model = _small_model(np.float32)
+    with spans.installed(spans.Tracer()) as tracer:
+        dets = model.detect(_cloud())
+        metrics_mod.ap_r40([dets], [[BOX]], {BOX.cls: 0.5}, iou_fn=metrics_mod.rotated_iou_3d)
+    spans.check_coverage(tracer, "infer_desk64")
+    with spans.installed(spans.Tracer()) as tracer:
+        model_mod.train_toy(model, _cloud(), [BOX], steps=1, lr=0.02)
+    spans.check_coverage(tracer, "train_desk64")

@@ -6,20 +6,18 @@ import pytest
 from conftest import rng
 from pillarmamba import tensor as T
 from pillarmamba.blocks import (
-    CsgConfig,
-    HsbConfig,
     csg_forward,
     flops_conv2d,
-    flops_csg,
     flops_hsb,
-    flops_plain_stack,
+    flops_ss2d,
+    flops_stage,
     hsb_forward,
     init_csg_params,
     init_hsb_params,
     init_se_params,
     se_attention,
 )
-from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, SsmConfig
 from pillarmamba.errors import ConfigurationError, ContractViolation
 
 TOGGLE_ROWS = [  # the four ablation rows: none, LC, LC+Res, LC+Res+Attn
@@ -28,6 +26,17 @@ TOGGLE_ROWS = [  # the four ablation rows: none, LC, LC+Res, LC+Res+Attn
     dict(local_conv=True, residual=True, attention=False),
     dict(local_conv=True, residual=True, attention=True),
 ]
+
+
+def model_cfg(channels: int, csg: bool = False, hsb_layers: int = 2, state_dim: int = 2, **hsb) -> ModelConfig:
+    """A small model section: CSG off unless asked for, SE reduction 2 unless given."""
+    hsb.setdefault("se_reduction", 2)
+    return ModelConfig(
+        channels=channels,
+        csg=CsgToggles(enabled=csg, hsb_layers=hsb_layers),
+        hsb=HsbToggles(**hsb),
+        ssm=SsmConfig(state_dim=state_dim),
+    )
 
 
 class TestSeAttention:
@@ -59,21 +68,21 @@ class TestSeAttention:
 class TestHsb:
     @pytest.mark.parametrize("toggles", TOGGLE_ROWS)
     def test_zero_propagation(self, toggles):
-        cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2, **toggles)
+        cfg = model_cfg(4, **toggles)
         params = init_hsb_params(rng(3), cfg, dtype=np.float64)
         out = hsb_forward(T.Tensor(np.zeros((4, 5, 5))), cfg, params)
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     @pytest.mark.parametrize("toggles", TOGGLE_ROWS)
     def test_shape_contract(self, toggles):
-        cfg = HsbConfig(channels=16, state_dim=2, **toggles)
+        cfg = model_cfg(16, se_reduction=4, **toggles)
         params = init_hsb_params(rng(4), cfg, dtype=np.float64)
         out = hsb_forward(T.Tensor(rng(5).normal(size=(16, 8, 8))), cfg, params)
         assert T.value(out).shape == (16, 8, 8)
         assert np.isfinite(T.value(out)).all()
 
     def test_unit_gates_reduce_to_depthwise_conv(self):
-        cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2)
+        cfg = model_cfg(4)
         params = init_hsb_params(rng(6), cfg, dtype=np.float64)
         params.se.b2.value.data[...] = 1000.0  # sigmoid saturates to exactly 1.0
         x = T.Tensor(rng(7).normal(size=(4, 6, 6)))
@@ -82,8 +91,8 @@ class TestHsb:
         np.testing.assert_array_equal(out, dw)
 
     def test_attention_alt_residual_adds_trunk(self):
-        cfg_lit = HsbConfig(channels=4, state_dim=2, se_reduction=2)
-        cfg_alt = HsbConfig(channels=4, state_dim=2, se_reduction=2, attention_alt_residual=True)
+        cfg_lit = model_cfg(4)
+        cfg_alt = model_cfg(4, attention_alt_residual=True)
         params = init_hsb_params(rng(8), cfg_lit, dtype=np.float64)
         x = T.Tensor(rng(9).normal(size=(4, 4, 4)))
         literal = T.value(hsb_forward(x, cfg_lit, params))
@@ -91,7 +100,7 @@ class TestHsb:
         assert np.abs(literal - alt).max() > 1e-6  # alt adds the expanded trunk
 
     def test_channel_mismatch_rejected(self):
-        cfg = HsbConfig(channels=4, state_dim=2)
+        cfg = model_cfg(4, se_reduction=4)
         params = init_hsb_params(rng(10), cfg, dtype=np.float64)
         with pytest.raises(ContractViolation):
             hsb_forward(T.Tensor(np.zeros((6, 4, 4))), cfg, params)
@@ -102,21 +111,21 @@ class TestHsb:
             ModelConfig(channels=5, csg=CsgToggles(enabled=False), hsb=HsbToggles(reduction_ratio=2))
 
     def test_attention_only_gates_trunk(self):
-        cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2, local_conv=False, residual=False, attention=True)
+        cfg = model_cfg(4, local_conv=False, residual=False, attention=True)
         params = init_hsb_params(rng(11), cfg, dtype=np.float64)
         assert params.dw_outer_w is None and params.se is not None
         out = hsb_forward(T.Tensor(rng(12).normal(size=(4, 4, 4))), cfg, params)
         assert T.value(out).shape == (4, 4, 4)
 
     def test_toggles_control_parameter_creation(self):
-        bare = init_hsb_params(rng(13), HsbConfig(channels=4, state_dim=2, local_conv=False, residual=False, attention=False), dtype=np.float64)
+        bare = init_hsb_params(rng(13), model_cfg(4, se_reduction=4, local_conv=False, residual=False, attention=False), dtype=np.float64)
         assert bare.se is None and bare.dw_outer_w is None and bare.dw_inner_w is None
-        full = init_hsb_params(rng(13), HsbConfig(channels=4, state_dim=2, se_reduction=2), dtype=np.float64)
+        full = init_hsb_params(rng(13), model_cfg(4), dtype=np.float64)
         assert full.se is not None and full.dw_outer_w is not None and full.dw_inner_w is not None
 
     @pytest.mark.parametrize("row", range(4))
     def test_gradients(self, row):
-        cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2, **TOGGLE_ROWS[row])
+        cfg = model_cfg(4, **TOGGLE_ROWS[row])
         params = init_hsb_params(rng(row), cfg, dtype=np.float64)
         x = T.Tensor(rng(row + 50).normal(size=(4, 3, 3)))
         rep = T.grad_check(lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params)), [x] + T.collect_params(params))
@@ -125,40 +134,32 @@ class TestHsb:
 
 class TestCsg:
     def test_zero_propagation(self):
-        cfg = CsgConfig(channels=8, hsb_layers=2)
-        hsb_cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2)
-        params = init_csg_params(rng(14), cfg, hsb_cfg, dtype=np.float64)
-        out = csg_forward(T.Tensor(np.zeros((8, 4, 4))), cfg, hsb_cfg, params)
+        cfg = model_cfg(8, csg=True)
+        params = init_csg_params(rng(14), cfg, dtype=np.float64)
+        out = csg_forward(T.Tensor(np.zeros((8, 4, 4))), cfg, params)
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     def test_branch_width_configuration(self):
-        cfg = CsgConfig(channels=64)
-        assert cfg.branch_channels == 32
-        hsb_cfg = HsbConfig(channels=32, state_dim=2)
-        params = init_csg_params(rng(15), cfg, hsb_cfg, dtype=np.float64)
+        cfg = model_cfg(64, csg=True, se_reduction=4)
+        assert (cfg.hsb_channels, cfg.hsb_inner_channels) == (32, 16)
+        params = init_csg_params(rng(15), cfg, dtype=np.float64)
         assert T.value(params.hsbs[0].conv_down_w).shape == (16, 32, 1, 1)
-
-    def test_branch_channel_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            init_csg_params(rng(16), CsgConfig(channels=8), HsbConfig(channels=3, reduction_ratio=1), dtype=np.float64)
 
     def test_improper_split_rejected(self):
         with pytest.raises(ConfigurationError, match=r"model\.csg\.split_fraction"):
             ModelConfig(channels=5, csg=CsgToggles(split_fraction=0.5))
 
     def test_shape_and_finiteness(self):
-        cfg = CsgConfig(channels=8)
-        hsb_cfg = HsbConfig(channels=4, state_dim=2, se_reduction=2)
-        params = init_csg_params(rng(17), cfg, hsb_cfg, dtype=np.float64)
-        out = T.value(csg_forward(T.Tensor(rng(18).normal(size=(8, 6, 6))), cfg, hsb_cfg, params))
+        cfg = model_cfg(8, csg=True)
+        params = init_csg_params(rng(17), cfg, dtype=np.float64)
+        out = T.value(csg_forward(T.Tensor(rng(18).normal(size=(8, 6, 6))), cfg, params))
         assert out.shape == (8, 6, 6) and np.isfinite(out).all()
 
     def test_gradients(self):
-        cfg = CsgConfig(channels=4, hsb_layers=1)
-        hsb_cfg = HsbConfig(channels=2, state_dim=2, se_reduction=2)
-        params = init_csg_params(rng(19), cfg, hsb_cfg, dtype=np.float64)
+        cfg = model_cfg(4, csg=True, hsb_layers=1)
+        params = init_csg_params(rng(19), cfg, dtype=np.float64)
         x = T.Tensor(rng(20).normal(size=(4, 3, 3)))
-        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, hsb_cfg, params)), [x] + T.collect_params(params))
+        rep = T.grad_check(lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, params)), [x] + T.collect_params(params))
         assert rep.passed, rep
 
 
@@ -168,36 +169,31 @@ class TestFlops:
 
     def test_area_linearity(self):
         # every conv/scan term is per-site; only the SE gate MLP is constant
-        hsb_no_attn = HsbConfig(channels=16, state_dim=8, attention=False)
-        csg = CsgConfig(channels=32)
-        branch_no_attn = HsbConfig(channels=16, state_dim=8, attention=False)
-        from pillarmamba.blocks import flops_ss2d
+        hsb_no_attn = model_cfg(16, state_dim=8, attention=False)
+        csg_no_attn = model_cfg(32, csg=True, state_dim=8, attention=False)
 
         for fn in (
             lambda x, y: flops_conv2d(8, 8, 3, x, y),
             lambda x, y: flops_ss2d(8, 4, x, y),
             lambda x, y: flops_hsb(hsb_no_attn, x, y),
-            lambda x, y: flops_csg(csg, branch_no_attn, x, y),
+            lambda x, y: flops_stage(hsb_no_attn, x, y),
+            lambda x, y: flops_stage(csg_no_attn, x, y),
         ):
             assert fn(16, 32) == 2 * fn(16, 16)
             assert fn(32, 32) == 4 * fn(16, 16)
         # with attention the constant gate MLP cost is the only deviation
-        hsb = HsbConfig(channels=16, state_dim=8)
-        gate_mlp = 2 * 16 * (16 // hsb.se_reduction)
-        assert flops_hsb(hsb, 16, 32) == 2 * flops_hsb(hsb, 16, 16) - gate_mlp
+        with_attn = model_cfg(16, state_dim=8, se_reduction=4)
+        gate_mlp = 2 * 16 * (16 // 4)
+        assert flops_hsb(with_attn, 16, 32) == 2 * flops_hsb(with_attn, 16, 16) - gate_mlp
 
     @pytest.mark.parametrize("channels", [4, 8, 16, 32, 64, 128])
     def test_split_always_cheaper(self, channels):
-        layers = 2
-        csg = CsgConfig(channels=channels, hsb_layers=layers)
-        branch_cfg = HsbConfig(channels=csg.branch_channels, state_dim=8)
-        full_cfg = HsbConfig(channels=channels, state_dim=8)
-        split_cost = flops_csg(csg, branch_cfg, 64, 64)
-        plain_cost = flops_plain_stack(full_cfg, layers, 64, 64)
+        split_cost = flops_stage(model_cfg(channels, csg=True, state_dim=8, se_reduction=4), 64, 64)
+        plain_cost = flops_stage(model_cfg(channels, state_dim=8, se_reduction=4), 64, 64)
         assert split_cost < plain_cost
 
     def test_csg_example_c64(self):
-        csg = CsgConfig(channels=64, hsb_layers=2)
-        branch = HsbConfig(channels=32, state_dim=8)
-        full = HsbConfig(channels=64, state_dim=8)
-        assert flops_csg(csg, branch, 64, 64) < flops_plain_stack(full, 2, 64, 64)
+        # the default model section at the 64x64 desk grid: the stage1_mac_count values `bench` writes
+        split_cost = flops_stage(ModelConfig(), 64, 64)
+        plain_cost = flops_stage(ModelConfig(csg=CsgToggles(enabled=False)), 64, 64)
+        assert (split_cost, plain_cost) == (89_392_128, 153_620_480)

@@ -288,6 +288,20 @@ def test_eval_malformed_dets_is_runtime_error(dataset, tiny_cfg_path, tmp_path, 
     assert "dets_0000.json entry 1" in err["error"]["message"] and detail in err["error"]["message"]
 
 
+def test_eval_reports_degenerate_detections(dataset, tiny_cfg_path, tmp_path, capsys):
+    good = {"class": "vehicle", "center": [1.0, 2.0, -2.0], "size": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.5}
+    speck = {**good, "size": [1e-5, 1e-5, 1e-5], "score": 0.4}  # volume 1e-15: IoU 0 against every box
+    (tmp_path / "dets_0000.json").write_text(json.dumps({"scene": "scene_0000", "detections": [good, speck]}))
+    (tmp_path / "dets_0001.json").write_text(json.dumps({"scene": "scene_0001", "detections": [good]}))
+    rc = cli.main(
+        ["eval", "--config", tiny_cfg_path, "--dets", str(tmp_path), "--manifest", str(dataset / "manifest.json")]
+    )
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["metrics"]["degenerate_detections"] == 1
+    assert "degenerate_detections" not in json.loads((tmp_path / "metrics.json").read_text())
+
+
 @pytest.mark.parametrize("site", ["manifest", "labels", "dets", "occupancy"])
 def test_malformed_json_input_is_format_error(dataset, tiny_cfg_path, tmp_path, capsys, site):
     # every JSON input file the CLI reads reports a decode error with the file and line

@@ -13,7 +13,6 @@ from pillarmamba.errors import ContractViolation
 from pillarmamba.metrics import (
     PrCurve,
     ap_r40,
-    degenerate_box_counter,
     match_scene,
     rotated_iou_3d,
     rotated_iou_bev,
@@ -111,10 +110,10 @@ class TestRotatedIou:
         assert rotated_iou_3d(box(z=0.0, h=1.0), box(z=5.0, h=1.0)) == 0.0
 
     def test_near_degenerate_counted(self):
-        degenerate_box_counter.clear()
+        # eval counts such detections in its run report; the IoU itself is 0
         thin = box(l=1e-7, w=1e-7)
         assert rotated_iou_bev(thin, box()) == 0.0
-        assert degenerate_box_counter["zero_area_bev"] == 1
+        assert rotated_iou_3d(thin, box()) == 0.0
 
     def test_nonpositive_dims_rejected_at_construction(self):
         with pytest.raises(ContractViolation):
