@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import CsgParams, HsbParams, csg_forward, hsb_forward, init_csg_params, init_hsb_params
+from .blocks import CsgParams, HsbParams, csg_forward, hsb_chain, init_csg_params, init_hsb_params
 from .config import ModelConfig
 from .errors import ConfigurationError
 
@@ -75,9 +75,7 @@ def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.fl
 def _stage_forward(x, cfg: ModelConfig, stage: CsgParams | tuple[HsbParams, ...]):
     if cfg.csg.enabled:
         return csg_forward(x, cfg, stage)
-    for hsb_params in stage:
-        x = hsb_forward(x, cfg, hsb_params)
-    return x
+    return hsb_chain(x, cfg, stage)
 
 
 def backbone_forward(f0, cfg: ModelConfig, params: BackboneParams) -> FeaturePyramid:

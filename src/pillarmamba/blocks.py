@@ -1,8 +1,8 @@
 """Hybrid state-space block (HSB) and cross-stage state-space group (CSG).
 
 HSB: channel-reduced four-direction selective scan with pre-norm residual,
-optional local depthwise convolution, and optional residual channel
-attention gating a depthwise convolution of the block input.
+a pre-norm local depthwise convolution, and residual channel attention
+gating a depthwise convolution of the block input.
 
 CSG: 1x1 channel mix, split in half, run the HSB chain on one half only,
 concatenate, 1x1 channel mix back; the bypass half is what buys the
@@ -10,7 +10,7 @@ compute saving.
 
 Both read the ``model`` config section (``ModelConfig``) directly, whose
 load-time rules fix every width: the HSB runs at ``hsb_channels`` (the CSG
-branch when the split is on) and its trunk at ``hsb_inner_channels``.
+half when the split is on) and its trunk at ``hsb_inner_channels``.
 
 Also provides analytic multiply-accumulate counts for the supported blocks.
 """
@@ -44,15 +44,15 @@ class HsbParams:
     norm_ss_gamma: T.Param
     norm_ss_beta: T.Param
     ss2d: Ss2dParams
-    norm_lc_gamma: T.Param | None
-    norm_lc_beta: T.Param | None
-    dw_inner_w: T.Param | None
-    dw_inner_b: T.Param | None
+    norm_lc_gamma: T.Param
+    norm_lc_beta: T.Param
+    dw_inner_w: T.Param
+    dw_inner_b: T.Param
     conv_up_w: T.Param
     conv_up_b: T.Param
-    dw_outer_w: T.Param | None
-    dw_outer_b: T.Param | None
-    se: SeParams | None
+    dw_outer_w: T.Param
+    dw_outer_b: T.Param
+    se: SeParams
 
 
 @dataclass
@@ -89,23 +89,17 @@ def init_hsb_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32
     down_w, down_b = T.conv_param(rng, f"{name}.conv_down", ci, c, 1, dtype)
     up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, ci, 1, dtype)
     mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}")
-    norm_lc_gamma = norm_lc_beta = dw_inner_w = dw_inner_b = None
-    if cfg.hsb.local_conv:
-        norm_lc_gamma = mk(np.ones(ci), "norm_lc.gamma")
-        norm_lc_beta = mk(np.zeros(ci), "norm_lc.beta")
-        dw_inner_w, dw_inner_b = T.conv_param(rng, f"{name}.dw_inner", ci, 1, k, dtype)
-    dw_outer_w = dw_outer_b = None
-    if cfg.hsb.residual:
-        dw_outer_w, dw_outer_b = T.conv_param(rng, f"{name}.dw_outer", c, 1, k, dtype)
-    se = init_se_params(rng, c, cfg.hsb.se_reduction, dtype, name=f"{name}.se") if cfg.hsb.attention else None
+    dw_inner_w, dw_inner_b = T.conv_param(rng, f"{name}.dw_inner", ci, 1, k, dtype)
+    dw_outer_w, dw_outer_b = T.conv_param(rng, f"{name}.dw_outer", c, 1, k, dtype)
+    se = init_se_params(rng, c, cfg.hsb.se_reduction, dtype, name=f"{name}.se")
     return HsbParams(
         conv_down_w=down_w,
         conv_down_b=down_b,
         norm_ss_gamma=mk(np.ones(ci), "norm_ss.gamma"),
         norm_ss_beta=mk(np.zeros(ci), "norm_ss.beta"),
         ss2d=init_ss2d_params(rng, ci, cfg.ssm.state_dim, dtype=dtype, name=f"{name}.ss2d"),
-        norm_lc_gamma=norm_lc_gamma,
-        norm_lc_beta=norm_lc_beta,
+        norm_lc_gamma=mk(np.ones(ci), "norm_lc.gamma"),
+        norm_lc_beta=mk(np.zeros(ci), "norm_lc.beta"),
         dw_inner_w=dw_inner_w,
         dw_inner_b=dw_inner_b,
         conv_up_w=up_w,
@@ -119,10 +113,11 @@ def init_hsb_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32
 def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
     """Shape-preserving hybrid block on a (``cfg.hsb_channels``, X, Y) map.
 
-    Channel-reduced trunk: pre-norm selective scan residual, then (if enabled)
-    a pre-norm depthwise-conv residual, then channel expansion. The output
-    stage combines the expanded trunk with a depthwise convolution of the
-    block input, gated by squeeze-excite channel attention when enabled.
+    Channel-reduced trunk: pre-norm selective scan residual, then a pre-norm
+    depthwise-conv residual, then channel expansion. The output is a
+    depthwise convolution of the block input gated by squeeze-excite channel
+    attention on the expanded trunk; ``attention_alt_residual`` adds the
+    expanded trunk to it.
     """
     tf = T.as_tensor(f)
     c, hsb = cfg.hsb_channels, cfg.hsb
@@ -132,29 +127,27 @@ def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
     f_down = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
     scanned = ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d)
     f_down = T.add(scanned, f_down)
-    if hsb.local_conv:
-        local = T.conv2d(
-            T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta),
-            params.dw_inner_w,
-            params.dw_inner_b,
-            padding=pad,
-            groups=cfg.hsb_inner_channels,
-        )
-        f_down = T.add(local, f_down)
+    local = T.conv2d(
+        T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta),
+        params.dw_inner_w,
+        params.dw_inner_b,
+        padding=pad,
+        groups=cfg.hsb_inner_channels,
+    )
+    f_down = T.add(local, f_down)
     f_up = T.conv2d(f_down, params.conv_up_w, params.conv_up_b)
 
-    if hsb.residual:
-        dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad, groups=c)
-        if hsb.attention:
-            gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
-            gated = T.mul(gates, dw_f)
-            return T.add(f_up, gated) if hsb.attention_alt_residual else gated
-        return T.add(f_up, dw_f)
-    if hsb.attention:
-        # attention without the residual path: gate the expanded trunk itself
-        gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
-        return T.mul(gates, f_up)
-    return f_up
+    dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad, groups=c)
+    gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
+    gated = T.mul(gates, dw_f)
+    return T.add(f_up, gated) if hsb.attention_alt_residual else gated
+
+
+def hsb_chain(f, cfg: ModelConfig, hsbs: tuple[HsbParams, ...]) -> T.Tensor:
+    """The HSBs in order: a CSG's branch, or a whole stage when the split is off."""
+    for hsb_params in hsbs:
+        f = hsb_forward(f, cfg, hsb_params)
+    return f
 
 
 def init_csg_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "csg") -> CsgParams:
@@ -171,10 +164,8 @@ def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
     if tf.shape[0] != cfg.channels:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
     mixed = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
-    branch, bypass = T.split(mixed, [cfg.hsb_channels, cfg.channels - cfg.hsb_channels], axis=0)
-    for hsb_params in params.hsbs:
-        branch = hsb_forward(branch, cfg, hsb_params)
-    merged = T.concat([branch, bypass], axis=0)
+    branch, bypass = T.split(mixed, [cfg.hsb_channels] * 2, axis=0)
+    merged = T.concat([hsb_chain(branch, cfg, params.hsbs), bypass], axis=0)
     return T.conv2d(merged, params.conv_up_w, params.conv_up_b)
 
 
@@ -210,17 +201,14 @@ def flops_ss2d(channels: int, state_dim: int, x_cells: int, y_cells: int) -> int
 def flops_hsb(cfg: ModelConfig, x_cells: int, y_cells: int) -> int:
     c, ci, hsb = cfg.hsb_channels, cfg.hsb_inner_channels, cfg.hsb
     k, t = hsb.dw_kernel, x_cells * y_cells
+    hidden = max(1, c // hsb.se_reduction)
     total = flops_conv2d(ci, c, 1, x_cells, y_cells)  # conv_down
     total += 2 * t * ci  # pre-scan norm
     total += flops_ss2d(ci, cfg.ssm.state_dim, x_cells, y_cells)
-    if hsb.local_conv:
-        total += 2 * t * ci + flops_conv2d(ci, ci, k, x_cells, y_cells, groups=ci)
+    total += 2 * t * ci + flops_conv2d(ci, ci, k, x_cells, y_cells, groups=ci)  # local conv norm + dw_inner
     total += flops_conv2d(c, ci, 1, x_cells, y_cells)  # conv_up
-    if hsb.residual:
-        total += flops_conv2d(c, c, k, x_cells, y_cells, groups=c)
-    if hsb.attention:
-        hidden = max(1, c // hsb.se_reduction)
-        total += t * c + c * hidden * 2 + t * c  # GAP + gate MLP + gating mul
+    total += flops_conv2d(c, c, k, x_cells, y_cells, groups=c)  # dw_outer
+    total += t * c + c * hidden * 2 + t * c  # GAP + gate MLP + gating mul
     return total
 
 

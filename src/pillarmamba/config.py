@@ -39,9 +39,6 @@ class SsmConfig:
 class HsbToggles:
     reduction_ratio: int = 2
     dw_kernel: int = 3
-    local_conv: bool = True
-    residual: bool = True
-    attention: bool = True
     attention_alt_residual: bool = False  # non-default: F_up + gates*DWConv(F)
     se_reduction: int = 4
 
@@ -50,7 +47,6 @@ class HsbToggles:
 class CsgToggles:
     enabled: bool = True
     hsb_layers: int = 2
-    split_fraction: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -74,23 +70,18 @@ class ModelConfig:
                 raise ConfigurationError(f"model.{key}: must be at least 1, got {value}")
         if self.hsb.dw_kernel < 1 or self.hsb.dw_kernel % 2 != 1:
             raise ConfigurationError(f"model.hsb.dw_kernel: must be odd and positive, got {self.hsb.dw_kernel}")
-        if self.csg.enabled:
-            split = self.channels * self.csg.split_fraction
-            if abs(split - self.hsb_channels) > 1e-12 or not 0 < self.hsb_channels < self.channels:
-                raise ConfigurationError(
-                    f"model.csg.split_fraction: {self.csg.split_fraction} of model.channels {self.channels}"
-                    " is not a proper integer split"
-                )
+        if self.csg.enabled and self.channels % 2 != 0:
+            raise ConfigurationError(f"model.channels: the CSG splits it in half, so it must be even, got {self.channels}")
         if self.hsb_channels % self.hsb.reduction_ratio != 0:
             width = f"model.channels {self.channels}"
             if self.csg.enabled:
-                width = f"the CSG branch width {self.hsb_channels} ({width} x model.csg.split_fraction {self.csg.split_fraction})"
+                width = f"the CSG branch width {self.hsb_channels} (half of {width})"
             raise ConfigurationError(f"model.hsb.reduction_ratio: {self.hsb.reduction_ratio} does not divide {width}")
 
     @property
     def hsb_channels(self) -> int:
-        """The width the HSBs run at: the CSG branch when the split is on, else all channels."""
-        return round(self.channels * self.csg.split_fraction) if self.csg.enabled else self.channels
+        """The width the HSBs run at: the CSG branch (half the channels) when the split is on, else all channels."""
+        return self.channels // 2 if self.csg.enabled else self.channels
 
     @property
     def hsb_inner_channels(self) -> int:

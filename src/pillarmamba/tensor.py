@@ -99,9 +99,8 @@ def collect_params(tree) -> list[Param]:
     """Every Param in a tree of parameter dataclasses, tuples and dicts.
 
     Dataclass fields come in declaration order, tuple items in order and dict
-    values in insertion order; None (a component a toggle left out) is
-    skipped. This order is the weights-file order, the trainer's update order
-    and the gradient-check input order.
+    values in insertion order. This order is the weights-file order, the
+    trainer's update order and the gradient-check input order.
     """
     out: list[Param] = []
     _collect(tree, out)
@@ -111,8 +110,6 @@ def collect_params(tree) -> list[Param]:
 def _collect(node, out: list[Param]) -> None:
     if isinstance(node, Param):
         out.append(node)
-    elif node is None:
-        pass
     elif is_dataclass(node):
         for f in fields(node):
             _collect(getattr(node, f.name), out)
@@ -121,7 +118,7 @@ def _collect(node, out: list[Param]) -> None:
             _collect(item, out)
     else:
         raise ContractViolation(
-            f"parameter tree holds a {type(node).__name__}; expected a Param, dataclass, tuple, dict or None"
+            f"parameter tree holds a {type(node).__name__}; expected a Param, dataclass, tuple or dict"
         )
 
 

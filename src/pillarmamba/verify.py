@@ -90,19 +90,18 @@ def check_ss2d_block(seed: int) -> T.GradCheckReport:
 
 def check_hsb(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
-    toggles = [(True, True, True), (True, True, False), (True, False, False), (False, False, False)]
-    lc, res, attn = toggles[seed % len(toggles)]
+    alt = seed % 2 == 1  # both output forms: the gated residual alone, and the trunk added to it
     cfg = ModelConfig(
         channels=4,
         csg=CsgToggles(enabled=False),
-        hsb=HsbToggles(local_conv=lc, residual=res, attention=attn, se_reduction=2),
+        hsb=HsbToggles(attention_alt_residual=alt, se_reduction=2),
         ssm=SsmConfig(state_dim=2),
     )
     params = init_hsb_params(rng, cfg, dtype=np.float64)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
     inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params))
-    return T.grad_check(fn, inputs, name=f"hsb[seed={seed},lc={lc},res={res},attn={attn}]")
+    return T.grad_check(fn, inputs, name=f"hsb[seed={seed},alt={alt}]")
 
 
 def check_csg(seed: int) -> T.GradCheckReport:

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from pillarmamba.config import desk_grid
+from pillarmamba.backbone import STAGES
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, desk_grid
+from pillarmamba.model import build_model
 from pillarmamba.pillars import PointCloud
-from test_model import BOX, _cloud, _small_model
+from test_model import BOX, GRID, _cloud, _small_model
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -78,3 +80,16 @@ def test_traced_workloads_call_every_required_site():
     with spans.installed(spans.Tracer()) as tracer:
         model_mod.train_toy(model, _cloud(), [BOX], steps=1, lr=0.02)
     spans.check_coverage(tracer, "train_desk64")
+
+
+def test_plain_hsb_chain_calls_the_traced_hsb_site():
+    # with the CSG split off, each stage is a bare HSB chain; its HSBs must still reach the
+    # blocks.hsb span through the module attribute the tracer wraps
+    spans = _load_spans()
+    model_cfg = ModelConfig(
+        channels=4, csg=CsgToggles(enabled=False), hsb=HsbToggles(se_reduction=2), ssm=SsmConfig(state_dim=2)
+    )
+    model = build_model(RunConfig(grid=GRID, model=model_cfg), seed=3)
+    with spans.installed(spans.Tracer()) as tracer:
+        model.detect(_cloud())
+    assert tracer.calls["pillarmamba.blocks.hsb_forward"] == STAGES * model_cfg.csg.hsb_layers

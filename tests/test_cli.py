@@ -449,3 +449,9 @@ def test_readme_cli_examples_parse():
     for argv in lines:
         parser.parse_args(argv[1:])  # exits 2 on a flag the CLI no longer has
     assert {argv[1] for argv in lines} == set(SUBCOMMANDS)
+
+
+def test_readme_config_defaults_match_the_dataclasses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    assert json.loads(block) == config_to_dict(default_config())

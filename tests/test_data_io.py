@@ -207,16 +207,8 @@ NON_DEFAULT_CONFIG = {
     "model": {
         "channels": 32,
         "encoder": {"max_points_per_pillar": 16, "max_pillars": 9000},
-        "csg": {"enabled": False, "hsb_layers": 3, "split_fraction": 0.25},
-        "hsb": {
-            "reduction_ratio": 4,
-            "dw_kernel": 5,
-            "local_conv": False,
-            "residual": False,
-            "attention": False,
-            "attention_alt_residual": True,
-            "se_reduction": 8,
-        },
+        "csg": {"enabled": False, "hsb_layers": 3},
+        "hsb": {"reduction_ratio": 4, "dw_kernel": 5, "attention_alt_residual": True, "se_reduction": 8},
         "ssm": {"state_dim": 4},
     },
     "head": {"top_k": 50, "score_threshold": 0.3, "reg_weight": 2.0, "gaussian_min_overlap": 0.5},
@@ -291,6 +283,10 @@ class TestConfig:
             ("model", "stages", 4, "unknown key model.stages"),
             ("model.ssm", "zoh_exact", True, "unknown key model.ssm.zoh_exact"),
             ("model.encoder", "activation", "relu", "unknown key model.encoder.activation"),
+            ("model.hsb", "local_conv", True, "unknown key model.hsb.local_conv"),
+            ("model.hsb", "residual", True, "unknown key model.hsb.residual"),
+            ("model.hsb", "attention", True, "unknown key model.hsb.attention"),
+            ("model.csg", "split_fraction", 0.5, "unknown key model.csg.split_fraction"),
             ("model.encoder", "max_points_per_pillar", 0, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_points_per_pillar", -1, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_pillars", 0, "model.encoder.max_pillars"),
@@ -302,7 +298,7 @@ class TestConfig:
             ("model.hsb", "dw_kernel", -1, "model.hsb.dw_kernel"),
             ("model.ssm", "state_dim", 0, "model.ssm.state_dim"),
             ("model.csg", "hsb_layers", 0, "model.csg.hsb_layers"),
-            ("model.csg", "split_fraction", 0.3, "model.csg.split_fraction"),
+            ("model", "channels", 5, "model.channels"),
             ("model", "channels", 6, "model.hsb.reduction_ratio"),
         ],
         ids=[
@@ -310,6 +306,7 @@ class TestConfig:
             "count-unknown-class", "prior-missing-for-counted", "prior-nonpositive", "points-per-box-zero",
             "background-negative", "iou-unknown-class", "classes-subset", "classes-order",
             "removed-engine", "removed-chunk-size", "removed-stages", "removed-zoh-exact", "removed-activation",
+            "removed-local-conv", "removed-residual", "removed-attention", "removed-split-fraction",
             "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero", "train-steps-zero",
             "channels-zero", "reduction-ratio-zero", "se-reduction-zero", "dw-kernel-even", "dw-kernel-negative",
             "state-dim-zero", "hsb-layers-zero", "split-improper", "branch-indivisible",
@@ -351,19 +348,6 @@ class TestConfig:
             load_config(path)
         assert "line" in str(err.value)
 
-    def test_attention_toggle_controls_se_params(self):
-        raw = config_to_dict(default_config())
-        raw["model"]["channels"] = 16
-        raw["model"]["ssm"]["state_dim"] = 2
-        raw["model"]["hsb"]["attention"] = False
-        cfg = config_from_dict(raw)
-        model = build_model(cfg, seed=0)
-        names = [name for name, _ in model.named_params()]
-        assert not any(".se." in n for n in names)
-        raw["model"]["hsb"]["attention"] = True
-        model_attn = build_model(config_from_dict(raw), seed=0)
-        assert any(".se." in n for n, _ in model_attn.named_params())
-
     def test_csg_toggle_controls_structure(self):
         raw = config_to_dict(default_config())
         raw["model"]["channels"] = 16
@@ -380,14 +364,6 @@ class TestConfig:
 MANIFEST_PINS = {
     "default": ({}, 438, "62cb63d76cfbb343671fa7151d5789477ef7029813e1e6bde485709b6f5067ee"),
     "csg_off": ({"csg": {"enabled": False}}, 422, "9cf2d000f592ca5b75369e41b1ddcc6f7fe02a14346817137e0e433916e66378"),
-    "local_conv_off": ({"hsb": {"local_conv": False}}, 406, "eaab06eb3e69b47de1dd713e8942858e40010ccdd8ede78ff511aed9866e4e71"),
-    "residual_off": ({"hsb": {"residual": False}}, 422, "fa1c70eb85367fd07e0920e800480258dc4af333149c56363ae86f459dc50562"),
-    "attention_off": ({"hsb": {"attention": False}}, 406, "12495ade094cb735bcf4984fda547d343210af6c77b00ddc5b2a2f2570d6f58a"),
-    "hsb_all_off": (
-        {"hsb": {"local_conv": False, "residual": False, "attention": False}},
-        358,
-        "5fa84f10bd337ec4388d6fb7d3891f67a450953e0d6f126001c6d4765cc0ffc7",
-    ),
 }
 
 

@@ -28,16 +28,14 @@ def _cloud() -> PointCloud:
     return PointCloud(np.concatenate([on_box, background]))
 
 
-# (local_conv, residual, attention) as in verify.check_hsb, each under CSG, then a plain HSB chain.
+# Both HSB output forms under CSG, then a plain HSB chain.
 # Every HSB here normalizes one channel: CSG at C=4 runs its HSBs at width 2 and reduction 2 halves
 # that, and the plain chain takes reduction 4. A two-channel layer norm is a sign function smoothed
 # over sqrt(1e-5) ~ 3e-3, whose curvature swamps a central difference (relative errors of 1e-3 and
 # more at step 1e-8 on some seeds of the plain chain at reduction 2).
 CASES = {
-    "csg-lc-res-attn": (True, dict(local_conv=True, residual=True, attention=True)),
-    "csg-lc-res": (True, dict(local_conv=True, residual=True, attention=False)),
-    "csg-lc": (True, dict(local_conv=True, residual=False, attention=False)),
-    "csg-none": (True, dict(local_conv=False, residual=False, attention=False)),
+    "csg": (True, {}),
+    "csg-alt": (True, dict(attention_alt_residual=True)),
     "no-csg": (False, dict(reduction_ratio=4)),
 }
 
@@ -106,7 +104,6 @@ def test_train_toy_stops_on_non_finite_loss():
 @given(
     channels=st.integers(0, 8),
     csg_enabled=st.booleans(),
-    split_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
     reduction_ratio=st.integers(0, 2),
     se_reduction=st.integers(0, 2),
     dw_kernel=st.integers(0, 5),
@@ -114,16 +111,16 @@ def test_train_toy_stops_on_non_finite_loss():
     hsb_layers=st.integers(0, 2),
 )
 # sections that must load, so every run builds some models: CSG at width 2, a plain chain at reduction 1
-@example(4, True, 0.5, 2, 2, 3, 2, 1)
-@example(3, False, 0.5, 1, 1, 5, 1, 2)
+@example(4, True, 2, 2, 3, 2, 1)
+@example(3, False, 1, 1, 5, 1, 2)
 def test_model_section_loads_only_if_it_builds_and_runs(
-    channels, csg_enabled, split_fraction, reduction_ratio, se_reduction, dw_kernel, state_dim, hsb_layers
+    channels, csg_enabled, reduction_ratio, se_reduction, dw_kernel, state_dim, hsb_layers
 ):
     raw = {
         "grid": {"x_range": [0.0, 1.6], "y_range": [-0.8, 0.8], "z_range": [-3.0, 1.0], "pillar_size": 0.2},
         "model": {
             "channels": channels,
-            "csg": {"enabled": csg_enabled, "split_fraction": split_fraction, "hsb_layers": hsb_layers},
+            "csg": {"enabled": csg_enabled, "hsb_layers": hsb_layers},
             "hsb": {"reduction_ratio": reduction_ratio, "se_reduction": se_reduction, "dw_kernel": dw_kernel},
             "ssm": {"state_dim": state_dim},
         },

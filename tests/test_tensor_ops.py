@@ -417,7 +417,6 @@ class TestTapeMechanics:
         @dataclass
         class Inner:
             b: T.Param
-            skipped: T.Param | None
 
         @dataclass
         class Outer:
@@ -426,10 +425,11 @@ class TestTapeMechanics:
             by_name: dict[str, T.Param]
 
         ps = [T.Param(np.zeros(1), name=str(i)) for i in range(5)]
-        tree = Outer(a=ps[0], pair=(Inner(ps[1], None), Inner(ps[2], None)), by_name={"z": ps[3], "y": ps[4]})
+        tree = Outer(a=ps[0], pair=(Inner(ps[1]), Inner(ps[2])), by_name={"z": ps[3], "y": ps[4]})
         assert T.collect_params(tree) == ps
-        with pytest.raises(ContractViolation):
-            T.collect_params(Outer(a=ps[0], pair=(Inner(ps[1], np.zeros(1)),), by_name={}))
+        for stray in (np.zeros(1), None):  # every parameter field holds a Param
+            with pytest.raises(ContractViolation):
+                T.collect_params(Outer(a=ps[0], pair=(Inner(stray),), by_name={}))
 
     def test_no_tape_no_recording(self):
         x = T.Tensor(np.array([1.0]))
