@@ -7,8 +7,8 @@ Three mutually verified execution forms of the discrete recurrence
 * ``scan_kernel`` / ``apply_conv_form`` — causal global convolution,
   valid for time-invariant parameters only,
 * ``scan_parallel_arrays`` — work-efficient prefix scan (Brent-Kung, in
-  place on strided views) over the associative lift
-  ``(a, u) o (a', u') = (a*a', a'*u + u')``.
+  place on strided views, cache-blocked over row blocks) over the
+  associative lift ``(a, u) o (a', u') = (a*a', a'*u + u')``.
 
 Plus zero-order-hold discretization and the input-conditioned (selective)
 parameterization of the network path, whose scan ``ssm_scan`` is one tape
@@ -17,6 +17,7 @@ op: per-step ZOH, then the parallel form, with a hand-written backward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .errors import ContractViolation
 Array = np.ndarray
 
 ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
+# Bytes of one row block of one (T, D, M) buffer in the cache-blocked scan and discretization:
+# a block of both buffers stays in a 2 MiB L2. Median dense 128x128 `detect` on a 2-vCPU Xeon
+# (2 MiB L2 per core): 0.60 s at 512 KiB and 1 MiB, 0.62 s at 256 KiB, 0.65 s at 2 MiB, 0.66 s unblocked.
+SCAN_BLOCK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +126,12 @@ def apply_conv_form(x: Array, kernel: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
+def _block_rows(buf: Array) -> int:
+    """R: the largest power of two whose rows of ``buf`` fit in SCAN_BLOCK_BYTES (at least 1)."""
+    row_bytes = max(buf.itemsize * math.prod(buf.shape[1:]), 1)
+    return 1 << max((SCAN_BLOCK_BYTES // row_bytes).bit_length() - 1, 0)
+
+
 def associative_scan(a: Array, u: Array) -> Array:
     """In place: overwrite u with h_t = a_t * h_{t-1} + u_t (h_{-1} = 0), return it, clobber a.
 
@@ -131,23 +142,53 @@ def associative_scan(a: Array, u: Array) -> Array:
     composition of the length-2s block ending there; the down-sweep
     completes positions (2k+1)*s - 1 from the finished prefixes s before
     them. A finished prefix is read only for its state, so the down-sweep
-    never updates coefficients and the top up-sweep level skips them. The
-    combine order is fixed, so results are deterministic for a given length.
+    never updates coefficients and the top up-sweep level skips them.
+
+    The sweep is cache-blocked over row blocks of R rows (``_block_rows``),
+    R a power of two. Levels s < R pair rows inside one block, so the
+    up-sweep runs them block by block while the block is in cache; levels
+    s >= R pair block-end rows only and run on the whole buffers, after
+    which every block-end row holds its final state; the down-sweep levels
+    s < R then run block by block, each block after the first also reading
+    the previous block's last row. Every element gets the same combines,
+    with the same operands, in the same order as in one unblocked sweep, so
+    the result is bit-identical to it, and deterministic for a given length.
     """
     if a.shape != u.shape or a.dtype != u.dtype:
         raise ContractViolation(f"associative_scan buffers differ: a {a.shape} {a.dtype}, u {u.shape} {u.dtype}")
     t_len = a.shape[0]
-    s = 1
-    while 2 * s <= t_len:
+    r = _block_rows(u)
+    for k0 in range(0, t_len, r):  # up-sweep, levels s < R
+        ab, ub = a[k0 : k0 + r], u[k0 : k0 + r]
+        n = ub.shape[0]
+        s = 1
+        while s < r and 2 * s <= n:
+            hi = slice(2 * s - 1, None, 2 * s)
+            lo = slice(s - 1, n - s, 2 * s)
+            ub[hi] += ab[hi] * ub[lo]
+            if 4 * s <= t_len:
+                ab[hi] *= ab[lo]
+            s *= 2
+    s = r
+    while 2 * s <= t_len:  # up-sweep, levels s >= R
         hi = slice(2 * s - 1, None, 2 * s)
         lo = slice(s - 1, t_len - s, 2 * s)
         u[hi] += a[hi] * u[lo]
         if 4 * s <= t_len:
             a[hi] *= a[lo]
         s *= 2
-    while s > 1:
+    while s > r:  # down-sweep, levels s >= R
         s //= 2
         u[3 * s - 1 :: 2 * s] += a[3 * s - 1 :: 2 * s] * u[2 * s - 1 : t_len - s : 2 * s]
+    for k0 in range(0, t_len, r):  # down-sweep, levels s < R
+        lo_row = max(k0 - 1, 0)
+        ab, ub = a[lo_row : k0 + r], u[lo_row : k0 + r]
+        n = ub.shape[0]
+        s = min(r, 1 << (t_len.bit_length() - 1))  # the largest power of two <= t_len, as the up-sweep left it
+        while s > 1:
+            s //= 2
+            first = s if k0 else 3 * s - 1  # row k0 - 1 is the first block's row -1: the zero state, skipped
+            ub[first :: 2 * s] += ab[first :: 2 * s] * ub[first - s : n - s : 2 * s]
     return u
 
 
@@ -168,16 +209,24 @@ def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array) -> tupl
 
     Returns a_bar = exp(z) and the scan input b_bar * x, where
     b_bar = expm1(z) * (1/a) * b and z = delta*a, built in place in that op
-    order, in the widest input dtype. The exact input scale is
-    well-conditioned here because a is strictly negative on the selective
-    path; ``zoh_factors`` is its float64 reference.
+    order, in the widest input dtype, one row block of ``associative_scan``
+    at a time (z lives in the block of the second buffer). The exact input
+    scale is well-conditioned here because a is strictly negative on the
+    selective path; ``zoh_factors`` is its float64 reference.
     """
-    z = np.multiply(delta[:, :, None], a, dtype=np.result_type(delta, a, b_seq, x))
-    a_bar = np.exp(z)
-    u = np.expm1(z, out=z)
-    u *= 1.0 / a
-    u *= b_seq[:, None, :]
-    u *= x[:, :, None]
+    dtype = np.result_type(delta, a, b_seq, x)
+    a_bar = np.empty(delta.shape + a.shape[-1:], dtype=dtype)
+    u = np.empty_like(a_bar)
+    recip = 1.0 / a
+    r = _block_rows(u)
+    for k0 in range(0, delta.shape[0], r):
+        rows = slice(k0, k0 + r)
+        z = np.multiply(delta[rows, :, None], a, out=u[rows], dtype=dtype)
+        np.exp(z, out=a_bar[rows])
+        np.expm1(z, out=z)
+        z *= recip
+        z *= b_seq[rows, None, :]
+        z *= x[rows, :, None]
     return a_bar, u
 
 

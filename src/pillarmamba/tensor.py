@@ -22,12 +22,9 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 def _stable_sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from one exp(-|x|)."""
+    e = np.exp(np.minimum(x, -x))  # -|x|, keeping a NaN's sign
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Tensor:
@@ -295,8 +292,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
     out = Tensor(np.clip(d, lo, hi))
-    inside = ((d > lo) & (d < hi)).astype(d.dtype)
-    _record(out, (ta,), lambda g: (g * inside,))
+    _record(out, (ta,), lambda g: (g * ((d > lo) & (d < hi)).astype(d.dtype),))
     return out
 
 
@@ -328,9 +324,10 @@ def relu(a) -> Tensor:
 def softplus(a) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
-    out = Tensor(np.logaddexp(0.0, d).astype(d.dtype))
-    s = _stable_sigmoid(d)
-    _record(out, (ta,), lambda g: (g * s,))
+    sp = np.log1p(np.exp(-np.abs(d)))  # logaddexp(0, x)'s formula; logaddexp itself runs a scalar loop
+    sp += np.maximum(d, 0.0)
+    out = Tensor(sp)
+    _record(out, (ta,), lambda g: (g * _stable_sigmoid(d),))
     return out
 
 

@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rng
+from pillarmamba import ssm
 from pillarmamba import tensor as T
 from pillarmamba.errors import ContractViolation
 from pillarmamba.ssm import (
+    SCAN_BLOCK_BYTES,
     ZOH_SERIES_SWITCH,
     apply_conv_form,
     associative_scan,
@@ -126,6 +128,98 @@ def _sequential(coeff, update):
         h = coeff[t] * h + update[t]
         out[t] = h
     return out
+
+
+def _one_block_scan(a, u):
+    """The unblocked Brent-Kung sweep over the whole buffers: the blocked kernel's bit-level oracle."""
+    t_len = a.shape[0]
+    s = 1
+    while 2 * s <= t_len:
+        hi = slice(2 * s - 1, None, 2 * s)
+        lo = slice(s - 1, t_len - s, 2 * s)
+        u[hi] += a[hi] * u[lo]
+        if 4 * s <= t_len:
+            a[hi] *= a[lo]
+        s *= 2
+    while s > 1:
+        s //= 2
+        u[3 * s - 1 :: 2 * s] += a[3 * s - 1 :: 2 * s] * u[2 * s - 1 : t_len - s : 2 * s]
+    return u
+
+
+def _one_block_discretize(delta, a, b_seq, x):
+    """``selective_discretize`` as whole-buffer passes, in its op order: its bit-level oracle."""
+    z = np.multiply(delta[:, :, None], a, dtype=np.result_type(delta, a, b_seq, x))
+    a_bar = np.exp(z)
+    u = np.expm1(z, out=z)
+    u *= 1.0 / a
+    u *= b_seq[:, None, :]
+    u *= x[:, :, None]
+    return a_bar, u
+
+
+def _assert_scan_matches_one_block(coeff, update, reverse):
+    """associative_scan on copies of (coeff, update), reversed views if asked, equals the unblocked sweep byte for byte."""
+    bufs = [coeff.copy(), update.copy(), coeff.copy(), update.copy()]
+    if reverse:
+        bufs = [b[::-1] for b in bufs]
+    expected = _one_block_scan(bufs[0], bufs[1])
+    assert associative_scan(bufs[2], bufs[3]).tobytes() == expected.tobytes()
+
+
+# (16, 8) rows, the dense stage-0 (D, M): 512 B per float32 row
+BLOCK_ROW = (16, 8)
+
+
+def _rows_per_block(dtype) -> int:
+    return 1 << int(math.log2(SCAN_BLOCK_BYTES // (math.prod(BLOCK_ROW) * np.dtype(dtype).itemsize)))
+
+
+# lengths k*R + c as (k, c), named after them
+BLOCK_LENGTHS = {"1": (0, 1), "R-1": (1, -1), "R": (1, 0), "R+1": (1, 1), "2R+1": (2, 1), "3R+5": (3, 5)}
+
+
+class TestBlockedScan:
+    """The cache-blocked kernels run the unblocked op sequence: every result is bit-identical to it."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["contiguous", "reversed"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [*BLOCK_LENGTHS, "16384"])
+    def test_scan_equals_one_block_sweep(self, length, dtype, reverse):
+        r_rows = _rows_per_block(dtype)
+        assert 4 <= r_rows <= 4096  # a 16384-row buffer spans several blocks
+        k, c = BLOCK_LENGTHS.get(length, (0, 16384))
+        t_len = k * r_rows + c
+        gen = rng(300 + t_len)
+        coeff = gen.uniform(-1.0, 1.0, (t_len,) + BLOCK_ROW).astype(dtype)
+        update = gen.normal(size=(t_len,) + BLOCK_ROW).astype(dtype)
+        _assert_scan_matches_one_block(coeff, update, reverse)
+
+    # (2, 3) float64 rows in 4-row blocks: length 1000 runs levels 4 to 256 on the whole buffers
+    @pytest.mark.parametrize("t_len", list(range(41)) + [63, 64, 65, 129, 257, 1000])
+    def test_scan_equals_one_block_sweep_with_tiny_blocks(self, monkeypatch, t_len):
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 6 * 8)
+        gen = rng(400 + t_len)
+        coeff, update = gen.uniform(-1.0, 1.0, (t_len, 2, 3)), gen.normal(size=(t_len, 2, 3))
+        for reverse in (False, True):
+            _assert_scan_matches_one_block(coeff, update, reverse)
+
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", ["1", "R+1", "3R+5"])
+    def test_discretize_equals_one_block_build(self, length, x_dtype):
+        # float32 parameters; a float64 x makes both buffers float64 (the widest input dtype)
+        d, m = BLOCK_ROW
+        k, c = BLOCK_LENGTHS[length]
+        t_len = k * _rows_per_block(x_dtype) + c
+        gen = rng(500 + t_len)
+        delta = gen.uniform(0.001, 0.5, (t_len, d)).astype(np.float32)
+        a = -gen.uniform(0.2, 8.0, (d, m)).astype(np.float32)
+        b = gen.normal(size=(t_len, m)).astype(np.float32)
+        x = gen.normal(size=(t_len, d)).astype(x_dtype)
+        expected = _one_block_discretize(delta, a, b, x)
+        got = selective_discretize(delta, a, b, x)
+        assert [g.dtype for g in got] == [np.dtype(x_dtype)] * 2
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
 
 class TestParallelScan:
@@ -321,6 +415,37 @@ class TestSelective:
             tracemalloc.stop()
         assert forward <= 3.5 * buf, f"forward peak {forward / buf:.2f} buffers"
         assert backward <= 8 * buf, f"backward peak {backward / buf:.2f} buffers"
+
+    def test_blocked_scan_working_set(self):
+        # float32 (T, D, M) = (16384, 16, 8): 8 MiB buffers, 16 row blocks; ZOH terms are built a block at a time
+        t_len, d, m = 16384, 16, 8
+        buf = t_len * d * m * 4
+        proj = init_selective_projections(rng(15), channels=d, state_dim=m)
+        tokens = T.Tensor(rng(16).normal(size=(t_len, d)).astype(np.float32))
+        selective_scan_tokens(tokens, proj)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            selective_scan_tokens(tokens, proj)
+            forward = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert forward <= 2.5 * buf, f"forward peak {forward / buf:.2f} buffers"
+
+    def test_untaped_projections_compute_no_sigmoid(self, monkeypatch):
+        # the softplus derivative is built in its backward closure, so inference never evaluates it
+        calls = []
+        sigmoid = T._stable_sigmoid
+        monkeypatch.setattr(T, "_stable_sigmoid", lambda x: calls.append(x.shape) or sigmoid(x))
+        proj = init_selective_projections(rng(18), channels=3, state_dim=2, dtype=np.float64)
+        tokens = T.Tensor(rng(19).normal(size=(6, 3)))
+        selective_params(tokens, proj)
+        assert calls == []
+        with T.Tape() as tape:
+            loss = T.reduce_sum(selective_scan_tokens(tokens, proj))
+        assert calls == []
+        tape.backward(loss)
+        assert calls == [(6, 3)]
 
     def test_one_tape_record_per_scan(self):
         # 3 matmul + 3 add + softplus + exp + neg for the projections, then the scan itself

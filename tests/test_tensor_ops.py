@@ -175,6 +175,49 @@ class TestElementwise:
         assert rep.passed
 
 
+def _masked_sigmoid(x):
+    """The boolean-mask sigmoid: 1 / (1 + exp(-x)) gathered over x >= 0, exp(x) / (1 + exp(x)) over the rest."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+ACTIVATION_GRID = [0.0, 1e-8, -1e-8, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4, np.inf, -np.inf, np.nan]
+
+
+class TestActivationOracles:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_matches_logaddexp_on_the_grid(self, dtype):
+        x = np.array(ACTIVATION_GRID, dtype=dtype)
+        got, ref = T.value(T.softplus(T.Tensor(x))), np.logaddexp(dtype(0), x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        np.testing.assert_array_equal(got[~np.isfinite(ref)], ref[~np.isfinite(ref)])  # +inf stays +inf
+        fin = np.isfinite(ref)
+        err = np.abs(got[fin] - ref[fin])
+        if dtype == np.float32:
+            assert (err <= 2 * np.spacing(ref[fin])).all(), err / np.spacing(ref[fin])
+        else:
+            assert (err <= 1e-15 * ref[fin]).all(), err / ref[fin]
+
+    @pytest.mark.parametrize("dtype, ulps", [(np.float32, 3), (np.float64, 2)])
+    def test_softplus_matches_logaddexp_on_a_sweep(self, dtype, ulps):
+        # off the grid, float32 reads up to 3 ULP of logaddexp (near x = -2.2), float64 up to 2
+        x = np.concatenate([np.linspace(-110.0, 30.0, 70001), rng(7).normal(0.0, 20.0, 20000)]).astype(dtype)
+        got, ref = T.value(T.softplus(T.Tensor(x))), np.logaddexp(dtype(0), x)
+        assert (np.abs(got - ref) <= ulps * np.spacing(ref)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stable_sigmoid_equals_the_masked_formula(self, dtype):
+        grid = np.array(ACTIVATION_GRID + [-np.nan, -0.0], dtype=dtype)
+        sweep = rng(8).normal(0.0, 10.0, 10001).astype(dtype)
+        for x in (grid, sweep, sweep[::3], sweep[::-1], np.concatenate([grid, sweep]).reshape(5, -1)):
+            assert T._stable_sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+
 class TestStructuralOps:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
     def test_split_concat_identity(self, c1, c2, seed):
