@@ -118,9 +118,18 @@ def cmd_train_toy(args, cfg: RunConfig) -> dict:
 
     losses = train_toy(model, cloud, boxes, steps=steps, lr=lr, log_fn=log_step)
     save_weights(args.out, model)
+    tail = losses[-max(len(losses) // 10, 1) :]  # the last tenth of the steps: how far the loss still swings
     return {
         "outputs": [str(args.out)],
-        "metrics": {"steps": steps, "lr": lr, "first_loss": losses[0], "final_loss": losses[-1]},
+        "metrics": {
+            "steps": steps,
+            "lr": lr,
+            "first_loss": losses[0],
+            "final_loss": losses[-1],
+            "tail_steps": len(tail),
+            "tail_loss_min": min(tail),
+            "tail_loss_max": max(tail),
+        },
     }
 
 

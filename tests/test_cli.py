@@ -195,6 +195,17 @@ def test_train_toy_writes_loadable_weights(dataset, tiny_cfg_path, tmp_path):
     load_weights(weights, model)
 
 
+def test_train_toy_reports_the_loss_range_of_its_last_tenth(dataset, tiny_cfg_path, tmp_path, capsys, monkeypatch):
+    # 20 steps: the run report carries min and max of the last 2 losses
+    losses = [float(20 - k) for k in range(19)] + [4.0]
+    monkeypatch.setattr(cli, "train_toy", lambda *a, **k: list(losses))
+    argv = ["train-toy", "--config", tiny_cfg_path, "--scene", str(dataset / "scene_0000.bin"), "--steps", "20"]
+    assert cli.main(argv + ["--out", str(tmp_path / "w.pmw")]) == 0
+    metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["metrics"]
+    assert (metrics["tail_steps"], metrics["tail_loss_min"], metrics["tail_loss_max"]) == (2, 2.0, 4.0)
+    assert (metrics["first_loss"], metrics["final_loss"]) == (20.0, 4.0)
+
+
 def test_train_toy_non_finite_loss_exits_1_without_weights(dataset, tiny_cfg_path, tmp_path, capsys):
     weights = tmp_path / "w.pmw"
     argv = ["train-toy", "--config", tiny_cfg_path, "--scene", str(dataset / "scene_0000.bin")]
