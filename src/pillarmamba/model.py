@@ -5,6 +5,7 @@ portable weights file, and the single-scene gradient-descent trainer.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -137,6 +138,12 @@ def loss_on_scene(model: PillarMambaModel, cloud: PointCloud, targets: HeadTarge
     return detection_loss(raw, targets, reg_weight=model.cfg.head.reg_weight)
 
 
+def cosine_step_size(lr: float, step: int, steps: int) -> float:
+    """lr * (1 + cos(pi * step / steps)) / 2: lr exactly at step 0, falling toward 0 at step ``steps``
+    (Loshchilov & Hutter, arXiv 1608.03983, without restarts)."""
+    return 0.5 * lr * (1.0 + math.cos(math.pi * step / steps))
+
+
 def train_toy(
     model: PillarMambaModel,
     cloud: PointCloud,
@@ -149,7 +156,10 @@ def train_toy(
 ) -> list[float]:
     """Gradient descent overfitting a single scene; returns per-step losses.
 
-    First-order only (no momentum, no adaptivity). The global gradient norm is
+    First-order only (no momentum, no adaptivity). ``lr`` is the peak step
+    size: step k of ``steps`` moves by ``cosine_step_size(lr, k, steps)``, a
+    half cosine from lr at step 0 toward 0, so the loss settles instead of
+    ending on one sample of an oscillation. The global gradient norm is
     clipped: the input-conditioned step sizes make some bias directions
     violently curved, and an unclipped step catapults the parameters. A
     non-finite loss or gradient norm raises ``FloatingPointError`` before
@@ -169,8 +179,9 @@ def train_toy(
         if 0 < max_grad_norm < norm:
             scale = max_grad_norm / norm
             grads = [g * scale for g in grads]  # not in place: leaves may share one cotangent array
+        step_size = cosine_step_size(lr, step, steps)
         for p, g in zip(params, grads):
-            p.value.data -= lr * g
+            p.value.data -= step_size * g
         losses.append(breakdown["total"])
         if log_fn is not None and (step % log_every == 0 or step == steps - 1):
             log_fn(step, breakdown)

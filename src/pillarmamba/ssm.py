@@ -7,12 +7,13 @@ Three mutually verified execution forms of the discrete recurrence
 * ``scan_kernel`` / ``apply_conv_form`` — causal global convolution,
   valid for time-invariant parameters only,
 * ``scan_parallel_arrays`` — work-efficient prefix scan (Brent-Kung, in
-  place on strided views, cache-blocked over row blocks) over the
+  place on strided views, within row blocks taken in time order) over the
   associative lift ``(a, u) o (a', u') = (a*a', a'*u + u')``.
 
 Plus zero-order-hold discretization and the input-conditioned (selective)
 parameterization of the network path, whose scan ``ssm_scan`` is one tape
-op: per-step ZOH, then the parallel form, with a hand-written backward.
+op: its forward discretizes, scans and contracts one row block at a time,
+and its backward is hand-written.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from .errors import ContractViolation
 Array = np.ndarray
 
 ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
-# Bytes of one row block of one (T, D, M) buffer in the cache-blocked scan and discretization:
-# a block of both buffers stays in a 2 MiB L2. Median dense 128x128 `detect` on a 2-vCPU Xeon
-# (2 MiB L2 per core): 0.60 s at 512 KiB and 1 MiB, 0.62 s at 256 KiB, 0.65 s at 2 MiB, 0.66 s unblocked.
+# Bytes of one row block of one (T, D, M) buffer in the scan's one pass over row blocks: the
+# forward's three blocks (state, a_bar, spread scratch) stay in a 2 MiB L2. Median dense 128x128
+# `detect` on a 2-vCPU Xeon (2 MiB L2 per core), sizes interleaved over 20 rounds of two scenes:
+# 0.434 s at 512 KiB, 0.462 s at 256 KiB, 0.463 s at 1 MiB.
 SCAN_BLOCK_BYTES = 1 << 19
 
 
@@ -136,59 +138,40 @@ def associative_scan(a: Array, u: Array) -> Array:
     """In place: overwrite u with h_t = a_t * h_{t-1} + u_t (h_{-1} = 0), return it, clobber a.
 
     a and u are buffers the caller owns, of one shape and dtype (strided
-    views are fine). Brent-Kung sweep over the associative composition
-    (a, u) o (a', u') = (a*a', a'*u + u') through basic strided views, with
-    no padding. The up-sweep leaves at each position 2s*k - 1 the
-    composition of the length-2s block ending there; the down-sweep
-    completes positions (2k+1)*s - 1 from the finished prefixes s before
-    them. A finished prefix is read only for its state, so the down-sweep
-    never updates coefficients and the top up-sweep level skips them.
-
-    The sweep is cache-blocked over row blocks of R rows (``_block_rows``),
-    R a power of two. Levels s < R pair rows inside one block, so the
-    up-sweep runs them block by block while the block is in cache; levels
-    s >= R pair block-end rows only and run on the whole buffers, after
-    which every block-end row holds its final state; the down-sweep levels
-    s < R then run block by block, each block after the first also reading
-    the previous block's last row. Every element gets the same combines,
-    with the same operands, in the same order as in one unblocked sweep, so
-    the result is bit-identical to it, and deterministic for a given length.
+    views are fine). The buffers are cut into row blocks of R rows
+    (``_block_rows``, R a power of two), taken in time order while each is
+    in cache: the previous block's final state is folded into the block's
+    first row, u[k0] += a[k0] * u[k0-1], and a Brent-Kung sweep over the
+    associative composition (a, u) o (a', u') = (a*a', a'*u + u') then
+    finishes the block through basic strided views, with no padding. The
+    up-sweep leaves at each position 2s*k - 1 the composition of the
+    length-2s block ending there; the down-sweep completes positions
+    (2k+1)*s - 1 from the finished prefixes s before them. A finished prefix
+    is read only for its state, so the down-sweep never updates coefficients
+    and the top up-sweep level skips them. A buffer of at most R rows is one
+    sweep; the result is deterministic for a given length and R.
     """
     if a.shape != u.shape or a.dtype != u.dtype:
         raise ContractViolation(f"associative_scan buffers differ: a {a.shape} {a.dtype}, u {u.shape} {u.dtype}")
-    t_len = a.shape[0]
     r = _block_rows(u)
-    for k0 in range(0, t_len, r):  # up-sweep, levels s < R
+    prod = np.empty((min(r, a.shape[0]) // 2,) + u.shape[1:], dtype=u.dtype)  # a[hi] * u[lo] of one level
+    for k0 in range(0, a.shape[0], r):
         ab, ub = a[k0 : k0 + r], u[k0 : k0 + r]
+        if k0:
+            ub[0] += ab[0] * u[k0 - 1]
         n = ub.shape[0]
         s = 1
-        while s < r and 2 * s <= n:
+        while 2 * s <= n:  # up-sweep
             hi = slice(2 * s - 1, None, 2 * s)
             lo = slice(s - 1, n - s, 2 * s)
-            ub[hi] += ab[hi] * ub[lo]
-            if 4 * s <= t_len:
+            ub[hi] += np.multiply(ab[hi], ub[lo], out=prod[: n // (2 * s)])
+            if 4 * s <= n:
                 ab[hi] *= ab[lo]
             s *= 2
-    s = r
-    while 2 * s <= t_len:  # up-sweep, levels s >= R
-        hi = slice(2 * s - 1, None, 2 * s)
-        lo = slice(s - 1, t_len - s, 2 * s)
-        u[hi] += a[hi] * u[lo]
-        if 4 * s <= t_len:
-            a[hi] *= a[lo]
-        s *= 2
-    while s > r:  # down-sweep, levels s >= R
-        s //= 2
-        u[3 * s - 1 :: 2 * s] += a[3 * s - 1 :: 2 * s] * u[2 * s - 1 : t_len - s : 2 * s]
-    for k0 in range(0, t_len, r):  # down-sweep, levels s < R
-        lo_row = max(k0 - 1, 0)
-        ab, ub = a[lo_row : k0 + r], u[lo_row : k0 + r]
-        n = ub.shape[0]
-        s = min(r, 1 << (t_len.bit_length() - 1))  # the largest power of two <= t_len, as the up-sweep left it
-        while s > 1:
+        while s > 1:  # down-sweep
             s //= 2
-            first = s if k0 else 3 * s - 1  # row k0 - 1 is the first block's row -1: the zero state, skipped
-            ub[first :: 2 * s] += ab[first :: 2 * s] * ub[first - s : n - s : 2 * s]
+            hi = slice(3 * s - 1, None, 2 * s)
+            ub[hi] += np.multiply(ab[hi], ub[2 * s - 1 : n - s : 2 * s], out=prod[: (n - s) // (2 * s)])
     return u
 
 
@@ -204,29 +187,40 @@ def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> 
 # ---------------------------------------------------------------------------
 
 
-def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array) -> tuple[Array, Array]:
-    """Per-step ZOH into the scan's two fresh buffers: (T,D) delta, (D,M) a, (T,M) b, (T,D) x -> (T,D,M).
+def _spreads(d: int, m: int, dtype) -> tuple[Array, Array]:
+    """0/1 selectors: (T, D) @ spread_d copies each entry over its M columns of a (T, D*M) row; (T, M) @ spread_m
+    over its D columns."""
+    return np.repeat(np.eye(d, dtype=dtype), m, axis=1), np.tile(np.eye(m, dtype=dtype), d)
 
-    Returns a_bar = exp(z) and the scan input b_bar * x, where
-    b_bar = expm1(z) * (1/a) * b and z = delta*a, built in place in that op
-    order, in the widest input dtype, one row block of ``associative_scan``
-    at a time (z lives in the block of the second buffer). The exact input
-    scale is well-conditioned here because a is strictly negative on the
-    selective path; ``zoh_factors`` is its float64 reference.
+
+def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array, a_bar: Array, u: Array, work: Array):
+    """Per-step ZOH into caller-owned buffers: (n,D) delta, (D,M) a, (n,M) b, (n,D) x -> (n,D,M) a_bar and u.
+
+    Writes a_bar = exp(z) and the scan input u = b_bar * x, where
+    b_bar = expm1(z) * (1/a) * b and z = delta*a, in place in that op order,
+    in the buffers' dtype; ``work`` is scratch of their shape, and all three
+    are C-contiguous. ``ssm_scan`` calls it once per row block. The per-step
+    rows are spread over (n, D*M) rows by BLAS matmuls against 0/1
+    selectors (the one for delta weighted by a). Every output entry sums one
+    product and zeros, so for finite inputs the buffers equal the broadcast
+    build bit for bit, up to the sign of a zero. A selector spreads a NaN
+    along its row (0 * NaN is NaN, and an inf makes the rest of its row NaN),
+    so a NaN in x[t, d] makes step t non-finite in every channel, not only in
+    d. The exact input scale is well-conditioned here because a is strictly
+    negative on the selective path; ``zoh_factors`` is its float64 reference.
     """
-    dtype = np.result_type(delta, a, b_seq, x)
-    a_bar = np.empty(delta.shape + a.shape[-1:], dtype=dtype)
-    u = np.empty_like(a_bar)
-    recip = 1.0 / a
-    r = _block_rows(u)
-    for k0 in range(0, delta.shape[0], r):
-        rows = slice(k0, k0 + r)
-        z = np.multiply(delta[rows, :, None], a, out=u[rows], dtype=dtype)
-        np.exp(z, out=a_bar[rows])
-        np.expm1(z, out=z)
-        z *= recip
-        z *= b_seq[rows, None, :]
-        z *= x[rows, :, None]
+    n, d = delta.shape
+    dm = a.size
+    if not all(buf.shape == (n,) + a.shape and buf.flags.c_contiguous for buf in (a_bar, u, work)):
+        raise ContractViolation(f"selective_discretize needs C-contiguous {(n,) + a.shape} buffers")
+    spread_d, spread_m = _spreads(d, a.shape[-1], u.dtype)
+    rows, spread = u.reshape(n, dm), work.reshape(n, dm)
+    np.matmul(delta, spread_d * a.reshape(dm), out=rows)
+    np.exp(rows, out=a_bar.reshape(n, dm))
+    np.expm1(rows, out=rows)
+    rows *= (1.0 / a).reshape(dm)
+    rows *= np.matmul(b_seq, spread_m, out=spread)
+    rows *= np.matmul(x, spread_d, out=spread)
     return a_bar, u
 
 
@@ -265,9 +259,7 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     t_len, d, m = h.shape
     dm = d * m
     dtype = np.result_type(h, gy)
-    # (T, D) @ spread_d copies each entry over its M columns of a (T, D*M) row; (T, M) @ spread_m over its D columns
-    spread_d = np.repeat(np.eye(d, dtype=dtype), m, axis=1)
-    spread_m = np.tile(np.eye(m, dtype=dtype), d)
+    spread_d, spread_m = _spreads(d, m, dtype)
     a_row = a.reshape(dm).astype(dtype)
     recip = (1.0 / a).reshape(dm).astype(dtype)  # rounded in a's dtype, as in the forward
     spread_z = spread_d * a_row  # delta @ spread_z = delta * a, rounded as one product
@@ -332,13 +324,47 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     return g_x, g_delta, g_a, g_b, g_c
 
 
+def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array) -> tuple[Array, Array]:
+    """The output y (T,D) and the state h (T,D,M) of ``ssm_scan``, in one pass over row blocks of R rows.
+
+    R is ``_block_rows(h)``. Per block, in time order: ``selective_discretize``
+    writes a_bar into one reused block of scratch and b_bar * x into the
+    block of h; the previous block's final state is folded into the block's
+    first row; ``associative_scan`` sweeps the block; and y is one batched
+    mat-vec of the block's state with c. The expanded terms never leave the
+    block, so h is the only (T,D,M) buffer, computed in the widest input
+    dtype. h rounds as ``associative_scan`` on the whole buffers does, and
+    the mat-vec sums over M in another order than an elementwise product and
+    sum: float64 outputs agree with ``zoh_factors`` and the recurrent form
+    within 1e-12 relative.
+    """
+    t_len, d = x.shape
+    m = a.shape[-1]
+    dtype = np.result_type(delta, a, b_seq, x)
+    h = np.empty((t_len, d, m), dtype=dtype)
+    r = _block_rows(h)
+    a_bar, work = np.empty((2, min(r, t_len), d, m), dtype=dtype)
+    y = np.empty((t_len, d, 1), dtype=np.result_type(h, c_seq))
+    for k0 in range(0, t_len, r):
+        rows = slice(k0, k0 + r)
+        h_b = h[rows]
+        n = h_b.shape[0]
+        selective_discretize(delta[rows], a, b_seq[rows], x[rows], a_bar[:n], h_b, work[:n])
+        if k0:
+            h_b[0] += a_bar[0] * h[k0 - 1]
+        associative_scan(a_bar[:n], h_b)
+        np.matmul(h_b, c_seq[rows, :, None], out=y[rows])
+    return y.reshape(t_len, d), h
+
+
 def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
     """Differentiable selective scan, ZOH inside, as one tape record.
 
     x, delta (T,D); a (D,M); b_seq, c_seq (T,M) -> y (T,D), with
-    h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t. The forward
-    state and the backward adjoint (itself a first-order recurrence) both
-    run the parallel scan. The record keeps the inputs and h; the backward,
+    h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t. The forward,
+    ``_scan_forward``, discretizes, scans and contracts one row block at a
+    time; the backward adjoint (itself a first-order recurrence) runs the
+    same parallel scan. The record keeps the inputs and h; the backward,
     ``_scan_backward``, recomputes the discretization a row block at a time
     (Gu & Dao, arXiv 2312.00752, sec. 3.3). Besides four blocks of a quarter
     of a forward block's rows, it holds two (T,D,M) buffers (the adjoint
@@ -354,8 +380,8 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
         raise ContractViolation(
             f"ssm_scan shape mismatch: x {xd.shape}, delta {dd.shape}, a {ad.shape}, b {bd.shape}, c {c.shape}"
         )
-    h = associative_scan(*selective_discretize(dd, ad, bd, xd))
-    out = T.Tensor(np.einsum("tm,tdm->td", c, h))
+    y, h = _scan_forward(xd, dd, ad, bd, c)
+    out = T.Tensor(y)
     T._record(out, (tx, td, ta, tb, tc), lambda gy: _scan_backward(gy, xd, dd, ad, bd, c, h))
     return out
 

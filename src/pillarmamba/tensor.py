@@ -532,6 +532,18 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     if oh <= 0 or ow <= 0:
         raise ContractViolation(f"empty output for input {xd.shape}, kernel {kh}x{kw}, stride {stride}")
 
+    if kh == kw == 1 and stride == 1 and padding == 0 and groups == 1:
+        return _conv1x1(tx, tw, tb)
+    return _conv_im2col(tx, tw, tb, stride, padding, groups)
+
+
+def _conv_im2col(tx: Tensor, tw: Tensor, tb: Tensor | None, stride: int, padding: int, groups: int) -> Tensor:
+    """``conv2d`` on checked arguments as one batched matmul over the sliding windows (im2col), any kernel."""
+    xd, wd = tx.data, tw.data
+    c_in, h, w = xd.shape
+    c_out, c_in_g, kh, kw = wd.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding))) if padding else xd
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride]  # (C_in, OH, OW, kh, kw)
@@ -559,6 +571,30 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
 
     parents = (tx, tw, tb) if tb is not None else (tx, tw)
     _record(out, parents, bwd)
+    return out
+
+
+def _conv1x1(tx: Tensor, tw: Tensor, tb: Tensor | None) -> Tensor:
+    """``conv2d`` with a 1x1 kernel, stride 1, no padding and one group: one matmul on the (C_in, H*W) view.
+
+    The forward equals the im2col path byte for byte (the same matmul on the same values, with no window
+    or transpose copy); the backward's two matmuls equal it up to the sign of a zero.
+    """
+    xd, wd = tx.data, tw.data
+    c_in, h, w = xd.shape
+    x2, w2 = xd.reshape(c_in, h * w), wd.reshape(wd.shape[0], c_in)
+    out_data = w2 @ x2
+    if tb is not None:
+        out_data = out_data + tb.data[:, None]
+    out = Tensor(out_data.reshape(-1, h, w))
+
+    def bwd(g):
+        g2 = g.reshape(-1, h * w)
+        dx = (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False)
+        dw = (g2 @ x2.T).reshape(wd.shape)
+        return (dx, dw) if tb is None else (dx, dw, g.sum(axis=(1, 2)))
+
+    _record(out, (tx, tw) if tb is None else (tx, tw, tb), bwd)
     return out
 
 

@@ -1,6 +1,6 @@
 """Whole-model checks: the float64 gradient check (encoder -> backbone -> head
--> loss), float32 gradients staying float32, train_toy's non-finite stop, and
-model sections that load only when they build and run."""
+-> loss), float32 gradients staying float32, train_toy's step-size schedule and
+non-finite stop, and model sections that load only when they build and run."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from pillarmamba import tensor as T
 from pillarmamba.boxes import Box3D
 from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, config_from_dict
 from pillarmamba.errors import ConfigurationError
-from pillarmamba.model import build_model, loss_on_scene, train_toy
+from pillarmamba import model as model_mod
+from pillarmamba.model import build_model, cosine_step_size, loss_on_scene, train_toy
 from pillarmamba.pillars import GridSpec, PointCloud
 
 GRID = GridSpec(x_range=(0.0, 1.6), y_range=(-0.8, 0.8), z_range=(-3.0, 1.0), pillar_size=0.2)  # 8x8
@@ -87,6 +88,21 @@ def test_float32_loss_and_gradients_stay_float32():
     tape.backward(total)
     assert T.value(total).dtype == np.float32
     assert [p.name for p in model.params() if tape.grad(p).dtype != np.float32] == []
+
+
+def test_step_size_starts_at_lr_and_falls_monotonically_toward_0():
+    lr, steps = 0.02, 300
+    sizes = [cosine_step_size(lr, k, steps) for k in range(steps)]
+    assert sizes[0] == lr  # the first update, which perfbench/golden.json pins, is unchanged
+    assert all(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert 0.0 < sizes[-1] < 1e-4 * lr
+
+
+def test_train_toy_steps_by_the_schedule(monkeypatch):
+    calls = []
+    monkeypatch.setattr(model_mod, "cosine_step_size", lambda *a: calls.append(a) or cosine_step_size(*a))
+    train_toy(_small_model(np.float32), _cloud(), [BOX], steps=3, lr=0.02)
+    assert calls == [(0.02, 0, 3), (0.02, 1, 3), (0.02, 2, 3)]
 
 
 def test_train_toy_stops_on_non_finite_loss():

@@ -131,7 +131,7 @@ def _sequential(coeff, update):
 
 
 def _one_block_scan(a, u):
-    """The unblocked Brent-Kung sweep over the whole buffers: the blocked kernel's bit-level oracle."""
+    """The unblocked Brent-Kung sweep over the whole buffers: the kernel's bit-level oracle for T <= R."""
     t_len = a.shape[0]
     s = 1
     while 2 * s <= t_len:
@@ -147,8 +147,18 @@ def _one_block_scan(a, u):
     return u
 
 
+def _fold_and_sweep(a, u, r):
+    """Per row block of r rows in time order: fold the previous block's final state into the block's first row,
+    then ``_one_block_scan`` over the block. The kernel's bit-level oracle for T > R."""
+    for k0 in range(0, a.shape[0], r):
+        if k0:
+            u[k0] += a[k0] * u[k0 - 1]
+        _one_block_scan(a[k0 : k0 + r], u[k0 : k0 + r])
+    return u
+
+
 def _one_block_discretize(delta, a, b_seq, x):
-    """``selective_discretize`` as whole-buffer passes, in its op order: its bit-level oracle."""
+    """``selective_discretize`` as whole-buffer broadcast passes, in its op order: its bit-level oracle."""
     z = np.multiply(delta[:, :, None], a, dtype=np.result_type(delta, a, b_seq, x))
     a_bar = np.exp(z)
     u = np.expm1(z, out=z)
@@ -158,12 +168,28 @@ def _one_block_discretize(delta, a, b_seq, x):
     return a_bar, u
 
 
-def _assert_scan_matches_one_block(coeff, update, reverse):
-    """associative_scan on copies of (coeff, update), reversed views if asked, equals the unblocked sweep byte for byte."""
+def _discretize(delta, a, b_seq, x, dtype=None, r=None):
+    """``selective_discretize`` into fresh whole buffers of ``dtype`` (the widest input dtype by default), called
+    once per block of r rows (one call by default)."""
+    dtype = np.result_type(delta, a, b_seq, x) if dtype is None else dtype
+    a_bar, u, work = np.empty((3, delta.shape[0]) + a.shape, dtype=dtype)
+    r = r or max(delta.shape[0], 1)
+    for k0 in range(0, delta.shape[0], r):
+        rows = slice(k0, k0 + r)
+        selective_discretize(delta[rows], a, b_seq[rows], x[rows], a_bar[rows], u[rows], work[rows])
+    return a_bar, u
+
+
+def _assert_scan_matches_blockwise(coeff, update, reverse, r):
+    """associative_scan on copies of (coeff, update), reversed views if asked, equals the oracle byte for byte:
+    ``_one_block_scan`` up to r rows, ``_fold_and_sweep`` beyond."""
     bufs = [coeff.copy(), update.copy(), coeff.copy(), update.copy()]
     if reverse:
         bufs = [b[::-1] for b in bufs]
-    expected = _one_block_scan(bufs[0], bufs[1])
+    if coeff.shape[0] <= r:
+        expected = _one_block_scan(bufs[0], bufs[1])
+    else:
+        expected = _fold_and_sweep(bufs[0], bufs[1], r)
     assert associative_scan(bufs[2], bufs[3]).tobytes() == expected.tobytes()
 
 
@@ -180,7 +206,8 @@ BLOCK_LENGTHS = {"1": (0, 1), "R-1": (1, -1), "R": (1, 0), "R+1": (1, 1), "2R+1"
 
 
 class TestBlockedScan:
-    """The cache-blocked kernels run the unblocked op sequence: every result is bit-identical to it."""
+    """The block-sequential kernels against their bit-level oracles: the unblocked sweep within one block, the fold
+    and sweep per block beyond it, and whole-buffer broadcast passes for the discretization."""
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["contiguous", "reversed"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -193,33 +220,45 @@ class TestBlockedScan:
         gen = rng(300 + t_len)
         coeff = gen.uniform(-1.0, 1.0, (t_len,) + BLOCK_ROW).astype(dtype)
         update = gen.normal(size=(t_len,) + BLOCK_ROW).astype(dtype)
-        _assert_scan_matches_one_block(coeff, update, reverse)
+        _assert_scan_matches_blockwise(coeff, update, reverse, r_rows)
 
-    # (2, 3) float64 rows in 4-row blocks: length 1000 runs levels 4 to 256 on the whole buffers
+    # (2, 3) float64 rows in 4-row blocks: length 1000 folds 249 block seams
     @pytest.mark.parametrize("t_len", list(range(41)) + [63, 64, 65, 129, 257, 1000])
     def test_scan_equals_one_block_sweep_with_tiny_blocks(self, monkeypatch, t_len):
         monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 6 * 8)
         gen = rng(400 + t_len)
         coeff, update = gen.uniform(-1.0, 1.0, (t_len, 2, 3)), gen.normal(size=(t_len, 2, 3))
         for reverse in (False, True):
-            _assert_scan_matches_one_block(coeff, update, reverse)
+            _assert_scan_matches_blockwise(coeff, update, reverse, 4)
 
     @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", ["1", "R+1", "3R+5"])
     def test_discretize_equals_one_block_build(self, length, x_dtype):
-        # float32 parameters; a float64 x makes both buffers float64 (the widest input dtype)
+        # float32 parameters; a float64 x gives float64 buffers (the widest input dtype). The selector spreads
+        # equal the broadcasts bit for bit, whole-buffer and into caller-owned blocks of R or of 7 rows.
         d, m = BLOCK_ROW
         k, c = BLOCK_LENGTHS[length]
-        t_len = k * _rows_per_block(x_dtype) + c
+        r_rows = _rows_per_block(x_dtype)
+        t_len = k * r_rows + c
         gen = rng(500 + t_len)
         delta = gen.uniform(0.001, 0.5, (t_len, d)).astype(np.float32)
         a = -gen.uniform(0.2, 8.0, (d, m)).astype(np.float32)
         b = gen.normal(size=(t_len, m)).astype(np.float32)
         x = gen.normal(size=(t_len, d)).astype(x_dtype)
-        expected = _one_block_discretize(delta, a, b, x)
-        got = selective_discretize(delta, a, b, x)
-        assert [g.dtype for g in got] == [np.dtype(x_dtype)] * 2
-        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        expected = [e.tobytes() for e in _one_block_discretize(delta, a, b, x)]
+        for r in (None, r_rows, 7):
+            got = _discretize(delta, a, b, x, r=r)
+            assert [g.dtype for g in got] == [np.dtype(x_dtype)] * 2
+            assert [g.tobytes() for g in got] == expected
+
+    def test_discretize_rejects_buffers_it_cannot_fill_in_place(self):
+        delta, x = np.ones((4, 2)), np.ones((4, 2))
+        a, b = -np.ones((2, 3)), np.ones((4, 3))
+        bufs = np.empty((3, 4, 2, 3))
+        with pytest.raises(ContractViolation):
+            selective_discretize(delta, a, b, x, bufs[0], bufs[1][::-1], bufs[2])  # a reshape would copy
+        with pytest.raises(ContractViolation):
+            selective_discretize(delta, a, b, x, bufs[0, :3], bufs[1], bufs[2])
 
 
 class TestParallelScan:
@@ -384,9 +423,12 @@ class TestSelective:
         assert [t.data.tobytes() for t in inputs] == before
 
     def test_discretize_fills_buffers_in_the_widest_dtype(self):
-        # the buffers are built in place, so a float64 x must not be rounded into float32 buffers
-        x, delta, a, b, _ = self._scan_inputs(rng(17), 5, 2, 3)
-        a_bar, u = selective_discretize(*(v.astype(np.float32) for v in (delta, a, b)), x)
+        # the buffers are built in place, so a float64 x must not be rounded into float32 buffers: the forward
+        # allocates them, and so h and y, in the widest input dtype
+        x, delta, a, b, c = self._scan_inputs(rng(17), 5, 2, 3)
+        y, h = ssm._scan_forward(x, *(v.astype(np.float32) for v in (delta, a, b, c)))
+        assert h.dtype == y.dtype == np.float64
+        a_bar, u = _discretize(*(v.astype(np.float32) for v in (delta, a, b)), x)
         assert a_bar.dtype == u.dtype == np.float64
         ref_a_bar, scale = zoh_factors(a, delta[:, :, None])
         np.testing.assert_allclose(a_bar, ref_a_bar, rtol=1e-6)
@@ -394,7 +436,7 @@ class TestSelective:
 
     def test_scan_working_set(self):
         # one float32 scan at (T, D, M) = (4096, 16, 8), in 2 MiB (T, D, M) buffers: the forward
-        # fills the scan's two buffers in place; the backward recomputes the ZOH terms a row block at a time
+        # writes h and two blocks of scratch; the backward recomputes the ZOH terms a row block at a time
         t_len, d, m = 4096, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m)
@@ -413,13 +455,14 @@ class TestSelective:
             backward = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert forward <= 3.5 * buf, f"forward peak {forward / buf:.2f} buffers"
+        # measured 2.05: h, two 512 KiB blocks of scratch, half a block of the sweep's products, y and the projections
+        assert forward <= 2.25 * buf, f"forward peak {forward / buf:.2f} buffers"
         # measured 2.66: the adjoint scan's two buffers, a quarter-block of scratch, (T, D) and (T, M) gradients
         assert backward <= 3 * buf, f"backward peak {backward / buf:.2f} buffers"
 
     def test_blocked_scan_working_set(self):
         # float32 (T, D, M) = (16384, 16, 8): 8 MiB buffers, 16 row blocks; ZOH terms are built a block at a time,
-        # in the forward and in the backward
+        # in the forward and in the backward, so h is the forward's only (T, D, M) buffer
         t_len, d, m = 16384, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m)
@@ -438,7 +481,8 @@ class TestSelective:
             backward = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert forward <= 2.5 * buf, f"forward peak {forward / buf:.2f} buffers"
+        # measured 1.54: h, and everything else a block or a (T, D) array at a time
+        assert forward <= 1.75 * buf, f"forward peak {forward / buf:.2f} buffers"
         # measured 2.45: the adjoint scan's two buffers, and everything else a block or a (T, D) array at a time
         assert backward <= 2.75 * buf, f"backward peak {backward / buf:.2f} buffers"
 
@@ -471,6 +515,63 @@ class TestSelective:
         inputs = [tokens] + T.collect_params(proj)
         rep = T.grad_check(lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj)), inputs, name="selective")
         assert rep.passed, rep
+
+
+def _composed_forward(x, delta, a, b_seq, c_seq):
+    """``zoh_factors`` and the sequential recurrence in float64: the oracle of ``ssm._scan_forward``."""
+    a_bar, scale = zoh_factors(a, delta[:, :, None])
+    return scan_recurrent_arrays(a_bar, scale * b_seq[:, None, :], c_seq[:, None, :], x)
+
+
+class TestScanForward:
+    """The one-pass forward (discretize, fold, sweep and mat-vec per row block) against the composed oracle."""
+
+    @pytest.mark.parametrize("length", list(BLOCK_LENGTHS))
+    def test_matches_composed_forward_with_real_blocks(self, length):
+        # (16, 8) float64 rows: R = 512
+        k, c = BLOCK_LENGTHS[length]
+        t_len = k * _rows_per_block(np.float64) + c
+        inputs = TestSelective._scan_inputs(rng(800 + t_len), t_len, *BLOCK_ROW)
+        y, h = ssm._scan_forward(*inputs)
+        assert h.shape == (t_len,) + BLOCK_ROW
+        _assert_matches_composed([y], [_composed_forward(*inputs)])
+
+    @pytest.mark.parametrize("block", [1, 4])
+    @pytest.mark.parametrize("length", list(BLOCK_LENGTHS))
+    def test_matches_composed_forward_with_tiny_blocks(self, monkeypatch, block, length):
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", block * TINY_ROW_BYTES)
+        k, c = BLOCK_LENGTHS[length]
+        t_len = k * block + c
+        inputs = TestSelective._scan_inputs(rng(900 + t_len), t_len, 2, 3)
+        _assert_matches_composed([ssm._scan_forward(*inputs)[0]], [_composed_forward(*inputs)])
+
+    def test_state_is_the_blocked_kernel_on_the_discretized_buffers(self, monkeypatch):
+        # the fused pass runs the whole-buffer kernels' ops: h equals them byte for byte, here across 4-row seams
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * TINY_ROW_BYTES)
+        x, delta, a, b, c = TestSelective._scan_inputs(rng(25), 23, 2, 3)
+        h = ssm._scan_forward(x, delta, a, b, c)[1]
+        assert h.tobytes() == associative_scan(*_one_block_discretize(delta, a, b, x)).tobytes()
+
+    @pytest.mark.parametrize("c_dtype", [np.float32, np.float64])
+    def test_float32_parameters_with_float64_x_give_float64_output(self, c_dtype):
+        x, delta, a, b, c = TestSelective._scan_inputs(rng(26), 9, 2, 3)
+        y = T.value(ssm_scan(x, *(v.astype(np.float32) for v in (delta, a, b)), c.astype(c_dtype)))
+        assert y.dtype == np.float64
+        params = [v.astype(np.float32).astype(np.float64) for v in (delta, a, b, c)]
+        np.testing.assert_allclose(y, _composed_forward(x, *params), rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("where", ["x", "delta", "b"])
+    def test_nan_input_spreads_along_its_selector_row(self, where):
+        # a NaN at step 4 turns step 4 non-finite in every channel, not only in its own, and the state carries it
+        # on; none of the oracle's non-finite entries comes out finite, and nothing raises
+        x, delta, a, b, c = TestSelective._scan_inputs(rng(27), 9, 2, 3)
+        {"x": x, "delta": delta, "b": b}[where][4, 1] = np.nan
+        with np.errstate(all="raise"):
+            expected = _composed_forward(x, delta, a, b, c)
+            y = ssm._scan_forward(x, delta, a, b, c)[0]
+        assert np.isfinite(y[:4]).all()
+        assert not np.isfinite(y[4:]).any()
+        assert not np.isfinite(y[~np.isfinite(expected)]).any()
 
 
 def _composed_backward(gy, x, delta, a, b_seq, c_seq, h):
@@ -507,7 +608,7 @@ def _composed_backward(gy, x, delta, a, b_seq, c_seq, h):
 def _backward_inputs(gen, t_len, d, m):
     """Float64 (gy, x, delta, a, b, c, h), h from the forward kernels."""
     x, delta, a, b, c = TestSelective._scan_inputs(gen, t_len, d, m)
-    h = associative_scan(*selective_discretize(delta, a, b, x))
+    h = ssm._scan_forward(x, delta, a, b, c)[1]
     return gen.normal(size=(t_len, d)), x, delta, a, b, c, h
 
 
@@ -567,7 +668,7 @@ class TestScanBackward:
         assert [g.dtype for g in grads] == [wide] * 5
         # against the float64 oracle on the same values; the scan rounds 1/a in the parameters' dtype
         arrays = [t.data.astype(np.float64) for t in inputs]
-        h = associative_scan(*selective_discretize(*arrays[1:4], arrays[0]))
+        h = ssm._scan_forward(*arrays)[1]
         for g, e in zip(grads, _composed_backward(np.ones((9, 2)), *arrays, h)):
             np.testing.assert_allclose(g, e, rtol=1e-12 if param_dtype == np.float64 else 1e-5, atol=1e-6)
 
@@ -578,7 +679,7 @@ class TestScanBackward:
         gy, x, delta, a, b, c, h = _backward_inputs(rng(24), 9, 2, 3)
         if where == "x":
             x[4, 1] = np.nan
-            h = associative_scan(*selective_discretize(delta, a, b, x))
+            h = ssm._scan_forward(x, delta, a, b, c)[1]
         else:
             gy[4, 1] = np.nan
         with np.errstate(all="raise"):

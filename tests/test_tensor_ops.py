@@ -77,6 +77,42 @@ class TestConv2d:
         assert rep.passed, rep
 
 
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)])
+    def test_1x1_fast_path_equals_im2col(self, monkeypatch, x_dtype, w_dtype, bias):
+        # forward byte for byte, gradients equal up to the sign of a zero, in the same dtypes
+        r = rng(7)
+        x = T.Tensor(r.normal(size=(5, 6, 7)).astype(x_dtype))
+        w = T.Tensor(r.normal(size=(3, 5, 1, 1)).astype(w_dtype))
+        b = T.Tensor(r.normal(size=3).astype(w_dtype)) if bias else None
+        weights = r.normal(size=(3, 6, 7))
+        parents = [x, w] + ([b] if bias else [])
+        im2col = T._conv_im2col
+        results = []
+        for conv in (lambda: T.conv2d(x, w, b), lambda: im2col(x, w, b, 1, 0, 1)):
+            with T.Tape() as tape:
+                out = conv()
+                loss = T.reduce_sum(T.mul(out, weights))
+            tape.backward(loss)
+            results.append((out.data, [tape.grad(t) for t in parents]))
+            # the first pass must not reach the im2col path
+            monkeypatch.setattr(T, "_conv_im2col", lambda *a: pytest.fail("1x1 conv2d took the im2col path"))
+        (fast, fast_grads), (oracle, oracle_grads) = results
+        assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
+        assert fast.tobytes() == oracle.tobytes()
+        for g, e in zip(fast_grads, oracle_grads):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("kwargs", [{"stride": 2}, {"padding": 1}], ids=["stride", "padding"])
+    def test_other_1x1_convs_take_the_im2col_path(self, monkeypatch, kwargs):
+        calls = []
+        im2col = T._conv_im2col
+        monkeypatch.setattr(T, "_conv_im2col", lambda *a: calls.append(a) or im2col(*a))
+        T.conv2d(T.Tensor(np.ones((2, 4, 4))), T.Tensor(np.ones((2, 2, 1, 1))), **kwargs)
+        assert len(calls) == 1
+
+
 class TestLayerNorm:
     def test_constant_input_zeroed(self):
         x = T.Tensor(np.full((5, 2, 2), 3.7))
