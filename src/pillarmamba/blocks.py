@@ -116,8 +116,7 @@ def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
     Channel-reduced trunk: pre-norm selective scan residual, then a pre-norm
     depthwise-conv residual, then channel expansion. The output is a
     depthwise convolution of the block input gated by squeeze-excite channel
-    attention on the expanded trunk; ``attention_alt_residual`` adds the
-    expanded trunk to it.
+    attention on the expanded trunk.
     """
     tf = T.as_tensor(f)
     c, hsb = cfg.hsb_channels, cfg.hsb
@@ -139,8 +138,7 @@ def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
 
     dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad, groups=c)
     gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
-    gated = T.mul(gates, dw_f)
-    return T.add(f_up, gated) if hsb.attention_alt_residual else gated
+    return T.mul(gates, dw_f)
 
 
 def hsb_chain(f, cfg: ModelConfig, hsbs: tuple[HsbParams, ...]) -> T.Tensor:

@@ -39,7 +39,6 @@ class SsmConfig:
 class HsbToggles:
     reduction_ratio: int = 2
     dw_kernel: int = 3
-    attention_alt_residual: bool = False  # non-default: F_up + gates*DWConv(F)
     se_reduction: int = 4
 
 

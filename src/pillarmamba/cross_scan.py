@@ -1,8 +1,8 @@
 """Four-direction cross scan over BEV grids.
 
-A (C, X, Y) map is flattened into four 1-D token sequences (row-major,
-column-major, and their reversals), each scanned independently by the
-selective state-space engine, then merged back by inverse permutation and
+A (C, X, Y) map is flattened into a stack of four 1-D token sequences (row-
+and column-major, and their reversals), scanned as one stack with one
+parameter set per direction, then merged back by inverse permutation and
 summation. Also provides grid diagnostics quantifying how flattening
 stretches spatial neighborhoods and how long the empty-cell runs are.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -25,56 +24,49 @@ DIRECTIONS = ("row_forward", "col_forward", "row_reverse", "col_reverse")
 
 
 @lru_cache(maxsize=128)
+def direction_permutations(x_cells: int, y_cells: int) -> tuple[Array, Array]:
+    """(K, X*Y) sequence position -> row-major flat grid index, one row per direction in ``DIRECTIONS`` order,
+    and its row-wise inverse (grid index -> sequence position); both read-only."""
+    grid = np.arange(x_cells * y_cells, dtype=np.intp).reshape(x_cells, y_cells)
+    rows, cols = grid.reshape(-1), grid.T.reshape(-1)
+    perm = np.stack([rows, cols, rows[::-1], cols[::-1]])
+    inv = np.argsort(perm, axis=1, kind="stable")
+    perm.flags.writeable = inv.flags.writeable = False
+    return perm, inv
+
+
 def direction_permutation(direction: str, x_cells: int, y_cells: int) -> Array:
     """Sequence position -> row-major flat grid index, for one scan direction."""
     if direction not in DIRECTIONS:
         raise ContractViolation(f"unknown scan direction {direction!r}; expected one of {DIRECTIONS}")
-    grid = np.arange(x_cells * y_cells, dtype=np.intp).reshape(x_cells, y_cells)
-    if direction == "row_forward":
-        perm = grid.reshape(-1)
-    elif direction == "col_forward":
-        perm = grid.T.reshape(-1)
-    elif direction == "row_reverse":
-        perm = grid.reshape(-1)[::-1]
-    else:
-        perm = grid.T.reshape(-1)[::-1]
-    perm = np.ascontiguousarray(perm)
-    perm.setflags(write=False)
-    return perm
+    return direction_permutations(x_cells, y_cells)[0][DIRECTIONS.index(direction)]
 
 
-@lru_cache(maxsize=128)
-def inverse_permutation(direction: str, x_cells: int, y_cells: int) -> Array:
-    inv = np.argsort(direction_permutation(direction, x_cells, y_cells), kind="stable")
-    inv.setflags(write=False)
-    return inv
+def cross_scan_flatten(bev) -> T.Tensor:
+    """Flatten (C, X, Y) into a (K, X*Y, C) stack of token sequences, one per direction in ``DIRECTIONS`` order."""
+    _, x_cells, y_cells = T.as_tensor(bev).shape
+    return T.gather_rows(T.bev_to_tokens(bev), direction_permutations(x_cells, y_cells)[0])
 
 
-def cross_scan_flatten(bev) -> tuple[T.Tensor, ...]:
-    """Flatten (C, X, Y) into one (X*Y, C) token sequence per direction, in ``DIRECTIONS`` order."""
-    tb = T.as_tensor(bev)
-    _, x_cells, y_cells = tb.shape
-    tokens = T.bev_to_tokens(tb)
-    return tuple(T.gather_rows(tokens, direction_permutation(d, x_cells, y_cells)) for d in DIRECTIONS)
-
-
-def cross_merge(outputs: Sequence["T.Tensor"], x_cells: int, y_cells: int) -> T.Tensor:
-    """Inverse-permute each directional output (``DIRECTIONS`` order) to grid order and sum: -> (C, X, Y)."""
-    acc = None
-    for d, out in zip(DIRECTIONS, outputs, strict=True):  # fixed reduction order for determinism
-        grid_tokens = T.gather_rows(out, inverse_permutation(d, x_cells, y_cells))
-        acc = grid_tokens if acc is None else T.add(acc, grid_tokens)
-    return T.tokens_to_bev(acc, x_cells, y_cells)
+def cross_merge(outputs, x_cells: int, y_cells: int) -> T.Tensor:
+    """Inverse-permute a (K, X*Y, C) stack of directional outputs to grid order and sum in ``DIRECTIONS`` order."""
+    inv = direction_permutations(x_cells, y_cells)[1]
+    k, t_len, c = T.as_tensor(outputs).shape
+    if (k, t_len) != inv.shape:
+        raise ContractViolation(f"cross_merge expects a {inv.shape + (c,)} stack of directional outputs, got {(k, t_len, c)}")
+    offsets = t_len * np.arange(k)[:, None]  # sequence k's rows start at k * X*Y of the (K * X*Y, C) rows
+    grid_tokens = T.gather_rows(T.reshape(outputs, (k * t_len, c)), inv + offsets)
+    return T.tokens_to_bev(T.reduce_sum(grid_tokens, axis=0), x_cells, y_cells)
 
 
 @dataclass
 class Ss2dParams:
-    """Parameters of one four-direction selective-scan block; ``directions``
-    holds one projection set per scan direction, in ``DIRECTIONS`` order."""
+    """Parameters of one four-direction selective-scan block; ``scan`` stacks one projection set per scan
+    direction, in ``DIRECTIONS`` order."""
 
     in_proj_w: T.Param
     in_proj_b: T.Param
-    directions: tuple[SelectiveProjections, ...]
+    scan: SelectiveProjections
     norm_gamma: T.Param
     norm_beta: T.Param
     out_proj_w: T.Param
@@ -84,12 +76,12 @@ class Ss2dParams:
 def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int, dtype=np.float32, name: str = "ss2d") -> Ss2dParams:
     c = channels
     in_proj_w, in_proj_b = T.conv_param(rng, f"{name}.in_proj", c, c, 1, dtype, gain=2.0)  # feeds silu
-    directions = tuple(init_selective_projections(rng, c, state_dim, dtype=dtype, name=f"{name}.{d}") for d in DIRECTIONS)
+    scan = init_selective_projections(rng, c, state_dim, len(DIRECTIONS), dtype=dtype, name=name)
     out_proj_w, out_proj_b = T.conv_param(rng, f"{name}.out_proj", c, c, 1, dtype)
     return Ss2dParams(
         in_proj_w=in_proj_w,
         in_proj_b=in_proj_b,
-        directions=directions,
+        scan=scan,
         norm_gamma=T.Param(np.ones(c, dtype=dtype), name=f"{name}.norm.gamma"),
         norm_beta=T.Param(np.zeros(c, dtype=dtype), name=f"{name}.norm.beta"),
         out_proj_w=out_proj_w,
@@ -100,15 +92,13 @@ def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int, dt
 def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     """Shape-preserving four-direction selective scan over a (C, X, Y) map.
 
-    Pipeline: 1x1 projection + SiLU -> directional flatten -> per-direction
-    selective scan (independent parameter sets) -> inverse-permute + sum ->
-    per-site channel normalization -> 1x1 output projection.
+    Pipeline: 1x1 projection + SiLU -> directional flatten -> selective scan
+    of the direction stack (one parameter set per direction) -> inverse-permute
+    + sum -> per-site channel normalization -> 1x1 output projection.
     """
-    tb = T.as_tensor(bev)
-    _, x_cells, y_cells = tb.shape
-    h = T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b))
-    seqs = cross_scan_flatten(h)
-    scanned = [selective_scan_tokens(seq, proj) for seq, proj in zip(seqs, params.directions, strict=True)]
+    _, x_cells, y_cells = T.as_tensor(bev).shape
+    h = T.silu(T.conv2d(bev, params.in_proj_w, params.in_proj_b))
+    scanned = selective_scan_tokens(cross_scan_flatten(h), params.scan)
     merged = cross_merge(scanned, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,10 +188,13 @@ def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> 
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _spreads(d: int, m: int, dtype) -> tuple[Array, Array]:
-    """0/1 selectors: (T, D) @ spread_d copies each entry over its M columns of a (T, D*M) row; (T, M) @ spread_m
-    over its D columns."""
-    return np.repeat(np.eye(d, dtype=dtype), m, axis=1), np.tile(np.eye(m, dtype=dtype), d)
+    """Read-only 0/1 selectors: (T, D) @ spread_d copies each entry over its M columns of a (T, D*M) row;
+    (T, M) @ spread_m over its D columns. Built once per (D, M, dtype)."""
+    spread_d, spread_m = np.repeat(np.eye(d, dtype=dtype), m, axis=1), np.tile(np.eye(m, dtype=dtype), d)
+    spread_d.flags.writeable = spread_m.flags.writeable = False
+    return spread_d, spread_m
 
 
 def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array, a_bar: Array, u: Array, work: Array):
@@ -358,31 +362,34 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array) 
 
 
 def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
-    """Differentiable selective scan, ZOH inside, as one tape record.
+    """Differentiable selective scan of a stack of K sequences, ZOH inside, as one tape record.
 
-    x, delta (T,D); a (D,M); b_seq, c_seq (T,M) -> y (T,D), with
-    h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t. The forward,
-    ``_scan_forward``, discretizes, scans and contracts one row block at a
-    time; the backward adjoint (itself a first-order recurrence) runs the
-    same parallel scan. The record keeps the inputs and h; the backward,
-    ``_scan_backward``, recomputes the discretization a row block at a time
-    (Gu & Dao, arXiv 2312.00752, sec. 3.3). Besides four blocks of a quarter
-    of a forward block's rows, it holds two (T,D,M) buffers (the adjoint
-    scan's) up to the scan and one after. Its float64 gradients agree with
-    the whole-buffer composition within 1e-12 relative, not bit for bit.
-    ``zoh_factors`` with the recurrent form is the reference.
+    x, delta (K,T,D); a (K,D,M); b_seq, c_seq (K,T,M) -> y (K,T,D), with
+    h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t per sequence.
+    ``_scan_forward`` runs each sequence in turn, discretizing, scanning and
+    contracting one row block at a time. The record keeps the inputs and
+    every sequence's h; untaped, each h goes before the next sequence runs.
+    The backward, ``_scan_backward``, runs per sequence: the adjoint (itself a
+    first-order recurrence) takes the same parallel scan, and the
+    discretization is recomputed a row block at a time (Gu & Dao, arXiv
+    2312.00752, sec. 3.3). Besides four blocks of a quarter of a forward
+    block's rows, it holds two (T,D,M) buffers up to the adjoint scan and one
+    after. Its float64 gradients agree with the whole-buffer composition
+    within 1e-12 relative; ``zoh_factors`` with the recurrent form is the reference.
     """
     tx, td, ta, tb, tc = (T.as_tensor(v) for v in (x, delta, a, b_seq, c_seq))
-    xd, dd, ad, bd, c = tx.data, td.data, ta.data, tb.data, tc.data
-    t_len, d = xd.shape
+    arrays = xd, dd, ad, bd, c = tx.data, td.data, ta.data, tb.data, tc.data
+    k, t_len, d = xd.shape if xd.ndim == 3 else (-1, -1, -1)  # x must be a (K, T, D) stack
     m = ad.shape[-1]
-    if dd.shape != (t_len, d) or ad.shape != (d, m) or bd.shape != (t_len, m) or c.shape != (t_len, m):
+    if xd.ndim != 3 or dd.shape != xd.shape or ad.shape != (k, d, m) or bd.shape != (k, t_len, m) or c.shape != bd.shape:
         raise ContractViolation(
             f"ssm_scan shape mismatch: x {xd.shape}, delta {dd.shape}, a {ad.shape}, b {bd.shape}, c {c.shape}"
         )
-    y, h = _scan_forward(xd, dd, ad, bd, c)
-    out = T.Tensor(y)
-    T._record(out, (tx, td, ta, tb, tc), lambda gy: _scan_backward(gy, xd, dd, ad, bd, c, h))
+    if T._active_tape() is None:
+        return T.Tensor(np.stack([_scan_forward(*seq)[0] for seq in zip(*arrays)]))
+    ys, hs = zip(*(_scan_forward(*seq) for seq in zip(*arrays)))
+    out = T.Tensor(np.stack(ys))
+    T._record(out, (tx, td, ta, tb, tc), lambda gy: tuple(map(np.stack, zip(*map(_scan_backward, gy, *arrays, hs)))))
     return out
 
 
@@ -393,11 +400,11 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
 
 @dataclass
 class SelectiveProjections:
-    """Per-direction projections mapping tokens to scan parameters.
+    """Projections mapping tokens to scan parameters, one set per scanned sequence, stacked on a leading axis K.
 
-    b/c projections: (D, M) + (M,) bias; delta projection: (D, D) + (D,) bias
-    (one positive step size per channel via softplus); a_log: (D, M) with
-    a = -exp(a_log) strictly negative.
+    b/c projections: (K, D, M) + (K, 1, M) bias; delta projection:
+    (K, D, D) + (K, 1, D) bias (one positive step size per channel via
+    softplus); a_log: (K, D, M) with a = -exp(a_log) strictly negative.
     """
 
     w_b: T.Param
@@ -410,16 +417,16 @@ class SelectiveProjections:
 
 
 def selective_params(tokens, proj: SelectiveProjections):
-    """Compute per-step (b_seq, c_seq, delta) and static a from tokens (T, D)."""
-    b_seq = T.add(T.matmul(tokens, proj.w_b), proj.b_b)  # (T, M)
-    c_seq = T.add(T.matmul(tokens, proj.w_c), proj.b_c)  # (T, M)
-    delta = T.softplus(T.add(T.matmul(tokens, proj.w_delta), proj.b_delta))  # (T, D)
-    a = T.neg(T.texp(proj.a_log))  # (D, M), strictly negative
+    """Compute per-step (b_seq, c_seq, delta) and static a from tokens (K, T, D)."""
+    b_seq = T.add(T.matmul(tokens, proj.w_b), proj.b_b)  # (K, T, M)
+    c_seq = T.add(T.matmul(tokens, proj.w_c), proj.b_c)  # (K, T, M)
+    delta = T.softplus(T.add(T.matmul(tokens, proj.w_delta), proj.b_delta))  # (K, T, D)
+    a = T.neg(T.texp(proj.a_log))  # (K, D, M), strictly negative
     return b_seq, c_seq, delta, a
 
 
 def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:
-    """Full selective scan over a token sequence (T, D) -> (T, D)."""
+    """Full selective scan over a stack of token sequences (K, T, D) -> (K, T, D)."""
     b_seq, c_seq, delta, a = selective_params(tokens, proj)
     return ssm_scan(tokens, delta, a, b_seq, c_seq)
 
@@ -428,6 +435,7 @@ def init_selective_projections(
     rng: np.random.Generator,
     channels: int,
     state_dim: int,
+    sequences: int,
     dtype=np.float32,
     name: str = "",
     dt_min: float = 1e-3,
@@ -436,16 +444,21 @@ def init_selective_projections(
     """Initialization: small projections, log-spaced state decay, softplus-inverse step bias."""
     d, m = channels, state_dim
     scale = 1.0 / np.sqrt(d)
-    dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=d))
-    dt_bias = np.log(np.expm1(dt))  # softplus(dt_bias) == dt
-    a_log = np.log(np.tile(np.arange(1, m + 1, dtype=np.float64), (d, 1)))
+    draws = []
+    for _ in range(sequences):  # one set after another: step sizes, then w_b, w_c and w_delta
+        dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=(1, d)))
+        w_b = rng.normal(0.0, scale, size=(d, m))
+        w_c = rng.normal(0.0, scale, size=(d, m))
+        draws.append((np.log(np.expm1(dt)), w_b, w_c, rng.normal(0.0, scale * 0.1, size=(d, d))))  # softplus(dt_bias) == dt
+    dt_bias, w_b, w_c, w_delta = (np.stack(arrays) for arrays in zip(*draws))
+    a_log = np.log(np.tile(np.arange(1, m + 1, dtype=np.float64), (sequences, d, 1)))
     mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}" if name else suffix)
     return SelectiveProjections(
-        w_b=mk(rng.normal(0.0, scale, size=(d, m)), "w_b"),
-        b_b=mk(np.zeros(m), "b_b"),
-        w_c=mk(rng.normal(0.0, scale, size=(d, m)), "w_c"),
-        b_c=mk(np.zeros(m), "b_c"),
-        w_delta=mk(rng.normal(0.0, scale * 0.1, size=(d, d)), "w_delta"),
+        w_b=mk(w_b, "w_b"),
+        b_b=mk(np.zeros((sequences, 1, m)), "b_b"),
+        w_c=mk(w_c, "w_c"),
+        b_c=mk(np.zeros((sequences, 1, m)), "b_c"),
+        w_delta=mk(w_delta, "w_delta"),
         b_delta=mk(dt_bias, "b_delta"),
         a_log=mk(a_log, "a_log"),
     )

@@ -337,14 +337,13 @@ def softplus(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """(N, D) @ (D, M), or a stack of them: (K, N, D) @ (K, D, M), one matrix product per leading index."""
     ta, tb = as_tensor(a), as_tensor(b)
     da, db = ta.data, tb.data
-    if da.ndim != 2 or db.ndim != 2:
-        raise ContractViolation(f"matmul expects 2-D operands, got {da.shape} @ {db.shape}")
-    if da.shape[1] != db.shape[0]:
-        raise ContractViolation(f"matmul inner-dimension mismatch: {da.shape} @ {db.shape}")
+    if da.ndim != db.ndim or da.ndim not in (2, 3) or da.shape[:-2] != db.shape[:-2] or da.shape[-1] != db.shape[-2]:
+        raise ContractViolation(f"matmul expects (N, D) @ (D, M) or (K, N, D) @ (K, D, M), got {da.shape} @ {db.shape}")
     out = Tensor(da @ db)
-    _record(out, (ta, tb), lambda g: (g @ db.T, da.T @ g))
+    _record(out, (ta, tb), lambda g: (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g))
     return out
 
 
@@ -411,24 +410,26 @@ def split(a, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
 
 
 def gather_rows(a, idx: Array) -> Tensor:
-    """Reorder/select rows of a 2-D tensor by nonnegative row indices; backward scatter-adds.
+    """Rows of a 2-D tensor by nonnegative row indices: ``a[idx]``, for a 1-D index or a 2-D stack of them.
 
-    Whether an index repeats is decided in the backward, which inference
-    never runs; unique indices take a plain assignment.
+    The backward scatter-adds each index row in turn. Whether an index repeats
+    within a row is decided there, which inference never runs; a row of
+    unique indices takes a plain fancy-index add.
     """
     ta = as_tensor(a)
     d = ta.data
     idx = np.asarray(idx, dtype=np.intp)
-    if (idx < 0).any():
-        raise ContractViolation("gather_rows requires nonnegative row indices")
+    if idx.ndim not in (1, 2) or (idx < 0).any():
+        raise ContractViolation(f"gather_rows requires a 1-D or 2-D nonnegative row index, got shape {idx.shape}")
     out = Tensor(d[idx])
 
     def bwd(g):
         gz = np.zeros_like(d)
-        if np.bincount(idx, minlength=1).max() <= 1:
-            gz[idx] = g
-        else:
-            np.add.at(gz, idx, g)
+        for rows, g_rows in zip(idx.reshape(-1, idx.shape[-1]), g.reshape((-1,) + g.shape[idx.ndim - 1 :])):
+            if np.bincount(rows, minlength=1).max() <= 1:
+                gz[rows] += g_rows
+            else:
+                np.add.at(gz, rows, g_rows)
         return (gz,)
 
     _record(out, (ta,), bwd)

@@ -14,7 +14,7 @@ from conftest import brute_force_ap_r40, perfect_raw_maps, rng
 from pillarmamba import cli
 from pillarmamba.boxes import Box3D, Detection
 from pillarmamba.config import config_to_dict, default_config, desk_grid
-from pillarmamba.cross_scan import DIRECTIONS, direction_permutation, inverse_permutation
+from pillarmamba.cross_scan import DIRECTIONS, direction_permutations
 from pillarmamba.data_io import SceneSpec, generate_scene, scene_spec_from_config
 from pillarmamba.head import build_targets, decode
 from pillarmamba.metrics import ap_r40, rotated_iou_bev
@@ -77,9 +77,7 @@ def test_c04_cross_scan_bijection():
     ok = True
     for x_cells, y_cells in sizes:
         tokens = r.normal(size=(x_cells * y_cells, 3))
-        for d in DIRECTIONS:
-            perm = direction_permutation(d, x_cells, y_cells)
-            inv = inverse_permutation(d, x_cells, y_cells)
+        for d, perm, inv in zip(DIRECTIONS, *direction_permutations(x_cells, y_cells), strict=True):
             if not np.array_equal(tokens[perm][inv], tokens):
                 ok = False
                 worst_cases.append((x_cells, y_cells, d))

@@ -82,6 +82,17 @@ def test_traced_workloads_call_every_required_site():
     spans.check_coverage(tracer, "train_desk64")
 
 
+def test_one_scan_per_ss2d():
+    # each SS2D scans its four directions as one stack: one ssm_scan call, and four sweeps of the state
+    spans = _load_spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        _small_model(np.float32).detect(_cloud())
+    ss2d = STAGES * 2  # two HSBs per stage, one SS2D each
+    assert tracer.calls["pillarmamba.blocks.ss2d_block"] == ss2d == 8
+    assert tracer.calls["pillarmamba.ssm.ssm_scan"] == ss2d
+    assert tracer.calls["pillarmamba.ssm.associative_scan"] == 4 * ss2d
+
+
 def test_plain_hsb_chain_calls_the_traced_hsb_site():
     # with the CSG split off, each stage is a bare HSB chain; its HSBs must still reach the
     # blocks.hsb span through the module attribute the tracer wraps

@@ -80,15 +80,6 @@ class TestHsb:
         dw = T.value(T.conv2d(x, params.dw_outer_w, params.dw_outer_b, padding=1, groups=4))
         np.testing.assert_array_equal(out, dw)
 
-    def test_attention_alt_residual_adds_trunk(self):
-        cfg_lit = model_cfg(4)
-        cfg_alt = model_cfg(4, attention_alt_residual=True)
-        params = init_hsb_params(rng(8), cfg_lit, dtype=np.float64)
-        x = T.Tensor(rng(9).normal(size=(4, 4, 4)))
-        literal = T.value(hsb_forward(x, cfg_lit, params))
-        alt = T.value(hsb_forward(x, cfg_alt, params))
-        assert np.abs(literal - alt).max() > 1e-6  # alt adds the expanded trunk
-
     def test_channel_mismatch_rejected(self):
         cfg = model_cfg(4, se_reduction=4)
         params = init_hsb_params(rng(10), cfg, dtype=np.float64)
@@ -100,9 +91,8 @@ class TestHsb:
         with pytest.raises(ConfigurationError, match=r"model\.hsb\.reduction_ratio"):
             ModelConfig(channels=5, csg=CsgToggles(enabled=False), hsb=HsbToggles(reduction_ratio=2))
 
-    @pytest.mark.parametrize("alt", [False, True], ids=["gated", "alt"])
-    def test_gradients(self, alt):
-        cfg = model_cfg(4, attention_alt_residual=alt)
+    def test_gradients(self):
+        cfg = model_cfg(4)
         params = init_hsb_params(rng(3), cfg, dtype=np.float64)
         x = T.Tensor(rng(53).normal(size=(4, 3, 3)))
         rep = T.grad_check(lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params)), [x] + T.collect_params(params))

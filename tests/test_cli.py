@@ -16,6 +16,7 @@ from pillarmamba import cli
 from pillarmamba import metrics as metrics_mod
 from pillarmamba.boxes import CLASS_IDS
 from pillarmamba.config import config_from_dict, config_to_dict, default_config
+from pillarmamba.cross_scan import DIRECTIONS
 from pillarmamba.data_io import load_cloud, load_labels
 from pillarmamba.model import WEIGHTS_MAGIC, build_model, load_weights, save_weights
 from pillarmamba.errors import FormatError
@@ -226,6 +227,38 @@ def test_weights_model_mismatch_detected(tiny_cfg_path, tmp_path):
     with pytest.raises(FormatError) as err:
         load_weights(path, other)
     assert "does not match" in str(err.value)
+
+
+def _per_direction_weights(path, model):
+    """A .pmw of the model's values under the per-direction SS2D names of older builds
+    (``...ss2d.row_forward.w_b`` of shape (D, M) per direction, in place of ``...ss2d.w_b`` of shape (4, D, M))."""
+    entries, values = [], []
+    for name, p in model.named_params():
+        stem, _, leaf = name.rpartition(".")
+        if stem.endswith(".ss2d") and leaf in ("w_b", "b_b", "w_c", "b_c", "w_delta", "b_delta", "a_log"):
+            entries += [{"name": f"{stem}.{d}.{leaf}", "shape": list(p.shape[1:])} for d in DIRECTIONS]
+        else:
+            entries.append({"name": name, "shape": list(p.shape)})
+        values.append(p.value.data.astype("<f8").tobytes())
+    blob = json.dumps({"params": entries}, sort_keys=True).encode()
+    path.write_bytes(WEIGHTS_MAGIC + struct.pack("<I", len(blob)) + blob + b"".join(values))
+
+
+def test_per_direction_weights_are_rejected(dataset, tiny_cfg_path, tmp_path, capsys):
+    # no conversion: the stacked names are missing from the file and the per-direction ones are extra
+    cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
+    path = tmp_path / "old.pmw"
+    _per_direction_weights(path, build_model(cfg, seed=0))
+    with pytest.raises(FormatError) as err:
+        load_weights(path, build_model(cfg, seed=0))
+    missing, extra = re.search(r"missing=(\[.*?\]) extra=(\[.*?\])", str(err.value)).groups()
+    assert "backbone.stage0.csg.hsb0.ss2d.a_log" in missing and ".row_forward." not in missing
+    assert "backbone.stage0.csg.hsb0.ss2d.col_forward.a_log" in extra
+    argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets")]
+    assert cli.main([*argv, "--weights", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "FormatError" and "does not match this model" in err["message"]
+    assert not (tmp_path / "dets").exists()
 
 
 def test_weights_roundtrip_exact_for_f32(tiny_cfg_path, tmp_path):

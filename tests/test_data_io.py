@@ -208,7 +208,7 @@ NON_DEFAULT_CONFIG = {
         "channels": 32,
         "encoder": {"max_points_per_pillar": 16, "max_pillars": 9000},
         "csg": {"enabled": False, "hsb_layers": 3},
-        "hsb": {"reduction_ratio": 4, "dw_kernel": 5, "attention_alt_residual": True, "se_reduction": 8},
+        "hsb": {"reduction_ratio": 4, "dw_kernel": 5, "se_reduction": 8},
         "ssm": {"state_dim": 4},
     },
     "head": {"top_k": 50, "score_threshold": 0.3, "reg_weight": 2.0, "gaussian_min_overlap": 0.5},
@@ -287,6 +287,7 @@ class TestConfig:
             ("model.hsb", "residual", True, "unknown key model.hsb.residual"),
             ("model.hsb", "attention", True, "unknown key model.hsb.attention"),
             ("model.csg", "split_fraction", 0.5, "unknown key model.csg.split_fraction"),
+            ("model.hsb", "attention_alt_residual", True, "unknown key model.hsb.attention_alt_residual"),
             ("model.encoder", "max_points_per_pillar", 0, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_points_per_pillar", -1, "model.encoder.max_points_per_pillar"),
             ("model.encoder", "max_pillars", 0, "model.encoder.max_pillars"),
@@ -306,7 +307,7 @@ class TestConfig:
             "count-unknown-class", "prior-missing-for-counted", "prior-nonpositive", "points-per-box-zero",
             "background-negative", "iou-unknown-class", "classes-subset", "classes-order",
             "removed-engine", "removed-chunk-size", "removed-stages", "removed-zoh-exact", "removed-activation",
-            "removed-local-conv", "removed-residual", "removed-attention", "removed-split-fraction",
+            "removed-local-conv", "removed-residual", "removed-attention", "removed-split-fraction", "removed-alt-residual",
             "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero", "train-steps-zero",
             "channels-zero", "reduction-ratio-zero", "se-reduction-zero", "dw-kernel-even", "dw-kernel-negative",
             "state-dim-zero", "hsb-layers-zero", "split-improper", "branch-indivisible",
@@ -362,8 +363,8 @@ class TestConfig:
 # [[name, shape], ...] manifest) of the seed-0 default model (C=64); the .pmw
 # layout is this manifest followed by the values in the same order
 MANIFEST_PINS = {
-    "default": ({}, 438, "62cb63d76cfbb343671fa7151d5789477ef7029813e1e6bde485709b6f5067ee"),
-    "csg_off": ({"csg": {"enabled": False}}, 422, "9cf2d000f592ca5b75369e41b1ddcc6f7fe02a14346817137e0e433916e66378"),
+    "default": ({}, 270, "e76b5d2255dcb83d50cbf38fc1a7774fb3db4adf8a272c53a8ac5288b4a575d6"),
+    "csg_off": ({"csg": {"enabled": False}}, 254, "c21f82c68b738dae7802a47928f1f199680567fc45fe270454d296a60d533381"),
 }
 
 

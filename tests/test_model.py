@@ -29,14 +29,13 @@ def _cloud() -> PointCloud:
     return PointCloud(np.concatenate([on_box, background]))
 
 
-# Both HSB output forms under CSG, then a plain HSB chain.
+# The HSB under CSG, then a plain HSB chain.
 # Every HSB here normalizes one channel: CSG at C=4 runs its HSBs at width 2 and reduction 2 halves
 # that, and the plain chain takes reduction 4. A two-channel layer norm is a sign function smoothed
 # over sqrt(1e-5) ~ 3e-3, whose curvature swamps a central difference (relative errors of 1e-3 and
 # more at step 1e-8 on some seeds of the plain chain at reduction 2).
 CASES = {
     "csg": (True, {}),
-    "csg-alt": (True, dict(attention_alt_residual=True)),
     "no-csg": (False, dict(reduction_ratio=4)),
 }
 

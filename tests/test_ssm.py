@@ -353,31 +353,31 @@ class TestStability:
 
 class TestSelective:
     def test_softplus_of_zero_step_bias(self):
-        proj = init_selective_projections(rng(0), channels=3, state_dim=2, dtype=np.float64)
+        proj = init_selective_projections(rng(0), channels=3, state_dim=2, sequences=1, dtype=np.float64)
         proj.w_delta.value.data[...] = 0.0
         proj.b_delta.value.data[...] = 0.0
-        tokens = T.Tensor(np.zeros((4, 3)))
+        tokens = T.Tensor(np.zeros((1, 4, 3)))
         _, _, delta, _ = selective_params(tokens, proj)
         np.testing.assert_allclose(T.value(delta), math.log(2.0), atol=1e-12)
 
     def test_zero_b_projection_zero_output(self):
-        proj = init_selective_projections(rng(1), channels=3, state_dim=2, dtype=np.float64)
+        proj = init_selective_projections(rng(1), channels=3, state_dim=2, sequences=1, dtype=np.float64)
         proj.w_b.value.data[...] = 0.0
         proj.b_b.value.data[...] = 0.0
-        tokens = T.Tensor(rng(2).normal(size=(5, 3)))
+        tokens = T.Tensor(rng(2).normal(size=(1, 5, 3)))
         out = selective_scan_tokens(tokens, proj)
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     def test_a_log_zero_gives_minus_one(self):
-        proj = init_selective_projections(rng(3), channels=2, state_dim=3, dtype=np.float64)
+        proj = init_selective_projections(rng(3), channels=2, state_dim=3, sequences=1, dtype=np.float64)
         proj.a_log.value.data[...] = 0.0
-        tokens = T.Tensor(np.zeros((2, 2)))
+        tokens = T.Tensor(np.zeros((1, 2, 2)))
         _, _, _, a = selective_params(tokens, proj)
         np.testing.assert_array_equal(T.value(a), -1.0)
 
     def test_delta_strictly_positive(self):
-        proj = init_selective_projections(rng(4), channels=4, state_dim=2, dtype=np.float64)
-        tokens = T.Tensor(rng(5).normal(size=(16, 4)) * 3.0)
+        proj = init_selective_projections(rng(4), channels=4, state_dim=2, sequences=1, dtype=np.float64)
+        tokens = T.Tensor(rng(5).normal(size=(1, 16, 4)) * 3.0)
         _, _, delta, a = selective_params(tokens, proj)
         assert (T.value(delta) > 0).all()
         assert (T.value(a) < 0).all()
@@ -398,7 +398,7 @@ class TestSelective:
         # lengths exercise the rolled adjoint coefficients
         r = rng(6)
         for t_len in (1, 2, 5, 7, 33):
-            inputs = [T.Tensor(v) for v in self._scan_inputs(r, t_len, 2, 3)]
+            inputs = [T.Tensor(v[None]) for v in self._scan_inputs(r, t_len, 2, 3)]
             rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), inputs, name=f"ssm_scan[T={t_len}]")
             assert rep.passed, rep
 
@@ -407,14 +407,14 @@ class TestSelective:
         r = rng(11)
         for t_len, d, m in [(1, 1, 1), (2, 3, 2), (37, 4, 3), (64, 2, 8), (257, 3, 4)]:
             x, delta, a, b, c = self._scan_inputs(r, t_len, d, m)
-            y = T.value(ssm_scan(*(T.Tensor(v) for v in (x, delta, a, b, c))))
+            y = T.value(ssm_scan(*(T.Tensor(v[None]) for v in (x, delta, a, b, c))))[0]
             a_bar, scale = zoh_factors(a, delta[:, :, None])
             ref = scan_recurrent_arrays(a_bar, scale * b[:, None, :], c[:, None, :], x)
             np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
 
     def test_scan_leaves_its_inputs_untouched(self):
         # the kernel works in place on buffers it allocates; grad_check perturbs these very arrays
-        inputs = [T.Tensor(v) for v in self._scan_inputs(rng(14), 37, 3, 4)]
+        inputs = [T.Tensor(v[None]) for v in self._scan_inputs(rng(14), 37, 3, 4)]
         before = [t.data.tobytes() for t in inputs]
         with T.Tape() as tape:
             loss = T.reduce_sum(ssm_scan(*inputs))
@@ -439,8 +439,8 @@ class TestSelective:
         # writes h and two blocks of scratch; the backward recomputes the ZOH terms a row block at a time
         t_len, d, m = 4096, 16, 8
         buf = t_len * d * m * 4
-        proj = init_selective_projections(rng(15), channels=d, state_dim=m)
-        tokens = T.Tensor(rng(16).normal(size=(t_len, d)).astype(np.float32))
+        proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=1)
+        tokens = T.Tensor(rng(16).normal(size=(1, t_len, d)).astype(np.float32))
         selective_scan_tokens(tokens, proj)  # warm-up outside the trace
         tracemalloc.start()
         try:
@@ -465,8 +465,8 @@ class TestSelective:
         # in the forward and in the backward, so h is the forward's only (T, D, M) buffer
         t_len, d, m = 16384, 16, 8
         buf = t_len * d * m * 4
-        proj = init_selective_projections(rng(15), channels=d, state_dim=m)
-        tokens = T.Tensor(rng(16).normal(size=(t_len, d)).astype(np.float32))
+        proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=1)
+        tokens = T.Tensor(rng(16).normal(size=(1, t_len, d)).astype(np.float32))
         selective_scan_tokens(tokens, proj)  # warm-up outside the trace
         tracemalloc.start()
         try:
@@ -486,32 +486,75 @@ class TestSelective:
         # measured 2.45: the adjoint scan's two buffers, and everything else a block or a (T, D) array at a time
         assert backward <= 2.75 * buf, f"backward peak {backward / buf:.2f} buffers"
 
+    def test_untaped_stack_holds_one_state_at_a_time(self):
+        # four float32 (4096, 16, 8) sequences in one untaped scan: each h is dropped before the next sequence runs;
+        # taped, the record keeps all four
+        k, t_len, d, m = 4, 4096, 16, 8
+        buf = t_len * d * m * 4
+        proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=k)
+        tokens = T.Tensor(rng(16).normal(size=(k, t_len, d)).astype(np.float32))
+        selective_scan_tokens(tokens, proj)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            selective_scan_tokens(tokens, proj)
+            untaped = tracemalloc.get_traced_memory()[1] - start
+            with T.Tape():
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                selective_scan_tokens(tokens, proj)
+                taped = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # measured 3.18: one h, two blocks of scratch, and the (K, T, M) and (K, T, D) projections and outputs;
+        # a second live h would add 1
+        assert untaped <= 3.5 * buf, f"untaped peak {untaped / buf:.2f} buffers"
+        assert taped >= k * buf, f"taped peak {taped / buf:.2f} buffers"
+
+    def test_selectors_are_built_once_and_read_only(self):
+        spread_d, spread_m = ssm._spreads(3, 2, np.dtype(np.float32))
+        again = ssm._spreads(3, 2, np.dtype(np.float32))
+        assert again[0] is spread_d and again[1] is spread_m
+        assert not (spread_d.flags.writeable or spread_m.flags.writeable)
+        np.testing.assert_array_equal(spread_d, np.repeat(np.eye(3), 2, axis=1))
+        np.testing.assert_array_equal(spread_m, np.tile(np.eye(2), 3))
+        x, delta, a, b, c = self._scan_inputs(rng(20), 9, 3, 2)
+        inputs = [T.Tensor(v[None]) for v in (x, delta, a, b, c)]
+        with T.Tape() as tape:
+            loss = T.reduce_sum(ssm_scan(*inputs))
+        tape.backward(loss)
+        misses = ssm._spreads.cache_info().misses
+        with T.Tape() as tape:
+            loss = T.reduce_sum(ssm_scan(*inputs))
+        tape.backward(loss)
+        assert ssm._spreads.cache_info().misses == misses
+
     def test_untaped_projections_compute_no_sigmoid(self, monkeypatch):
         # the softplus derivative is built in its backward closure, so inference never evaluates it
         calls = []
         sigmoid = T._stable_sigmoid
         monkeypatch.setattr(T, "_stable_sigmoid", lambda x: calls.append(x.shape) or sigmoid(x))
-        proj = init_selective_projections(rng(18), channels=3, state_dim=2, dtype=np.float64)
-        tokens = T.Tensor(rng(19).normal(size=(6, 3)))
+        proj = init_selective_projections(rng(18), channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        tokens = T.Tensor(rng(19).normal(size=(1, 6, 3)))
         selective_params(tokens, proj)
         assert calls == []
         with T.Tape() as tape:
             loss = T.reduce_sum(selective_scan_tokens(tokens, proj))
         assert calls == []
         tape.backward(loss)
-        assert calls == [(6, 3)]
+        assert calls == [(1, 6, 3)]
 
     def test_one_tape_record_per_scan(self):
         # 3 matmul + 3 add + softplus + exp + neg for the projections, then the scan itself
-        proj = init_selective_projections(rng(12), channels=3, state_dim=2, dtype=np.float64)
+        proj = init_selective_projections(rng(12), channels=3, state_dim=2, sequences=1, dtype=np.float64)
         with T.Tape() as tape:
-            selective_scan_tokens(T.Tensor(rng(13).normal(size=(6, 3))), proj)
+            selective_scan_tokens(T.Tensor(rng(13).normal(size=(1, 6, 3))), proj)
         assert len(tape._records) == 10
 
     def test_grad_through_projections_and_zoh(self):
         r = rng(7)
-        proj = init_selective_projections(r, channels=3, state_dim=2, dtype=np.float64)
-        tokens = T.Tensor(r.normal(size=(6, 3)))
+        proj = init_selective_projections(r, channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        tokens = T.Tensor(r.normal(size=(1, 6, 3)))
         inputs = [tokens] + T.collect_params(proj)
         rep = T.grad_check(lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj)), inputs, name="selective")
         assert rep.passed, rep
@@ -555,7 +598,7 @@ class TestScanForward:
     @pytest.mark.parametrize("c_dtype", [np.float32, np.float64])
     def test_float32_parameters_with_float64_x_give_float64_output(self, c_dtype):
         x, delta, a, b, c = TestSelective._scan_inputs(rng(26), 9, 2, 3)
-        y = T.value(ssm_scan(x, *(v.astype(np.float32) for v in (delta, a, b)), c.astype(c_dtype)))
+        y = T.value(ssm_scan(x[None], *(v[None].astype(np.float32) for v in (delta, a, b)), c[None].astype(c_dtype)))[0]
         assert y.dtype == np.float64
         params = [v.astype(np.float32).astype(np.float64) for v in (delta, a, b, c)]
         np.testing.assert_allclose(y, _composed_forward(x, *params), rtol=1e-6, atol=1e-6)
@@ -649,7 +692,7 @@ class TestScanBackward:
         monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
         r = rng(22)
         for t_len in (3, 4, 5, 9, 17):
-            inputs = [T.Tensor(v) for v in TestSelective._scan_inputs(r, t_len, 2, 3)]
+            inputs = [T.Tensor(v[None]) for v in TestSelective._scan_inputs(r, t_len, 2, 3)]
             rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), inputs, name=f"ssm_scan[T={t_len}, 4-row blocks]")
             assert rep.passed, rep
 
@@ -659,15 +702,15 @@ class TestScanBackward:
     def test_gradients_come_in_the_widest_dtype(self, x_dtype, param_dtype):
         # the composed backward failed on float32 parameters with a float64 x (its adjoint buffers differed in dtype)
         x, delta, a, b, c = TestSelective._scan_inputs(rng(23), 9, 2, 3)
-        inputs = [T.Tensor(x.astype(x_dtype))] + [T.Tensor(v.astype(param_dtype)) for v in (delta, a, b, c)]
+        inputs = [T.Tensor(x[None].astype(x_dtype))] + [T.Tensor(v[None].astype(param_dtype)) for v in (delta, a, b, c)]
         with T.Tape() as tape:
             loss = T.reduce_sum(ssm_scan(*inputs))
         tape.backward(loss)
-        grads = [tape.grad(t) for t in inputs]
+        grads = [tape.grad(t)[0] for t in inputs]
         wide = np.result_type(x_dtype, param_dtype)
         assert [g.dtype for g in grads] == [wide] * 5
         # against the float64 oracle on the same values; the scan rounds 1/a in the parameters' dtype
-        arrays = [t.data.astype(np.float64) for t in inputs]
+        arrays = [t.data[0].astype(np.float64) for t in inputs]
         h = ssm._scan_forward(*arrays)[1]
         for g, e in zip(grads, _composed_backward(np.ones((9, 2)), *arrays, h)):
             np.testing.assert_allclose(g, e, rtol=1e-12 if param_dtype == np.float64 else 1e-5, atol=1e-6)
