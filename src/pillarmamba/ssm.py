@@ -197,14 +197,24 @@ def _spreads(d: int, m: int, dtype) -> tuple[Array, Array]:
     return spread_d, spread_m
 
 
-def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array, a_bar: Array, u: Array, work: Array):
-    """Per-step ZOH into caller-owned buffers: (n,D) delta, (D,M) a, (n,M) b, (n,D) x -> (n,D,M) a_bar and u.
+def _a_terms(a: Array, dtype) -> tuple[Array, Array]:
+    """The terms of a (D, M) in ``dtype``, built once per sequence: the a-weighted selector spread_z (D, D*M), with
+    delta @ spread_z = delta * a rounded as one product, and 1/a as a (D*M,) row rounded in a's dtype."""
+    d, m = a.shape
+    return _spreads(d, m, dtype)[0] * a.reshape(d * m).astype(dtype), (1.0 / a).reshape(d * m).astype(dtype)
 
-    Writes a_bar = exp(z) and the scan input u = b_bar * x, where
-    b_bar = expm1(z) * (1/a) * b and z = delta*a, in place in that op order,
-    in the buffers' dtype; ``work`` is scratch of their shape, and all three
-    are C-contiguous. ``ssm_scan`` calls it once per row block. The per-step
-    rows are spread over (n, D*M) rows by BLAS matmuls against 0/1
+
+def selective_discretize(
+    delta: Array, spread_z: Array, recip_a: Array, b_seq: Array, x: Array, a_bar: Array, u: Array, work: Array
+):
+    """Per-step ZOH into caller-owned buffers: (n,D) delta, (n,M) b, (n,D) x -> (n,D,M) a_bar and u.
+
+    a enters as ``_a_terms(a, dtype)``: the selector spread_z and the row
+    recip_a = 1/a. Writes a_bar = exp(z) and the scan input u = b_bar * x,
+    where b_bar = expm1(z) * (1/a) * b and z = delta*a, in place in that op
+    order, in the buffers' dtype; ``work`` is scratch of their shape, and all
+    three are C-contiguous. ``ssm_scan`` calls it once per row block. The
+    per-step rows are spread over (n, D*M) rows by BLAS matmuls against 0/1
     selectors (the one for delta weighted by a). Every output entry sums one
     product and zeros, so for finite inputs the buffers equal the broadcast
     build bit for bit, up to the sign of a zero. A selector spreads a NaN
@@ -214,15 +224,16 @@ def selective_discretize(delta: Array, a: Array, b_seq: Array, x: Array, a_bar: 
     negative on the selective path; ``zoh_factors`` is its float64 reference.
     """
     n, d = delta.shape
-    dm = a.size
-    if not all(buf.shape == (n,) + a.shape and buf.flags.c_contiguous for buf in (a_bar, u, work)):
-        raise ContractViolation(f"selective_discretize needs C-contiguous {(n,) + a.shape} buffers")
-    spread_d, spread_m = _spreads(d, a.shape[-1], u.dtype)
+    dm = recip_a.size
+    shape = (n, d, dm // d)
+    if not all(buf.shape == shape and buf.flags.c_contiguous for buf in (a_bar, u, work)):
+        raise ContractViolation(f"selective_discretize needs C-contiguous {shape} buffers")
+    spread_d, spread_m = _spreads(d, dm // d, u.dtype)
     rows, spread = u.reshape(n, dm), work.reshape(n, dm)
-    np.matmul(delta, spread_d * a.reshape(dm), out=rows)
+    np.matmul(delta, spread_z, out=rows)
     np.exp(rows, out=a_bar.reshape(n, dm))
     np.expm1(rows, out=rows)
-    rows *= (1.0 / a).reshape(dm)
+    rows *= recip_a
     rows *= np.matmul(b_seq, spread_m, out=spread)
     rows *= np.matmul(x, spread_d, out=spread)
     return a_bar, u
@@ -265,8 +276,7 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     dtype = np.result_type(h, gy)
     spread_d, spread_m = _spreads(d, m, dtype)
     a_row = a.reshape(dm).astype(dtype)
-    recip = (1.0 / a).reshape(dm).astype(dtype)  # rounded in a's dtype, as in the forward
-    spread_z = spread_d * a_row  # delta @ spread_z = delta * a, rounded as one product
+    spread_z, recip = _a_terms(a, dtype)  # as in the forward
     h_rows = h.reshape(t_len, dm)
     r = max(_block_rows(h) // 4, 1)
     q, xe, be, p = np.empty((4, min(r, t_len), dm), dtype=dtype)
@@ -328,37 +338,43 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     return g_x, g_delta, g_a, g_b, g_c
 
 
-def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array) -> tuple[Array, Array]:
-    """The output y (T,D) and the state h (T,D,M) of ``ssm_scan``, in one pass over row blocks of R rows.
+def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, y: Array, keep_h: bool) -> Array | None:
+    """Fill y (T,D) with the output of ``ssm_scan``, in one pass over row blocks of R rows; return the state
+    h (T,D,M) if keep_h, else None.
 
     R is ``_block_rows(h)``. Per block, in time order: ``selective_discretize``
     writes a_bar into one reused block of scratch and b_bar * x into the
-    block of h; the previous block's final state is folded into the block's
-    first row; ``associative_scan`` sweeps the block; and y is one batched
-    mat-vec of the block's state with c. The expanded terms never leave the
-    block, so h is the only (T,D,M) buffer, computed in the widest input
-    dtype. h rounds as ``associative_scan`` on the whole buffers does, and
-    the mat-vec sums over M in another order than an elementwise product and
-    sum: float64 outputs agree with ``zoh_factors`` and the recurrent form
-    within 1e-12 relative.
+    block of h; the previous block's final state, carried as one row, is
+    folded into the block's first row; ``associative_scan`` sweeps the
+    block; and y is one batched mat-vec of the block's state with c. The
+    expanded terms never leave the block. h is computed in the widest input
+    dtype; the whole (T,D,M) h is kept only if asked (the tape's backward
+    reads it), else one block of it is reused, with the same bits. The
+    a-weighted selector and 1/a are built once (``_a_terms``). h rounds as
+    ``associative_scan`` on the whole buffers does, and the mat-vec sums over
+    M in another order than an elementwise product and sum: float64 outputs
+    agree with ``zoh_factors`` and the recurrent form within 1e-12 relative.
     """
     t_len, d = x.shape
     m = a.shape[-1]
     dtype = np.result_type(delta, a, b_seq, x)
-    h = np.empty((t_len, d, m), dtype=dtype)
-    r = _block_rows(h)
+    carry = np.empty((1, d, m), dtype=dtype)  # the final state of the block before
+    r = _block_rows(carry)
+    h = np.empty((t_len if keep_h else min(r, t_len), d, m), dtype=dtype)
     a_bar, work = np.empty((2, min(r, t_len), d, m), dtype=dtype)
-    y = np.empty((t_len, d, 1), dtype=np.result_type(h, c_seq))
+    a_terms = _a_terms(a, dtype)
+    y = y[:, :, None]
     for k0 in range(0, t_len, r):
         rows = slice(k0, k0 + r)
-        h_b = h[rows]
-        n = h_b.shape[0]
-        selective_discretize(delta[rows], a, b_seq[rows], x[rows], a_bar[:n], h_b, work[:n])
+        n = min(r, t_len - k0)
+        h_b = h[rows] if keep_h else h[:n]
+        selective_discretize(delta[rows], *a_terms, b_seq[rows], x[rows], a_bar[:n], h_b, work[:n])
         if k0:
-            h_b[0] += a_bar[0] * h[k0 - 1]
+            h_b[0] += a_bar[0] * carry[0]
         associative_scan(a_bar[:n], h_b)
         np.matmul(h_b, c_seq[rows, :, None], out=y[rows])
-    return y.reshape(t_len, d), h
+        carry[0] = h_b[n - 1]
+    return h if keep_h else None
 
 
 def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
@@ -367,8 +383,9 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
     x, delta (K,T,D); a (K,D,M); b_seq, c_seq (K,T,M) -> y (K,T,D), with
     h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t per sequence.
     ``_scan_forward`` runs each sequence in turn, discretizing, scanning and
-    contracting one row block at a time. The record keeps the inputs and
-    every sequence's h; untaped, each h goes before the next sequence runs.
+    contracting one row block at a time, and writes its y into the one
+    (K,T,D) output. The record keeps the inputs and every sequence's h;
+    untaped, no whole h is built, only one row block of it at a time.
     The backward, ``_scan_backward``, runs per sequence: the adjoint (itself a
     first-order recurrence) takes the same parallel scan, and the
     discretization is recomputed a row block at a time (Gu & Dao, arXiv
@@ -385,11 +402,12 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
         raise ContractViolation(
             f"ssm_scan shape mismatch: x {xd.shape}, delta {dd.shape}, a {ad.shape}, b {bd.shape}, c {c.shape}"
         )
-    if T._active_tape() is None:
-        return T.Tensor(np.stack([_scan_forward(*seq)[0] for seq in zip(*arrays)]))
-    ys, hs = zip(*(_scan_forward(*seq) for seq in zip(*arrays)))
-    out = T.Tensor(np.stack(ys))
-    T._record(out, (tx, td, ta, tb, tc), lambda gy: tuple(map(np.stack, zip(*map(_scan_backward, gy, *arrays, hs)))))
+    y = np.empty(xd.shape, dtype=np.result_type(*arrays))
+    taped = T._active_tape() is not None
+    hs = [_scan_forward(*seq, y_k, taped) for *seq, y_k in zip(*arrays, y)]
+    out = T.Tensor(y)
+    if taped:
+        T._record(out, (tx, td, ta, tb, tc), lambda gy: tuple(map(np.stack, zip(*map(_scan_backward, gy, *arrays, hs)))))
     return out
 
 

@@ -508,6 +508,24 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
 
     weight: (C_out, C_in/groups, kh, kw); groups == C_in gives a depthwise
     convolution, kernel 1 a pointwise channel mix.
+
+    Every call takes one shifted-window kernel and builds no im2col copy. The
+    padded input is copied once into its stride phases (for stride 1 the
+    padded map itself; for a 1x1 kernel with stride 1 and no padding, the
+    input with no copy), each phase a (C_in, hq*wq) row-major buffer. Tap
+    (i, j) reads phase (i mod s, j mod s) as one contiguous window of
+    oh*wq columns at offset (i//s)*wq + j//s and adds its product into one
+    (C_out, oh*wq) accumulator, which is cropped to ow columns; the
+    wq - ow extra columns per row read across the row's end, and a spare
+    phase row keeps the last window in bounds. A tap is a per-channel
+    multiply when each group has one input and one output channel (depthwise)
+    and a matmul batched over the groups otherwise. The tape keeps the phase
+    buffer and the weights: dW is one product per tap against the cotangent
+    widened with zeros to wq columns, and dx adds each tap's transposed
+    product into a phase-shaped buffer whose phases are scattered back.
+    Sums run tap by tap, so outputs agree with one matmul over im2col
+    windows within rounding (1e-12 relative in float64); a 1x1 kernel with
+    stride 1 and no padding is the same one matmul, byte for byte.
     """
     tx, tw = as_tensor(x), as_tensor(weight)
     tb = as_tensor(bias) if bias is not None else None
@@ -533,70 +551,100 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     if oh <= 0 or ow <= 0:
         raise ContractViolation(f"empty output for input {xd.shape}, kernel {kh}x{kw}, stride {stride}")
 
-    if kh == kw == 1 and stride == 1 and padding == 0 and groups == 1:
-        return _conv1x1(tx, tw, tb)
-    return _conv_im2col(tx, tw, tb, stride, padding, groups)
+    s, c_out_g = stride, c_out // groups
+    wq = ow + (kw - 1) // s
+    hq = oh + (kh - 1) // s + ((kw - 1) // s > 0)  # a spare row when windows run past a row's end
+    n = oh * wq
+    index = _phase_index(xd.shape, kh, kw, s, padding, hq, wq)
+    if index is None:
+        phases = xd.reshape(1, c_in, h * w)
+    else:
+        phases = np.zeros((len(index), c_in, hq, wq), dtype=xd.dtype)
+        for p, (rq, cq), (rx, cx) in index:
+            phases[p, :, rq, cq] = xd[:, rx, cx]
+        phases = phases.reshape(len(index), c_in, hq * wq)
+    sb = min(s, kw)
+    taps = [((i % s) * sb + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    depthwise = c_in_g == c_out_g == 1
+    # (taps, C_out) per-channel weights, or (taps, groups, C_out/groups, C_in/groups) blocks; a view for one tap
+    wt = wd.reshape(c_out, kh * kw).T if depthwise else wd.reshape(groups, c_out_g, c_in_g, kh * kw).transpose(3, 0, 1, 2)
+    wt = np.ascontiguousarray(wt)
 
+    def window(buf, t):
+        p, off = taps[t]
+        return buf[p, :, off : off + n].reshape(groups, c_in_g, n)
 
-def _conv_im2col(tx: Tensor, tw: Tensor, tb: Tensor | None, stride: int, padding: int, groups: int) -> Tensor:
-    """``conv2d`` on checked arguments as one batched matmul over the sliding windows (im2col), any kernel."""
-    xd, wd = tx.data, tw.data
-    c_in, h, w = xd.shape
-    c_out, c_in_g, kh, kw = wd.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding))) if padding else xd
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (C_in, OH, OW, kh, kw)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(groups, c_in_g * kh * kw, oh * ow)
-    wg = wd.reshape(groups, c_out // groups, c_in_g * kh * kw)
-    out_data = np.matmul(wg, cols).reshape(c_out, oh, ow)
-    if tb is not None:
-        out_data = out_data + tb.data[:, None, None]
-    out = Tensor(out_data)
-
-    hp, wp = xp.shape[1], xp.shape[2]
+    acc = tmp = None
+    for t in range(len(taps)):
+        if depthwise:
+            term = np.multiply(wt[t][:, None], window(phases, t)[:, 0], out=tmp)
+        else:
+            term = np.matmul(wt[t], window(phases, t), out=tmp)
+        if acc is None:  # the first tap writes the accumulator; the rest add through one scratch buffer
+            acc, tmp = term, np.empty_like(term) if len(taps) > 1 else None
+        else:
+            acc += term
+    del term, tmp  # the scratch goes before the cropped output is allocated
+    out_data = acc.reshape(c_out, oh, wq)[:, :, :ow]
+    out = Tensor(out_data + tb.data[:, None, None] if tb is not None else np.ascontiguousarray(out_data))
+    has_bias, x_shape, x_dtype, w_shape = tb is not None, xd.shape, xd.dtype, wd.shape
 
     def bwd(g):
-        go = g.reshape(groups, c_out // groups, oh * ow)
-        dw = np.matmul(go, cols.transpose(0, 2, 1)).reshape(wd.shape)
-        dcols = np.matmul(wg.transpose(0, 2, 1), go)
-        dcols = dcols.reshape(c_in, kh, kw, oh, ow)
-        dxp = np.zeros((c_in, hp, wp), dtype=xd.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[:, i, j]
-        dx = dxp[:, padding : padding + h, padding : padding + w] if padding else dxp
-        db = g.sum(axis=(1, 2)) if tb is not None else None
-        return (dx, dw, db) if tb is not None else (dx, dw)
+        gw = g
+        if wq != ow:  # widened with zeros to the phase rows
+            gw = np.zeros((c_out, oh, wq), dtype=g.dtype)
+            gw[:, :, :ow] = g
+        gw = gw.reshape(groups, c_out_g, n)
+        dw = np.empty(wt.shape, dtype=np.result_type(gw, phases))
+        dph = np.zeros(phases.shape, dtype=x_dtype) if len(taps) > 1 else None
+        tmp = None
+        for t in range(len(taps)):
+            if depthwise:
+                np.einsum("cn,cn->c", gw[:, 0], window(phases, t)[:, 0], out=dw[t])
+                term = np.multiply(wt[t][:, None], gw[:, 0], out=tmp)
+            else:
+                np.matmul(gw, window(phases, t).transpose(0, 2, 1), out=dw[t])
+                term = np.matmul(wt[t].transpose(0, 2, 1), gw, out=tmp)
+            if dph is None:  # one tap: its window is the whole phase buffer
+                dph = term.reshape(phases.shape).astype(x_dtype, copy=False)
+            else:
+                window(dph, t)[...] += term.reshape(groups, c_in_g, n)
+                tmp = term
+        if index is None:
+            dx = dph.reshape(x_shape)
+        else:
+            dph, dx = dph.reshape(len(index), c_in, hq, wq), np.zeros(x_shape, dtype=x_dtype)
+            for p, (rq, cq), (rx, cx) in index:
+                dx[:, rx, cx] = dph[p, :, rq, cq]
+        dw = (dw.T if depthwise else dw.transpose(1, 2, 3, 0)).reshape(w_shape)
+        return (dx, dw, g.sum(axis=(1, 2))) if has_bias else (dx, dw)
 
-    parents = (tx, tw, tb) if tb is not None else (tx, tw)
-    _record(out, parents, bwd)
+    _record(out, (tx, tw, tb) if has_bias else (tx, tw), bwd)
     return out
 
 
-def _conv1x1(tx: Tensor, tw: Tensor, tb: Tensor | None) -> Tensor:
-    """``conv2d`` with a 1x1 kernel, stride 1, no padding and one group: one matmul on the (C_in, H*W) view.
-
-    The forward equals the im2col path byte for byte (the same matmul on the same values, with no window
-    or transpose copy); the backward's two matmuls equal it up to the sign of a zero.
+def _phase_index(shape: tuple[int, int, int], kh: int, kw: int, s: int, pad: int, hq: int, wq: int) -> list | None:
+    """Where ``conv2d``'s (phases, C, hq, wq) buffer holds its (C, H, W) input: per phase (a, b) a tap reads, its
+    index a * min(s, kw) + b, the (rows, cols) slices of the phase and those of the input. Phase (a, b) holds padded
+    rows a, a+s, ... and columns b, b+s, ...; zeros stand for the padding. None when the one phase is the input itself.
     """
-    xd, wd = tx.data, tw.data
-    c_in, h, w = xd.shape
-    x2, w2 = xd.reshape(c_in, h * w), wd.reshape(wd.shape[0], c_in)
-    out_data = w2 @ x2
-    if tb is not None:
-        out_data = out_data + tb.data[:, None]
-    out = Tensor(out_data.reshape(-1, h, w))
+    c, h, w = shape
+    if (hq, wq, s, pad) == (h, w, 1, 0):
+        return None
 
-    def bwd(g):
-        g2 = g.reshape(-1, h * w)
-        dx = (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False)
-        dw = (g2 @ x2.T).reshape(wd.shape)
-        return (dx, dw) if tb is None else (dx, dw, g.sum(axis=(1, 2)))
+    def slices(a: int, n: int, nq: int) -> tuple[slice, slice]:  # phase indices q0.. hold inputs a + s*q - pad
+        q0 = -((a - pad) // s) if a < pad else 0
+        i0 = a + s * q0 - pad
+        cnt = max(min(nq - q0, -(-(n - i0) // s)), 0)
+        return slice(q0, q0 + cnt), slice(i0, i0 + s * cnt, s)
 
-    _record(out, (tx, tw) if tb is None else (tx, tw, tb), bwd)
-    return out
+    sb = min(s, kw)
+    return [
+        (a * sb + b, (rq, cq), (rx, cx))
+        for a in range(min(s, kh))
+        for b in range(sb)
+        for (rq, rx), (cq, cx) in [(slices(a, h, hq), slices(b, w, wq))]
+    ]
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5, axis: int = 0) -> Tensor:

@@ -38,6 +38,50 @@ def perfect_raw_maps(targets: HeadTargets) -> RawMaps:
 
 
 # ---------------------------------------------------------------------------
+# im2col convolution oracle: one batched matmul over every sliding window
+# ---------------------------------------------------------------------------
+
+
+def conv_im2col(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int = 1) -> T.Tensor:
+    """``T.conv2d`` as one batched matmul over the im2col copy of every window, taped; its float64 oracle.
+
+    Arguments are trusted (``T.conv2d`` checks them). The input, weights and
+    bias are cast nowhere, so the output, dx and dW come back in the dtypes
+    numpy's promotion gives the matmul and the tape's accumulation.
+    """
+    tx, tw = T.as_tensor(x), T.as_tensor(weight)
+    tb = T.as_tensor(bias) if bias is not None else None
+    xd, wd = tx.data, tw.data
+    c_in, h, w = xd.shape
+    c_out, c_in_g, kh, kw = wd.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding))) if padding else xd
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # (C_in, OH, OW, kh, kw)
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(groups, c_in_g * kh * kw, oh * ow)
+    wg = wd.reshape(groups, c_out // groups, c_in_g * kh * kw)
+    out_data = np.matmul(wg, cols).reshape(c_out, oh, ow)
+    if tb is not None:
+        out_data = out_data + tb.data[:, None, None]
+    out = T.Tensor(out_data)
+
+    def bwd(g):
+        go = g.reshape(groups, c_out // groups, oh * ow)
+        dw = np.matmul(go, cols.transpose(0, 2, 1)).reshape(wd.shape)
+        dcols = np.matmul(wg.transpose(0, 2, 1), go).reshape(c_in, kh, kw, oh, ow)
+        dxp = np.zeros(xp.shape, dtype=xd.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[:, i, j]
+        dx = dxp[:, padding : padding + h, padding : padding + w]
+        return (dx, dw) if tb is None else (dx, dw, g.sum(axis=(1, 2)))
+
+    T._record(out, (tx, tw) if tb is None else (tx, tw, tb), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # brute-force AP oracle: re-enumerates every score prefix from scratch
 # ---------------------------------------------------------------------------
 

@@ -170,14 +170,21 @@ def _one_block_discretize(delta, a, b_seq, x):
 
 def _discretize(delta, a, b_seq, x, dtype=None, r=None):
     """``selective_discretize`` into fresh whole buffers of ``dtype`` (the widest input dtype by default), called
-    once per block of r rows (one call by default)."""
+    once per block of r rows (one call by default) with a's terms built once."""
     dtype = np.result_type(delta, a, b_seq, x) if dtype is None else dtype
     a_bar, u, work = np.empty((3, delta.shape[0]) + a.shape, dtype=dtype)
+    a_terms = ssm._a_terms(a, dtype)
     r = r or max(delta.shape[0], 1)
     for k0 in range(0, delta.shape[0], r):
         rows = slice(k0, k0 + r)
-        selective_discretize(delta[rows], a, b_seq[rows], x[rows], a_bar[rows], u[rows], work[rows])
+        selective_discretize(delta[rows], *a_terms, b_seq[rows], x[rows], a_bar[rows], u[rows], work[rows])
     return a_bar, u
+
+
+def _scan_forward(x, delta, a, b_seq, c_seq):
+    """``ssm._scan_forward`` keeping its state: (y, h) in the widest input dtype."""
+    y = np.empty(x.shape, dtype=np.result_type(x, delta, a, b_seq, c_seq))
+    return y, ssm._scan_forward(x, delta, a, b_seq, c_seq, y, True)
 
 
 def _assert_scan_matches_blockwise(coeff, update, reverse, r):
@@ -254,11 +261,12 @@ class TestBlockedScan:
     def test_discretize_rejects_buffers_it_cannot_fill_in_place(self):
         delta, x = np.ones((4, 2)), np.ones((4, 2))
         a, b = -np.ones((2, 3)), np.ones((4, 3))
+        a_terms = ssm._a_terms(a, np.float64)
         bufs = np.empty((3, 4, 2, 3))
         with pytest.raises(ContractViolation):
-            selective_discretize(delta, a, b, x, bufs[0], bufs[1][::-1], bufs[2])  # a reshape would copy
+            selective_discretize(delta, *a_terms, b, x, bufs[0], bufs[1][::-1], bufs[2])  # a reshape would copy
         with pytest.raises(ContractViolation):
-            selective_discretize(delta, a, b, x, bufs[0, :3], bufs[1], bufs[2])
+            selective_discretize(delta, *a_terms, b, x, bufs[0, :3], bufs[1], bufs[2])
 
 
 class TestParallelScan:
@@ -426,7 +434,7 @@ class TestSelective:
         # the buffers are built in place, so a float64 x must not be rounded into float32 buffers: the forward
         # allocates them, and so h and y, in the widest input dtype
         x, delta, a, b, c = self._scan_inputs(rng(17), 5, 2, 3)
-        y, h = ssm._scan_forward(x, *(v.astype(np.float32) for v in (delta, a, b, c)))
+        y, h = _scan_forward(x, *(v.astype(np.float32) for v in (delta, a, b, c)))
         assert h.dtype == y.dtype == np.float64
         a_bar, u = _discretize(*(v.astype(np.float32) for v in (delta, a, b)), x)
         assert a_bar.dtype == u.dtype == np.float64
@@ -435,8 +443,8 @@ class TestSelective:
         np.testing.assert_allclose(u, scale * b[:, None, :] * x[:, :, None], rtol=1e-5, atol=1e-7)
 
     def test_scan_working_set(self):
-        # one float32 scan at (T, D, M) = (4096, 16, 8), in 2 MiB (T, D, M) buffers: the forward
-        # writes h and two blocks of scratch; the backward recomputes the ZOH terms a row block at a time
+        # one float32 scan at (T, D, M) = (4096, 16, 8), in 2 MiB (T, D, M) buffers: the untaped forward
+        # writes one block of h and two blocks of scratch; the backward recomputes the ZOH terms a row block at a time
         t_len, d, m = 4096, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=1)
@@ -455,14 +463,15 @@ class TestSelective:
             backward = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # measured 2.05: h, two 512 KiB blocks of scratch, half a block of the sweep's products, y and the projections
-        assert forward <= 2.25 * buf, f"forward peak {forward / buf:.2f} buffers"
+        # measured 1.30: three 512 KiB blocks (h and scratch), half a block of the sweep's products, y and the
+        # projections; a whole h would add 0.75
+        assert forward <= 1.5 * buf, f"forward peak {forward / buf:.2f} buffers"
         # measured 2.66: the adjoint scan's two buffers, a quarter-block of scratch, (T, D) and (T, M) gradients
         assert backward <= 3 * buf, f"backward peak {backward / buf:.2f} buffers"
 
     def test_blocked_scan_working_set(self):
         # float32 (T, D, M) = (16384, 16, 8): 8 MiB buffers, 16 row blocks; ZOH terms are built a block at a time,
-        # in the forward and in the backward, so h is the forward's only (T, D, M) buffer
+        # in the forward and in the backward, and the untaped forward builds h a block at a time too
         t_len, d, m = 16384, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=1)
@@ -481,8 +490,8 @@ class TestSelective:
             backward = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # measured 1.54: h, and everything else a block or a (T, D) array at a time
-        assert forward <= 1.75 * buf, f"forward peak {forward / buf:.2f} buffers"
+        # measured 0.61: untaped, everything a block or a (T, D) array at a time; a whole h would add 0.94
+        assert forward <= 0.75 * buf, f"forward peak {forward / buf:.2f} buffers"
         # measured 2.45: the adjoint scan's two buffers, and everything else a block or a (T, D) array at a time
         assert backward <= 2.75 * buf, f"backward peak {backward / buf:.2f} buffers"
 
@@ -506,10 +515,35 @@ class TestSelective:
                 taped = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # measured 3.18: one h, two blocks of scratch, and the (K, T, M) and (K, T, D) projections and outputs;
-        # a second live h would add 1
-        assert untaped <= 3.5 * buf, f"untaped peak {untaped / buf:.2f} buffers"
+        # measured 2.43: one block of h, two blocks of scratch, and the (K, T, M) and (K, T, D) projections and
+        # outputs; a whole h would add 0.75
+        assert untaped <= 2.75 * buf, f"untaped peak {untaped / buf:.2f} buffers"
         assert taped >= k * buf, f"taped peak {taped / buf:.2f} buffers"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_forward_equals_the_kept_state_forward(self, monkeypatch, dtype):
+        # untaped, one 4-row block of h is reused and the final state carried across each seam: the output equals,
+        # byte for byte, the taped scan's and a forward that keeps every row of h
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 3 * 4 * np.dtype(dtype).itemsize)
+        for t_len in (1, 3, 4, 5, 8, 9, 37):
+            seqs = [self._scan_inputs(rng(30 + t_len + j), t_len, 3, 4) for j in range(2)]
+            inputs = [np.stack(arrays).astype(dtype) for arrays in zip(*seqs)]
+            untaped = ssm_scan(*inputs).data
+            with T.Tape():
+                taped = ssm_scan(*inputs).data
+            kept = np.stack([_scan_forward(*arrays)[0] for arrays in zip(*inputs)])
+            assert untaped.dtype == np.dtype(dtype)
+            assert untaped.tobytes() == taped.tobytes() == kept.tobytes()
+
+    def test_a_terms_are_built_once_per_sequence(self, monkeypatch):
+        # two sequences of 9 blocks each: the a-weighted selector and 1/a are built per sequence, not per block
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 3 * 4 * 8)
+        calls = []
+        a_terms = ssm._a_terms
+        monkeypatch.setattr(ssm, "_a_terms", lambda *args: calls.append(args) or a_terms(*args))
+        seqs = [self._scan_inputs(rng(40 + j), 33, 3, 4) for j in range(2)]
+        ssm_scan(*(np.stack(arrays) for arrays in zip(*seqs)))
+        assert len(calls) == 2
 
     def test_selectors_are_built_once_and_read_only(self):
         spread_d, spread_m = ssm._spreads(3, 2, np.dtype(np.float32))
@@ -575,7 +609,7 @@ class TestScanForward:
         k, c = BLOCK_LENGTHS[length]
         t_len = k * _rows_per_block(np.float64) + c
         inputs = TestSelective._scan_inputs(rng(800 + t_len), t_len, *BLOCK_ROW)
-        y, h = ssm._scan_forward(*inputs)
+        y, h = _scan_forward(*inputs)
         assert h.shape == (t_len,) + BLOCK_ROW
         _assert_matches_composed([y], [_composed_forward(*inputs)])
 
@@ -586,13 +620,13 @@ class TestScanForward:
         k, c = BLOCK_LENGTHS[length]
         t_len = k * block + c
         inputs = TestSelective._scan_inputs(rng(900 + t_len), t_len, 2, 3)
-        _assert_matches_composed([ssm._scan_forward(*inputs)[0]], [_composed_forward(*inputs)])
+        _assert_matches_composed([_scan_forward(*inputs)[0]], [_composed_forward(*inputs)])
 
     def test_state_is_the_blocked_kernel_on_the_discretized_buffers(self, monkeypatch):
         # the fused pass runs the whole-buffer kernels' ops: h equals them byte for byte, here across 4-row seams
         monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * TINY_ROW_BYTES)
         x, delta, a, b, c = TestSelective._scan_inputs(rng(25), 23, 2, 3)
-        h = ssm._scan_forward(x, delta, a, b, c)[1]
+        h = _scan_forward(x, delta, a, b, c)[1]
         assert h.tobytes() == associative_scan(*_one_block_discretize(delta, a, b, x)).tobytes()
 
     @pytest.mark.parametrize("c_dtype", [np.float32, np.float64])
@@ -611,7 +645,7 @@ class TestScanForward:
         {"x": x, "delta": delta, "b": b}[where][4, 1] = np.nan
         with np.errstate(all="raise"):
             expected = _composed_forward(x, delta, a, b, c)
-            y = ssm._scan_forward(x, delta, a, b, c)[0]
+            y = _scan_forward(x, delta, a, b, c)[0]
         assert np.isfinite(y[:4]).all()
         assert not np.isfinite(y[4:]).any()
         assert not np.isfinite(y[~np.isfinite(expected)]).any()
@@ -651,7 +685,7 @@ def _composed_backward(gy, x, delta, a, b_seq, c_seq, h):
 def _backward_inputs(gen, t_len, d, m):
     """Float64 (gy, x, delta, a, b, c, h), h from the forward kernels."""
     x, delta, a, b, c = TestSelective._scan_inputs(gen, t_len, d, m)
-    h = ssm._scan_forward(x, delta, a, b, c)[1]
+    h = _scan_forward(x, delta, a, b, c)[1]
     return gen.normal(size=(t_len, d)), x, delta, a, b, c, h
 
 
@@ -711,7 +745,7 @@ class TestScanBackward:
         assert [g.dtype for g in grads] == [wide] * 5
         # against the float64 oracle on the same values; the scan rounds 1/a in the parameters' dtype
         arrays = [t.data[0].astype(np.float64) for t in inputs]
-        h = ssm._scan_forward(*arrays)[1]
+        h = _scan_forward(*arrays)[1]
         for g, e in zip(grads, _composed_backward(np.ones((9, 2)), *arrays, h)):
             np.testing.assert_allclose(g, e, rtol=1e-12 if param_dtype == np.float64 else 1e-5, atol=1e-6)
 
@@ -722,7 +756,7 @@ class TestScanBackward:
         gy, x, delta, a, b, c, h = _backward_inputs(rng(24), 9, 2, 3)
         if where == "x":
             x[4, 1] = np.nan
-            h = ssm._scan_forward(x, delta, a, b, c)[1]
+            h = _scan_forward(x, delta, a, b, c)[1]
         else:
             gy[4, 1] = np.nan
         with np.errstate(all="raise"):

@@ -1,5 +1,6 @@
 """Operator-level tests: identities, hand-computed cases, finite differences."""
 
+import tracemalloc
 import weakref
 from dataclasses import dataclass
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rng
+from conftest import conv_im2col, rng
 from pillarmamba import tensor as T
 from pillarmamba.errors import ConfigurationError, ContractViolation
 
@@ -79,38 +80,133 @@ class TestConv2d:
 
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
     @pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)])
-    def test_1x1_fast_path_equals_im2col(self, monkeypatch, x_dtype, w_dtype, bias):
-        # forward byte for byte, gradients equal up to the sign of a zero, in the same dtypes
+    def test_1x1_fast_path_equals_im2col(self, x_dtype, w_dtype, bias):
+        # a 1x1 kernel, stride 1, no padding: one tap over x itself, the same matmul as im2col's on the same values.
+        # Forward byte for byte, gradients equal up to the sign of a zero, in the same dtypes
         r = rng(7)
         x = T.Tensor(r.normal(size=(5, 6, 7)).astype(x_dtype))
         w = T.Tensor(r.normal(size=(3, 5, 1, 1)).astype(w_dtype))
         b = T.Tensor(r.normal(size=3).astype(w_dtype)) if bias else None
         weights = r.normal(size=(3, 6, 7))
-        parents = [x, w] + ([b] if bias else [])
-        im2col = T._conv_im2col
-        results = []
-        for conv in (lambda: T.conv2d(x, w, b), lambda: im2col(x, w, b, 1, 0, 1)):
-            with T.Tape() as tape:
-                out = conv()
-                loss = T.reduce_sum(T.mul(out, weights))
-            tape.backward(loss)
-            results.append((out.data, [tape.grad(t) for t in parents]))
-            # the first pass must not reach the im2col path
-            monkeypatch.setattr(T, "_conv_im2col", lambda *a: pytest.fail("1x1 conv2d took the im2col path"))
-        (fast, fast_grads), (oracle, oracle_grads) = results
+        (fast, fast_grads), (oracle, oracle_grads) = (_taped_conv(conv, x, w, b, weights) for conv in (T.conv2d, conv_im2col))
         assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
         assert fast.tobytes() == oracle.tobytes()
         for g, e in zip(fast_grads, oracle_grads):
             assert g.dtype == e.dtype and g.shape == e.shape
             np.testing.assert_array_equal(g, e)
 
-    @pytest.mark.parametrize("kwargs", [{"stride": 2}, {"padding": 1}], ids=["stride", "padding"])
-    def test_other_1x1_convs_take_the_im2col_path(self, monkeypatch, kwargs):
+    @pytest.mark.parametrize(
+        "shape, kwargs",
+        [
+            ((2, 2, 1, 1), {"stride": 2}),
+            ((2, 2, 1, 1), {"padding": 1}),
+            ((2, 2, 1, 1), {}),
+            ((3, 2, 3, 3), {"padding": 1}),
+            ((2, 1, 3, 3), {"padding": 1, "groups": 2}),
+        ],
+        ids=["stride", "padding", "1x1", "3x3", "depthwise"],
+    )
+    def test_every_conv2d_takes_the_one_kernel(self, monkeypatch, shape, kwargs):
+        # one phase index (and buffer) per call, whatever the kernel, stride, padding and groups; output as im2col's
         calls = []
-        im2col = T._conv_im2col
-        monkeypatch.setattr(T, "_conv_im2col", lambda *a: calls.append(a) or im2col(*a))
-        T.conv2d(T.Tensor(np.ones((2, 4, 4))), T.Tensor(np.ones((2, 2, 1, 1))), **kwargs)
+        phase_index = T._phase_index
+        monkeypatch.setattr(T, "_phase_index", lambda *a: calls.append(a) or phase_index(*a))
+        x, w = T.Tensor(rng(8).normal(size=(2, 4, 5))), T.Tensor(rng(9).normal(size=shape))
+        out = T.conv2d(x, w, **kwargs)
         assert len(calls) == 1
+        np.testing.assert_allclose(out.data, conv_im2col(x, w, None, **kwargs).data, rtol=1e-12, atol=1e-12)
+
+
+def _taped_conv(conv, x, w, b, weights, **kwargs):
+    """conv(x, w, b, **kwargs) under a tape, then d(sum(out * weights)) -> (out, [dx, dw] + [db if b is given])."""
+    with T.Tape() as tape:
+        out = conv(x, w, b, **kwargs)
+        loss = T.reduce_sum(T.mul(out, weights))
+    tape.backward(loss)
+    return out.data, [tape.grad(t) for t in (x, w, b) if t is not None]
+
+
+def _assert_matches_oracle(got, expected, rtol):
+    """Output and gradients equal the oracle's in dtype and shape and within rtol of each one's largest magnitude."""
+    for g, e in zip([got[0], *got[1]], [expected[0], *expected[1]]):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        np.testing.assert_allclose(g, e, rtol=0, atol=rtol * max(np.abs(e).max(), 1e-300))
+
+
+class TestConv2dOracle:
+    """The shifted-window kernel against the im2col oracle: one matmul over every window, float64 within 1e-12."""
+
+    @pytest.mark.parametrize("groups", [1, 2, "depthwise"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_im2col(self, k, stride, groups):
+        r = rng(100 * k + 10 * stride + (groups if groups != "depthwise" else 0))
+        for padding in range(k + 1):
+            for h, w in [(7, 8), (8, 7), (6, 6), (9, 9)]:
+                c_in = 4 if groups != "depthwise" else 3
+                g = c_in if groups == "depthwise" else groups
+                c_out = c_in if groups == "depthwise" else 2 * g
+                x = T.Tensor(r.normal(size=(c_in, h, w)))
+                wt = T.Tensor(r.normal(size=(c_out, c_in // g, k, k)))
+                for b in (None, T.Tensor(r.normal(size=c_out))):
+                    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+                    weights = r.normal(size=(c_out, oh, ow))
+                    got, expected = (
+                        _taped_conv(conv, x, wt, b, weights, stride=stride, padding=padding, groups=g)
+                        for conv in (T.conv2d, conv_im2col)
+                    )
+                    _assert_matches_oracle(got, expected, 1e-12)
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("groups", [1, "depthwise"])
+    @pytest.mark.parametrize(
+        "x_dtype, w_dtype", [(np.float32, np.float64), (np.float64, np.float32), (np.float32, np.float32)]
+    )
+    def test_mixed_dtypes_match_im2col(self, x_dtype, w_dtype, groups, bias):
+        # the output, dx, dW and db come back in the oracle's dtypes; float32 results agree within float32 rounding
+        r = rng(17)
+        g = 4 if groups == "depthwise" else 1
+        x = T.Tensor(r.normal(size=(4, 9, 8)).astype(x_dtype))
+        wt = T.Tensor(r.normal(size=(4, 4 // g, 3, 3)).astype(w_dtype))
+        b = T.Tensor(r.normal(size=4).astype(np.float32)) if bias else None
+        weights = r.normal(size=(4, 5, 4)).astype(np.float32)
+        got, expected = (
+            _taped_conv(conv, x, wt, b, weights, stride=2, padding=1, groups=g) for conv in (T.conv2d, conv_im2col)
+        )
+        assert [a.dtype for a in [got[0], *got[1]]] == [a.dtype for a in [expected[0], *expected[1]]]
+        _assert_matches_oracle(got, expected, 1e-12 if got[0].dtype == np.float64 and x_dtype == np.float64 else 1e-6)
+
+    def test_forward_peak_is_three_inputs_plus_the_output(self):
+        # float32 (64, 128, 128) 3x3 with padding and bias: the padded phase buffer, the accumulator and one tap's
+        # product, or the buffer, the accumulator and the output. The im2col copy alone is 9 inputs (12x in all)
+        r = rng(21)
+        x = T.Tensor(r.normal(size=(64, 128, 128)).astype(np.float32))
+        w = T.Tensor(r.normal(size=(64, 64, 3, 3)).astype(np.float32))
+        b = T.Tensor(np.zeros(64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.data.nbytes + out.data.nbytes
+
+    def test_tape_keeps_the_phase_buffer_and_the_weights(self):
+        # a taped 3x3 conv keeps, besides its output, its padded input (one spare row) and a copy of its weights
+        r = rng(22)
+        x = T.Tensor(r.normal(size=(16, 64, 64)).astype(np.float32))
+        w = T.Tensor(r.normal(size=(16, 16, 3, 3)).astype(np.float32))
+        phase_bytes = 16 * (64 + 2 + 1) * (64 + 2) * 4
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                start = tracemalloc.get_traced_memory()[0]
+                out = T.conv2d(x, w, padding=1)
+                kept = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert phase_bytes + w.data.nbytes <= kept <= phase_bytes + w.data.nbytes + 4096
+        del tape
 
 
 class TestLayerNorm:
