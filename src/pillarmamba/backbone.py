@@ -49,26 +49,21 @@ def validate_grid_for_backbone(x_cells: int, y_cells: int) -> None:
         )
 
 
-def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "backbone") -> BackboneParams:
+def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig) -> BackboneParams:
     c = cfg.channels
     stages = []
-    for i in range(STAGES):
+    for _ in range(STAGES):
         if cfg.csg.enabled:
-            stages.append(init_csg_params(rng, cfg, dtype, name=f"{name}.stage{i}.csg"))
+            stages.append(init_csg_params(rng, cfg))
         else:
-            stages.append(
-                tuple(init_hsb_params(rng, cfg, dtype, name=f"{name}.stage{i}.hsb{j}") for j in range(cfg.csg.hsb_layers))
-            )
-    down_convs = tuple(
-        T.conv_param(rng, f"{name}.down{i}", c, c, 3, dtype) for i in range(STAGES - 1)
-    )
+            stages.append(tuple(init_hsb_params(rng, cfg) for _ in range(cfg.csg.hsb_layers)))
     return BackboneParams(
         stages=tuple(stages),
-        down_convs=down_convs,
-        lateral_f3=T.conv_param(rng, f"{name}.lateral_f3", c, c, 1, dtype),
-        lateral_f4=T.conv_param(rng, f"{name}.lateral_f4", c, c, 1, dtype),
-        fuse=T.conv_param(rng, f"{name}.fuse", c, 3 * c, 1, dtype),
-        final_up=T.conv_param(rng, f"{name}.final_up", c, c, 1, dtype),
+        down_convs=tuple(T.conv_param(rng, c, c, 3) for _ in range(STAGES - 1)),
+        lateral_f3=T.conv_param(rng, c, c, 1),
+        lateral_f4=T.conv_param(rng, c, c, 1),
+        fuse=T.conv_param(rng, c, 3 * c, 1),
+        final_up=T.conv_param(rng, c, c, 1),
     )
 
 

@@ -64,15 +64,15 @@ class CsgParams:
     conv_up_b: T.Param
 
 
-def init_se_params(rng: np.random.Generator, channels: int, reduction: int, dtype=np.float32, name: str = "se") -> SeParams:
+def init_se_params(rng: np.random.Generator, channels: int, reduction: int) -> SeParams:
     hidden = max(1, channels // reduction)
     s1 = np.sqrt(2.0 / channels)  # feeds silu
     s2 = np.sqrt(1.0 / hidden)  # feeds sigmoid
     return SeParams(
-        w1=T.Param(rng.normal(0.0, s1, size=(channels, hidden)).astype(dtype), name=f"{name}.w1"),
-        b1=T.Param(np.zeros(hidden, dtype=dtype), name=f"{name}.b1"),
-        w2=T.Param(rng.normal(0.0, s2, size=(hidden, channels)).astype(dtype), name=f"{name}.w2"),
-        b2=T.Param(np.zeros(channels, dtype=dtype), name=f"{name}.b2"),
+        w1=T.Param(rng.normal(0.0, s1, size=(channels, hidden))),
+        b1=T.Param(np.zeros(hidden)),
+        w2=T.Param(rng.normal(0.0, s2, size=(hidden, channels))),
+        b2=T.Param(np.zeros(channels)),
     )
 
 
@@ -84,22 +84,21 @@ def se_attention(f_up, se: SeParams) -> T.Tensor:
     return T.reshape(gates, (-1,))
 
 
-def init_hsb_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "hsb") -> HsbParams:
+def init_hsb_params(rng: np.random.Generator, cfg: ModelConfig) -> HsbParams:
     c, ci, k = cfg.hsb_channels, cfg.hsb_inner_channels, cfg.hsb.dw_kernel
-    down_w, down_b = T.conv_param(rng, f"{name}.conv_down", ci, c, 1, dtype)
-    up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, ci, 1, dtype)
-    mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}")
-    dw_inner_w, dw_inner_b = T.conv_param(rng, f"{name}.dw_inner", ci, 1, k, dtype)
-    dw_outer_w, dw_outer_b = T.conv_param(rng, f"{name}.dw_outer", c, 1, k, dtype)
-    se = init_se_params(rng, c, cfg.hsb.se_reduction, dtype, name=f"{name}.se")
+    down_w, down_b = T.conv_param(rng, ci, c, 1)
+    up_w, up_b = T.conv_param(rng, c, ci, 1)
+    dw_inner_w, dw_inner_b = T.conv_param(rng, ci, 1, k)
+    dw_outer_w, dw_outer_b = T.conv_param(rng, c, 1, k)
+    se = init_se_params(rng, c, cfg.hsb.se_reduction)
     return HsbParams(
         conv_down_w=down_w,
         conv_down_b=down_b,
-        norm_ss_gamma=mk(np.ones(ci), "norm_ss.gamma"),
-        norm_ss_beta=mk(np.zeros(ci), "norm_ss.beta"),
-        ss2d=init_ss2d_params(rng, ci, cfg.ssm.state_dim, dtype=dtype, name=f"{name}.ss2d"),
-        norm_lc_gamma=mk(np.ones(ci), "norm_lc.gamma"),
-        norm_lc_beta=mk(np.zeros(ci), "norm_lc.beta"),
+        norm_ss_gamma=T.Param(np.ones(ci)),
+        norm_ss_beta=T.Param(np.zeros(ci)),
+        ss2d=init_ss2d_params(rng, ci, cfg.ssm.state_dim),
+        norm_lc_gamma=T.Param(np.ones(ci)),
+        norm_lc_beta=T.Param(np.zeros(ci)),
         dw_inner_w=dw_inner_w,
         dw_inner_b=dw_inner_b,
         conv_up_w=up_w,
@@ -148,11 +147,11 @@ def hsb_chain(f, cfg: ModelConfig, hsbs: tuple[HsbParams, ...]) -> T.Tensor:
     return f
 
 
-def init_csg_params(rng: np.random.Generator, cfg: ModelConfig, dtype=np.float32, name: str = "csg") -> CsgParams:
+def init_csg_params(rng: np.random.Generator, cfg: ModelConfig) -> CsgParams:
     c = cfg.channels
-    down_w, down_b = T.conv_param(rng, f"{name}.conv_down", c, c, 1, dtype)
-    up_w, up_b = T.conv_param(rng, f"{name}.conv_up", c, c, 1, dtype)
-    hsbs = tuple(init_hsb_params(rng, cfg, dtype=dtype, name=f"{name}.hsb{i}") for i in range(cfg.csg.hsb_layers))
+    down_w, down_b = T.conv_param(rng, c, c, 1)
+    up_w, up_b = T.conv_param(rng, c, c, 1)
+    hsbs = tuple(init_hsb_params(rng, cfg) for _ in range(cfg.csg.hsb_layers))
     return CsgParams(conv_down_w=down_w, conv_down_b=down_b, hsbs=hsbs, conv_up_w=up_w, conv_up_b=up_b)
 
 

@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .blocks import flops_stage
-from .boxes import CLASS_IDS, Box3D, Detection
+from .boxes import CLASS_IDS, CLASS_NAMES, Box3D, Detection
 from .config import RunConfig, config_digest, default_config, load_config
 from .cross_scan import scan_diagnostics
 from .data_io import detection_from_record, detection_record, load_cloud, load_labels, load_manifest, read_json, write_dataset
 from .errors import FormatError
-from .metrics import MIN_VOLUME, interpolated_ap, pr_curve_for_class
+from .metrics import MIN_VOLUME, class_curves
 from .model import build_model, load_weights, save_weights, train_toy
 from .pillars import BevMap
 from .verify import run_grad_suite
@@ -146,13 +146,12 @@ def cmd_eval(args, cfg: RunConfig) -> dict:
         dets_per_scene.append(_detections_from_payload(read_json(det_path, "detections file"), det_path))
         gts_per_scene.append(load_labels(manifest_path.parent / labels_rel))
 
+    thresholds = {CLASS_IDS[name]: thr for name, thr in cfg.eval.iou_thresholds.items()}
     per_class = {}
-    # class-id order, as ap_r40 reports, so mean_ap_r40 sums in the same order
-    for name, thr in sorted(cfg.eval.iou_thresholds.items(), key=lambda item: CLASS_IDS[item[0]]):
-        curve = pr_curve_for_class(dets_per_scene, gts_per_scene, CLASS_IDS[name], thr)
-        per_class[name] = {
-            "ap_r40": None if curve.n_gt == 0 else interpolated_ap(curve),
-            "iou_threshold": thr,
+    for cls, (curve, ap) in class_curves(dets_per_scene, gts_per_scene, thresholds).items():
+        per_class[CLASS_NAMES[cls]] = {
+            "ap_r40": ap,
+            "iou_threshold": thresholds[cls],
             "gt_count": curve.n_gt,
             "tp": int(curve.is_tp.sum()),
             "fp": int((~curve.is_tp).sum()),

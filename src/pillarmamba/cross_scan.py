@@ -73,17 +73,17 @@ class Ss2dParams:
     out_proj_b: T.Param
 
 
-def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int, dtype=np.float32, name: str = "ss2d") -> Ss2dParams:
+def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int) -> Ss2dParams:
     c = channels
-    in_proj_w, in_proj_b = T.conv_param(rng, f"{name}.in_proj", c, c, 1, dtype, gain=2.0)  # feeds silu
-    scan = init_selective_projections(rng, c, state_dim, len(DIRECTIONS), dtype=dtype, name=name)
-    out_proj_w, out_proj_b = T.conv_param(rng, f"{name}.out_proj", c, c, 1, dtype)
+    in_proj_w, in_proj_b = T.conv_param(rng, c, c, 1, gain=2.0)  # feeds silu
+    scan = init_selective_projections(rng, c, state_dim, len(DIRECTIONS))
+    out_proj_w, out_proj_b = T.conv_param(rng, c, c, 1)
     return Ss2dParams(
         in_proj_w=in_proj_w,
         in_proj_b=in_proj_b,
         scan=scan,
-        norm_gamma=T.Param(np.ones(c, dtype=dtype), name=f"{name}.norm.gamma"),
-        norm_beta=T.Param(np.zeros(c, dtype=dtype), name=f"{name}.norm.beta"),
+        norm_gamma=T.Param(np.ones(c)),
+        norm_beta=T.Param(np.zeros(c)),
         out_proj_w=out_proj_w,
         out_proj_b=out_proj_b,
     )

@@ -34,10 +34,10 @@ class HeadParams:
     reg_b: T.Param
 
 
-def init_head_params(rng: np.random.Generator, channels: int, n_classes: int, dtype=np.float32, name: str = "head") -> HeadParams:
-    stem_w, stem_b = T.conv_param(rng, f"{name}.stem", channels, channels, 3, dtype, gain=2.0)  # feeds silu
-    hm_w, hm_b = T.conv_param(rng, f"{name}.heatmap", n_classes, channels, 1, dtype, bias_fill=HEATMAP_INIT_BIAS)
-    reg_w, reg_b = T.conv_param(rng, f"{name}.regression", REG_CHANNELS, channels, 1, dtype)
+def init_head_params(rng: np.random.Generator, channels: int, n_classes: int) -> HeadParams:
+    stem_w, stem_b = T.conv_param(rng, channels, channels, 3, gain=2.0)  # feeds silu
+    hm_w, hm_b = T.conv_param(rng, n_classes, channels, 1, bias_fill=HEATMAP_INIT_BIAS)
+    reg_w, reg_b = T.conv_param(rng, REG_CHANNELS, channels, 1)
     return HeadParams(stem_w=stem_w, stem_b=stem_b, hm_w=hm_w, hm_b=hm_b, reg_w=reg_w, reg_b=reg_b)
 
 

@@ -184,15 +184,20 @@ def pr_curve_for_class(
     )
 
 
-def ap_r40(
+def class_curves(
     detections_per_scene: list[list[Detection]],
     gts_per_scene: list[list[Box3D]],
     iou_thresholds: dict[int, float],
     iou_fn=rotated_iou_3d,
-) -> dict[int, float | None]:
-    """Per-class AP at 40 recall positions; classes without GT report None."""
-    result: dict[int, float | None] = {}
+) -> dict[int, tuple[PrCurve, float | None]]:
+    """Per class id, in id order: its PR curve and its AP at 40 recall positions, None for a class without GT."""
+    result = {}
     for cls in sorted(iou_thresholds):
         curve = pr_curve_for_class(detections_per_scene, gts_per_scene, cls, iou_thresholds[cls], iou_fn)
-        result[cls] = None if curve.n_gt == 0 else interpolated_ap(curve)
+        result[cls] = curve, None if curve.n_gt == 0 else interpolated_ap(curve)
     return result
+
+
+def ap_r40(detections_per_scene, gts_per_scene, iou_thresholds, iou_fn=rotated_iou_3d) -> dict[int, float | None]:
+    """Per-class AP at 40 recall positions, as ``class_curves`` reports it: in class-id order, None without GT."""
+    return {cls: ap for cls, (_, ap) in class_curves(detections_per_scene, gts_per_scene, iou_thresholds, iou_fn).items()}

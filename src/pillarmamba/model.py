@@ -20,6 +20,7 @@ from .head import HeadParams, HeadTargets, RawMaps, build_targets, decode, detec
 from .pillars import BevMap, EncoderParams, PointCloud, encode_cloud, init_encoder_params
 
 WEIGHTS_MAGIC = b"PMW1"
+MAX_GRAD_NORM = 5.0  # train_toy clips the global gradient norm to this
 
 
 @dataclass
@@ -31,7 +32,7 @@ class PillarMambaModel:
     dtype: type
 
     def named_params(self) -> list[tuple[str, T.Param]]:
-        return [(p.name, p) for p in T.collect_params((self.encoder, self.backbone, self.head))]
+        return list(T.named_params({"encoder": self.encoder, "backbone": self.backbone, "head": self.head}))
 
     def params(self) -> list[T.Param]:
         return [p for _, p in self.named_params()]
@@ -68,13 +69,14 @@ class PillarMambaModel:
 
 
 def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaModel:
-    """Deterministic seeded initialization of all parameters."""
+    """Deterministic seeded initialization of all parameters: drawn in float64, then cast once to ``dtype``."""
     validate_grid_for_backbone(cfg.grid.x_cells, cfg.grid.y_cells)
     rng = np.random.Generator(np.random.PCG64(seed))
     c = cfg.model.channels
-    encoder = init_encoder_params(rng, c, dtype=dtype)
-    backbone = init_backbone_params(rng, cfg.model, dtype=dtype)
-    head = init_head_params(rng, c, len(CLASS_NAMES), dtype=dtype)
+    encoder = init_encoder_params(rng, c)
+    backbone = init_backbone_params(rng, cfg.model)
+    head = init_head_params(rng, c, len(CLASS_NAMES))
+    T.cast_params((encoder, backbone, head), dtype)
     return PillarMambaModel(cfg=cfg, encoder=encoder, backbone=backbone, head=head, dtype=dtype)
 
 
@@ -83,18 +85,18 @@ def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaM
 # ---------------------------------------------------------------------------
 
 
-def _manifest(params: list[T.Param]) -> list[dict]:
-    return [{"name": p.name, "shape": list(p.value.shape)} for p in params]
+def _manifest(named: list[tuple[str, T.Param]]) -> list[dict]:
+    return [{"name": name, "shape": list(p.value.shape)} for name, p in named]
 
 
 def save_weights(path, model: PillarMambaModel) -> None:
-    params = model.params()
-    blob = json.dumps({"params": _manifest(params)}, sort_keys=True).encode()
+    named = model.named_params()
+    blob = json.dumps({"params": _manifest(named)}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for p in params:
+        for _, p in named:
             fh.write(p.value.data.astype("<f8").tobytes())
 
 
@@ -109,8 +111,8 @@ def load_weights(path, model: PillarMambaModel) -> None:
             theirs = {e["name"]: tuple(e["shape"]) for e in entries}
         except (struct.error, ValueError, KeyError, TypeError) as exc:  # ValueError: JSON and UTF-8 decoding
             raise FormatError(f"weights file {path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-        params = model.params()
-        expected = _manifest(params)
+        named = model.named_params()
+        expected = _manifest(named)
         if entries != expected:
             ours = {e["name"]: tuple(e["shape"]) for e in expected}
             missing = sorted(set(ours) - set(theirs))
@@ -120,11 +122,11 @@ def load_weights(path, model: PillarMambaModel) -> None:
                 f"weights file {path} does not match this model: "
                 f"missing={missing[:5]} extra={extra[:5]} shape-mismatch={mismatched[:5]}"
             )
-        for p in params:
+        for name, p in named:
             n = int(np.prod(p.value.shape)) if p.value.shape else 1
             raw = fh.read(8 * n)
             if len(raw) != 8 * n:
-                raise FormatError(f"weights file {path}: truncated payload for {p.name}")
+                raise FormatError(f"weights file {path}: truncated payload for {name}")
             p.value.data[...] = np.frombuffer(raw, dtype="<f8").reshape(p.value.shape).astype(model.dtype)
 
 
@@ -150,7 +152,6 @@ def train_toy(
     boxes: list[Box3D],
     steps: int,
     lr: float,
-    max_grad_norm: float = 5.0,
     log_every: int = 10,
     log_fn=None,
 ) -> list[float]:
@@ -160,10 +161,10 @@ def train_toy(
     size: step k of ``steps`` moves by ``cosine_step_size(lr, k, steps)``, a
     half cosine from lr at step 0 toward 0, so the loss settles instead of
     ending on one sample of an oscillation. The global gradient norm is
-    clipped: the input-conditioned step sizes make some bias directions
-    violently curved, and an unclipped step catapults the parameters. A
-    non-finite loss or gradient norm raises ``FloatingPointError`` before
-    that step's update.
+    clipped to ``MAX_GRAD_NORM``: the input-conditioned step sizes make some
+    bias directions violently curved, and an unclipped step catapults the
+    parameters. A non-finite loss or gradient norm raises
+    ``FloatingPointError`` before that step's update.
     """
     targets = model.targets_for(boxes)
     params = model.params()
@@ -176,8 +177,8 @@ def train_toy(
         norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)))
         if not (np.isfinite(breakdown["total"]) and np.isfinite(norm)):
             raise FloatingPointError(f"train_toy step {step}: loss {breakdown['total']}, gradient norm {norm}")
-        if 0 < max_grad_norm < norm:
-            scale = max_grad_norm / norm
+        if norm > MAX_GRAD_NORM:
+            scale = MAX_GRAD_NORM / norm
             grads = [g * scale for g in grads]  # not in place: leaves may share one cotangent array
         step_size = cosine_step_size(lr, step, steps)
         for p, g in zip(params, grads):

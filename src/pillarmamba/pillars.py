@@ -195,11 +195,10 @@ class EncoderParams:
     embed_b: T.Param  # (C,)
 
 
-def init_encoder_params(rng: np.random.Generator, channels: int, dtype=np.float32, name: str = "encoder") -> EncoderParams:
+def init_encoder_params(rng: np.random.Generator, channels: int) -> EncoderParams:
     scale = np.sqrt(2.0 / POINT_FEATURE_DIM)
     return EncoderParams(
-        embed_w=T.Param(rng.normal(0.0, scale, size=(POINT_FEATURE_DIM, channels)).astype(dtype), name=f"{name}.embed.weight"),
-        embed_b=T.Param(np.zeros(channels, dtype=dtype), name=f"{name}.embed.bias"),
+        embed_w=T.Param(rng.normal(0.0, scale, size=(POINT_FEATURE_DIM, channels))), embed_b=T.Param(np.zeros(channels))
     )
 
 

@@ -35,6 +35,7 @@ ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
 # `detect` on a 2-vCPU Xeon (2 MiB L2 per core), sizes interleaved over 20 rounds of two scenes:
 # 0.434 s at 512 KiB, 0.462 s at 256 KiB, 0.463 s at 1 MiB.
 SCAN_BLOCK_BYTES = 1 << 19
+INIT_DT_MIN, INIT_DT_MAX = 1e-3, 0.1  # range of the initial step sizes softplus(b_delta), drawn log-uniform
 
 
 # ---------------------------------------------------------------------------
@@ -449,34 +450,24 @@ def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:
     return ssm_scan(tokens, delta, a, b_seq, c_seq)
 
 
-def init_selective_projections(
-    rng: np.random.Generator,
-    channels: int,
-    state_dim: int,
-    sequences: int,
-    dtype=np.float32,
-    name: str = "",
-    dt_min: float = 1e-3,
-    dt_max: float = 0.1,
-) -> SelectiveProjections:
-    """Initialization: small projections, log-spaced state decay, softplus-inverse step bias."""
+def init_selective_projections(rng: np.random.Generator, channels: int, state_dim: int, sequences: int) -> SelectiveProjections:
+    """Initialization, in float64: small projections, log-spaced state decay, softplus-inverse step bias."""
     d, m = channels, state_dim
     scale = 1.0 / np.sqrt(d)
     draws = []
     for _ in range(sequences):  # one set after another: step sizes, then w_b, w_c and w_delta
-        dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=(1, d)))
+        dt = np.exp(rng.uniform(np.log(INIT_DT_MIN), np.log(INIT_DT_MAX), size=(1, d)))
         w_b = rng.normal(0.0, scale, size=(d, m))
         w_c = rng.normal(0.0, scale, size=(d, m))
         draws.append((np.log(np.expm1(dt)), w_b, w_c, rng.normal(0.0, scale * 0.1, size=(d, d))))  # softplus(dt_bias) == dt
     dt_bias, w_b, w_c, w_delta = (np.stack(arrays) for arrays in zip(*draws))
     a_log = np.log(np.tile(np.arange(1, m + 1, dtype=np.float64), (sequences, d, 1)))
-    mk = lambda arr, suffix: T.Param(np.asarray(arr, dtype=dtype), name=f"{name}.{suffix}" if name else suffix)
     return SelectiveProjections(
-        w_b=mk(w_b, "w_b"),
-        b_b=mk(np.zeros((sequences, 1, m)), "b_b"),
-        w_c=mk(w_c, "w_c"),
-        b_c=mk(np.zeros((sequences, 1, m)), "b_c"),
-        w_delta=mk(w_delta, "w_delta"),
-        b_delta=mk(dt_bias, "b_delta"),
-        a_log=mk(a_log, "a_log"),
+        w_b=T.Param(w_b),
+        b_b=T.Param(np.zeros((sequences, 1, m))),
+        w_c=T.Param(w_c),
+        b_c=T.Param(np.zeros((sequences, 1, m))),
+        w_delta=T.Param(w_delta),
+        b_delta=T.Param(dt_bias),
+        a_log=T.Param(a_log),
     )

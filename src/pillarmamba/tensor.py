@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import ConfigurationError, ContractViolation
 Array = np.ndarray
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+SOFTPLUS_BLOCK = 1 << 16  # elements of max(x, 0) that softplus holds at once
 
 
 def _stable_sigmoid(x: Array) -> Array:
@@ -62,61 +63,66 @@ class Tensor:
 
 
 class Param:
-    """A named learnable value; its gradient is read from a tape, ``tape.grad(param)``."""
+    """A learnable value, named by its path in a parameter tree (``named_params``); its gradient: ``tape.grad(param)``."""
 
-    __slots__ = ("value", "name")
+    __slots__ = ("value",)
 
-    def __init__(self, value, name: str = ""):
+    def __init__(self, value):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __repr__(self) -> str:
-        return f"Param({self.name or '<anon>'}, shape={self.value.shape})"
+        return f"Param(shape={self.value.shape}, dtype={self.value.dtype})"
 
 
 def conv_param(
-    rng: np.random.Generator, name: str, out_ch: int, in_ch: int, k: int, dtype, gain: float = 1.0, bias_fill: float = 0.0
+    rng: np.random.Generator, out_ch: int, in_ch: int, k: int, gain: float = 1.0, bias_fill: float = 0.0
 ) -> tuple[Param, Param]:
-    """A (out_ch, in_ch, k, k) conv weight drawn N(0, gain / fan_in) and a constant bias.
+    """A (out_ch, in_ch, k, k) conv weight drawn N(0, gain / fan_in) and a constant bias, in float64.
 
     gain 2 for convs feeding a relu/silu, 1 for linear maps; in_ch is 1 for a
     depthwise conv.
     """
     scale = np.sqrt(gain / (in_ch * k * k))
-    w = Param(rng.normal(0.0, scale, size=(out_ch, in_ch, k, k)).astype(dtype), name=f"{name}.weight")
-    b = Param(np.full(out_ch, bias_fill, dtype=dtype), name=f"{name}.bias")
-    return w, b
+    return Param(rng.normal(0.0, scale, size=(out_ch, in_ch, k, k))), Param(np.full(out_ch, float(bias_fill)))
 
 
-def collect_params(tree) -> list[Param]:
-    """Every Param in a tree of parameter dataclasses, tuples and dicts.
-
-    Dataclass fields come in declaration order, tuple items in order and dict
-    values in insertion order. This order is the weights-file order, the
-    trainer's update order and the gradient-check input order.
-    """
-    out: list[Param] = []
-    _collect(tree, out)
-    return out
+def named_params(tree) -> Iterator[tuple[str, Param]]:
+    """Every Param in a tree of parameter dataclasses, tuples and dicts, with its path: the dataclass field names,
+    tuple indices and dict keys from the root down, joined by "." (``backbone.down_convs.0.1``). Dataclass fields
+    come in declaration order, tuple items in order and dict values in insertion order. The paths are the
+    weights-file names; the order is the weights-file, trainer-update and gradient-check input order."""
+    return _walk(tree, "")
 
 
-def _collect(node, out: list[Param]) -> None:
+def _walk(node, path: str) -> Iterator[tuple[str, Param]]:
     if isinstance(node, Param):
-        out.append(node)
-    elif is_dataclass(node):
-        for f in fields(node):
-            _collect(getattr(node, f.name), out)
+        yield path, node
+        return
+    if is_dataclass(node):
+        children = ((f.name, getattr(node, f.name)) for f in fields(node))
     elif isinstance(node, (tuple, dict)):
-        for item in node.values() if isinstance(node, dict) else node:
-            _collect(item, out)
+        children = node.items() if isinstance(node, dict) else enumerate(node)
     else:
         raise ContractViolation(
             f"parameter tree holds a {type(node).__name__}; expected a Param, dataclass, tuple or dict"
         )
+    for key, child in children:
+        yield from _walk(child, f"{path}.{key}" if path else str(key))
+
+
+def collect_params(tree) -> list[Param]:
+    """Every Param in a parameter tree, in ``named_params`` order, without the paths."""
+    return [p for _, p in named_params(tree)]
+
+
+def cast_params(tree, dtype) -> None:
+    """Cast every Param of a parameter tree to ``dtype`` in place; the init functions draw in float64."""
+    for p in collect_params(tree):
+        p.value.data = p.value.data.astype(dtype, copy=False)
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -324,8 +330,15 @@ def relu(a) -> Tensor:
 def softplus(a) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
-    sp = np.log1p(np.exp(-np.abs(d)))  # logaddexp(0, x)'s formula; logaddexp itself runs a scalar loop
-    sp += np.maximum(d, 0.0)
+    # logaddexp(0, x)'s formula, log1p(exp(-|x|)) + max(x, 0), built in the output buffer with max(x, 0) added a
+    # block at a time, so no other temporary the size of x is alive; logaddexp itself runs a scalar loop
+    sp = np.abs(d, order="C")
+    np.negative(sp, out=sp)
+    np.exp(sp, out=sp)
+    np.log1p(sp, out=sp)
+    flat, d_flat = sp.reshape(-1), d.reshape(-1)  # a view of sp, which is C-contiguous
+    for i in range(0, flat.size, SOFTPLUS_BLOCK):
+        flat[i : i + SOFTPLUS_BLOCK] += np.maximum(d_flat[i : i + SOFTPLUS_BLOCK], 0.0)
     out = Tensor(sp)
     _record(out, (ta,), lambda g: (g * _stable_sigmoid(d),))
     return out
@@ -647,32 +660,29 @@ def _phase_index(shape: tuple[int, int, int], kh: int, kw: int, s: int, pad: int
     ]
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5, axis: int = 0) -> Tensor:
-    """Normalize over one axis (channels by default), per remaining site."""
+def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize over the channel axis (axis 0), per remaining site."""
     if eps <= 0:
         raise ConfigurationError(f"layer_norm eps must be positive, got {eps}")
     tx, tg, tb = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = tx.data
-    c = xd.shape[axis]
+    c = xd.shape[0]
     if tg.data.shape != (c,) or tb.data.shape != (c,):
-        raise ContractViolation(
-            f"gamma/beta shapes {tg.data.shape}/{tb.data.shape} != ({c},) for axis {axis} of {xd.shape}"
-        )
-    bshape = [1] * xd.ndim
-    bshape[axis] = c
+        raise ContractViolation(f"gamma/beta shapes {tg.data.shape}/{tb.data.shape} != ({c},) for input {xd.shape}")
+    bshape = (c,) + (1,) * (xd.ndim - 1)
     gb = tg.data.reshape(bshape)
     bb = tb.data.reshape(bshape)
-    mean = xd.mean(axis=axis, keepdims=True)
-    var = xd.var(axis=axis, keepdims=True)
+    mean = xd.mean(axis=0, keepdims=True)
+    var = xd.var(axis=0, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mean) * inv
     out = Tensor(gb * xhat + bb)
-    sum_axes = tuple(i for i in range(xd.ndim) if i != axis)
+    sum_axes = tuple(range(1, xd.ndim))
 
     def bwd(g):
         dxhat = g * gb
-        m1 = dxhat.mean(axis=axis, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
+        m1 = dxhat.mean(axis=0, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
         dx = (dxhat - m1 - xhat * m2) * inv
         dgamma = (g * xhat).sum(axis=sum_axes)
         dbeta = g.sum(axis=sum_axes)

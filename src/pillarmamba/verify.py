@@ -60,7 +60,7 @@ def check_layer_norm(seed: int) -> T.GradCheckReport:
 def check_se_attention(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
     c = int(rng.integers(2, 9))
-    se = init_se_params(rng, c, reduction=2, dtype=np.float64)
+    se = init_se_params(rng, c, reduction=2)
     x = T.Tensor(rng.normal(size=(c, 3, 3)))
     inputs = [x] + T.collect_params(se)
     fn = lambda x_, *ps: T.reduce_sum(se_attention(x_, se))
@@ -72,7 +72,7 @@ def check_selective_scan(seed: int) -> T.GradCheckReport:
     d = int(rng.integers(2, 4))
     m = int(rng.integers(1, 4))
     t_len = int(rng.integers(2, 9))
-    proj = init_selective_projections(rng, d, m, 2, dtype=np.float64)  # a stack of two sequences
+    proj = init_selective_projections(rng, d, m, 2)  # a stack of two sequences
     tokens = T.Tensor(rng.normal(size=(2, t_len, d)))
     inputs = [tokens] + T.collect_params(proj)
     fn = lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj))
@@ -82,7 +82,7 @@ def check_selective_scan(seed: int) -> T.GradCheckReport:
 def check_ss2d_block(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
     c = int(rng.integers(2, 5))
-    params = init_ss2d_params(rng, c, state_dim=2, dtype=np.float64)
+    params = init_ss2d_params(rng, c, state_dim=2)
     x = T.Tensor(rng.normal(size=(c, 3, 3)))
     inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(ss2d_block(x_, params))
@@ -97,7 +97,7 @@ def check_hsb(seed: int) -> T.GradCheckReport:
         hsb=HsbToggles(se_reduction=2),
         ssm=SsmConfig(state_dim=2),
     )
-    params = init_hsb_params(rng, cfg, dtype=np.float64)
+    params = init_hsb_params(rng, cfg)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
     inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params))
@@ -107,7 +107,7 @@ def check_hsb(seed: int) -> T.GradCheckReport:
 def check_csg(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
     cfg = ModelConfig(channels=4, csg=CsgToggles(hsb_layers=1), hsb=HsbToggles(se_reduction=2), ssm=SsmConfig(state_dim=2))
-    params = init_csg_params(rng, cfg, dtype=np.float64)
+    params = init_csg_params(rng, cfg)
     x = T.Tensor(rng.normal(size=(4, 3, 3)))
     inputs = [x] + T.collect_params(params)
     fn = lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, params))

@@ -33,7 +33,7 @@ def model_cfg(channels: int, csg: bool = False, hsb_layers: int = 2, state_dim: 
 
 class TestSeAttention:
     def test_zero_input_zero_weights_half_gates(self):
-        se = init_se_params(rng(0), channels=6, reduction=2, dtype=np.float64)
+        se = init_se_params(rng(0), channels=6, reduction=2)
         for p in T.collect_params(se):
             p.value.data[...] = 0.0
         gates = T.value(se_attention(T.Tensor(np.zeros((6, 4, 4))), se))
@@ -41,7 +41,7 @@ class TestSeAttention:
 
     def test_identical_channels_identical_gates(self):
         # symmetric weights for channels 0 and 1 plus identical content
-        se = init_se_params(rng(1), channels=3, reduction=1, dtype=np.float64)
+        se = init_se_params(rng(1), channels=3, reduction=1)
         se.w1.value.data[1] = se.w1.value.data[0]
         se.w2.value.data[:, 1] = se.w2.value.data[:, 0]
         se.b2.value.data[1] = se.b2.value.data[0]
@@ -52,7 +52,7 @@ class TestSeAttention:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gates_strictly_inside_unit_interval(self, seed):
-        se = init_se_params(rng(seed), channels=8, reduction=4, dtype=np.float64)
+        se = init_se_params(rng(seed), channels=8, reduction=4)
         gates = T.value(se_attention(T.Tensor(rng(seed + 100).normal(size=(8, 5, 5))), se))
         assert (gates > 0.0).all() and (gates < 1.0).all()
 
@@ -60,20 +60,20 @@ class TestSeAttention:
 class TestHsb:
     def test_zero_propagation(self):
         cfg = model_cfg(4)
-        params = init_hsb_params(rng(3), cfg, dtype=np.float64)
+        params = init_hsb_params(rng(3), cfg)
         out = hsb_forward(T.Tensor(np.zeros((4, 5, 5))), cfg, params)
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     def test_shape_contract(self):
         cfg = model_cfg(16, se_reduction=4)
-        params = init_hsb_params(rng(4), cfg, dtype=np.float64)
+        params = init_hsb_params(rng(4), cfg)
         out = hsb_forward(T.Tensor(rng(5).normal(size=(16, 8, 8))), cfg, params)
         assert T.value(out).shape == (16, 8, 8)
         assert np.isfinite(T.value(out)).all()
 
     def test_unit_gates_reduce_to_depthwise_conv(self):
         cfg = model_cfg(4)
-        params = init_hsb_params(rng(6), cfg, dtype=np.float64)
+        params = init_hsb_params(rng(6), cfg)
         params.se.b2.value.data[...] = 1000.0  # sigmoid saturates to exactly 1.0
         x = T.Tensor(rng(7).normal(size=(4, 6, 6)))
         out = T.value(hsb_forward(x, cfg, params))
@@ -82,7 +82,7 @@ class TestHsb:
 
     def test_channel_mismatch_rejected(self):
         cfg = model_cfg(4, se_reduction=4)
-        params = init_hsb_params(rng(10), cfg, dtype=np.float64)
+        params = init_hsb_params(rng(10), cfg)
         with pytest.raises(ContractViolation):
             hsb_forward(T.Tensor(np.zeros((6, 4, 4))), cfg, params)
 
@@ -93,7 +93,7 @@ class TestHsb:
 
     def test_gradients(self):
         cfg = model_cfg(4)
-        params = init_hsb_params(rng(3), cfg, dtype=np.float64)
+        params = init_hsb_params(rng(3), cfg)
         x = T.Tensor(rng(53).normal(size=(4, 3, 3)))
         rep = T.grad_check(lambda x_, *ps: T.reduce_sum(hsb_forward(x_, cfg, params)), [x] + T.collect_params(params))
         assert rep.passed, rep
@@ -102,14 +102,14 @@ class TestHsb:
 class TestCsg:
     def test_zero_propagation(self):
         cfg = model_cfg(8, csg=True)
-        params = init_csg_params(rng(14), cfg, dtype=np.float64)
+        params = init_csg_params(rng(14), cfg)
         out = csg_forward(T.Tensor(np.zeros((8, 4, 4))), cfg, params)
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     def test_branch_width_configuration(self):
         cfg = model_cfg(64, csg=True, se_reduction=4)
         assert (cfg.hsb_channels, cfg.hsb_inner_channels) == (32, 16)
-        params = init_csg_params(rng(15), cfg, dtype=np.float64)
+        params = init_csg_params(rng(15), cfg)
         assert T.value(params.hsbs[0].conv_down_w).shape == (16, 32, 1, 1)
 
     def test_improper_split_rejected(self):
@@ -119,13 +119,13 @@ class TestCsg:
 
     def test_shape_and_finiteness(self):
         cfg = model_cfg(8, csg=True)
-        params = init_csg_params(rng(17), cfg, dtype=np.float64)
+        params = init_csg_params(rng(17), cfg)
         out = T.value(csg_forward(T.Tensor(rng(18).normal(size=(8, 6, 6))), cfg, params))
         assert out.shape == (8, 6, 6) and np.isfinite(out).all()
 
     def test_gradients(self):
         cfg = model_cfg(4, csg=True, hsb_layers=1)
-        params = init_csg_params(rng(19), cfg, dtype=np.float64)
+        params = init_csg_params(rng(19), cfg)
         x = T.Tensor(rng(20).normal(size=(4, 3, 3)))
         rep = T.grad_check(lambda x_, *ps: T.reduce_sum(csg_forward(x_, cfg, params)), [x] + T.collect_params(params))
         assert rep.passed, rep

@@ -2,11 +2,13 @@
 pipeline outputs, determinism, weights round trip, bench rows and digests,
 and the README's CLI examples."""
 
+import hashlib
 import json
 import re
 import shlex
 import shutil
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,10 @@ import pytest
 
 from pillarmamba import cli
 from pillarmamba import metrics as metrics_mod
-from pillarmamba.boxes import CLASS_IDS
+from pillarmamba.boxes import CLASS_IDS, CLASS_NAMES, Detection
 from pillarmamba.config import config_from_dict, config_to_dict, default_config
 from pillarmamba.cross_scan import DIRECTIONS
-from pillarmamba.data_io import load_cloud, load_labels
+from pillarmamba.data_io import box_record, detection_record, load_cloud, load_labels
 from pillarmamba.model import WEIGHTS_MAGIC, build_model, load_weights, save_weights
 from pillarmamba.errors import FormatError
 
@@ -106,6 +108,37 @@ def test_forward_then_eval_pipeline(dataset, tiny_cfg_path, tmp_path, capsys, mo
     assert {name: entry["ap_r40"] for name, entry in metrics["per_class"].items()} == {
         name: expected[CLASS_IDS[name]] for name in metrics["per_class"]
     }
+
+
+def test_eval_per_class_ap_is_ap_r40(dataset, tiny_cfg_path, tmp_path):
+    # a dataset without cyclists, detections that hit every other GT, false positives of every class, and the
+    # config's thresholds listed against class-id order: eval reports ap_r40's values and averages them in id order
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    entries = json.loads((data / "manifest.json").read_text())["scenes"]
+    gts_per_scene, dets_per_scene = [], []
+    for i, entry in enumerate(entries):
+        gts = [b for b in load_labels(data / entry["labels"]) if b.cls != CLASS_IDS["cyclist"]]
+        (data / entry["labels"]).write_text(json.dumps([box_record(b) for b in gts]))
+        dets = [Detection(replace(b, x=b.x + 2.0 * (j % 2)), 0.9 - 0.05 * j) for j, b in enumerate(gts)]
+        dets += [Detection(replace(gts[0], x=gts[0].x + 5.0, cls=c), 0.3 + 0.1 * c) for c in CLASS_IDS.values()]
+        (tmp_path / f"dets_{i:04d}.json").write_text(json.dumps({"detections": [detection_record(d) for d in dets]}))
+        gts_per_scene.append(gts)
+        dets_per_scene.append(dets)
+    raw = json.loads(Path(tiny_cfg_path).read_text())
+    raw["eval"]["iou_thresholds"] = dict(reversed(list(raw["eval"]["iou_thresholds"].items())))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    argv = ["eval", "--config", str(cfg_path), "--dets", str(tmp_path), "--manifest", str(data / "manifest.json")]
+    assert cli.main(argv) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    thresholds = {CLASS_IDS[name]: thr for name, thr in raw["eval"]["iou_thresholds"].items()}
+    expected = metrics_mod.ap_r40(dets_per_scene, gts_per_scene, thresholds)
+    assert {name: entry["ap_r40"] for name, entry in metrics["per_class"].items()} == {
+        CLASS_NAMES[cls]: ap for cls, ap in expected.items()
+    }
+    assert expected[CLASS_IDS["cyclist"]] is None and 0.0 < expected[CLASS_IDS["vehicle"]] < 1.0
+    assert metrics["mean_ap_r40"] == float(np.mean([ap for ap in expected.values() if ap is not None]))
 
 
 def test_pipeline_determinism_byte_identical(tiny_cfg_path, tmp_path):
@@ -229,31 +262,60 @@ def test_weights_model_mismatch_detected(tiny_cfg_path, tmp_path):
     assert "does not match" in str(err.value)
 
 
-def _per_direction_weights(path, model):
-    """A .pmw of the model's values under the per-direction SS2D names of older builds
-    (``...ss2d.row_forward.w_b`` of shape (D, M) per direction, in place of ``...ss2d.w_b`` of shape (4, D, M))."""
+# Older builds named each parameter by hand. These rules map a field path to that name, e.g.
+# backbone.stages.0.hsbs.0.ss2d.scan.w_b -> backbone.stage0.csg.hsb0.ss2d.w_b and head.hm_w -> head.heatmap.weight.
+HAND_WRITTEN_NAME_RULES = (
+    (r"stages\.(\d+)\.hsbs\.(\d+)\.", r"stage\1.csg.hsb\2."),
+    (r"stages\.(\d+)\.(\d+)\.", r"stage\1.hsb\2."),
+    (r"stages\.(\d+)\.", r"stage\1.csg."),
+    (r"down_convs\.(\d+)\.", r"down\1."),
+    (r"\.scan\.", "."),
+    (r"(\w\w)_w$|\.0$", r"\1.weight"),
+    (r"(\w\w)_b$|\.1$", r"\1.bias"),
+    (r"_(gamma|beta)$", r".\1"),
+    (r"^head\.hm\.", "head.heatmap."),
+    (r"^head\.reg\.", "head.regression."),
+)
+# sha256 of the seed-0 default model's [[name, shape], ...] manifest under the hand-written names
+HAND_WRITTEN_MANIFEST_SHA256 = "e76b5d2255dcb83d50cbf38fc1a7774fb3db4adf8a272c53a8ac5288b4a575d6"
+
+
+def _hand_written_name(path: str) -> str:
+    for pattern, repl in HAND_WRITTEN_NAME_RULES:
+        path = re.sub(pattern, repl, path)
+    return path
+
+
+def _hand_named_weights(path, model, per_direction: bool):
+    """A .pmw of the model's values under the hand-written names of older builds: one stacked SS2D projection set
+    (``...ss2d.w_b`` of shape (4, D, M)) or, older still, one per direction (``...ss2d.row_forward.w_b`` of shape (D, M))."""
     entries, values = [], []
     for name, p in model.named_params():
-        stem, _, leaf = name.rpartition(".")
-        if stem.endswith(".ss2d") and leaf in ("w_b", "b_b", "w_c", "b_c", "w_delta", "b_delta", "a_log"):
+        old = _hand_written_name(name)
+        if per_direction and ".scan." in name:
+            stem, _, leaf = old.rpartition(".")
             entries += [{"name": f"{stem}.{d}.{leaf}", "shape": list(p.shape[1:])} for d in DIRECTIONS]
         else:
-            entries.append({"name": name, "shape": list(p.shape)})
+            entries.append({"name": old, "shape": list(p.shape)})
         values.append(p.value.data.astype("<f8").tobytes())
     blob = json.dumps({"params": entries}, sort_keys=True).encode()
     path.write_bytes(WEIGHTS_MAGIC + struct.pack("<I", len(blob)) + blob + b"".join(values))
 
 
 def test_per_direction_weights_are_rejected(dataset, tiny_cfg_path, tmp_path, capsys):
-    # no conversion: the stacked names are missing from the file and the per-direction ones are extra
+    # no conversion from hand-written names, stacked or per direction: the field paths are missing from the file
+    # and the old names are extra; the rules above rebuild the old names exactly
+    named = build_model(default_config(), seed=0).named_params()
+    manifest = [(_hand_written_name(name), list(p.shape)) for name, p in named]
+    assert hashlib.sha256(json.dumps(manifest).encode()).hexdigest() == HAND_WRITTEN_MANIFEST_SHA256
     cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
-    path = tmp_path / "old.pmw"
-    _per_direction_weights(path, build_model(cfg, seed=0))
-    with pytest.raises(FormatError) as err:
-        load_weights(path, build_model(cfg, seed=0))
-    missing, extra = re.search(r"missing=(\[.*?\]) extra=(\[.*?\])", str(err.value)).groups()
-    assert "backbone.stage0.csg.hsb0.ss2d.a_log" in missing and ".row_forward." not in missing
-    assert "backbone.stage0.csg.hsb0.ss2d.col_forward.a_log" in extra
+    for per_direction in (False, True):
+        path = tmp_path / "old.pmw"
+        _hand_named_weights(path, build_model(cfg, seed=0), per_direction)
+        with pytest.raises(FormatError) as err:
+            load_weights(path, build_model(cfg, seed=0))
+        missing, extra = re.search(r"missing=(\[.*?\]) extra=(\[.*?\])", str(err.value)).groups()
+        assert "'backbone.down_convs.0.0'" in missing and "'backbone.down0.weight'" in extra
     argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets")]
     assert cli.main([*argv, "--weights", str(path)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]

@@ -128,19 +128,19 @@ class TestMerge:
 
 class TestSs2dBlock:
     def test_zero_input_zero_biases_zero_output(self):
-        params = init_ss2d_params(rng(17), channels=4, state_dim=2, dtype=np.float64)
+        params = init_ss2d_params(rng(17), channels=4, state_dim=2)
         out = ss2d_block(T.Tensor(np.zeros((4, 3, 3))), params)
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     def test_shape_preserving(self):
-        params = init_ss2d_params(rng(18), channels=8, state_dim=2, dtype=np.float64)
+        params = init_ss2d_params(rng(18), channels=8, state_dim=2)
         x = T.Tensor(rng(19).normal(size=(8, 4, 4)))
         out = ss2d_block(x, params)
         assert T.value(out).shape == (8, 4, 4)
         assert np.isfinite(T.value(out)).all()
 
     def test_gradient_check(self):
-        params = init_ss2d_params(rng(22), channels=3, state_dim=2, dtype=np.float64)
+        params = init_ss2d_params(rng(22), channels=3, state_dim=2)
         x = T.Tensor(rng(23).normal(size=(3, 3, 3)))
         rep = T.grad_check(lambda x_, *ps: T.reduce_sum(ss2d_block(x_, params)), [x] + T.collect_params(params))
         assert rep.passed and rep.max_rel_error <= 1e-4
@@ -180,7 +180,8 @@ def _per_direction_ss2d(bev, params, slices) -> T.Tensor:
 def _ss2d_case(dtype):
     """A (6, 5, 7) map and seed-30 SS2D parameters at C=6, M=4, with nonzero b/c biases."""
     r = rng(30)
-    params = init_ss2d_params(r, channels=6, state_dim=4, dtype=dtype)
+    params = init_ss2d_params(r, channels=6, state_dim=4)
+    T.cast_params(params, dtype)
     for bias in (params.scan.b_b, params.scan.b_c):
         bias.value.data[...] = r.normal(0.0, 0.3, size=bias.shape)
     return T.Tensor(r.normal(size=(6, 5, 7)).astype(dtype)), params

@@ -355,16 +355,21 @@ class TestConfig:
         raw["model"]["ssm"]["state_dim"] = 2
         raw["model"]["csg"]["enabled"] = False
         names = [n for n, _ in build_model(config_from_dict(raw), seed=0).named_params()]
-        assert not any(".csg." in n for n in names)
-        assert any(".hsb0." in n for n in names)
+        # off, each stage is a plain HSB tuple (backbone.stages.<i>.<j>.*): no CSG channel mixes, no CSG HSB tuple
+        assert not any(".hsbs." in n or n.startswith("backbone.stages.0.conv_") for n in names)
+        assert any(n.startswith("backbone.stages.0.0.ss2d.") for n in names)
+        raw["model"]["csg"]["enabled"] = True
+        names = [n for n, _ in build_model(config_from_dict(raw), seed=0).named_params()]
+        assert "backbone.stages.0.conv_down_w" in names and "backbone.stages.0.hsbs.0.ss2d.scan.a_log" in names
 
 
 # model-section overrides -> (parameter count, sha256 of the ordered
 # [[name, shape], ...] manifest) of the seed-0 default model (C=64); the .pmw
-# layout is this manifest followed by the values in the same order
+# layout is this manifest followed by the values in the same order, and each
+# name is the parameter's field path
 MANIFEST_PINS = {
-    "default": ({}, 270, "e76b5d2255dcb83d50cbf38fc1a7774fb3db4adf8a272c53a8ac5288b4a575d6"),
-    "csg_off": ({"csg": {"enabled": False}}, 254, "c21f82c68b738dae7802a47928f1f199680567fc45fe270454d296a60d533381"),
+    "default": ({}, 270, "cc5a6f4b3466f8472083bdfb1d1970eb2cfbf0c21315fbe65b8e949fbe3df102"),
+    "csg_off": ({"csg": {"enabled": False}}, 254, "fdf0f5e821e953396e5344043b9268614515504d3d4299a41936c69ce484e48f"),
 }
 
 

@@ -34,13 +34,13 @@ def logits_of(p: np.ndarray) -> np.ndarray:
 
 class TestHeadForward:
     def test_channel_counts(self):
-        params = init_head_params(rng(0), channels=8, n_classes=3, dtype=np.float64)
+        params = init_head_params(rng(0), channels=8, n_classes=3)
         raw = head_forward(T.Tensor(rng(1).normal(size=(8, 8, 8))), params)
         assert T.value(raw.heatmap).shape == (3, 8, 8)
         assert T.value(raw.regression).shape == (REG_CHANNELS, 8, 8)
 
     def test_zero_weights_give_half_probability(self):
-        params = init_head_params(rng(2), channels=4, n_classes=2, dtype=np.float64)
+        params = init_head_params(rng(2), channels=4, n_classes=2)
         for p in T.collect_params(params):
             p.value.data[...] = 0.0
         raw = head_forward(T.Tensor(rng(3).normal(size=(4, 6, 6))), params)
@@ -48,7 +48,8 @@ class TestHeadForward:
         np.testing.assert_allclose(prob, 0.5, atol=1e-12)
 
     def test_determinism(self):
-        params = init_head_params(rng(4), channels=4, n_classes=3, dtype=np.float32)
+        params = init_head_params(rng(4), channels=4, n_classes=3)
+        T.cast_params(params, np.float32)
         x = T.Tensor(rng(5).normal(size=(4, 6, 6)).astype(np.float32))
         a = T.value(head_forward(x, params).heatmap)
         b = T.value(head_forward(x, params).heatmap)
@@ -144,8 +145,8 @@ class TestLoss:
         box = Box3D(x=1.3, y=-0.3, z=-1.2, l=0.9, w=0.7, h=1.6, yaw=0.4, cls=0)
         targets = build_targets([box], small_grid(), n_classes=2)
         r = rng(8)
-        hm = T.Param(r.normal(size=(2, 16, 16)) * 0.5, name="hm")
-        reg = T.Param(r.normal(size=(8, 16, 16)) * 0.5, name="reg")
+        hm = T.Param(r.normal(size=(2, 16, 16)) * 0.5)
+        reg = T.Param(r.normal(size=(8, 16, 16)) * 0.5)
         losses = []
         for _ in range(50):
             with T.Tape() as tape:

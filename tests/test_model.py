@@ -1,6 +1,10 @@
 """Whole-model checks: the float64 gradient check (encoder -> backbone -> head
--> loss), float32 gradients staying float32, train_toy's step-size schedule and
-non-finite stop, and model sections that load only when they build and run."""
+-> loss), float32 gradients staying float32, the parameter tree's names and
+dtypes, train_toy's step-size schedule and non-finite stop, and model sections
+that load only when they build and run."""
+
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +13,17 @@ from hypothesis import strategies as st
 
 from conftest import rng
 from pillarmamba import tensor as T
+from pillarmamba.backbone import init_backbone_params
+from pillarmamba.blocks import init_csg_params, init_hsb_params, init_se_params
 from pillarmamba.boxes import Box3D
-from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, config_from_dict
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, config_from_dict, default_config
+from pillarmamba.cross_scan import init_ss2d_params
 from pillarmamba.errors import ConfigurationError
+from pillarmamba.head import init_head_params
 from pillarmamba import model as model_mod
 from pillarmamba.model import build_model, cosine_step_size, loss_on_scene, train_toy
-from pillarmamba.pillars import GridSpec, PointCloud
+from pillarmamba.pillars import GridSpec, PointCloud, init_encoder_params
+from pillarmamba.ssm import init_selective_projections
 
 GRID = GridSpec(x_range=(0.0, 1.6), y_range=(-0.8, 0.8), z_range=(-3.0, 1.0), pillar_size=0.2)  # 8x8
 BOX = Box3D(x=0.75, y=0.1, z=-1.0, l=0.6, w=0.4, h=1.2, yaw=0.3, cls=0)
@@ -86,7 +95,63 @@ def test_float32_loss_and_gradients_stay_float32():
         total, _ = loss_on_scene(model, _cloud(), model.targets_for([BOX]))
     tape.backward(total)
     assert T.value(total).dtype == np.float32
-    assert [p.name for p in model.params() if tape.grad(p).dtype != np.float32] == []
+    assert [name for name, p in model.named_params() if tape.grad(p).dtype != np.float32] == []
+
+
+def _variants() -> dict[str, RunConfig]:
+    cfg = default_config()
+    return {
+        "default": cfg,
+        "c32": replace(cfg, model=replace(cfg.model, channels=32)),
+        "csg_off": replace(cfg, model=replace(cfg.model, csg=replace(cfg.model.csg, enabled=False))),
+    }
+
+
+# sha256 over the float32 bytes of the seed-0 default model's parameters, in weights-file order
+DEFAULT_PARAMS_SHA256 = "cbf34ba552cf1ff2d5c5b3e1844c69bedec9969c422b3333d066b3fa36febe1a"
+
+
+class TestParameterTree:
+    @pytest.mark.parametrize("variant", ["default", "csg_off"])
+    def test_every_weights_name_is_its_field_path(self, variant):
+        model = build_model(_variants()[variant], seed=0)
+        named = model.named_params()
+        assert len({name for name, _ in named}) == len(named) == len(model.params())
+        for name, p in named:
+            node = model
+            for key in name.split("."):
+                node = node[int(key)] if isinstance(node, tuple) else getattr(node, key)
+            assert node is p, name
+
+    def test_init_functions_draw_float64(self):
+        cfg = ModelConfig(channels=8, hsb=HsbToggles(se_reduction=2), ssm=SsmConfig(state_dim=2))
+        off = replace(cfg, csg=CsgToggles(enabled=False))
+        trees = [
+            T.conv_param(rng(0), 4, 2, 3),
+            init_encoder_params(rng(1), 8),
+            init_backbone_params(rng(2), cfg),
+            init_backbone_params(rng(3), off),
+            init_csg_params(rng(4), cfg),
+            init_hsb_params(rng(5), off),
+            init_se_params(rng(6), 8, 2),
+            init_ss2d_params(rng(7), 4, 2),
+            init_selective_projections(rng(8), 4, 2, 3),
+            init_head_params(rng(9), 8, 3),
+        ]
+        assert {p.value.dtype for tree in trees for p in T.collect_params(tree)} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("variant", ["default", "c32", "csg_off"])
+    def test_float32_build_is_the_float64_build_cast_once(self, variant):
+        cfg = _variants()[variant]
+        f32, f64 = build_model(cfg, seed=0).named_params(), build_model(cfg, seed=0, dtype=np.float64).named_params()
+        assert [name for name, _ in f32] == [name for name, _ in f64]
+        for (_, a), (_, b) in zip(f32, f64, strict=True):
+            assert a.value.dtype == np.float32 and b.value.dtype == np.float64
+            assert a.value.data.tobytes() == b.value.data.astype(np.float32).tobytes()
+
+    def test_default_parameter_bytes_pinned(self):
+        digest = hashlib.sha256(b"".join(p.value.data.tobytes() for p in build_model(default_config(), seed=0).params()))
+        assert digest.hexdigest() == DEFAULT_PARAMS_SHA256
 
 
 def test_step_size_starts_at_lr_and_falls_monotonically_toward_0():

@@ -133,7 +133,7 @@ class TestAugment:
 
 class TestEncodeScatter:
     def _params(self, channels, seed=0) -> EncoderParams:
-        return init_encoder_params(rng(seed), channels, dtype=np.float64)
+        return init_encoder_params(rng(seed), channels)
 
     def test_zero_embed_zero_map(self):
         params = self._params(8)
@@ -293,6 +293,7 @@ class TestPaddedOracle:
     def test_forward_and_embed_grads_equal_padded_oracle(self, seed, n, k, max_pillars):
         cloud = self._cloud(seed, n)
         params = init_encoder_params(rng(100 + seed), 16)
+        T.cast_params(params, np.float32)
         params.embed_b.value.data[...] = rng(200 + seed).normal(0.0, 0.3, 16).astype(np.float32)
         mix = rng(300 + seed).normal(size=(16, self.GRID.x_cells, self.GRID.y_cells)).astype(np.float32)
         pillars = voxelize(cloud, self.GRID, k, max_pillars)

@@ -361,7 +361,7 @@ class TestStability:
 
 class TestSelective:
     def test_softplus_of_zero_step_bias(self):
-        proj = init_selective_projections(rng(0), channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(rng(0), channels=3, state_dim=2, sequences=1)
         proj.w_delta.value.data[...] = 0.0
         proj.b_delta.value.data[...] = 0.0
         tokens = T.Tensor(np.zeros((1, 4, 3)))
@@ -369,7 +369,7 @@ class TestSelective:
         np.testing.assert_allclose(T.value(delta), math.log(2.0), atol=1e-12)
 
     def test_zero_b_projection_zero_output(self):
-        proj = init_selective_projections(rng(1), channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(rng(1), channels=3, state_dim=2, sequences=1)
         proj.w_b.value.data[...] = 0.0
         proj.b_b.value.data[...] = 0.0
         tokens = T.Tensor(rng(2).normal(size=(1, 5, 3)))
@@ -377,14 +377,14 @@ class TestSelective:
         np.testing.assert_array_equal(T.value(out), 0.0)
 
     def test_a_log_zero_gives_minus_one(self):
-        proj = init_selective_projections(rng(3), channels=2, state_dim=3, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(rng(3), channels=2, state_dim=3, sequences=1)
         proj.a_log.value.data[...] = 0.0
         tokens = T.Tensor(np.zeros((1, 2, 2)))
         _, _, _, a = selective_params(tokens, proj)
         np.testing.assert_array_equal(T.value(a), -1.0)
 
     def test_delta_strictly_positive(self):
-        proj = init_selective_projections(rng(4), channels=4, state_dim=2, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(rng(4), channels=4, state_dim=2, sequences=1)
         tokens = T.Tensor(rng(5).normal(size=(1, 16, 4)) * 3.0)
         _, _, delta, a = selective_params(tokens, proj)
         assert (T.value(delta) > 0).all()
@@ -448,6 +448,7 @@ class TestSelective:
         t_len, d, m = 4096, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=1)
+        T.cast_params(proj, np.float32)
         tokens = T.Tensor(rng(16).normal(size=(1, t_len, d)).astype(np.float32))
         selective_scan_tokens(tokens, proj)  # warm-up outside the trace
         tracemalloc.start()
@@ -475,6 +476,7 @@ class TestSelective:
         t_len, d, m = 16384, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=1)
+        T.cast_params(proj, np.float32)
         tokens = T.Tensor(rng(16).normal(size=(1, t_len, d)).astype(np.float32))
         selective_scan_tokens(tokens, proj)  # warm-up outside the trace
         tracemalloc.start()
@@ -501,6 +503,7 @@ class TestSelective:
         k, t_len, d, m = 4, 4096, 16, 8
         buf = t_len * d * m * 4
         proj = init_selective_projections(rng(15), channels=d, state_dim=m, sequences=k)
+        T.cast_params(proj, np.float32)
         tokens = T.Tensor(rng(16).normal(size=(k, t_len, d)).astype(np.float32))
         selective_scan_tokens(tokens, proj)  # warm-up outside the trace
         tracemalloc.start()
@@ -568,7 +571,7 @@ class TestSelective:
         calls = []
         sigmoid = T._stable_sigmoid
         monkeypatch.setattr(T, "_stable_sigmoid", lambda x: calls.append(x.shape) or sigmoid(x))
-        proj = init_selective_projections(rng(18), channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(rng(18), channels=3, state_dim=2, sequences=1)
         tokens = T.Tensor(rng(19).normal(size=(1, 6, 3)))
         selective_params(tokens, proj)
         assert calls == []
@@ -580,14 +583,14 @@ class TestSelective:
 
     def test_one_tape_record_per_scan(self):
         # 3 matmul + 3 add + softplus + exp + neg for the projections, then the scan itself
-        proj = init_selective_projections(rng(12), channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(rng(12), channels=3, state_dim=2, sequences=1)
         with T.Tape() as tape:
             selective_scan_tokens(T.Tensor(rng(13).normal(size=(1, 6, 3))), proj)
         assert len(tape._records) == 10
 
     def test_grad_through_projections_and_zoh(self):
         r = rng(7)
-        proj = init_selective_projections(r, channels=3, state_dim=2, sequences=1, dtype=np.float64)
+        proj = init_selective_projections(r, channels=3, state_dim=2, sequences=1)
         tokens = T.Tensor(r.normal(size=(1, 6, 3)))
         inputs = [tokens] + T.collect_params(proj)
         rep = T.grad_check(lambda tk, *ps: T.reduce_sum(selective_scan_tokens(tk, proj)), inputs, name="selective")

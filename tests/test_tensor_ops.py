@@ -343,6 +343,26 @@ class TestActivationOracles:
         assert (np.abs(got - ref) <= ulps * np.spacing(ref)).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_equals_the_composed_formula(self, dtype):
+        # across block seams, on strided and Fortran-ordered inputs, and for every NaN and signed zero
+        grid = np.array(ACTIVATION_GRID + [-np.nan, -0.0], dtype=dtype)
+        sweep = rng(9).normal(0.0, 20.0, 3 * T.SOFTPLUS_BLOCK + 7).astype(dtype)
+        for x in (grid, sweep, sweep[::3], np.asfortranarray(sweep[:-7].reshape(3, -1)), np.concatenate([grid, sweep])):
+            expected = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+            assert T.value(T.softplus(T.Tensor(x))).tobytes() == expected.tobytes()
+
+    def test_softplus_holds_no_other_array_the_size_of_its_input(self):
+        x = T.Tensor(rng(10).normal(size=(4, 16384, 16)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = T.softplus(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.06 inputs: the output and one block of max(x, 0); the composed formula peaks at 2
+        assert peak <= out.data.nbytes + 8 * T.SOFTPLUS_BLOCK + 4096
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stable_sigmoid_equals_the_masked_formula(self, dtype):
         grid = np.array(ACTIVATION_GRID + [-np.nan, -0.0], dtype=dtype)
         sweep = rng(8).normal(0.0, 10.0, 10001).astype(dtype)
@@ -543,7 +563,7 @@ class TestTapeMechanics:
 
     def test_reused_tensor_gives_exact_leaf_gradients(self):
         # mid = p * x is used three times: out = sum(mid * mid + mid * x + p)
-        p = T.Param(np.array([1.5, -2.0]), name="p")
+        p = T.Param(np.array([1.5, -2.0]))
         x = T.Tensor(np.array([0.5, 4.0]))
         with T.Tape() as tape:
             mid = T.mul(p, x)
@@ -599,12 +619,22 @@ class TestTapeMechanics:
             pair: tuple[Inner, ...]
             by_name: dict[str, T.Param]
 
-        ps = [T.Param(np.zeros(1), name=str(i)) for i in range(5)]
+        ps = [T.Param(np.zeros(1)) for _ in range(5)]
         tree = Outer(a=ps[0], pair=(Inner(ps[1]), Inner(ps[2])), by_name={"z": ps[3], "y": ps[4]})
         assert T.collect_params(tree) == ps
+        # each name is the path of field names, tuple indices and dict keys from the root
+        assert list(T.named_params(tree)) == list(zip(["a", "pair.0.b", "pair.1.b", "by_name.z", "by_name.y"], ps))
+        assert list(T.named_params({"root": tree}))[1] == ("root.pair.0.b", ps[1])
         for stray in (np.zeros(1), None):  # every parameter field holds a Param
             with pytest.raises(ContractViolation):
                 T.collect_params(Outer(a=ps[0], pair=(Inner(stray),), by_name={}))
+
+    def test_cast_params_sets_every_dtype_by_rounding_once(self):
+        values = [rng(5).normal(size=(3, 2)), np.full(4, -2.19)]
+        tree = {"w": T.Param(values[0].copy()), "pair": (T.Param(values[1].copy()),)}
+        T.cast_params(tree, np.float32)
+        for p, v in zip(T.collect_params(tree), values, strict=True):
+            assert p.value.dtype == np.float32 and p.value.data.tobytes() == v.astype(np.float32).tobytes()
 
     def test_no_tape_no_recording(self):
         x = T.Tensor(np.array([1.0]))
