@@ -91,6 +91,6 @@ def backbone_forward(f0, cfg: ModelConfig, params: BackboneParams) -> FeaturePyr
 
     f3_up = T.conv2d(T.nearest_upsample_2x(f3), *params.lateral_f3)
     f4_up = T.conv2d(T.nearest_upsample_2x(T.nearest_upsample_2x(f4)), *params.lateral_f4)
-    fused = T.conv2d(T.concat([f2, f3_up, f4_up], axis=0), *params.fuse)
+    fused = T.conv2d(T.concat([f2, f3_up, f4_up]), *params.fuse)
     f5 = T.conv2d(T.nearest_upsample_2x(fused), *params.final_up)
     return FeaturePyramid(f1=f1, f2=f2, f3=f3, f4=f4, f5=f5)

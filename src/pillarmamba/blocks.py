@@ -125,17 +125,12 @@ def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
     f_down = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
     scanned = ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d)
     f_down = T.add(scanned, f_down)
-    local = T.conv2d(
-        T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta),
-        params.dw_inner_w,
-        params.dw_inner_b,
-        padding=pad,
-        groups=cfg.hsb_inner_channels,
-    )
+    normed = T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta)
+    local = T.conv2d(normed, params.dw_inner_w, params.dw_inner_b, padding=pad)
     f_down = T.add(local, f_down)
     f_up = T.conv2d(f_down, params.conv_up_w, params.conv_up_b)
 
-    dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad, groups=c)
+    dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad)
     gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
     return T.mul(gates, dw_f)
 
@@ -161,8 +156,8 @@ def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
     if tf.shape[0] != cfg.channels:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
     mixed = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
-    branch, bypass = T.split(mixed, [cfg.hsb_channels] * 2, axis=0)
-    merged = T.concat([hsb_chain(branch, cfg, params.hsbs), bypass], axis=0)
+    branch, bypass = T.split(mixed, [cfg.hsb_channels] * 2)
+    merged = T.concat([hsb_chain(branch, cfg, params.hsbs), bypass])
     return T.conv2d(merged, params.conv_up_w, params.conv_up_b)
 
 

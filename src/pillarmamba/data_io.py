@@ -212,14 +212,10 @@ class DatasetManifest:
     """Relative (cloud, labels) path pairs; resolved against the manifest dir."""
 
     entries: list[tuple[str, str]]
-    split: str = "val"
 
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
-    payload = {
-        "split": manifest.split,
-        "scenes": [{"cloud": c, "labels": l} for c, l in manifest.entries],
-    }
+    payload = {"scenes": [{"cloud": c, "labels": l} for c, l in manifest.entries]}
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
@@ -240,10 +236,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             if not (path.parent / rel).exists():
                 raise FormatError(f"manifest {path} entry {i}: missing file {rel}")
         entries.append((cloud, labels))
-    return DatasetManifest(entries=entries, split=raw.get("split", "val"))
+    return DatasetManifest(entries=entries)
 
 
-def write_dataset(out_dir: str | Path, cfg: RunConfig, n_scenes: int, seed: int, split: str = "val") -> Path:
+def write_dataset(out_dir: str | Path, cfg: RunConfig, n_scenes: int, seed: int) -> Path:
     """Generate scenes and write cloud/label pairs plus a manifest; returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -255,5 +251,5 @@ def write_dataset(out_dir: str | Path, cfg: RunConfig, n_scenes: int, seed: int,
         save_labels(out / label_name, boxes)
         entries.append((cloud_name, label_name))
     manifest_path = out / "manifest.json"
-    save_manifest(manifest_path, DatasetManifest(entries=entries, split=split))
+    save_manifest(manifest_path, DatasetManifest(entries=entries))
     return manifest_path

@@ -112,8 +112,7 @@ def build_targets(boxes: list[Box3D], grid: GridSpec, n_classes: int, min_overla
     skipped = 0
     n_pos = 0
     for box in boxes:
-        fx = (box.x - grid.x_range[0]) / grid.pillar_size
-        fy = (box.y - grid.y_range[0]) / grid.pillar_size
+        fx, fy = grid.to_cells(box.x, box.y)
         ix, iy = int(math.floor(fx)), int(math.floor(fy))
         if not (0 <= ix < x_cells and 0 <= iy < y_cells):
             skipped += 1
@@ -223,9 +222,10 @@ def decode(
     detections = []
     for score, cls, ix, iy in candidates:
         off_x, off_y, z, log_l, log_w, log_h, sin_t, cos_t = reg[:, ix, iy].astype(np.float64)
+        x, y = grid.to_world(ix + off_x, iy + off_y)
         box = Box3D(
-            x=grid.x_range[0] + (ix + off_x) * grid.pillar_size,
-            y=grid.y_range[0] + (iy + off_y) * grid.pillar_size,
+            x=x,
+            y=y,
             z=z,
             l=float(np.exp(log_l)),
             w=float(np.exp(log_w)),

@@ -29,7 +29,6 @@ class PillarMambaModel:
     encoder: EncoderParams
     backbone: BackboneParams
     head: HeadParams
-    dtype: type
 
     def named_params(self) -> list[tuple[str, T.Param]]:
         return list(T.named_params({"encoder": self.encoder, "backbone": self.backbone, "head": self.head}))
@@ -77,7 +76,7 @@ def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaM
     backbone = init_backbone_params(rng, cfg.model)
     head = init_head_params(rng, c, len(CLASS_NAMES))
     T.cast_params((encoder, backbone, head), dtype)
-    return PillarMambaModel(cfg=cfg, encoder=encoder, backbone=backbone, head=head, dtype=dtype)
+    return PillarMambaModel(cfg=cfg, encoder=encoder, backbone=backbone, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +100,12 @@ def save_weights(path, model: PillarMambaModel) -> None:
 
 
 def load_weights(path, model: PillarMambaModel) -> None:
+    """Read and check a whole weights file, then cast each payload to its parameter's dtype.
+
+    A bad magic, a manifest that does not match the model, a short payload,
+    bytes past the last payload or a non-finite value raise ``FormatError``
+    before any parameter is written.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != WEIGHTS_MAGIC:
@@ -122,12 +127,20 @@ def load_weights(path, model: PillarMambaModel) -> None:
                 f"weights file {path} does not match this model: "
                 f"missing={missing[:5]} extra={extra[:5]} shape-mismatch={mismatched[:5]}"
             )
+        payloads = []
         for name, p in named:
             n = int(np.prod(p.value.shape)) if p.value.shape else 1
             raw = fh.read(8 * n)
             if len(raw) != 8 * n:
                 raise FormatError(f"weights file {path}: truncated payload for {name}")
-            p.value.data[...] = np.frombuffer(raw, dtype="<f8").reshape(p.value.shape).astype(model.dtype)
+            values = np.frombuffer(raw, dtype="<f8").reshape(p.value.shape)
+            if not np.isfinite(values).all():
+                raise FormatError(f"weights file {path}: non-finite value in {name}")
+            payloads.append(values)
+        if fh.read(1):
+            raise FormatError(f"weights file {path}: trailing bytes after the last payload")
+    for (_, p), values in zip(named, payloads):
+        p.value.data[...] = values  # cast to the parameter's own dtype
 
 
 # ---------------------------------------------------------------------------

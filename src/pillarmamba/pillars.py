@@ -47,10 +47,13 @@ class GridSpec:
     def y_cells(self) -> int:
         return round((self.y_range[1] - self.y_range[0]) / self.pillar_size)
 
-    def cell_center(self, ix: Array, iy: Array) -> tuple[Array, Array]:
-        cx = self.x_range[0] + (np.asarray(ix) + 0.5) * self.pillar_size
-        cy = self.y_range[0] + (np.asarray(iy) + 0.5) * self.pillar_size
-        return cx, cy
+    def to_cells(self, x, y):
+        """World (x, y) -> continuous cell coordinates: cell ix holds [ix, ix + 1), so floor gives the cell index."""
+        return (x - self.x_range[0]) / self.pillar_size, (y - self.y_range[0]) / self.pillar_size
+
+    def to_world(self, fx, fy):
+        """Continuous cell coordinates -> world (x, y); ``to_cells`` inverted, up to rounding."""
+        return self.x_range[0] + fx * self.pillar_size, self.y_range[0] + fy * self.pillar_size
 
 
 @dataclass
@@ -75,15 +78,13 @@ class PillarSet:
 
     points holds only the kept points, (N, 4), grouped by pillar: pillar p
     owns the counts[p] rows from starts[p]. Pillars are ordered by flat grid
-    index; member points keep their cloud order. original_counts holds the
-    member count per pillar before capping.
+    index; member points keep their cloud order.
     """
 
     grid: GridSpec
     indices: Array  # (P, 2) int, (ix, iy)
     points: Array  # (N, 4) float32, N = counts.sum()
     counts: Array  # (P,) int, each >= 1
-    original_counts: Array  # (P,) int
     counters: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -125,8 +126,8 @@ def voxelize(
     """
     pts = cloud.points
     counters = {"dropped_out_of_range": 0, "dropped_over_capacity": 0, "dropped_pillars": 0}
-    ix = np.floor((pts[:, 0].astype(np.float64) - grid.x_range[0]) / grid.pillar_size).astype(np.intp)
-    iy = np.floor((pts[:, 1].astype(np.float64) - grid.y_range[0]) / grid.pillar_size).astype(np.intp)
+    fx, fy = grid.to_cells(pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64))
+    ix, iy = np.floor(fx).astype(np.intp), np.floor(fy).astype(np.intp)
     in_range = (
         (ix >= 0)
         & (ix < grid.x_cells)
@@ -163,7 +164,6 @@ def voxelize(
         indices=indices.astype(np.intp),
         points=pts[order[survives]],
         counts=counts.astype(np.intp),
-        original_counts=counts_all[kept].astype(np.intp),
         counters=counters,
     )
 
@@ -180,7 +180,7 @@ def augment_features(pillars: PillarSet) -> Array:
     sums = np.zeros((len(pillars), 3), dtype=np.float32)
     np.add.at(sums, owners, pts[:, :3])
     mean_xyz = sums / pillars.counts.astype(np.float32)[:, None]
-    cx, cy = pillars.grid.cell_center(pillars.indices[:, 0], pillars.indices[:, 1])
+    cx, cy = pillars.grid.to_world(pillars.indices[:, 0] + 0.5, pillars.indices[:, 1] + 0.5)  # cell centers
     feats = np.empty((pts.shape[0], POINT_FEATURE_DIM), dtype=np.float32)
     feats[:, :4] = pts
     feats[:, 4:7] = pts[:, :3] - mean_xyz[owners]

@@ -37,8 +37,8 @@ class Tensor:
 
     __slots__ = ("data", "__weakref__")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -360,17 +360,16 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
-    out = Tensor(d.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(d.sum(axis=axis))
     shape = d.shape
 
     def bwd(g):
         gg = g
-        if axis is not None and not keepdims:
-            ax = (axis,) if isinstance(axis, int) else tuple(axis)
-            gg = np.expand_dims(gg, ax)
+        if axis is not None:
+            gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, shape).astype(d.dtype, copy=False),)
 
     _record(out, (ta,), bwd)
@@ -386,29 +385,26 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
+def concat(parts: Sequence) -> Tensor:
+    """Join tensors along the channel axis (axis 0)."""
     ts = [as_tensor(p) for p in parts]
     datas = [t.data for t in ts]
-    out = Tensor(np.concatenate(datas, axis=axis))
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
-    _record(out, tuple(ts), lambda g: tuple(np.split(g, splits, axis=axis)))
+    out = Tensor(np.concatenate(datas))
+    splits = np.cumsum([d.shape[0] for d in datas])[:-1]
+    _record(out, tuple(ts), lambda g: tuple(np.split(g, splits)))
     return out
 
 
-def split(a, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
+def split(a, sizes: Sequence[int]) -> tuple[Tensor, ...]:
+    """Cut a tensor into consecutive pieces of ``sizes`` channels along axis 0."""
     ta = as_tensor(a)
     d = ta.data
-    if sum(sizes) != d.shape[axis]:
-        raise ContractViolation(
-            f"split sizes {list(sizes)} do not sum to axis extent {d.shape[axis]}"
-        )
+    if sum(sizes) != d.shape[0]:
+        raise ContractViolation(f"split sizes {list(sizes)} do not sum to axis extent {d.shape[0]}")
     outs = []
     start = 0
     for size in sizes:
-        sl = [slice(None)] * d.ndim
-        sl[axis] = slice(start, start + size)
-        sl = tuple(sl)
+        sl = slice(start, start + size)
         piece = Tensor(d[sl].copy())
 
         def bwd(g, sl=sl):
@@ -516,23 +512,23 @@ def segment_max(a, starts: Array) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2-D convolution on a single (C, H, W) map.
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution on a single (C, H, W) map, plus a (C_out,) bias.
 
-    weight: (C_out, C_in/groups, kh, kw); groups == C_in gives a depthwise
-    convolution, kernel 1 a pointwise channel mix.
+    The weight shape says which kind: (C_out, C, kh, kw) is dense, and
+    (C, 1, kh, kw) is depthwise (one kernel per channel); any other shape
+    is rejected. Kernel 1 is a pointwise channel mix.
 
     Every call takes one shifted-window kernel and builds no im2col copy. The
     padded input is copied once into its stride phases (for stride 1 the
     padded map itself; for a 1x1 kernel with stride 1 and no padding, the
-    input with no copy), each phase a (C_in, hq*wq) row-major buffer. Tap
+    input with no copy), each phase a (C, hq*wq) row-major buffer. Tap
     (i, j) reads phase (i mod s, j mod s) as one contiguous window of
     oh*wq columns at offset (i//s)*wq + j//s and adds its product into one
     (C_out, oh*wq) accumulator, which is cropped to ow columns; the
     wq - ow extra columns per row read across the row's end, and a spare
     phase row keeps the last window in bounds. A tap is a per-channel
-    multiply when each group has one input and one output channel (depthwise)
-    and a matmul batched over the groups otherwise. The tape keeps the phase
+    multiply when depthwise and a matmul otherwise. The tape keeps the phase
     buffer and the weights: dW is one product per tap against the cotangent
     widened with zeros to wq columns, and dx adds each tap's transposed
     product into a phase-shaped buffer whose phases are scattered back.
@@ -540,8 +536,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     windows within rounding (1e-12 relative in float64); a 1x1 kernel with
     stride 1 and no padding is the same one matmul, byte for byte.
     """
-    tx, tw = as_tensor(x), as_tensor(weight)
-    tb = as_tensor(bias) if bias is not None else None
+    tx, tw, tb = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xd, wd = tx.data, tw.data
     if not (isinstance(stride, int) and stride >= 1):
         raise ConfigurationError(f"stride must be a positive int, got {stride!r}")
@@ -550,21 +545,21 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     if xd.ndim != 3 or wd.ndim != 4:
         raise ContractViolation(f"conv2d expects x (C,H,W) and weight (O,I,kh,kw), got {xd.shape} / {wd.shape}")
     c_in, h, w = xd.shape
-    c_out, c_in_g, kh, kw = wd.shape
-    if c_in % groups != 0 or c_out % groups != 0:
-        raise ContractViolation(f"channels {c_in}->{c_out} not divisible by groups={groups}")
-    if c_in_g != c_in // groups:
+    c_out, w_in, kh, kw = wd.shape
+    depthwise = w_in == 1 and c_out == c_in
+    if not (depthwise or w_in == c_in):
         raise ContractViolation(
-            f"weight shape {wd.shape} inconsistent with input shape {xd.shape} and groups={groups}"
+            f"weight shape {wd.shape} is neither dense (C_out, {c_in}, kh, kw) nor depthwise ({c_in}, 1, kh, kw) "
+            f"for input shape {xd.shape}"
         )
-    if tb is not None and tb.data.shape != (c_out,):
+    if tb.data.shape != (c_out,):
         raise ContractViolation(f"bias shape {tb.data.shape} != ({c_out},)")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh <= 0 or ow <= 0:
         raise ContractViolation(f"empty output for input {xd.shape}, kernel {kh}x{kw}, stride {stride}")
 
-    s, c_out_g = stride, c_out // groups
+    s = stride
     wq = ow + (kw - 1) // s
     hq = oh + (kh - 1) // s + ((kw - 1) // s > 0)  # a spare row when windows run past a row's end
     n = oh * wq
@@ -578,19 +573,17 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
         phases = phases.reshape(len(index), c_in, hq * wq)
     sb = min(s, kw)
     taps = [((i % s) * sb + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
-    depthwise = c_in_g == c_out_g == 1
-    # (taps, C_out) per-channel weights, or (taps, groups, C_out/groups, C_in/groups) blocks; a view for one tap
-    wt = wd.reshape(c_out, kh * kw).T if depthwise else wd.reshape(groups, c_out_g, c_in_g, kh * kw).transpose(3, 0, 1, 2)
-    wt = np.ascontiguousarray(wt)
+    # (taps, C_out, C_in) matrices, or (taps, C, 1) per-channel columns when depthwise; a view for one tap
+    wt = np.ascontiguousarray(wd.reshape(c_out, w_in, kh * kw).transpose(2, 0, 1))
 
     def window(buf, t):
         p, off = taps[t]
-        return buf[p, :, off : off + n].reshape(groups, c_in_g, n)
+        return buf[p, :, off : off + n]
 
     acc = tmp = None
     for t in range(len(taps)):
         if depthwise:
-            term = np.multiply(wt[t][:, None], window(phases, t)[:, 0], out=tmp)
+            term = np.multiply(wt[t], window(phases, t), out=tmp)
         else:
             term = np.matmul(wt[t], window(phases, t), out=tmp)
         if acc is None:  # the first tap writes the accumulator; the rest add through one scratch buffer
@@ -598,30 +591,29 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
         else:
             acc += term
     del term, tmp  # the scratch goes before the cropped output is allocated
-    out_data = acc.reshape(c_out, oh, wq)[:, :, :ow]
-    out = Tensor(out_data + tb.data[:, None, None] if tb is not None else np.ascontiguousarray(out_data))
-    has_bias, x_shape, x_dtype, w_shape = tb is not None, xd.shape, xd.dtype, wd.shape
+    out = Tensor(acc.reshape(c_out, oh, wq)[:, :, :ow] + tb.data[:, None, None])
+    x_shape, x_dtype, w_shape = xd.shape, xd.dtype, wd.shape
 
     def bwd(g):
         gw = g
         if wq != ow:  # widened with zeros to the phase rows
             gw = np.zeros((c_out, oh, wq), dtype=g.dtype)
             gw[:, :, :ow] = g
-        gw = gw.reshape(groups, c_out_g, n)
+        gw = gw.reshape(c_out, n)
         dw = np.empty(wt.shape, dtype=np.result_type(gw, phases))
         dph = np.zeros(phases.shape, dtype=x_dtype) if len(taps) > 1 else None
         tmp = None
         for t in range(len(taps)):
             if depthwise:
-                np.einsum("cn,cn->c", gw[:, 0], window(phases, t)[:, 0], out=dw[t])
-                term = np.multiply(wt[t][:, None], gw[:, 0], out=tmp)
+                np.einsum("cn,cn->c", gw, window(phases, t), out=dw[t, :, 0])
+                term = np.multiply(wt[t], gw, out=tmp)
             else:
-                np.matmul(gw, window(phases, t).transpose(0, 2, 1), out=dw[t])
-                term = np.matmul(wt[t].transpose(0, 2, 1), gw, out=tmp)
+                np.matmul(gw, window(phases, t).T, out=dw[t])
+                term = np.matmul(wt[t].T, gw, out=tmp)
             if dph is None:  # one tap: its window is the whole phase buffer
                 dph = term.reshape(phases.shape).astype(x_dtype, copy=False)
             else:
-                window(dph, t)[...] += term.reshape(groups, c_in_g, n)
+                window(dph, t)[...] += term
                 tmp = term
         if index is None:
             dx = dph.reshape(x_shape)
@@ -629,10 +621,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
             dph, dx = dph.reshape(len(index), c_in, hq, wq), np.zeros(x_shape, dtype=x_dtype)
             for p, (rq, cq), (rx, cx) in index:
                 dx[:, rx, cx] = dph[p, :, rq, cq]
-        dw = (dw.T if depthwise else dw.transpose(1, 2, 3, 0)).reshape(w_shape)
-        return (dx, dw, g.sum(axis=(1, 2))) if has_bias else (dx, dw)
+        return dx, dw.transpose(1, 2, 0).reshape(w_shape), g.sum(axis=(1, 2))
 
-    _record(out, (tx, tw, tb) if has_bias else (tx, tw), bwd)
+    _record(out, (tx, tw, tb), bwd)
     return out
 
 

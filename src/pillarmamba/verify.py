@@ -35,15 +35,13 @@ def _rng(seed: int) -> np.random.Generator:
 def check_conv2d(seed: int) -> T.GradCheckReport:
     rng = _rng(seed)
     c_in = int(rng.integers(1, 4)) * 2
-    c_out = int(rng.integers(1, 5))
     k = int(rng.choice([1, 3]))
     stride = int(rng.choice([1, 2]))
-    groups = int(rng.choice([1, 2, c_in]))  # c_in: depthwise, one output channel per input channel
-    out_ch = c_in if groups == c_in else c_out * groups
+    w_shape = (c_in, 1, k, k) if rng.random() < 0.5 else (int(rng.integers(1, 5)), c_in, k, k)  # depthwise or dense
     x = T.Tensor(rng.normal(size=(c_in, 5, 6)))
-    w = T.Tensor(rng.normal(size=(out_ch, c_in // groups, k, k)))
-    b = T.Tensor(rng.normal(size=(out_ch,)))
-    fn = lambda x_, w_, b_: T.reduce_sum(T.conv2d(x_, w_, b_, stride=stride, padding=k // 2, groups=groups))
+    w = T.Tensor(rng.normal(size=w_shape))
+    b = T.Tensor(rng.normal(size=(w_shape[0],)))
+    fn = lambda x_, w_, b_: T.reduce_sum(T.conv2d(x_, w_, b_, stride=stride, padding=k // 2))
     return T.grad_check(fn, [x, w, b], name=f"conv2d[seed={seed}]")
 
 

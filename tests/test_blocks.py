@@ -77,7 +77,7 @@ class TestHsb:
         params.se.b2.value.data[...] = 1000.0  # sigmoid saturates to exactly 1.0
         x = T.Tensor(rng(7).normal(size=(4, 6, 6)))
         out = T.value(hsb_forward(x, cfg, params))
-        dw = T.value(T.conv2d(x, params.dw_outer_w, params.dw_outer_b, padding=1, groups=4))
+        dw = T.value(T.conv2d(x, params.dw_outer_w, params.dw_outer_b, padding=1))
         np.testing.assert_array_equal(out, dw)
 
     def test_channel_mismatch_rejected(self):

@@ -334,6 +334,52 @@ def test_weights_roundtrip_exact_for_f32(tiny_cfg_path, tmp_path):
         np.testing.assert_array_equal(a.value.data, b.value.data)
 
 
+def _corrupt_weights(path, case: str) -> None:
+    """Rewrite a saved .pmw: 8 bytes past its end, a NaN or inf in the middle payload value, or cut after 200 values."""
+    data = path.read_bytes()
+    header = 8 + struct.unpack("<I", data[4:8])[0]
+    values = np.frombuffer(data[header:], dtype="<f8").copy()
+    if case == "trailing-bytes":
+        data += bytes(8)
+    elif case == "truncated":
+        data = data[: header + 8 * 200]
+    else:
+        values[values.size // 2] = np.nan if case == "nan" else -np.inf
+        data = data[:header] + values.tobytes()
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "case, detail",
+    [("trailing-bytes", "trailing bytes"), ("nan", "non-finite"), ("inf", "non-finite"), ("truncated", "truncated")],
+    ids=["trailing-bytes", "nan", "inf", "truncated"],
+)
+def test_bad_weights_payload_is_format_error_and_writes_nothing(tiny_cfg_path, tmp_path, case, detail):
+    cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
+    path = tmp_path / "w.pmw"
+    save_weights(path, build_model(cfg, seed=7))
+    _corrupt_weights(path, case)
+    clone = build_model(cfg, seed=8)
+    before = [p.value.data.copy() for p in clone.params()]
+    with pytest.raises(FormatError) as err:
+        load_weights(path, clone)
+    assert str(path) in str(err.value) and detail in str(err.value)
+    for b, p in zip(before, clone.params()):
+        assert p.value.data.tobytes() == b.tobytes()
+
+
+def test_forward_with_nan_weights_exits_1_without_outputs(dataset, tiny_cfg_path, tmp_path, capsys):
+    cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
+    path = tmp_path / "w.pmw"
+    save_weights(path, build_model(cfg, seed=7))
+    _corrupt_weights(path, "nan")
+    argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets")]
+    assert cli.main([*argv, "--weights", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "FormatError" and "non-finite" in err["message"]
+    assert not (tmp_path / "dets").exists()
+
+
 def _length_prefixed(manifest: bytes) -> bytes:
     return struct.pack("<I", len(manifest)) + manifest
 

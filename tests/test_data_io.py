@@ -176,6 +176,13 @@ class TestManifest:
         with pytest.raises(FormatError):
             load_manifest(manifest_path)
 
+    def test_older_split_key_is_accepted_and_not_written(self, tmp_path):
+        manifest_path = write_dataset(tmp_path, default_config(), n_scenes=1, seed=0)
+        raw = json.loads(manifest_path.read_text())
+        assert list(raw) == ["scenes"]
+        manifest_path.write_text(json.dumps({"split": "val", **raw}))
+        assert load_manifest(manifest_path).entries == [("scene_0000.bin", "scene_0000.json")]
+
     def test_missing_scene_key(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"split": "val", "scenes": [{"cloud": "a.bin"}]}))

@@ -34,37 +34,36 @@ class TestConv2d:
         # hand convolution: all-ones 3x3 kernel over an all-ones 3x3 map
         x = T.Tensor(np.ones((1, 3, 3)))
         w = T.Tensor(np.ones((1, 1, 3, 3)))
-        out = T.value(T.conv2d(x, w, None, padding=1, groups=1))
+        out = T.value(T.conv2d(x, w, T.Tensor(np.zeros(1)), padding=1))
         expected = np.array([[[4, 6, 4], [6, 9, 6], [4, 6, 4]]], dtype=np.float64)
         np.testing.assert_array_equal(out, expected)
 
     def test_shape_mismatch_raises(self):
         x = T.Tensor(np.zeros((3, 4, 4)))
-        w = T.Tensor(np.zeros((2, 2, 3, 3)))  # expects in_ch/groups == 3
+        w = T.Tensor(np.zeros((2, 2, 3, 3)))  # dense needs 3 input channels, depthwise 1
         with pytest.raises(ContractViolation) as err:
-            T.conv2d(x, w)
+            T.conv2d(x, w, T.Tensor(np.zeros(2)))
         assert "(3, 4, 4)" in str(err.value) and "(2, 2, 3, 3)" in str(err.value)
 
     def test_bad_stride(self):
         x = T.Tensor(np.zeros((1, 4, 4)))
         w = T.Tensor(np.zeros((1, 1, 1, 1)))
         with pytest.raises(ConfigurationError):
-            T.conv2d(x, w, stride=0)
+            T.conv2d(x, w, T.Tensor(np.zeros(1)), stride=0)
 
-    def test_groups_blockdiag_equivalence(self):
-        # groups=1 on a block-diagonal weight equals the grouped decomposition
-        r = rng(2)
-        groups, cg, k = 2, 3, 3
-        c = groups * cg
-        x = T.Tensor(r.normal(size=(c, 6, 6)))
-        wg = r.normal(size=(c, cg, k, k))
-        w_full = np.zeros((c, c, k, k))
-        for g in range(groups):
-            rows = slice(g * cg, (g + 1) * cg)
-            w_full[rows, rows] = wg[rows]
-        out_grouped = T.value(T.conv2d(x, T.Tensor(wg), None, padding=1, groups=groups))
-        out_full = T.value(T.conv2d(x, T.Tensor(w_full), None, padding=1, groups=1))
-        np.testing.assert_allclose(out_grouped, out_full, atol=1e-12)
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 2, 3, 3), (8, 1, 3, 3), (2, 1, 3, 3), (4, 3, 1, 1), (4, 8, 3, 3), (4, 4, 3), (1, 4, 4, 3, 3)],
+        ids=[
+            "grouped", "depthwise-multiplier", "depthwise-fewer-outputs", "dense-too-few-inputs", "dense-too-many-inputs",
+            "3-d", "5-d",
+        ],
+    )
+    def test_rejected_weight_shapes(self, shape):
+        # on 4 channels a weight is dense (C_out, 4, kh, kw) or depthwise (4, 1, kh, kw); anything else is refused
+        x = T.Tensor(np.zeros((4, 5, 5)))
+        with pytest.raises(ContractViolation):
+            T.conv2d(x, T.Tensor(np.zeros(shape)), T.Tensor(np.zeros(shape[0])), padding=1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_strided_downsample_grad(self, seed):
@@ -82,13 +81,16 @@ class TestConv2d:
     @pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)])
     def test_1x1_fast_path_equals_im2col(self, x_dtype, w_dtype, bias):
         # a 1x1 kernel, stride 1, no padding: one tap over x itself, the same matmul as im2col's on the same values.
-        # Forward byte for byte, gradients equal up to the sign of a zero, in the same dtypes
+        # Forward byte for byte, gradients equal up to the sign of a zero, in the same dtypes. no-bias: a zero bias
+        # against the oracle without one, so adding it changes no byte and no dtype
         r = rng(7)
         x = T.Tensor(r.normal(size=(5, 6, 7)).astype(x_dtype))
         w = T.Tensor(r.normal(size=(3, 5, 1, 1)).astype(w_dtype))
         b = T.Tensor(r.normal(size=3).astype(w_dtype)) if bias else None
         weights = r.normal(size=(3, 6, 7))
-        (fast, fast_grads), (oracle, oracle_grads) = (_taped_conv(conv, x, w, b, weights) for conv in (T.conv2d, conv_im2col))
+        fast, fast_grads = _taped_conv(T.conv2d, x, w, b if bias else T.Tensor(np.zeros(3, w_dtype)), weights)
+        oracle, oracle_grads = _taped_conv(conv_im2col, x, w, b, weights)
+        assert len(fast_grads) == 3 and len(oracle_grads) == (3 if bias else 2)
         assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
         assert fast.tobytes() == oracle.tobytes()
         for g, e in zip(fast_grads, oracle_grads):
@@ -102,19 +104,22 @@ class TestConv2d:
             ((2, 2, 1, 1), {"padding": 1}),
             ((2, 2, 1, 1), {}),
             ((3, 2, 3, 3), {"padding": 1}),
-            ((2, 1, 3, 3), {"padding": 1, "groups": 2}),
+            ((2, 1, 3, 3), {"padding": 1}),
         ],
         ids=["stride", "padding", "1x1", "3x3", "depthwise"],
     )
     def test_every_conv2d_takes_the_one_kernel(self, monkeypatch, shape, kwargs):
-        # one phase index (and buffer) per call, whatever the kernel, stride, padding and groups; output as im2col's
+        # one phase index (and buffer) per call, whatever the kernel, stride, padding and kind; output as im2col's
         calls = []
         phase_index = T._phase_index
         monkeypatch.setattr(T, "_phase_index", lambda *a: calls.append(a) or phase_index(*a))
         x, w = T.Tensor(rng(8).normal(size=(2, 4, 5))), T.Tensor(rng(9).normal(size=shape))
-        out = T.conv2d(x, w, **kwargs)
+        b = T.Tensor(rng(10).normal(size=shape[0]))
+        out = T.conv2d(x, w, b, **kwargs)
         assert len(calls) == 1
-        np.testing.assert_allclose(out.data, conv_im2col(x, w, None, **kwargs).data, rtol=1e-12, atol=1e-12)
+        groups = 2 if shape[1] == 1 else 1  # (2, 1, 3, 3) on 2 channels is depthwise
+        expected = conv_im2col(x, w, b, groups=groups, **kwargs).data
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
 
 def _taped_conv(conv, x, w, b, weights, **kwargs):
@@ -133,6 +138,25 @@ def _assert_matches_oracle(got, expected, rtol):
         np.testing.assert_allclose(g, e, rtol=0, atol=rtol * max(np.abs(e).max(), 1e-300))
 
 
+def _block_diagonal(wg: np.ndarray, groups: int) -> np.ndarray:
+    """The dense (C_out, C_in, kh, kw) weight of a grouped (C_out, C_in/groups, kh, kw) one: zeros off its blocks."""
+    c_out, c_in_g = wg.shape[:2]
+    c_out_g = c_out // groups
+    dense = np.zeros((c_out, c_in_g * groups) + wg.shape[2:], dtype=wg.dtype)
+    for g in range(groups):
+        dense[g * c_out_g : (g + 1) * c_out_g, g * c_in_g : (g + 1) * c_in_g] = wg[g * c_out_g : (g + 1) * c_out_g]
+    return dense
+
+
+def _diagonal_blocks(dense: np.ndarray, groups: int) -> np.ndarray:
+    """The grouped weight whose ``_block_diagonal`` is ``dense``'s pattern: each output block's own input block."""
+    c_out, c_in = dense.shape[:2]
+    c_out_g, c_in_g = c_out // groups, c_in // groups
+    return np.concatenate(
+        [dense[g * c_out_g : (g + 1) * c_out_g, g * c_in_g : (g + 1) * c_in_g] for g in range(groups)]
+    )
+
+
 class TestConv2dOracle:
     """The shifted-window kernel against the im2col oracle: one matmul over every window, float64 within 1e-12."""
 
@@ -140,6 +164,8 @@ class TestConv2dOracle:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_matches_im2col(self, k, stride, groups):
+        # groups is the oracle's: 1 and depthwise take the same weight as T.conv2d; 2 gives T.conv2d the dense
+        # block-diagonal form of the grouped weight, whose dW is compared on its diagonal blocks
         r = rng(100 * k + 10 * stride + (groups if groups != "depthwise" else 0))
         for padding in range(k + 1):
             for h, w in [(7, 8), (8, 7), (6, 6), (9, 9)]:
@@ -148,14 +174,15 @@ class TestConv2dOracle:
                 c_out = c_in if groups == "depthwise" else 2 * g
                 x = T.Tensor(r.normal(size=(c_in, h, w)))
                 wt = T.Tensor(r.normal(size=(c_out, c_in // g, k, k)))
-                for b in (None, T.Tensor(r.normal(size=c_out))):
-                    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-                    weights = r.normal(size=(c_out, oh, ow))
-                    got, expected = (
-                        _taped_conv(conv, x, wt, b, weights, stride=stride, padding=padding, groups=g)
-                        for conv in (T.conv2d, conv_im2col)
-                    )
-                    _assert_matches_oracle(got, expected, 1e-12)
+                b = T.Tensor(r.normal(size=c_out))
+                oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+                weights = r.normal(size=(c_out, oh, ow))
+                dense = T.Tensor(_block_diagonal(wt.data, g)) if groups == 2 else wt
+                got = _taped_conv(T.conv2d, x, dense, b, weights, stride=stride, padding=padding)
+                expected = _taped_conv(conv_im2col, x, wt, b, weights, stride=stride, padding=padding, groups=g)
+                if groups == 2:
+                    got[1][1] = _diagonal_blocks(got[1][1], g)
+                _assert_matches_oracle(got, expected, 1e-12)
 
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
     @pytest.mark.parametrize("groups", [1, "depthwise"])
@@ -163,16 +190,18 @@ class TestConv2dOracle:
         "x_dtype, w_dtype", [(np.float32, np.float64), (np.float64, np.float32), (np.float32, np.float32)]
     )
     def test_mixed_dtypes_match_im2col(self, x_dtype, w_dtype, groups, bias):
-        # the output, dx, dW and db come back in the oracle's dtypes; float32 results agree within float32 rounding
+        # the output, dx, dW and db come back in the oracle's dtypes; float32 results agree within float32 rounding.
+        # no-bias: a float32 zero bias against the oracle without one, so the bias widens no dtype
         r = rng(17)
         g = 4 if groups == "depthwise" else 1
         x = T.Tensor(r.normal(size=(4, 9, 8)).astype(x_dtype))
         wt = T.Tensor(r.normal(size=(4, 4 // g, 3, 3)).astype(w_dtype))
         b = T.Tensor(r.normal(size=4).astype(np.float32)) if bias else None
         weights = r.normal(size=(4, 5, 4)).astype(np.float32)
-        got, expected = (
-            _taped_conv(conv, x, wt, b, weights, stride=2, padding=1, groups=g) for conv in (T.conv2d, conv_im2col)
-        )
+        zero = T.Tensor(np.zeros(4, np.float32))
+        out, grads = _taped_conv(T.conv2d, x, wt, b if bias else zero, weights, stride=2, padding=1)
+        got = (out, grads if bias else grads[:2])
+        expected = _taped_conv(conv_im2col, x, wt, b, weights, stride=2, padding=1, groups=g)
         assert [a.dtype for a in [got[0], *got[1]]] == [a.dtype for a in [expected[0], *expected[1]]]
         _assert_matches_oracle(got, expected, 1e-12 if got[0].dtype == np.float64 and x_dtype == np.float64 else 1e-6)
 
@@ -196,12 +225,13 @@ class TestConv2dOracle:
         r = rng(22)
         x = T.Tensor(r.normal(size=(16, 64, 64)).astype(np.float32))
         w = T.Tensor(r.normal(size=(16, 16, 3, 3)).astype(np.float32))
+        b = T.Tensor(np.zeros(16, dtype=np.float32))
         phase_bytes = 16 * (64 + 2 + 1) * (64 + 2) * 4
         tracemalloc.start()
         try:
             with T.Tape() as tape:
                 start = tracemalloc.get_traced_memory()[0]
-                out = T.conv2d(x, w, padding=1)
+                out = T.conv2d(x, w, b, padding=1)
                 kept = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
         finally:
             tracemalloc.stop()
@@ -375,13 +405,13 @@ class TestStructuralOps:
     def test_split_concat_identity(self, c1, c2, seed):
         r = rng(seed)
         x = r.normal(size=(c1 + c2, 3, 2))
-        a, b = T.split(T.Tensor(x), [c1, c2], axis=0)
-        back = T.concat([a, b], axis=0)
+        a, b = T.split(T.Tensor(x), [c1, c2])
+        back = T.concat([a, b])
         np.testing.assert_array_equal(T.value(back), x)
 
     def test_split_size_contract(self):
         with pytest.raises(ContractViolation):
-            T.split(T.Tensor(np.zeros((4, 2))), [1, 2], axis=0)
+            T.split(T.Tensor(np.zeros((4, 2))), [1, 2])
 
     def test_global_average_pool(self):
         x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
@@ -498,10 +528,10 @@ class TestFullOperatorSweep:
         checks = {
             "add_mul_sub_neg": lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.neg(T.sub(a, 0.3)))),
             "matmul": lambda a, b: T.reduce_sum(T.matmul(T.add(a, b), mat)),
-            "reductions": lambda a, b: T.add(T.reduce_sum(T.mul(T.reduce_sum(a, axis=0, keepdims=True), b)), T.reduce_sum(b, axis=(0, 1))),
+            "reductions": lambda a, b: T.add(T.reduce_sum(T.mul(T.reduce_sum(a, axis=0), b)), T.reduce_sum(b, axis=(0, 1))),
             "clamp": lambda a, b: T.reduce_sum(T.mul(T.clamp(T.sigmoid(a), 0.01, 0.99), b)),
             "gap_upsample": lambda a, b: T.reduce_sum(T.global_average_pool(T.nearest_upsample_2x(T.reshape(a, (2, 2, 2))))),
-            "concat_split": lambda a, b: T.reduce_sum(T.mul(T.concat(T.split(a, [1, 1], axis=0), axis=0), b)),
+            "concat_split": lambda a, b: T.reduce_sum(T.mul(T.concat(T.split(a, [1, 1])), b)),
             "token_roundtrip": lambda a, b: T.reduce_sum(T.mul(T.bev_to_tokens(T.tokens_to_bev(T.reshape(a, (4, 2)), 2, 2)), T.reshape(b, (4, 2)))),
         }
         for name, fn in checks.items():
@@ -548,7 +578,7 @@ class TestForwardFiniteness:
         w = T.Tensor(r.normal(size=(4, 4, 3, 3)).astype(np.float32))
         g = T.Tensor(np.ones(4, dtype=np.float32))
         b = T.Tensor(np.zeros(4, dtype=np.float32))
-        out = T.silu(T.layer_norm(T.conv2d(x, w, None, padding=1), g, b))
+        out = T.silu(T.layer_norm(T.conv2d(x, w, b, padding=1), g, b))
         assert np.isfinite(T.value(out)).all()
 
 
