@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -95,6 +96,13 @@ class HeadConfig:
     reg_weight: float = 1.0
     gaussian_min_overlap: float = 0.7
 
+    def __post_init__(self):
+        # a top_k of 0 or a NaN threshold would decode no detection at all, silently
+        if self.top_k < 1:
+            raise ConfigurationError(f"head.top_k: must be at least 1, got {self.top_k}")
+        if not 0.0 <= self.score_threshold < 1.0:  # False for NaN
+            raise ConfigurationError(f"head.score_threshold: must be finite and in [0, 1), got {self.score_threshold}")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -111,6 +119,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigurationError(f"train.steps: must be at least 1, got {self.steps}")
+        if not 0.0 < self.lr < math.inf:  # False for NaN
+            raise ConfigurationError(f"train.lr: must be finite and positive, got {self.lr}")
 
 
 @dataclass(frozen=True)

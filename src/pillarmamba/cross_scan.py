@@ -3,8 +3,11 @@
 A (C, X, Y) map is flattened into a stack of four 1-D token sequences (row-
 and column-major, and their reversals), scanned as one stack with one
 parameter set per direction, then merged back by inverse permutation and
-summation. Also provides grid diagnostics quantifying how flattening
-stretches spatial neighborhoods and how long the empty-cell runs are.
+summation. The flatten and merge gathers take the direction permutations
+composed with the scan's row order (``ssm.scan_order``), so the scan reads
+and writes its sequences in that order at no cost. Also provides grid
+diagnostics, in time order, quantifying how flattening stretches spatial
+neighborhoods and how long the empty-cell runs are.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import ssm
 from . import tensor as T
 from .errors import ContractViolation
 from .ssm import SelectiveProjections, init_selective_projections, selective_scan_tokens
@@ -23,34 +27,56 @@ Array = np.ndarray
 DIRECTIONS = ("row_forward", "col_forward", "row_reverse", "col_reverse")
 
 
-@lru_cache(maxsize=128)
-def direction_permutations(x_cells: int, y_cells: int) -> tuple[Array, Array]:
-    """(K, X*Y) sequence position -> row-major flat grid index, one row per direction in ``DIRECTIONS`` order,
-    and its row-wise inverse (grid index -> sequence position); both read-only."""
+def _time_steps(x_cells: int, y_cells: int) -> Array:
+    """(K, X*Y) time step -> row-major flat grid index, one row per direction in ``DIRECTIONS`` order."""
     grid = np.arange(x_cells * y_cells, dtype=np.intp).reshape(x_cells, y_cells)
     rows, cols = grid.reshape(-1), grid.T.reshape(-1)
-    perm = np.stack([rows, cols, rows[::-1], cols[::-1]])
+    return np.stack([rows, cols, rows[::-1], cols[::-1]])
+
+
+def _with_inverse(perm: Array) -> tuple[Array, Array]:
+    """perm and its row-wise inverse, both read-only."""
     inv = np.argsort(perm, axis=1, kind="stable")
     perm.flags.writeable = inv.flags.writeable = False
     return perm, inv
 
 
+@lru_cache(maxsize=128)
+def direction_permutations(x_cells: int, y_cells: int) -> tuple[Array, Array]:
+    """(K, X*Y) time step -> row-major flat grid index, one row per direction in ``DIRECTIONS`` order, and its
+    row-wise inverse (grid index -> time step); both read-only."""
+    return _with_inverse(_time_steps(x_cells, y_cells))
+
+
+def scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int, dtype) -> tuple[Array, Array]:
+    """``direction_permutations`` composed with ``scan_order(X*Y, channels, state_dim, dtype)``: (K, X*Y) scan
+    position -> grid index, and its row-wise inverse (grid index -> scan position); both read-only. Cached with
+    the scan's layout constants in the key, so a changed constant never meets a stale order."""
+    return _scan_permutations(x_cells, y_cells, channels, state_dim, np.dtype(dtype), ssm.SCAN_BLOCK_BYTES, ssm.SCAN_LEVELS)
+
+
+@lru_cache(maxsize=128)
+def _scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int, dtype, *_layout) -> tuple[Array, Array]:
+    order = ssm.scan_order(x_cells * y_cells, channels, state_dim, dtype)
+    return _with_inverse(_time_steps(x_cells, y_cells)[:, order])
+
+
 def direction_permutation(direction: str, x_cells: int, y_cells: int) -> Array:
-    """Sequence position -> row-major flat grid index, for one scan direction."""
+    """Time step -> row-major flat grid index, for one scan direction."""
     if direction not in DIRECTIONS:
         raise ContractViolation(f"unknown scan direction {direction!r}; expected one of {DIRECTIONS}")
     return direction_permutations(x_cells, y_cells)[0][DIRECTIONS.index(direction)]
 
 
-def cross_scan_flatten(bev) -> T.Tensor:
-    """Flatten (C, X, Y) into a (K, X*Y, C) stack of token sequences, one per direction in ``DIRECTIONS`` order."""
-    _, x_cells, y_cells = T.as_tensor(bev).shape
-    return T.gather_rows(T.bev_to_tokens(bev), direction_permutations(x_cells, y_cells)[0])
+def cross_scan_flatten(bev, perm: Array) -> T.Tensor:
+    """Gather (C, X, Y) into a (K, X*Y, C) stack of token sequences: sequence k's row p is the cell perm[k, p]
+    (``direction_permutations`` for time order, ``scan_permutations`` for scan order)."""
+    return T.gather_rows(T.bev_to_tokens(bev), perm)
 
 
-def cross_merge(outputs, x_cells: int, y_cells: int) -> T.Tensor:
-    """Inverse-permute a (K, X*Y, C) stack of directional outputs to grid order and sum in ``DIRECTIONS`` order."""
-    inv = direction_permutations(x_cells, y_cells)[1]
+def cross_merge(outputs, inv: Array, x_cells: int, y_cells: int) -> T.Tensor:
+    """Gather a (K, X*Y, C) stack of directional outputs back to grid order, cell g from row inv[k, g] of
+    sequence k, and sum in ``DIRECTIONS`` order."""
     k, t_len, c = T.as_tensor(outputs).shape
     if (k, t_len) != inv.shape:
         raise ContractViolation(f"cross_merge expects a {inv.shape + (c,)} stack of directional outputs, got {(k, t_len, c)}")
@@ -92,14 +118,19 @@ def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int) ->
 def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     """Shape-preserving four-direction selective scan over a (C, X, Y) map.
 
-    Pipeline: 1x1 projection + SiLU -> directional flatten -> selective scan
-    of the direction stack (one parameter set per direction) -> inverse-permute
-    + sum -> per-site channel normalization -> 1x1 output projection.
+    Pipeline: 1x1 projection + SiLU -> directional flatten in scan order ->
+    selective scan of the direction stack (one parameter set per direction)
+    -> inverse-permute + sum -> per-site channel normalization -> 1x1 output
+    projection. The scan order is that of the dtype the scan's state takes:
+    the widest of the tokens and the parameters that enter it.
     """
     _, x_cells, y_cells = T.as_tensor(bev).shape
     h = T.silu(T.conv2d(bev, params.in_proj_w, params.in_proj_b))
-    scanned = selective_scan_tokens(cross_scan_flatten(h), params.scan)
-    merged = cross_merge(scanned, x_cells, y_cells)
+    s = params.scan
+    dtype = np.result_type(T.value(h), *(T.value(p) for p in (s.w_b, s.b_b, s.w_delta, s.b_delta, s.a_log)))
+    perm, inv = scan_permutations(x_cells, y_cells, h.shape[0], T.value(s.a_log).shape[-1], dtype)
+    scanned = selective_scan_tokens(cross_scan_flatten(h, perm), s)
+    merged = cross_merge(scanned, inv, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
 

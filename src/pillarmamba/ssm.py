@@ -13,7 +13,11 @@ Three mutually verified execution forms of the discrete recurrence
 Plus zero-order-hold discretization and the input-conditioned (selective)
 parameterization of the network path, whose scan ``ssm_scan`` is one tape
 op: its forward discretizes, scans and contracts one row block at a time,
-and its backward is hand-written.
+and its backward is hand-written. It takes and returns sequences in scan
+order (``scan_order``): each row block holds its rows grouped by time step
+mod 2^L, so the sweep's first and last L Brent-Kung levels (``class_scan``)
+run on contiguous slices, with the bytes of ``associative_scan`` on the
+time-ordered block.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
 # `detect` on a 2-vCPU Xeon (2 MiB L2 per core), sizes interleaved over 20 rounds of two scenes:
 # 0.434 s at 512 KiB, 0.462 s at 256 KiB, 0.463 s at 1 MiB.
 SCAN_BLOCK_BYTES = 1 << 19
+# L, the depth of a row block's class layout (``scan_order``): the sweep's first and last L levels run on
+# contiguous slices. Median `detect` on a 2-vCPU Xeon, depths interleaved over 8 (dense 128x128) and 10 (desk
+# 64x64) rounds of two scenes: dense 0.331 s at L = 0 (time order), 0.317 at 1, 0.304 at 2, 0.286 at 3, 0.291 at 4,
+# 0.330 at 5; desk 0.088 s at 0, 0.076 at 3, 0.076 at 4.
+SCAN_LEVELS = 3
 INIT_DT_MIN, INIT_DT_MAX = 1e-3, 0.1  # range of the initial step sizes softplus(b_delta), drawn log-uniform
 
 
@@ -130,10 +139,9 @@ def apply_conv_form(x: Array, kernel: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _block_rows(buf: Array) -> int:
-    """R: the largest power of two whose rows of ``buf`` fit in SCAN_BLOCK_BYTES (at least 1)."""
-    row_bytes = max(buf.itemsize * math.prod(buf.shape[1:]), 1)
-    return 1 << max((SCAN_BLOCK_BYTES // row_bytes).bit_length() - 1, 0)
+def _block_rows(row_bytes: int) -> int:
+    """R: the largest power of two whose rows of ``row_bytes`` fit in SCAN_BLOCK_BYTES (at least 1)."""
+    return 1 << max((SCAN_BLOCK_BYTES // max(row_bytes, 1)).bit_length() - 1, 0)
 
 
 def associative_scan(a: Array, u: Array) -> Array:
@@ -155,7 +163,7 @@ def associative_scan(a: Array, u: Array) -> Array:
     """
     if a.shape != u.shape or a.dtype != u.dtype:
         raise ContractViolation(f"associative_scan buffers differ: a {a.shape} {a.dtype}, u {u.shape} {u.dtype}")
-    r = _block_rows(u)
+    r = _block_rows(u.itemsize * math.prod(u.shape[1:]))
     prod = np.empty((min(r, a.shape[0]) // 2,) + u.shape[1:], dtype=u.dtype)  # a[hi] * u[lo] of one level
     for k0 in range(0, a.shape[0], r):
         ab, ub = a[k0 : k0 + r], u[k0 : k0 + r]
@@ -182,6 +190,100 @@ def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> 
     x, ab, bb, cb = _canon_scan_args(a_bar, b_bar, c_bar, x)
     h = associative_scan(ab.copy(), bb * x[:, :, None])
     return (cb * h).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# scan order: row blocks in bit-reversed residue classes
+# ---------------------------------------------------------------------------
+
+
+def _block_levels(n: int, levels: int) -> int:
+    """The class layout depth of an n-row block: ``levels``, capped by the largest power of two dividing n."""
+    return min(levels, (n & -n).bit_length() - 1)
+
+
+def _bit_reversal(levels: int) -> list[int]:
+    """Slot -> residue class mod 2^levels, the classes in bit-reversed order (0, 4, 2, 6, 1, 5, 3, 7 at 3 levels):
+    the even classes, then the odd ones, each half in this order one level down. The map is its own inverse."""
+    rev = [0]
+    for _ in range(levels):
+        rev = [2 * r for r in rev] + [2 * r + 1 for r in rev]
+    return rev
+
+
+def scan_order(t_len: int, d: int, m: int, dtype) -> Array:
+    """Read-only (T,) map from scan position to time step: the row order ``ssm_scan`` takes its sequences in.
+
+    The positions are cut into the forward's row blocks of R rows
+    (``_block_rows`` of a (D, M) state row of ``dtype``). A block of n rows,
+    at depth L = ``_block_levels(n, SCAN_LEVELS)``, holds its steps grouped by residue
+    class t mod 2^L (t counted from the block's first step), the classes in
+    bit-reversed order and each class in time order. 2^L divides n, so every
+    class holds n / 2^L rows, the block's first and last step stay its first
+    and last row, and the reversed block is the class layout of the reversed
+    steps. Not cached: its callers cache what they build from it, and holding
+    the orders too read the dense 128x128 peak RSS 1.5 MB higher.
+    """
+    return _class_order(t_len, _block_rows(np.dtype(dtype).itemsize * d * m), SCAN_LEVELS)
+
+
+def _class_order(t_len: int, r: int, levels: int) -> Array:
+    order = np.arange(t_len, dtype=np.intp)
+    for k0 in range(0, t_len, r):
+        block = order[k0 : k0 + r]
+        depth = _block_levels(block.shape[0], levels)
+        block[:] = block.reshape(-1, 1 << depth).T[_bit_reversal(depth)].reshape(-1)
+    order.flags.writeable = False
+    return order
+
+
+@lru_cache(maxsize=64)
+def _step_neighbors(t_len: int, r: int, levels: int) -> tuple[Array, Array]:
+    """Read-only (T,) scan positions of each position's previous and next time step in ``_class_order(t_len, r,
+    levels)``; the first step's previous and the last step's next are itself."""
+    order = _class_order(t_len, r, levels)
+    position = np.empty_like(order)
+    position[order] = np.arange(t_len)
+    prev, nxt = position[np.maximum(order - 1, 0)], position[np.minimum(order + 1, t_len - 1)]
+    prev.flags.writeable = nxt.flags.writeable = False
+    return prev, nxt
+
+
+def class_scan(a: Array, u: Array) -> Array:
+    """In place on one row block in its ``scan_order`` class layout: overwrite u with the state, return it, clobber a.
+
+    The bytes equal ``associative_scan`` on the time-ordered block, as the
+    same products at the same Brent-Kung levels. The even steps fill the
+    first half of the block and the odd ones the second, each half in the
+    class layout one level down, so the up-sweep's level s = 1 adds the first
+    half into the second as aligned slices and the odd half recurses; the
+    last class (the steps 2^L - 1 mod 2^L, in time order) takes
+    ``associative_scan``, which runs the levels s >= 2^L. The down-sweep's
+    level s = 1 adds, class by class, odd step 2i - 1 into even step 2i: an
+    aligned slice, or for class 0 the last class one row back. Strided and
+    reversed views are fine; a reversed block is the class layout of the
+    reversed steps.
+    """
+    prod = np.empty((u.shape[0] // 2,) + u.shape[1:], dtype=u.dtype)  # a[hi] * u[lo] of one level
+    return _class_sweep(a, u, _block_levels(u.shape[0], SCAN_LEVELS), prod)
+
+
+def _class_sweep(a: Array, u: Array, levels: int, prod: Array) -> Array:
+    if not levels:
+        return associative_scan(a, u)
+    n = u.shape[0]
+    half, q = n // 2, n >> levels  # q rows per class
+    even, odd = slice(0, half), slice(half, n)
+    u[odd] += np.multiply(a[odd], u[even], out=prod[:half])
+    if 4 <= n:
+        a[odd] *= a[even]
+    _class_sweep(a[odd], u[odd], levels - 1, prod)
+    slots = _bit_reversal(levels - 1)  # class -> slot in each half
+    for c in range(1, len(slots)):
+        e, o = slots[c] * q, half + slots[c - 1] * q
+        u[e : e + q] += np.multiply(a[e : e + q], u[o : o + q], out=prod[:q])
+    u[1:q] += np.multiply(a[1:q], u[n - q : n - 1], out=prod[: q - 1])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +350,30 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     lambda_t = c_t * gy_t + a_bar_{t+1} * lambda_{t+1}:
     g_z = lambda * a_bar * (x * b / a + h_{t-1}), g_a = sum_t g_z * delta - sum_t lambda * x * b * expm1(z) / a^2.
 
-    Works on (T, D*M) rows in row blocks of a quarter of ``_block_rows(h)``:
+    Every (T, ·) array, inputs and gradients alike, is in ``scan_order``.
+    Works on (T, D*M) rows in row blocks of a quarter of the forward's R:
     a block's four scratch buffers take one forward block's bytes and stay
     in L2 with the blocks of lambda and h (float32 (4096, 8, 8) on a 2-vCPU
     Xeon: 5.3 ms at a quarter or a half of R, 6.7 ms at R). Phase 1 fills,
-    block by block in time order, the adjoint's coefficient a_bar_{t+1} and
-    its input c_t * gy_t (g_c comes from the same spread of gy); phase 2
-    runs the one adjoint scan on their reversed views; phase 3 builds z once
-    per block and every other term from it, a block's first row reading
-    h[k0 - 1]. Per-step rows (T, D) and (T, M) are spread over (T, D*M)
-    rows, and summed back over M and D, by BLAS matmuls against 0/1
-    selectors, some weighted by a or 1/a; a sum over T weighted by delta or
-    b is one matmul (D or M rows by D*M columns) of which g_a keeps the
-    diagonal.
+    block by block, the adjoint's coefficient a_bar_{t+1}, from delta rows
+    gathered by the cached position of each step's successor, and its input
+    c_t * gy_t (g_c comes from the same spread of gy); phase 2 runs the
+    adjoint's ``class_scan`` on each forward block's reversed views, from the
+    last block, folding in the state of the block after; phase 3 builds z
+    once per block and every other term from it, h_{t-1} gathered by the
+    cached position of each step's predecessor. Per-step rows (T, D) and
+    (T, M) are spread over (T, D*M) rows, and summed back over M and D, by
+    BLAS matmuls against 0/1 selectors, some weighted by a or 1/a; a sum over
+    T weighted by delta or b is one matmul (D or M rows by D*M columns) of
+    which g_a keeps the diagonal.
 
     The spreads are exact for finite inputs, so the adjoint's coefficients
-    and lambda equal those of the whole-buffer composition of the tape's
-    mul/exp/reciprocal rules (the tests keep it as the oracle) bit for bit;
-    the sums round in another order, so float64 gradients agree with it
-    within 1e-12 of each gradient's largest magnitude, not bit for bit. A
+    equal those of the whole-buffer composition of the tape's
+    mul/exp/reciprocal rules (the tests keep it as the oracle) bit for bit,
+    and so does lambda whenever the adjoint's blocks are the oracle's: when
+    R divides T or T <= R. The sums round in another order, so float64
+    gradients agree with it within 1e-12 of each gradient's largest
+    magnitude, not bit for bit. A
     selector matmul spreads a NaN along its row (0 * NaN is NaN; an inf
     turns the rest of its row NaN), so a non-finite input gives non-finite
     gradients on at least the entries the composition makes non-finite, and
@@ -279,7 +386,9 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     a_row = a.reshape(dm).astype(dtype)
     spread_z, recip = _a_terms(a, dtype)  # as in the forward
     h_rows = h.reshape(t_len, dm)
-    r = max(_block_rows(h) // 4, 1)
+    r_f = _block_rows(h.itemsize * dm)  # the forward's row blocks, which hold the class layout
+    r = max(r_f // 4, 1)
+    prev, nxt_step = _step_neighbors(t_len, r_f, SCAN_LEVELS)
     q, xe, be, p = np.empty((4, min(r, t_len), dm), dtype=dtype)
 
     lam = np.empty((t_len, dm), dtype=dtype)
@@ -295,10 +404,15 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
         np.matmul(c_seq[rows], spread_m, out=e)
         lam_b *= e
         nxt = coef[k0 : min(k0 + r, t_len - 1)]
-        np.matmul(delta[k0 + 1 : k0 + 1 + nxt.shape[0]], spread_z, out=nxt)
+        np.matmul(delta[nxt_step[k0 : k0 + nxt.shape[0]]], spread_z, out=nxt)
         np.exp(nxt, out=nxt)
     coef[t_len - 1 :] = 0.0
-    associative_scan(coef.reshape(h.shape)[::-1], lam.reshape(h.shape)[::-1])
+    for k0 in reversed(range(0, t_len, r_f)):  # the adjoint, block by block from the last, each block reversed
+        k1 = min(k0 + r_f, t_len)
+        lam_b, coef_b = lam[k0:k1][::-1], coef[k0:k1][::-1]
+        if k1 < t_len:
+            lam_b[0] += coef_b[0] * lam[k1]
+        class_scan(coef_b, lam_b)
     del coef
 
     g_x = np.empty((t_len, d), dtype=dtype)
@@ -327,10 +441,11 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
         np.matmul(p_b, spread_d.T, out=g_x[rows])
         q_b += lam_b  # lambda * a_bar
         xe_b *= be_b
+        np.take(h_rows, prev[rows], axis=0, out=p_b, mode="clip")  # h_{t-1}; "clip" writes out unbuffered
         if k0:
-            xe_b += h_rows[k0 - 1 : k0 - 1 + n]
+            xe_b += p_b
         else:
-            xe_b[1:] += h_rows[: n - 1]  # h_{-1} = 0
+            xe_b[1:] += p_b[1:]  # h_{-1} = 0
         xe_b *= q_b  # g_z
         np.matmul(xe_b, sum_m_a, out=g_delta[rows])
         g_az += delta[rows].T @ xe_b
@@ -343,16 +458,18 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
     """Fill y (T,D) with the output of ``ssm_scan``, in one pass over row blocks of R rows; return the state
     h (T,D,M) if keep_h, else None.
 
-    R is ``_block_rows(h)``. Per block, in time order: ``selective_discretize``
-    writes a_bar into one reused block of scratch and b_bar * x into the
-    block of h; the previous block's final state, carried as one row, is
-    folded into the block's first row; ``associative_scan`` sweeps the
-    block; and y is one batched mat-vec of the block's state with c. The
+    The sequences are in ``scan_order``, whose blocks are these R-row ones
+    (``_block_rows`` of a state row). Per block, in time order:
+    ``selective_discretize`` writes a_bar into one reused block of scratch
+    and b_bar * x into the block of h; the previous block's final state,
+    carried as one row, is folded into the block's first row (its first
+    step); ``class_scan`` sweeps the block; and y is one batched mat-vec of
+    the block's state with c. The
     expanded terms never leave the block. h is computed in the widest input
     dtype; the whole (T,D,M) h is kept only if asked (the tape's backward
     reads it), else one block of it is reused, with the same bits. The
     a-weighted selector and 1/a are built once (``_a_terms``). h rounds as
-    ``associative_scan`` on the whole buffers does, and the mat-vec sums over
+    ``associative_scan`` on the whole time-ordered buffers does, and the mat-vec sums over
     M in another order than an elementwise product and sum: float64 outputs
     agree with ``zoh_factors`` and the recurrent form within 1e-12 relative.
     """
@@ -360,7 +477,7 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
     m = a.shape[-1]
     dtype = np.result_type(delta, a, b_seq, x)
     carry = np.empty((1, d, m), dtype=dtype)  # the final state of the block before
-    r = _block_rows(carry)
+    r = _block_rows(carry.nbytes)
     h = np.empty((t_len if keep_h else min(r, t_len), d, m), dtype=dtype)
     a_bar, work = np.empty((2, min(r, t_len), d, m), dtype=dtype)
     a_terms = _a_terms(a, dtype)
@@ -372,7 +489,7 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
         selective_discretize(delta[rows], *a_terms, b_seq[rows], x[rows], a_bar[:n], h_b, work[:n])
         if k0:
             h_b[0] += a_bar[0] * carry[0]
-        associative_scan(a_bar[:n], h_b)
+        class_scan(a_bar[:n], h_b)
         np.matmul(h_b, c_seq[rows, :, None], out=y[rows])
         carry[0] = h_b[n - 1]
     return h if keep_h else None
@@ -383,12 +500,16 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
 
     x, delta (K,T,D); a (K,D,M); b_seq, c_seq (K,T,M) -> y (K,T,D), with
     h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t per sequence.
-    ``_scan_forward`` runs each sequence in turn, discretizing, scanning and
+    The T axis of every sequence, in and out, is in ``scan_order(T, D, M,
+    dtype)``, dtype that of the state (the widest of x, delta, a and b_seq):
+    the caller gathers its sequences in that order, as the cross scan does
+    by composing it into its direction permutations, and reads y back
+    through its inverse. ``_scan_forward`` runs each sequence in turn, discretizing, scanning and
     contracting one row block at a time, and writes its y into the one
     (K,T,D) output. The record keeps the inputs and every sequence's h;
     untaped, no whole h is built, only one row block of it at a time.
     The backward, ``_scan_backward``, runs per sequence: the adjoint (itself a
-    first-order recurrence) takes the same parallel scan, and the
+    first-order recurrence) takes the same class sweep, and the
     discretization is recomputed a row block at a time (Gu & Dao, arXiv
     2312.00752, sec. 3.3). Besides four blocks of a quarter of a forward
     block's rows, it holds two (T,D,M) buffers up to the adjoint scan and one
@@ -445,7 +566,7 @@ def selective_params(tokens, proj: SelectiveProjections):
 
 
 def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:
-    """Full selective scan over a stack of token sequences (K, T, D) -> (K, T, D)."""
+    """Full selective scan over a stack of token sequences (K, T, D) -> (K, T, D), in ``ssm_scan``'s scan order."""
     b_seq, c_seq, delta, a = selective_params(tokens, proj)
     return ssm_scan(tokens, delta, a, b_seq, c_seq)
 

@@ -39,6 +39,8 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.asarray(data)
+        if arr.dtype.kind not in "biuf":  # None, strings, bytes and objects would turn into floats silently
+            raise ContractViolation(f"Tensor needs real numbers, got {arr.dtype} data")
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr

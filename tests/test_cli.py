@@ -167,6 +167,14 @@ BAD_CONFIGS = {
         "ConfigurationError",
         "model.hsb.dw_kernel",
     ),
+    # well-formed JSON numbers that would train on NaN or silently decode no detection
+    "nan-lr": ({"grid": config_to_dict(default_config())["grid"], "train": {"lr": float("nan")}}, "ConfigurationError", "train.lr"),
+    "zero-top-k": ({"grid": config_to_dict(default_config())["grid"], "head": {"top_k": 0}}, "ConfigurationError", "head.top_k"),
+    "nan-score-threshold": (
+        {"grid": config_to_dict(default_config())["grid"], "head": {"score_threshold": float("nan")}},
+        "ConfigurationError",
+        "head.score_threshold",
+    ),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rng
+from pillarmamba import ssm
 from pillarmamba import tensor as T
 from pillarmamba.cross_scan import (
     DIRECTIONS,
@@ -20,10 +21,17 @@ from pillarmamba.cross_scan import (
     init_ss2d_params,
     neighbor_distance_histogram,
     scan_diagnostics,
+    scan_permutations,
     ss2d_block,
 )
 from pillarmamba.errors import ContractViolation
-from pillarmamba.ssm import SelectiveProjections, init_selective_projections, scan_recurrent_arrays, ssm_scan
+from pillarmamba.ssm import (
+    SelectiveProjections,
+    init_selective_projections,
+    scan_order,
+    scan_recurrent_arrays,
+    ssm_scan,
+)
 
 
 def _grid_tokens(values) -> T.Tensor:
@@ -32,10 +40,21 @@ def _grid_tokens(values) -> T.Tensor:
     return T.Tensor(arr[None, :, :])
 
 
+def _flatten(bev) -> T.Tensor:
+    """``cross_scan_flatten`` in time order."""
+    _, x_cells, y_cells = T.as_tensor(bev).shape
+    return cross_scan_flatten(bev, direction_permutations(x_cells, y_cells)[0])
+
+
+def _merge(outputs, x_cells, y_cells) -> T.Tensor:
+    """``cross_merge`` of time-ordered outputs."""
+    return cross_merge(outputs, direction_permutations(x_cells, y_cells)[1], x_cells, y_cells)
+
+
 class TestFlatten:
     def test_2x2_enumeration(self):
         bev = _grid_tokens([[1, 2], [3, 4]])
-        seqs = T.value(cross_scan_flatten(bev))
+        seqs = T.value(_flatten(bev))
         assert seqs.shape == (len(DIRECTIONS), 4, 1)
         got = {d: s.reshape(-1).tolist() for d, s in zip(DIRECTIONS, seqs)}
         assert got["row_forward"] == [1, 2, 3, 4]
@@ -44,7 +63,7 @@ class TestFlatten:
         assert got["col_reverse"] == [4, 2, 3, 1]
 
     def test_1x1_degenerate(self):
-        assert T.value(cross_scan_flatten(_grid_tokens([[7.0]]))).reshape(-1).tolist() == [7.0] * len(DIRECTIONS)
+        assert T.value(_flatten(_grid_tokens([[7.0]]))).reshape(-1).tolist() == [7.0] * len(DIRECTIONS)
 
     @pytest.mark.parametrize("x_cells,y_cells", [(2, 2), (3, 3)])
     def test_bijection_exhaustive(self, x_cells, y_cells):
@@ -57,11 +76,35 @@ class TestFlatten:
             np.testing.assert_array_equal(direction_permutation(d, x_cells, y_cells), perm)
         assert not (perms.flags.writeable or invs.flags.writeable)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_cells,y_cells", [(4, 8), (5, 7), (64, 64)])
+    def test_scan_permutations_compose_the_scan_order(self, x_cells, y_cells, dtype):
+        # the scan-order gathers are the time-order ones composed with ssm.scan_order, and their inverses
+        t_len = x_cells * y_cells
+        perms, invs = scan_permutations(x_cells, y_cells, 16, 8, np.dtype(dtype))
+        order = scan_order(t_len, 16, 8, np.dtype(dtype))
+        np.testing.assert_array_equal(perms, direction_permutations(x_cells, y_cells)[0][:, order])
+        np.testing.assert_array_equal(np.take_along_axis(perms, invs, axis=1), np.broadcast_to(np.arange(t_len), perms.shape))
+        assert not (perms.flags.writeable or invs.flags.writeable)
+        x = rng(t_len).normal(size=(3, x_cells, y_cells))
+        seqs = T.value(cross_scan_flatten(T.Tensor(x), perms))
+        np.testing.assert_array_equal(seqs, T.value(_flatten(T.Tensor(x)))[:, order])
+        np.testing.assert_array_equal(T.value(cross_merge(T.Tensor(seqs), invs, x_cells, y_cells)), 4.0 * x)
+
+    def test_scan_permutations_follow_the_block_size(self, monkeypatch):
+        # cached with the layout constants in the key: 4-row blocks give another order, never a stale one
+        dtype = np.dtype(np.float64)
+        before = scan_permutations(4, 8, 2, 3, dtype)[0]
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 2 * 3 * 8)
+        after = scan_permutations(4, 8, 2, 3, dtype)[0]
+        np.testing.assert_array_equal(after, direction_permutations(4, 8)[0][:, scan_order(32, 2, 3, dtype)])
+        assert (after != before).any()
+
     @given(st.integers(1, 32), st.integers(1, 32), st.integers(0, 2**31 - 1))
     def test_roundtrip_randomized(self, x_cells, y_cells, seed):
         r = rng(seed)
         x = r.normal(size=(2, x_cells, y_cells))
-        seqs = T.value(cross_scan_flatten(T.Tensor(x)))
+        seqs = T.value(_flatten(T.Tensor(x)))
         for seq, inv in zip(seqs, direction_permutations(x_cells, y_cells)[1]):
             np.testing.assert_array_equal(seq[inv], x.reshape(2, -1).T)
 
@@ -69,15 +112,15 @@ class TestFlatten:
         r = rng(11)
         x = r.normal(size=(3, 5, 7))
         base = np.sort(x.reshape(3, -1).T, axis=0)
-        for seq in T.value(cross_scan_flatten(T.Tensor(x))):
+        for seq in T.value(_flatten(T.Tensor(x))):
             np.testing.assert_array_equal(np.sort(seq, axis=0), base)
 
     def test_transpose_swaps_row_and_col_contents(self):
         r = rng(12)
         x = r.normal(size=(2, 4, 6))
         xt = np.transpose(x, (0, 2, 1))
-        seqs = dict(zip(DIRECTIONS, T.value(cross_scan_flatten(T.Tensor(x)))))
-        seqs_t = dict(zip(DIRECTIONS, T.value(cross_scan_flatten(T.Tensor(xt)))))
+        seqs = dict(zip(DIRECTIONS, T.value(_flatten(T.Tensor(x)))))
+        seqs_t = dict(zip(DIRECTIONS, T.value(_flatten(T.Tensor(xt)))))
         np.testing.assert_array_equal(seqs_t["row_forward"], seqs["col_forward"])
         np.testing.assert_array_equal(seqs_t["col_forward"], seqs["row_forward"])
         np.testing.assert_array_equal(seqs_t["row_reverse"], seqs["col_reverse"])
@@ -87,16 +130,16 @@ class TestMerge:
     def test_identity_processing_gives_4x(self):
         r = rng(13)
         x = r.normal(size=(3, 4, 5))
-        seqs = cross_scan_flatten(T.Tensor(x))
-        merged = cross_merge(seqs, 4, 5)
+        seqs = _flatten(T.Tensor(x))
+        merged = _merge(seqs, 4, 5)
         np.testing.assert_allclose(T.value(merged), 4.0 * x, atol=1e-12)
 
     def test_zeroed_direction_additivity(self):
         r = rng(14)
         x = r.normal(size=(2, 3, 3))
-        outputs = T.value(cross_scan_flatten(T.Tensor(x))).copy()
+        outputs = T.value(_flatten(T.Tensor(x))).copy()
         outputs[DIRECTIONS.index("col_reverse")] = 0.0
-        merged = cross_merge(T.Tensor(outputs), 3, 3)
+        merged = _merge(T.Tensor(outputs), 3, 3)
         np.testing.assert_allclose(T.value(merged), 3.0 * x, atol=1e-12)
 
     def test_memoryless_scan_composed_oracle(self):
@@ -104,9 +147,9 @@ class TestMerge:
         r = rng(15)
         x = r.normal(size=(2, 4, 4))
         outputs = [
-            scan_recurrent_arrays(np.zeros(1), np.ones(1), np.ones(1), seq) for seq in T.value(cross_scan_flatten(T.Tensor(x)))
+            scan_recurrent_arrays(np.zeros(1), np.ones(1), np.ones(1), seq) for seq in T.value(_flatten(T.Tensor(x)))
         ]
-        merged = cross_merge(T.Tensor(np.stack(outputs)), 4, 4)
+        merged = _merge(T.Tensor(np.stack(outputs)), 4, 4)
         np.testing.assert_allclose(T.value(merged), 4.0 * x, atol=1e-12)
 
     def test_single_direction_matches_plain_recurrent_scan(self):
@@ -115,15 +158,15 @@ class TestMerge:
         x = r.normal(size=(1, 3, 4))
         a_bar, b_bar, c_bar = np.array([0.7]), np.array([0.5]), np.array([1.3])
         outputs = np.zeros((len(DIRECTIONS), 12, 1))
-        outputs[0] = scan_recurrent_arrays(a_bar, b_bar, c_bar, T.value(cross_scan_flatten(T.Tensor(x)))[0])
-        merged = cross_merge(T.Tensor(outputs), 3, 4)
+        outputs[0] = scan_recurrent_arrays(a_bar, b_bar, c_bar, T.value(_flatten(T.Tensor(x)))[0])
+        merged = _merge(T.Tensor(outputs), 3, 4)
         direct = scan_recurrent_arrays(a_bar, b_bar, c_bar, x.reshape(1, -1).T).T.reshape(1, 3, 4)
         np.testing.assert_allclose(T.value(merged), direct, atol=1e-12)
 
     def test_output_count_must_match_directions(self):
-        seqs = T.value(cross_scan_flatten(T.Tensor(np.zeros((1, 2, 2)))))
+        seqs = T.value(_flatten(T.Tensor(np.zeros((1, 2, 2)))))
         with pytest.raises(ContractViolation, match="cross_merge expects a"):
-            cross_merge(T.Tensor(seqs[:3]), 2, 2)
+            _merge(T.Tensor(seqs[:3]), 2, 2)
 
 
 class TestSs2dBlock:
@@ -156,15 +199,20 @@ def _direction_slices(params) -> list[dict]:
     ]
 
 
-def _per_direction_ss2d(bev, params, slices) -> T.Tensor:
-    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a gather, three 2-D
+def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
+    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a gather in scan order
+    (the direction's permutation composed with ``scan_order`` here, or with ``order`` if given), three 2-D
     matmuls, softplus, a one-sequence ``ssm_scan`` and an inverse gather; then a sum in ``DIRECTIONS`` order."""
     tb = T.as_tensor(bev)
-    _, x_cells, y_cells = tb.shape
+    channels, x_cells, y_cells = tb.shape
     tokens = T.bev_to_tokens(T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b)))
     one = lambda t: T.reshape(t, (1,) + t.shape)
+    if order is None:
+        order = scan_order(x_cells * y_cells, channels, slices[0]["a_log"].shape[-1], tb.dtype)
     acc = None
-    for perm, inv, p in zip(*direction_permutations(x_cells, y_cells), slices, strict=True):
+    for time_perm, p in zip(direction_permutations(x_cells, y_cells)[0], slices, strict=True):
+        perm = time_perm[order]
+        inv = np.argsort(perm)
         seq = T.gather_rows(tokens, perm)
         b_seq = T.add(T.matmul(seq, p["w_b"]), p["b_b"])
         c_seq = T.add(T.matmul(seq, p["w_c"]), p["b_c"])
@@ -177,46 +225,61 @@ def _per_direction_ss2d(bev, params, slices) -> T.Tensor:
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
 
 
-def _ss2d_case(dtype):
-    """A (6, 5, 7) map and seed-30 SS2D parameters at C=6, M=4, with nonzero b/c biases."""
+def _ss2d_case(dtype, grid=(5, 7)):
+    """A (6, X, Y) map and seed-30 SS2D parameters at C=6, M=4, with nonzero b/c biases."""
     r = rng(30)
     params = init_ss2d_params(r, channels=6, state_dim=4)
     T.cast_params(params, dtype)
     for bias in (params.scan.b_b, params.scan.b_c):
         bias.value.data[...] = r.normal(0.0, 0.3, size=bias.shape)
-    return T.Tensor(r.normal(size=(6, 5, 7)).astype(dtype)), params
+    return T.Tensor(r.normal(size=(6, *grid)).astype(dtype)), params
+
+
+# 5x7 scans in time order (35 steps, one odd block); 4x8 in the class layout (32 steps, at depth 3)
+SS2D_GRIDS = [(5, 7), (4, 8)]
 
 
 class TestStackedAgainstPerDirection:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_is_bit_identical(self, dtype):
-        x, params = _ss2d_case(dtype)
-        stacked = T.value(ss2d_block(x, params))
-        oracle = T.value(_per_direction_ss2d(x, params, _direction_slices(params)))
-        assert stacked.dtype == oracle.dtype == dtype
-        assert stacked.tobytes() == oracle.tobytes()
+        for grid in SS2D_GRIDS:
+            x, params = _ss2d_case(dtype, grid)
+            stacked = T.value(ss2d_block(x, params))
+            oracle = T.value(_per_direction_ss2d(x, params, _direction_slices(params)))
+            assert stacked.dtype == oracle.dtype == dtype
+            assert stacked.tobytes() == oracle.tobytes()
 
     def test_float64_gradients_agree(self):
-        x, params = _ss2d_case(np.float64)
-        weights = T.Tensor(rng(31).normal(size=x.shape))
-        slices = _direction_slices(params)
-        scan = T.collect_params(params.scan)
-        shared = [x] + [p for p in T.collect_params(params) if p not in scan]
+        for grid in SS2D_GRIDS:
+            x, params = _ss2d_case(np.float64, grid)
+            weights = T.Tensor(rng(31).normal(size=x.shape))
+            slices = _direction_slices(params)
+            scan = T.collect_params(params.scan)
+            shared = [x] + [p for p in T.collect_params(params) if p not in scan]
 
-        def grads(forward, scan_grads) -> list:
-            with T.Tape() as tape:
-                loss = T.reduce_sum(T.mul(forward(), weights))
-            tape.backward(loss)
-            return [tape.grad(t) for t in shared] + scan_grads(tape)
+            def grads(forward, scan_grads) -> list:
+                with T.Tape() as tape:
+                    loss = T.reduce_sum(T.mul(forward(), weights))
+                tape.backward(loss)
+                return [tape.grad(t) for t in shared] + scan_grads(tape)
 
-        stacked = grads(lambda: ss2d_block(x, params), lambda tape: [tape.grad(p) for p in scan])
-        oracle = grads(
-            lambda: _per_direction_ss2d(x, params, slices),
-            lambda tape: [np.stack([tape.grad(s[f]) for s in slices]) for f in SCAN_FIELDS],
-        )
-        for g, e in zip(stacked, oracle, strict=True):
-            assert g.shape == e.shape and np.abs(e).max() > 0
-            np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * np.abs(e).max())
+            stacked = grads(lambda: ss2d_block(x, params), lambda tape: [tape.grad(p) for p in scan])
+            oracle = grads(
+                lambda: _per_direction_ss2d(x, params, slices),
+                lambda tape: [np.stack([tape.grad(s[f]) for s in slices]) for f in SCAN_FIELDS],
+            )
+            for g, e in zip(stacked, oracle, strict=True):
+                assert g.shape == e.shape and np.abs(e).max() > 0
+                np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * np.abs(e).max())
+
+    def test_time_ordered_scan_is_not_the_ss2d(self):
+        # the oracle's scan order matters: the same oracle gathering in time order gives another output at 4x8
+        x, params = _ss2d_case(np.float64, (4, 8))
+        stacked = T.value(ss2d_block(x, params))
+        order = scan_order(32, 6, 4, np.float64)
+        assert (order != np.arange(32)).any()
+        time_ordered = T.value(_per_direction_ss2d(x, params, _direction_slices(params), np.arange(32)))
+        assert np.abs(stacked - time_ordered).max() > 1e-6
 
     def test_init_draws_one_direction_after_another(self):
         # the stacked draw equals four one-sequence draws in turn, so seeded weights match the per-direction layout
@@ -265,6 +328,20 @@ class TestDiagnostics:
         assert stats == {"max_empty_run": 6, "mean_empty_run": 6.0, "num_runs": 1, "empty_fraction": 0.75}
         # reversed: same single run
         assert empty_run_stats(occ, "row_reverse")["max_empty_run"] == 6
+
+    def test_diagnostics_read_time_order_where_the_scan_order_differs(self):
+        # 8x8: every scan block is in the class layout, but the diagnostics follow the directions in time order
+        assert (scan_permutations(8, 8, 4, 2, np.dtype(np.float32))[0] != direction_permutations(8, 8)[0]).any()
+        assert neighbor_distance_histogram(8, 8, "row_forward") == {1: 56, 8: 56}
+        occ = np.ones((8, 8), dtype=bool)
+        occ[0] = False  # the first row: one run of 8 steps in row-major time order
+        assert empty_run_stats(occ, "row_forward") == {
+            "max_empty_run": 8,
+            "mean_empty_run": 8.0,
+            "num_runs": 1,
+            "empty_fraction": 0.125,
+        }
+        assert empty_run_stats(occ, "col_forward")["num_runs"] == 8
 
     def test_empty_run_stats_full_occupancy(self):
         stats = empty_run_stats(np.ones((3, 3), dtype=bool), "col_forward")

@@ -308,6 +308,16 @@ class TestConfig:
             ("model.csg", "hsb_layers", 0, "model.csg.hsb_layers"),
             ("model", "channels", 5, "model.channels"),
             ("model", "channels", 6, "model.hsb.reduction_ratio"),
+            ("train", "lr", float("nan"), "train.lr"),
+            ("train", "lr", float("inf"), "train.lr"),
+            ("train", "lr", 0.0, "train.lr"),
+            ("train", "lr", -0.02, "train.lr"),
+            ("head", "top_k", 0, "head.top_k"),
+            ("head", "top_k", -1, "head.top_k"),
+            ("head", "score_threshold", float("nan"), "head.score_threshold"),
+            ("head", "score_threshold", float("inf"), "head.score_threshold"),
+            ("head", "score_threshold", -0.1, "head.score_threshold"),
+            ("head", "score_threshold", 1.0, "head.score_threshold"),
         ],
         ids=[
             "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
@@ -318,6 +328,8 @@ class TestConfig:
             "points-per-pillar-zero", "points-per-pillar-negative", "max-pillars-zero", "train-steps-zero",
             "channels-zero", "reduction-ratio-zero", "se-reduction-zero", "dw-kernel-even", "dw-kernel-negative",
             "state-dim-zero", "hsb-layers-zero", "split-improper", "branch-indivisible",
+            "lr-nan", "lr-inf", "lr-zero", "lr-negative", "top-k-zero", "top-k-negative",
+            "score-threshold-nan", "score-threshold-inf", "score-threshold-negative", "score-threshold-one",
         ],
     )
     def test_bad_value_rejected_at_load_with_path(self, section, key, value, path):

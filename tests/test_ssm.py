@@ -18,8 +18,10 @@ from pillarmamba.ssm import (
     ZOH_SERIES_SWITCH,
     apply_conv_form,
     associative_scan,
+    class_scan,
     init_selective_projections,
     scan_kernel,
+    scan_order,
     scan_parallel_arrays,
     scan_recurrent_arrays,
     selective_discretize,
@@ -181,10 +183,36 @@ def _discretize(delta, a, b_seq, x, dtype=None, r=None):
     return a_bar, u
 
 
-def _scan_forward(x, delta, a, b_seq, c_seq):
-    """``ssm._scan_forward`` keeping its state: (y, h) in the widest input dtype."""
+def _in_scan_order(x, delta, a, b_seq, c_seq):
+    """One time-ordered sequence's inputs gathered into ``scan_order``, and that order."""
+    order = scan_order(x.shape[0], x.shape[1], a.shape[-1], np.result_type(delta, a, b_seq, x))
+    return order, (x[order], delta[order], a, b_seq[order], c_seq[order])
+
+
+def _to_time_order(order, arr):
+    """Rows of ``arr`` at scan positions scattered back to their time steps."""
+    out = np.empty_like(arr)
+    out[order] = arr
+    return out
+
+
+def _kept_forward(x, delta, a, b_seq, c_seq):
+    """``ssm._scan_forward`` keeping its state, on sequences in scan order: (y, h) in the widest input dtype."""
     y = np.empty(x.shape, dtype=np.result_type(x, delta, a, b_seq, c_seq))
     return y, ssm._scan_forward(x, delta, a, b_seq, c_seq, y, True)
+
+
+def _scan_forward(x, delta, a, b_seq, c_seq):
+    """``_kept_forward`` of a time-ordered sequence: (y, h) in time order."""
+    order, seq = _in_scan_order(x, delta, a, b_seq, c_seq)
+    return tuple(_to_time_order(order, v) for v in _kept_forward(*seq))
+
+
+def _scan_backward(gy, x, delta, a, b_seq, c_seq, h):
+    """``ssm._scan_backward`` of a time-ordered sequence: the five gradients, the per-step ones in time order."""
+    order, seq = _in_scan_order(x, delta, a, b_seq, c_seq)
+    g_x, g_delta, g_a, g_b, g_c = ssm._scan_backward(gy[order], *seq, h[order])
+    return (*(_to_time_order(order, g) for g in (g_x, g_delta)), g_a, *(_to_time_order(order, g) for g in (g_b, g_c)))
 
 
 def _assert_scan_matches_blockwise(coeff, update, reverse, r):
@@ -267,6 +295,59 @@ class TestBlockedScan:
             selective_discretize(delta, *a_terms, b, x, bufs[0], bufs[1][::-1], bufs[2])  # a reshape would copy
         with pytest.raises(ContractViolation):
             selective_discretize(delta, *a_terms, b, x, bufs[0, :3], bufs[1], bufs[2])
+
+
+# block lengths n around the depth-3 class layout: below 2^3, tails with a smaller power of two (12 at depth 2; 3, 5,
+# 7 and 37 at depth 0, time order), and whole blocks of R rows
+CLASS_LENGTHS = [1, 2, 3, 4, 5, 7, 8, 12, 37, "R"]
+
+
+class TestScanOrder:
+    """The class layout of ``scan_order`` and its sweep, ``class_scan``, against ``associative_scan`` in time order."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["contiguous", "reversed"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", CLASS_LENGTHS)
+    def test_class_scan_equals_the_time_ordered_sweep(self, n, dtype, reverse):
+        # one block in its class layout, or the reversed views of one (the adjoint's), swept in place: the state
+        # equals associative_scan on the time-ordered block (reversed likewise) byte for byte
+        assert ssm.SCAN_LEVELS == 3
+        n = _rows_per_block(dtype) if n == "R" else n
+        order = scan_order(n, *BLOCK_ROW, dtype)
+        gen = rng(1000 + n)
+        coeff = gen.uniform(-1.0, 1.0, (n,) + BLOCK_ROW).astype(dtype)
+        update = gen.normal(size=(n,) + BLOCK_ROW).astype(dtype)
+        flip = (lambda v: v[::-1]) if reverse else (lambda v: v)
+        expected = flip(associative_scan(*(flip(v.copy()) for v in (coeff, update))))
+        a, u = coeff[order], update[order]
+        class_scan(flip(a), flip(u))
+        assert _to_time_order(order, u).tobytes() == expected.tobytes()
+
+    def test_block_layout_example(self):
+        # 16 steps at depth 3: classes t mod 8 in the order 0, 4, 2, 6, 1, 5, 3, 7, each in time order
+        assert scan_order(16, *BLOCK_ROW, np.float32).tolist() == [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
+        assert scan_order(12, *BLOCK_ROW, np.float32).tolist() == [0, 4, 8, 2, 6, 10, 1, 5, 9, 3, 7, 11]
+        assert scan_order(7, *BLOCK_ROW, np.float32).tolist() == list(range(7))
+
+    @pytest.mark.parametrize("t_len", [1, 7, 8, 16, 17, 40, 100, 1000])
+    def test_read_only_permutation_that_keeps_block_ends(self, monkeypatch, t_len):
+        # 16-row blocks of (2, 3) float64 rows: each block starts with its first step and ends with its last
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
+        order = scan_order(t_len, 2, 3, np.float64)
+        assert not order.flags.writeable
+        assert sorted(order.tolist()) == list(range(t_len))
+        for k0 in range(0, t_len, 16):
+            block = order[k0 : k0 + 16]
+            assert sorted(block.tolist()) == list(range(k0, k0 + block.size))
+            assert block[0] == k0 and block[-1] == k0 + block.size - 1
+
+    def test_order_follows_the_block_size(self, monkeypatch):
+        # the order follows a changed SCAN_BLOCK_BYTES: 4-row blocks at depth 2
+        whole = scan_order(32, 2, 3, np.float64)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * TINY_ROW_BYTES)
+        blocked = scan_order(32, 2, 3, np.float64)
+        assert blocked.tolist() == [k0 + t for k0 in range(0, 32, 4) for t in (0, 2, 1, 3)]
+        assert blocked.tolist() != whole.tolist()
 
 
 class TestParallelScan:
@@ -415,7 +496,8 @@ class TestSelective:
         r = rng(11)
         for t_len, d, m in [(1, 1, 1), (2, 3, 2), (37, 4, 3), (64, 2, 8), (257, 3, 4)]:
             x, delta, a, b, c = self._scan_inputs(r, t_len, d, m)
-            y = T.value(ssm_scan(*(T.Tensor(v[None]) for v in (x, delta, a, b, c))))[0]
+            order, seq = _in_scan_order(x, delta, a, b, c)
+            y = _to_time_order(order, T.value(ssm_scan(*(T.Tensor(v[None]) for v in seq)))[0])
             a_bar, scale = zoh_factors(a, delta[:, :, None])
             ref = scan_recurrent_arrays(a_bar, scale * b[:, None, :], c[:, None, :], x)
             np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
@@ -534,7 +616,7 @@ class TestSelective:
             untaped = ssm_scan(*inputs).data
             with T.Tape():
                 taped = ssm_scan(*inputs).data
-            kept = np.stack([_scan_forward(*arrays)[0] for arrays in zip(*inputs)])
+            kept = np.stack([_kept_forward(*arrays)[0] for arrays in zip(*inputs)])
             assert untaped.dtype == np.dtype(dtype)
             assert untaped.tobytes() == taped.tobytes() == kept.tobytes()
 
@@ -712,7 +794,7 @@ class TestScanBackward:
         k, c = BLOCK_LENGTHS[length]
         t_len = k * _rows_per_block(np.float64) + c
         inputs = _backward_inputs(rng(600 + t_len), t_len, *BLOCK_ROW)
-        _assert_matches_composed(ssm._scan_backward(*inputs), _composed_backward(*inputs))
+        _assert_matches_composed(_scan_backward(*inputs), _composed_backward(*inputs))
 
     # forward blocks of 4 rows give 1-row backward blocks; of 16 rows, 4-row backward blocks
     @pytest.mark.parametrize("block", [4, 16])
@@ -722,13 +804,22 @@ class TestScanBackward:
         k, c = BLOCK_LENGTHS[length]
         t_len = k * block + c
         inputs = _backward_inputs(rng(700 + t_len), t_len, 2, 3)
-        _assert_matches_composed(ssm._scan_backward(*inputs), _composed_backward(*inputs))
+        _assert_matches_composed(_scan_backward(*inputs), _composed_backward(*inputs))
+
+    @pytest.mark.parametrize("t_len", [3, 6, 12, 20, 32, 48, 100])
+    def test_matches_composed_backward_in_scan_order(self, monkeypatch, t_len):
+        # 16-row forward blocks at depth 3: T below 2^3 (time order), T not a multiple of 2^3 (a tail block at a
+        # smaller depth), and T spanning several class-layout blocks
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
+        inputs = _backward_inputs(rng(1100 + t_len), t_len, 2, 3)
+        _assert_matches_composed(_scan_backward(*inputs), _composed_backward(*inputs))
 
     def test_grad_check_across_block_seams(self, monkeypatch):
-        # 4-row backward blocks: h[k0 - 1] and the next row's a_bar cross every seam
+        # 4-row backward blocks: h[k0 - 1] and the next row's a_bar cross every seam; 8, 16 and 24 steps fill
+        # class-layout blocks
         monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
         r = rng(22)
-        for t_len in (3, 4, 5, 9, 17):
+        for t_len in (3, 4, 5, 8, 9, 16, 17, 24):
             inputs = [T.Tensor(v[None]) for v in TestSelective._scan_inputs(r, t_len, 2, 3)]
             rep = T.grad_check(lambda *a: T.reduce_sum(ssm_scan(*a)), inputs, name=f"ssm_scan[T={t_len}, 4-row blocks]")
             assert rep.passed, rep
@@ -764,7 +855,7 @@ class TestScanBackward:
             gy[4, 1] = np.nan
         with np.errstate(all="raise"):
             expected = _composed_backward(gy, x, delta, a, b, c, h)
-            got = ssm._scan_backward(gy, x, delta, a, b, c, h)
+            got = _scan_backward(gy, x, delta, a, b, c, h)
         assert not all(np.isfinite(e).all() for e in expected)
         for g, e in zip(got, expected):
             assert not np.isfinite(g[~np.isfinite(e)]).any()

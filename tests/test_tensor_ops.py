@@ -670,3 +670,28 @@ class TestTapeMechanics:
         x = T.Tensor(np.array([1.0]))
         y = T.mul(x, x)  # outside any tape: must not raise, just compute
         assert T.value(y)[0] == 1.0
+
+
+class TestTensorData:
+    @pytest.mark.parametrize(
+        "data, dtype",
+        [
+            (None, "object"),
+            ("1.5", "<U3"),
+            (np.array([1.0, None], dtype=object), "object"),
+            (np.array(["1", "2"]), "<U1"),
+            (np.array([b"1", b"2"]), "|S1"),
+        ],
+        ids=["none", "str", "object-array", "string-array", "bytes-array"],
+    )
+    def test_non_numeric_data_is_rejected_naming_its_dtype(self, data, dtype):
+        for make in (T.Tensor, T.as_tensor):
+            with pytest.raises(ContractViolation, match=f"got {dtype} data"):
+                make(data)
+
+    def test_bool_and_int_become_float64(self):
+        for data in (np.array([True, False]), np.array([1, 2], dtype=np.int32), 3):
+            t = T.Tensor(data)
+            assert t.dtype == np.float64
+            np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+        assert T.Tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
