@@ -103,6 +103,10 @@ def cmd_gradcheck(args, cfg: RunConfig) -> dict:
 
 
 def cmd_train_toy(args, cfg: RunConfig) -> dict:
+    # the overrides take TrainConfig's checks, as the config's own values do
+    overrides = {k: v for k, v in (("lr", args.lr), ("steps", args.steps)) if v is not None}
+    train = replace(cfg.train, **overrides)
+    lr, steps = train.lr, train.steps
     cloud_path = Path(args.scene)
     labels_path = cloud_path.with_suffix(".json")
     if not labels_path.exists():
@@ -110,8 +114,6 @@ def cmd_train_toy(args, cfg: RunConfig) -> dict:
     cloud = load_cloud(cloud_path)
     boxes = load_labels(labels_path)
     model = build_model(cfg, seed=args.seed)
-    lr = args.lr if args.lr is not None else cfg.train.lr
-    steps = args.steps if args.steps is not None else cfg.train.steps
 
     def log_step(step, breakdown):
         print(f"step {step:4d}: focal={breakdown['focal']:.4f} l1={breakdown['l1']:.4f} total={breakdown['total']:.4f}", file=sys.stderr)

@@ -102,6 +102,10 @@ class HeadConfig:
             raise ConfigurationError(f"head.top_k: must be at least 1, got {self.top_k}")
         if not 0.0 <= self.score_threshold < 1.0:  # False for NaN
             raise ConfigurationError(f"head.score_threshold: must be finite and in [0, 1), got {self.score_threshold}")
+        if not 0.0 < self.gaussian_min_overlap < 1.0:
+            raise ConfigurationError(f"head.gaussian_min_overlap: must be in (0, 1), got {self.gaussian_min_overlap}")
+        if not 0.0 <= self.reg_weight < math.inf:
+            raise ConfigurationError(f"head.reg_weight: must be finite and nonnegative, got {self.reg_weight}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,12 @@ class EvalConfig:
     iou_thresholds: dict[ClassName, float] = field(
         default_factory=lambda: {"vehicle": 0.5, "pedestrian": 0.25, "cyclist": 0.25}
     )
+
+    def __post_init__(self):
+        # a threshold above 1 matches nothing; one of 0 (or NaN) would match a box it does not overlap, or none
+        for name, thr in self.iou_thresholds.items():
+            if not 0.0 < thr <= 1.0:
+                raise ConfigurationError(f"eval.iou_thresholds.{name}: must be in (0, 1], got {thr}")
 
 
 @dataclass(frozen=True)
@@ -152,12 +162,17 @@ class DataConfig:
         if missing:
             raise ConfigurationError(f"data.size_priors: no prior for counted classes {missing}")
         for name, dims in self.size_priors.items():
-            if min(dims) <= 0:
-                raise ConfigurationError(f"data.size_priors.{name}: sizes must be positive, got {list(dims)}")
+            if not all(0.0 < v < math.inf for v in dims):  # False for NaN
+                raise ConfigurationError(f"data.size_priors.{name}: sizes must be finite and positive, got {list(dims)}")
         if self.points_per_box <= 0:
             raise ConfigurationError(f"data.points_per_box: must be positive, got {self.points_per_box}")
         if self.background_points < 0:
             raise ConfigurationError(f"data.background_points: must be nonnegative, got {self.background_points}")
+        for name in ("noise_sigma", "min_center_gap"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"data.{name}: must be finite and nonnegative, got {getattr(self, name)}")
+        if not math.isfinite(self.ground_offset):
+            raise ConfigurationError(f"data.ground_offset: must be finite, got {self.ground_offset}")
 
 
 @dataclass(frozen=True)

@@ -121,14 +121,13 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     Pipeline: 1x1 projection + SiLU -> directional flatten in scan order ->
     selective scan of the direction stack (one parameter set per direction)
     -> inverse-permute + sum -> per-site channel normalization -> 1x1 output
-    projection. The scan order is that of the dtype the scan's state takes:
-    the widest of the tokens and the parameters that enter it.
+    projection. The scan order is that of the dtype the scan's state takes
+    (``ssm._tokens_state_dtype``).
     """
     _, x_cells, y_cells = T.as_tensor(bev).shape
     h = T.silu(T.conv2d(bev, params.in_proj_w, params.in_proj_b))
     s = params.scan
-    dtype = np.result_type(T.value(h), *(T.value(p) for p in (s.w_b, s.b_b, s.w_delta, s.b_delta, s.a_log)))
-    perm, inv = scan_permutations(x_cells, y_cells, h.shape[0], T.value(s.a_log).shape[-1], dtype)
+    perm, inv = scan_permutations(x_cells, y_cells, h.shape[0], s.a_log.shape[-1], ssm._tokens_state_dtype(h, s))
     scanned = selective_scan_tokens(cross_scan_flatten(h, perm), s)
     merged = cross_merge(scanned, inv, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)

@@ -5,6 +5,7 @@ scatter into a dense (C, X, Y) map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +29,15 @@ class GridSpec:
 
     def __post_init__(self):
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
-            if not hi > lo:
-                raise ConfigurationError(f"{name}_range must be nonempty, got [{lo}, {hi}]")
-        if self.pillar_size <= 0:
-            raise ConfigurationError(f"pillar_size must be positive, got {self.pillar_size}")
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ConfigurationError(f"grid.{name}_range: must be finite and nonempty, got [{lo}, {hi}]")
+        if not 0.0 < self.pillar_size < math.inf:  # False for NaN
+            raise ConfigurationError(f"grid.pillar_size: must be finite and positive, got {self.pillar_size}")
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range)):
             cells = (hi - lo) / self.pillar_size
-            if abs(cells - round(cells)) > 1e-9:
+            if not (math.isfinite(cells) and abs(cells - round(cells)) <= 1e-9):
                 raise ConfigurationError(
-                    f"{name}_range extent {hi - lo} is not a multiple of pillar_size {self.pillar_size}"
+                    f"grid.{name}_range: extent {hi - lo} is not a multiple of pillar_size {self.pillar_size}"
                 )
 
     @property

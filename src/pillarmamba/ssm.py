@@ -1,23 +1,18 @@
-"""State-space scan engine.
+"""Selective state-space scan of the network path.
 
-Three mutually verified execution forms of the discrete recurrence
-``h_t = a_bar * h_{t-1} + b_bar * x_t``, ``y_t = c_bar . h_t``:
-
-* ``scan_recurrent_arrays`` — exact sequential evaluation (the oracle),
-* ``scan_kernel`` / ``apply_conv_form`` — causal global convolution,
-  valid for time-invariant parameters only,
-* ``scan_parallel_arrays`` — work-efficient prefix scan (Brent-Kung, in
-  place on strided views, within row blocks taken in time order) over the
-  associative lift ``(a, u) o (a', u') = (a*a', a'*u + u')``.
-
-Plus zero-order-hold discretization and the input-conditioned (selective)
-parameterization of the network path, whose scan ``ssm_scan`` is one tape
-op: its forward discretizes, scans and contracts one row block at a time,
-and its backward is hand-written. It takes and returns sequences in scan
-order (``scan_order``): each row block holds its rows grouped by time step
-mod 2^L, so the sweep's first and last L Brent-Kung levels (``class_scan``)
-run on contiguous slices, with the bytes of ``associative_scan`` on the
-time-ordered block.
+The discrete recurrence ``h_t = a_bar_t * h_{t-1} + b_bar_t * x_t``,
+``y_t = c_t . h_t``, with zero-order-hold discretization of input-conditioned
+(selective) parameters, runs as one tape op, ``ssm_scan``: its forward
+discretizes, scans and contracts one row block at a time, and its backward
+is hand-written. The scan is a work-efficient prefix scan (Brent-Kung, in
+place on strided views, ``associative_scan``) over the associative lift
+``(a, u) o (a', u') = (a*a', a'*u + u')``. ``ssm_scan`` takes and returns
+sequences in scan order (``scan_order``): each row block holds its rows
+grouped by time step mod 2^L, so the sweep's first and last L Brent-Kung
+levels (``class_scan``) run on contiguous slices, with the bytes of
+``associative_scan`` on the time-ordered block. The float64 references it is
+verified against (ZOH, the sequential and convolution forms) live with the
+tests, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from .errors import ContractViolation
 
 Array = np.ndarray
 
-ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
 # Bytes of one row block of one (T, D, M) buffer in the scan's one pass over row blocks: the
 # forward's three blocks (state, a_bar, spread scratch) stay in a 2 MiB L2. Median dense 128x128
 # `detect` on a 2-vCPU Xeon (2 MiB L2 per core), sizes interleaved over 20 rounds of two scenes:
@@ -45,93 +39,6 @@ SCAN_BLOCK_BYTES = 1 << 19
 # 0.330 at 5; desk 0.088 s at 0, 0.076 at 3, 0.076 at 4.
 SCAN_LEVELS = 3
 INIT_DT_MIN, INIT_DT_MAX = 1e-3, 0.1  # range of the initial step sizes softplus(b_delta), drawn log-uniform
-
-
-# ---------------------------------------------------------------------------
-# zero-order hold
-# ---------------------------------------------------------------------------
-
-
-def zoh_factors(a: Array, delta: Array) -> tuple[Array, Array]:
-    """Return (a_bar, input_scale) with b_bar = input_scale * b.
-
-    a_bar = exp(delta*a); input_scale = expm1(delta*a)/a, evaluated by a
-    second-order series delta*(1 + delta*a/2) when |delta*a| < 1e-6 so the
-    a -> 0 limit is exact and the branch seam agrees to ~1e-13 relative.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    z = delta * a
-    a_bar = np.exp(z)
-    series = delta * (1.0 + 0.5 * z)
-    small = np.abs(z) < ZOH_SERIES_SWITCH
-    safe_a = np.where(a == 0.0, 1.0, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = np.expm1(z) / safe_a
-    scale = np.where(small, series, exact)
-    return a_bar, scale
-
-
-# ---------------------------------------------------------------------------
-# reference scans (numpy, double precision)
-# ---------------------------------------------------------------------------
-
-
-def _canon_scan_args(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> tuple[Array, Array, Array, Array]:
-    """x as float64 (T, D); parameters (M,), (D, M) or (T, D, M) as read-only float64 (T, D, M) views."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    t_len, d = x.shape
-    m = np.asarray(a_bar).shape[-1]
-    params = [np.asarray(p, dtype=np.float64) for p in (a_bar, b_bar, c_bar)]
-    for p in params:
-        if not 1 <= p.ndim <= 3:
-            raise ContractViolation(f"parameter rank must be 1..3, got shape {p.shape}")
-    return x, *(np.broadcast_to(p, (t_len, d, m)) for p in params)
-
-
-def scan_recurrent_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> Array:
-    """Sequential oracle from a zero state. x: (T, D); params broadcastable to (T, D, M). Returns y (T, D)."""
-    x, ab, bb, cb = _canon_scan_args(a_bar, b_bar, c_bar, x)
-    h = np.zeros(ab.shape[1:], dtype=np.float64)
-    y = np.zeros(x.shape, dtype=np.float64)
-    for t in range(x.shape[0]):
-        h = ab[t] * h + bb[t] * x[t][:, None]
-        y[t] = (cb[t] * h).sum(axis=-1)
-    return y
-
-
-def scan_kernel(a_bar: Array, b_bar: Array, c_bar: Array, t_len: int) -> Array:
-    """Causal convolution kernel K[k] = sum_i c_i * a_i^k * b_i, length T, from (M,) parameters.
-
-    Time-invariant parameters only: per-step parameter arrays are rejected.
-    """
-    a_bar, b_bar, c_bar = (np.asarray(p, dtype=np.float64) for p in (a_bar, b_bar, c_bar))
-    if a_bar.ndim != 1 or b_bar.ndim != 1 or c_bar.ndim != 1:
-        raise ContractViolation(
-            f"scan_kernel requires time-invariant (M,) parameters; got shapes {a_bar.shape}/{b_bar.shape}/{c_bar.shape}"
-        )
-    powers = np.ones((t_len, a_bar.shape[0]), dtype=np.float64)
-    if t_len > 1:
-        powers[1:] = np.cumprod(np.broadcast_to(a_bar, (t_len - 1, a_bar.shape[0])), axis=0)
-    return powers @ (c_bar * b_bar)
-
-
-def apply_conv_form(x: Array, kernel: Array) -> Array:
-    """y[t] = sum_{k<=t} K[k] x[t-k] (causal convolution), per channel."""
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    t_len = x.shape[0]
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim == 1:
-        kernel = np.broadcast_to(kernel[:, None], (kernel.shape[0], x.shape[1]))
-    y = np.empty_like(x)
-    for d in range(x.shape[1]):
-        y[:, d] = np.convolve(x[:, d], kernel[:, d])[:t_len]
-    return y[:, 0] if squeeze else y
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +90,6 @@ def associative_scan(a: Array, u: Array) -> Array:
             hi = slice(3 * s - 1, None, 2 * s)
             ub[hi] += np.multiply(ab[hi], ub[2 * s - 1 : n - s : 2 * s], out=prod[: (n - s) // (2 * s)])
     return u
-
-
-def scan_parallel_arrays(a_bar: Array, b_bar: Array, c_bar: Array, x: Array) -> Array:
-    """Parallel-scan evaluation; same contract as scan_recurrent_arrays."""
-    x, ab, bb, cb = _canon_scan_args(a_bar, b_bar, c_bar, x)
-    h = associative_scan(ab.copy(), bb * x[:, :, None])
-    return (cb * h).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +224,7 @@ def selective_discretize(
     along its row (0 * NaN is NaN, and an inf makes the rest of its row NaN),
     so a NaN in x[t, d] makes step t non-finite in every channel, not only in
     d. The exact input scale is well-conditioned here because a is strictly
-    negative on the selective path; ``zoh_factors`` is its float64 reference.
+    negative on the selective path.
     """
     n, d = delta.shape
     dm = recip_a.size
@@ -454,6 +354,12 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     return g_x, g_delta, g_a, g_b, g_c
 
 
+def _state_dtype(x, delta, a, b_seq) -> np.dtype:
+    """The dtype of ``ssm_scan``'s state h, and so of its ``scan_order``: the widest of x, delta, a and b_seq, each
+    an array or a dtype. c_seq only reads h out, so it widens y but not h."""
+    return np.result_type(x, delta, a, b_seq)
+
+
 def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, y: Array, keep_h: bool) -> Array | None:
     """Fill y (T,D) with the output of ``ssm_scan``, in one pass over row blocks of R rows; return the state
     h (T,D,M) if keep_h, else None.
@@ -465,17 +371,17 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
     carried as one row, is folded into the block's first row (its first
     step); ``class_scan`` sweeps the block; and y is one batched mat-vec of
     the block's state with c. The
-    expanded terms never leave the block. h is computed in the widest input
-    dtype; the whole (T,D,M) h is kept only if asked (the tape's backward
+    expanded terms never leave the block. h takes the dtype ``_state_dtype``
+    names; the whole (T,D,M) h is kept only if asked (the tape's backward
     reads it), else one block of it is reused, with the same bits. The
     a-weighted selector and 1/a are built once (``_a_terms``). h rounds as
     ``associative_scan`` on the whole time-ordered buffers does, and the mat-vec sums over
     M in another order than an elementwise product and sum: float64 outputs
-    agree with ``zoh_factors`` and the recurrent form within 1e-12 relative.
+    agree with the ZOH and recurrent references within 1e-12 relative.
     """
     t_len, d = x.shape
     m = a.shape[-1]
-    dtype = np.result_type(delta, a, b_seq, x)
+    dtype = _state_dtype(x, delta, a, b_seq)
     carry = np.empty((1, d, m), dtype=dtype)  # the final state of the block before
     r = _block_rows(carry.nbytes)
     h = np.empty((t_len if keep_h else min(r, t_len), d, m), dtype=dtype)
@@ -501,7 +407,7 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
     x, delta (K,T,D); a (K,D,M); b_seq, c_seq (K,T,M) -> y (K,T,D), with
     h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t per sequence.
     The T axis of every sequence, in and out, is in ``scan_order(T, D, M,
-    dtype)``, dtype that of the state (the widest of x, delta, a and b_seq):
+    dtype)``, dtype that of the state (``_state_dtype``):
     the caller gathers its sequences in that order, as the cross scan does
     by composing it into its direction permutations, and reads y back
     through its inverse. ``_scan_forward`` runs each sequence in turn, discretizing, scanning and
@@ -514,7 +420,7 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
     2312.00752, sec. 3.3). Besides four blocks of a quarter of a forward
     block's rows, it holds two (T,D,M) buffers up to the adjoint scan and one
     after. Its float64 gradients agree with the whole-buffer composition
-    within 1e-12 relative; ``zoh_factors`` with the recurrent form is the reference.
+    within 1e-12 relative, and its outputs agree with the ZOH and recurrent references.
     """
     tx, td, ta, tb, tc = (T.as_tensor(v) for v in (x, delta, a, b_seq, c_seq))
     arrays = xd, dd, ad, bd, c = tx.data, td.data, ta.data, tb.data, tc.data
@@ -563,6 +469,13 @@ def selective_params(tokens, proj: SelectiveProjections):
     delta = T.softplus(T.add(T.matmul(tokens, proj.w_delta), proj.b_delta))  # (K, T, D)
     a = T.neg(T.texp(proj.a_log))  # (K, D, M), strictly negative
     return b_seq, c_seq, delta, a
+
+
+def _tokens_state_dtype(tokens, proj: SelectiveProjections) -> np.dtype:
+    """``_state_dtype`` of the scan that ``selective_scan_tokens(tokens, proj)`` runs, read off the dtypes alone: each
+    output of ``selective_params`` takes the widest dtype of the arrays it is computed from."""
+    dt = lambda *vs: np.result_type(*(T.value(v) for v in vs))
+    return _state_dtype(dt(tokens), dt(tokens, proj.w_delta, proj.b_delta), dt(proj.a_log), dt(tokens, proj.w_b, proj.b_b))
 
 
 def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:

@@ -1,14 +1,12 @@
-"""Finite-difference and equivalence verification suites.
+"""Finite-difference gradient suite.
 
 Shared by the command-line ``gradcheck`` entry point and the acceptance
 tests: every differentiable building block is checked against central
-finite differences in double precision on randomized small shapes, and the
-three scan forms are cross-checked against the sequential oracle.
+finite differences in double precision on randomized small shapes. The
+scan's float64 references live with the tests, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,16 +14,7 @@ from . import tensor as T
 from .blocks import csg_forward, hsb_forward, init_csg_params, init_hsb_params, init_se_params, se_attention
 from .config import CsgToggles, HsbToggles, ModelConfig, SsmConfig
 from .cross_scan import init_ss2d_params, ss2d_block
-from .ssm import (
-    apply_conv_form,
-    init_selective_projections,
-    scan_kernel,
-    scan_parallel_arrays,
-    scan_recurrent_arrays,
-    selective_scan_tokens,
-)
-
-SCAN_TOL = 1e-6
+from .ssm import init_selective_projections, selective_scan_tokens
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -129,62 +118,3 @@ def run_grad_suite(seeds_per_check: int = 20) -> list[T.GradCheckReport]:
         for seed in range(seeds_per_check):
             reports.append(fn(seed))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# scan-form equivalences
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EquivalenceReport:
-    name: str
-    max_abs_deviation: float
-    passed: bool
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: max_abs_deviation={self.max_abs_deviation:.3e}"
-
-
-def run_conv_equivalence(n_seeds: int = 50, tol: float = SCAN_TOL) -> EquivalenceReport:
-    """Recurrent vs causal-convolution form, random time-invariant parameters."""
-    worst = 0.0
-    for seed in range(n_seeds):
-        rng = _rng(seed)
-        m = int(rng.integers(1, 9))
-        d = int(rng.integers(1, 5))
-        t_len = int(rng.integers(1, 65))
-        x = rng.normal(size=(t_len, d))
-        y_conv = np.empty_like(x)
-        y_rec = np.empty_like(x)
-        for ch in range(d):
-            a_bar = rng.uniform(-0.99, 0.99, m)
-            b_bar = rng.normal(size=m)
-            c_bar = rng.normal(size=m)
-            y_rec[:, ch] = scan_recurrent_arrays(a_bar, b_bar, c_bar, x[:, ch])[:, 0]
-            y_conv[:, ch] = apply_conv_form(x[:, ch], scan_kernel(a_bar, b_bar, c_bar, t_len))
-        worst = max(worst, float(np.abs(y_rec - y_conv).max()))
-    return EquivalenceReport("recurrent-vs-conv", worst, worst <= tol)
-
-
-def run_parallel_equivalence(n_seeds: int = 50, tol: float = SCAN_TOL) -> EquivalenceReport:
-    """Parallel vs sequential scan, including per-step selective parameters;
-    exhaustive coverage of T in {1, 2, 3}."""
-    worst = 0.0
-    cases = [(t, 1, 1) for t in (1, 2, 3)]
-    for seed in range(n_seeds):
-        rng = _rng(1000 + seed)
-        cases.append((int(rng.integers(1, 65)), int(rng.integers(1, 5)), int(rng.integers(1, 9))))
-    for idx, (t_len, d, m) in enumerate(cases):
-        rng = _rng(2000 + idx)
-        per_step = idx % 2 == 1
-        shape = (t_len, d, m) if per_step else (d, m)
-        ab = rng.uniform(-0.99, 0.99, shape)
-        bb = rng.normal(size=shape)
-        cb = rng.normal(size=shape)
-        x = rng.normal(size=(t_len, d))
-        y_seq = scan_recurrent_arrays(ab, bb, cb, x)
-        y_par = scan_parallel_arrays(ab, bb, cb, x)
-        worst = max(worst, float(np.abs(y_seq - y_par).max()))
-    return EquivalenceReport("parallel-vs-sequential", worst, worst <= tol)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from pillarmamba import ssm
 from pillarmamba import tensor as T
 from pillarmamba.boxes import Box3D, Detection
 from pillarmamba.head import HeadTargets, RawMaps
@@ -78,6 +79,91 @@ def conv_im2col(x, weight, bias=None, stride: int = 1, padding: int = 0, groups:
         return (dx, dw) if tb is None else (dx, dw, g.sum(axis=(1, 2)))
 
     T._record(out, (tx, tw) if tb is None else (tx, tw, tb), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scan references, in float64: zero-order hold, the sequential recurrence and the convolution form; and the sweep
+# the detector runs (``ssm.class_scan`` in ``ssm.scan_order``) on lifted buffers, for comparing against them
+# ---------------------------------------------------------------------------
+
+ZOH_SERIES_SWITCH = 1e-6  # |delta * a| below this uses the series branch
+
+
+def zoh_factors(a, delta):
+    """Return (a_bar, input_scale) with b_bar = input_scale * b.
+
+    a_bar = exp(delta*a); input_scale = expm1(delta*a)/a, evaluated by a
+    second-order series delta*(1 + delta*a/2) when |delta*a| < 1e-6 so the
+    a -> 0 limit is exact and the branch seam agrees to ~1e-13 relative.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    z = delta * a
+    a_bar = np.exp(z)
+    series = delta * (1.0 + 0.5 * z)
+    small = np.abs(z) < ZOH_SERIES_SWITCH
+    safe_a = np.where(a == 0.0, 1.0, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.expm1(z) / safe_a
+    return a_bar, np.where(small, series, exact)
+
+
+def sequential_scan(coeff, update):
+    """The sequential oracle: h_t = coeff_t * h_{t-1} + update_t from a zero state, as a plain time loop in float64.
+    coeff broadcasts against update (T, ...); returns every h_t."""
+    coeff = np.broadcast_to(np.asarray(coeff, dtype=np.float64), update.shape)
+    h = np.zeros(update.shape[1:])
+    out = np.empty(update.shape)
+    for t in range(update.shape[0]):
+        h = coeff[t] * h + update[t]
+        out[t] = h
+    return out
+
+
+def lift(a_bar, b_bar, c_bar, x):
+    """x (T, D) or (T,) and parameters (M,), (D, M) or (T, D, M) as the float64 (T, D, M) buffers of the recurrence
+    h_t = a_bar_t * h_{t-1} + b_bar_t * x_t, y_t = c_bar_t . h_t: coefficients, inputs b_bar * x, read-outs."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[:, None] if x.ndim == 1 else x
+    shape = x.shape + np.shape(a_bar)[-1:]
+    a, b, c = (np.broadcast_to(np.asarray(p, dtype=np.float64), shape) for p in (a_bar, b_bar, c_bar))
+    return a, b * x[:, :, None], c
+
+
+def recurrent_scan(a_bar, b_bar, c_bar, x):
+    """y (T, D) of the sequential oracle on ``lift(a_bar, b_bar, c_bar, x)``."""
+    a, u, c = lift(a_bar, b_bar, c_bar, x)
+    return (c * sequential_scan(a, u)).sum(axis=-1)
+
+
+def scan_kernel(a_bar, b_bar, c_bar, t_len: int):
+    """The convolution form's kernel K[k] = sum_i c_i * a_i^k * b_i, k < T, from time-invariant (M,) parameters."""
+    a_bar, b_bar, c_bar = (np.asarray(p, dtype=np.float64) for p in (a_bar, b_bar, c_bar))
+    powers = np.broadcast_to(a_bar, (t_len, a_bar.size)).copy()
+    powers[0] = 1.0
+    return np.cumprod(powers, axis=0) @ (c_bar * b_bar)
+
+
+def apply_conv_form(x, kernel):
+    """y[t] = sum_{k<=t} K[k] x[t-k]: the causal convolution of a (T,) sequence."""
+    return np.convolve(x, kernel)[: len(x)]
+
+
+def class_sweep_scan(coeff, update):
+    """The recurrence of ``sequential_scan`` as ``ssm_scan``'s forward sweeps it: (T, D, M) buffers gathered into
+    ``ssm.scan_order``, each row block swept by ``ssm.class_scan`` after the state of the block before is folded into
+    its first row, and the states scattered back to time order. Leaves its arguments untouched."""
+    t_len, d, m = update.shape
+    order = ssm.scan_order(t_len, d, m, update.dtype)
+    a, h = np.broadcast_to(coeff, update.shape)[order], update[order]
+    r = ssm._block_rows(update.itemsize * d * m)
+    for k0 in range(0, t_len, r):
+        if k0:
+            h[k0] += a[k0] * h[k0 - 1]
+        ssm.class_scan(a[k0 : k0 + r], h[k0 : k0 + r])
+    out = np.empty_like(h)
+    out[order] = h
     return out
 
 

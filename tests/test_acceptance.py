@@ -10,7 +10,19 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_ap_r40, perfect_raw_maps, rng
+from conftest import (
+    ZOH_SERIES_SWITCH,
+    apply_conv_form,
+    brute_force_ap_r40,
+    class_sweep_scan,
+    lift,
+    perfect_raw_maps,
+    recurrent_scan,
+    rng,
+    scan_kernel,
+    sequential_scan,
+    zoh_factors,
+)
 from pillarmamba import cli
 from pillarmamba.boxes import Box3D, Detection
 from pillarmamba.config import config_to_dict, default_config, desk_grid
@@ -19,8 +31,7 @@ from pillarmamba.data_io import SceneSpec, generate_scene, scene_spec_from_confi
 from pillarmamba.head import build_targets, decode
 from pillarmamba.metrics import ap_r40, rotated_iou_bev
 from pillarmamba.model import build_model, train_toy
-from pillarmamba.ssm import ZOH_SERIES_SWITCH, zoh_factors
-from pillarmamba.verify import run_conv_equivalence, run_grad_suite, run_parallel_equivalence
+from pillarmamba.verify import run_grad_suite
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -29,24 +40,45 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def test_c01_scan_form_equivalence():
+    # the recurrent form against the causal convolution, on random time-invariant parameters
     t0 = time.monotonic()
-    rep = run_conv_equivalence(n_seeds=50, tol=1e-6)
+    worst = 0.0
+    for seed in range(50):
+        r = rng(seed)
+        m, d, t_len = int(r.integers(1, 9)), int(r.integers(1, 5)), int(r.integers(1, 65))
+        x = r.normal(size=(t_len, d))
+        for ch in range(d):
+            a_bar, b_bar, c_bar = r.uniform(-0.99, 0.99, m), r.normal(size=m), r.normal(size=m)
+            y_rec = recurrent_scan(a_bar, b_bar, c_bar, x[:, ch])[:, 0]
+            y_conv = apply_conv_form(x[:, ch], scan_kernel(a_bar, b_bar, c_bar, t_len))
+            worst = max(worst, float(np.abs(y_rec - y_conv).max()))
     elapsed = time.monotonic() - t0
     _report(
         "1 recurrent-vs-conv-form",
-        rep.passed and elapsed < 5.0,
-        f"max_abs_dev={rep.max_abs_deviation:.3e} <= 1e-6, {elapsed:.2f}s < 5s",
+        worst <= 1e-6 and elapsed < 5.0,
+        f"max_abs_dev={worst:.3e} <= 1e-6, {elapsed:.2f}s < 5s",
     )
 
 
 def test_c02_parallel_vs_sequential():
+    # the detector's sweep (class_scan in scan order) against the sequential oracle, time-invariant and per-step
+    # parameters alternating; exhaustive coverage of T in {1, 2, 3}
     t0 = time.monotonic()
-    rep = run_parallel_equivalence(n_seeds=50, tol=1e-6)
+    cases = [(t, 1, 1) for t in (1, 2, 3)]
+    cases += [(int(r.integers(1, 65)), int(r.integers(1, 5)), int(r.integers(1, 9))) for r in map(rng, range(1000, 1050))]
+    worst = 0.0
+    for idx, (t_len, d, m) in enumerate(cases):
+        r = rng(2000 + idx)
+        shape = (t_len, d, m) if idx % 2 == 1 else (d, m)
+        a, u, c = lift(r.uniform(-0.99, 0.99, shape), r.normal(size=shape), r.normal(size=shape), r.normal(size=(t_len, d)))
+        y_seq = (c * sequential_scan(a, u)).sum(axis=-1)
+        y_par = (c * class_sweep_scan(a, u)).sum(axis=-1)
+        worst = max(worst, float(np.abs(y_seq - y_par).max()))
     elapsed = time.monotonic() - t0
     _report(
         "2 parallel-vs-sequential",
-        rep.passed and elapsed < 5.0,
-        f"max_abs_dev={rep.max_abs_deviation:.3e} <= 1e-6 (incl. per-step, T=1..3 exhaustive), {elapsed:.2f}s < 5s",
+        worst <= 1e-6 and elapsed < 5.0,
+        f"max_abs_dev={worst:.3e} <= 1e-6 (incl. per-step, T=1..3 exhaustive), {elapsed:.2f}s < 5s",
     )
 
 

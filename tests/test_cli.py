@@ -175,6 +175,22 @@ BAD_CONFIGS = {
         "ConfigurationError",
         "head.score_threshold",
     ),
+    # a threshold no vehicle can reach, and grids whose cell count is infinite or NaN
+    "iou-threshold-above-one": (
+        {"grid": config_to_dict(default_config())["grid"], "eval": {"iou_thresholds": {"vehicle": 1.5}}},
+        "ConfigurationError",
+        "eval.iou_thresholds.vehicle",
+    ),
+    "infinite-grid-range": (
+        {"grid": {**config_to_dict(default_config())["grid"], "x_range": [0.0, float("inf")]}},
+        "ConfigurationError",
+        "grid.x_range",
+    ),
+    "nan-pillar-size": (
+        {"grid": {**config_to_dict(default_config())["grid"], "pillar_size": float("nan")}},
+        "ConfigurationError",
+        "grid.pillar_size",
+    ),
 }
 
 
@@ -255,6 +271,19 @@ def test_train_toy_non_finite_loss_exits_1_without_weights(dataset, tiny_cfg_pat
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["type"] == "FloatingPointError" and "step 1" in err["message"]
     assert not weights.exists()
+
+
+@pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+def test_train_toy_bad_lr_exits_1_before_training(dataset, tiny_cfg_path, tmp_path, capsys, monkeypatch, lr):
+    # --lr takes train.lr's rule: no step runs and no weights are written
+    calls = []
+    monkeypatch.setattr(cli, "train_toy", lambda *a, **k: calls.append(k) or [1.0])
+    weights = tmp_path / "w.pmw"
+    argv = ["train-toy", "--config", tiny_cfg_path, "--scene", str(dataset / "scene_0000.bin"), "--steps", "3"]
+    assert cli.main([*argv, "--lr", lr, "--out", str(weights)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigurationError" and "train.lr" in err["message"]
+    assert calls == [] and not weights.exists()
 
 
 def test_weights_model_mismatch_detected(tiny_cfg_path, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rng
+from conftest import recurrent_scan, rng
 from pillarmamba import ssm
 from pillarmamba import tensor as T
 from pillarmamba.cross_scan import (
@@ -29,7 +29,6 @@ from pillarmamba.ssm import (
     SelectiveProjections,
     init_selective_projections,
     scan_order,
-    scan_recurrent_arrays,
     ssm_scan,
 )
 
@@ -147,7 +146,7 @@ class TestMerge:
         r = rng(15)
         x = r.normal(size=(2, 4, 4))
         outputs = [
-            scan_recurrent_arrays(np.zeros(1), np.ones(1), np.ones(1), seq) for seq in T.value(_flatten(T.Tensor(x)))
+            recurrent_scan(np.zeros(1), np.ones(1), np.ones(1), seq) for seq in T.value(_flatten(T.Tensor(x)))
         ]
         merged = _merge(T.Tensor(np.stack(outputs)), 4, 4)
         np.testing.assert_allclose(T.value(merged), 4.0 * x, atol=1e-12)
@@ -158,9 +157,9 @@ class TestMerge:
         x = r.normal(size=(1, 3, 4))
         a_bar, b_bar, c_bar = np.array([0.7]), np.array([0.5]), np.array([1.3])
         outputs = np.zeros((len(DIRECTIONS), 12, 1))
-        outputs[0] = scan_recurrent_arrays(a_bar, b_bar, c_bar, T.value(_flatten(T.Tensor(x)))[0])
+        outputs[0] = recurrent_scan(a_bar, b_bar, c_bar, T.value(_flatten(T.Tensor(x)))[0])
         merged = _merge(T.Tensor(outputs), 3, 4)
-        direct = scan_recurrent_arrays(a_bar, b_bar, c_bar, x.reshape(1, -1).T).T.reshape(1, 3, 4)
+        direct = recurrent_scan(a_bar, b_bar, c_bar, x.reshape(1, -1).T).T.reshape(1, 3, 4)
         np.testing.assert_allclose(T.value(merged), direct, atol=1e-12)
 
     def test_output_count_must_match_directions(self):
@@ -200,24 +199,32 @@ def _direction_slices(params) -> list[dict]:
 
 
 def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
-    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a gather in scan order
-    (the direction's permutation composed with ``scan_order`` here, or with ``order`` if given), three 2-D
-    matmuls, softplus, a one-sequence ``ssm_scan`` and an inverse gather; then a sum in ``DIRECTIONS`` order."""
+    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a gather in scan order,
+    three 2-D matmuls, softplus, a one-sequence ``ssm_scan`` and an inverse gather; then a sum in ``DIRECTIONS``
+    order. The scan order is the direction's permutation composed with ``order`` if given, else with ``scan_order``
+    of the state dtype (``ssm._state_dtype``) of the very arrays the direction's projections hand ``ssm_scan``."""
     tb = T.as_tensor(bev)
     channels, x_cells, y_cells = tb.shape
     tokens = T.bev_to_tokens(T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b)))
     one = lambda t: T.reshape(t, (1,) + t.shape)
-    if order is None:
-        order = scan_order(x_cells * y_cells, channels, slices[0]["a_log"].shape[-1], tb.dtype)
-    acc = None
-    for time_perm, p in zip(direction_permutations(x_cells, y_cells)[0], slices, strict=True):
-        perm = time_perm[order]
-        inv = np.argsort(perm)
+
+    def project(perm, p):
         seq = T.gather_rows(tokens, perm)
         b_seq = T.add(T.matmul(seq, p["w_b"]), p["b_b"])
         c_seq = T.add(T.matmul(seq, p["w_c"]), p["b_c"])
         delta = T.softplus(T.add(T.matmul(seq, p["w_delta"]), p["b_delta"]))
-        a = T.neg(T.texp(p["a_log"]))
+        return seq, delta, T.neg(T.texp(p["a_log"])), b_seq, c_seq
+
+    acc = None
+    for time_perm, p in zip(direction_permutations(x_cells, y_cells)[0], slices, strict=True):
+        if order is None:
+            with T.Tape():  # a throwaway tape: a caller's tape never sees this time-ordered pass
+                dtype = ssm._state_dtype(*(T.value(v) for v in project(time_perm, p)[:4]))
+            perm = time_perm[scan_order(x_cells * y_cells, channels, p["a_log"].shape[-1], dtype)]
+        else:
+            perm = time_perm[order]
+        inv = np.argsort(perm)
+        seq, delta, a, b_seq, c_seq = project(perm, p)
         y = ssm_scan(*(one(t) for t in (seq, delta, a, b_seq, c_seq)))
         grid_tokens = T.gather_rows(T.reshape(y, seq.shape), inv)
         acc = grid_tokens if acc is None else T.add(acc, grid_tokens)
@@ -280,6 +287,20 @@ class TestStackedAgainstPerDirection:
         assert (order != np.arange(32)).any()
         time_ordered = T.value(_per_direction_ss2d(x, params, _direction_slices(params), np.arange(32)))
         assert np.abs(stacked - time_ordered).max() > 1e-6
+
+    @pytest.mark.parametrize("field", SCAN_FIELDS)
+    def test_scan_order_follows_the_state_dtype(self, monkeypatch, field):
+        # one projection in float64, the rest in float32: 16-row float32 blocks and 8-row float64 blocks give the 4x8
+        # grid two orders, and the stacked SS2D must gather in the one of the dtype the scan's state takes (float64,
+        # except for w_c and b_c, which only read the state out)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * 6 * 4 * 4)
+        assert (scan_order(32, 6, 4, np.float32) != scan_order(32, 6, 4, np.float64)).any()
+        x, params = _ss2d_case(np.float32, (4, 8))
+        wide = getattr(params.scan, field).value
+        wide.data = wide.data.astype(np.float64)
+        stacked = T.value(ss2d_block(x, params))
+        oracle = T.value(_per_direction_ss2d(x, params, _direction_slices(params)))
+        assert stacked.tobytes() == oracle.tobytes()
 
     def test_init_draws_one_direction_after_another(self):
         # the stacked draw equals four one-sequence draws in turn, so seeded weights match the per-direction layout

@@ -10,6 +10,7 @@ import pytest
 
 from pillarmamba.boxes import Box3D
 from pillarmamba.config import (
+    config_digest,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -318,6 +319,29 @@ class TestConfig:
             ("head", "score_threshold", float("inf"), "head.score_threshold"),
             ("head", "score_threshold", -0.1, "head.score_threshold"),
             ("head", "score_threshold", 1.0, "head.score_threshold"),
+            ("eval.iou_thresholds", "vehicle", 1.5, "eval.iou_thresholds.vehicle"),
+            ("eval.iou_thresholds", "pedestrian", 0.0, "eval.iou_thresholds.pedestrian"),
+            ("eval.iou_thresholds", "cyclist", float("nan"), "eval.iou_thresholds.cyclist"),
+            ("head", "gaussian_min_overlap", 0.0, "head.gaussian_min_overlap"),
+            ("head", "gaussian_min_overlap", 1.0, "head.gaussian_min_overlap"),
+            ("head", "gaussian_min_overlap", float("nan"), "head.gaussian_min_overlap"),
+            ("head", "reg_weight", -1.0, "head.reg_weight"),
+            ("head", "reg_weight", float("inf"), "head.reg_weight"),
+            ("head", "reg_weight", float("nan"), "head.reg_weight"),
+            ("data", "size_priors", {"vehicle": [4.5, float("nan"), 1.6], "pedestrian": [0.8, 0.8, 1.7], "cyclist": [1.8, 0.6, 1.7]}, "data.size_priors.vehicle"),
+            ("data", "size_priors", {"vehicle": [4.5, 1.9, 1.6], "pedestrian": [0.8, 0.8, 1.7], "cyclist": [float("inf"), 0.6, 1.7]}, "data.size_priors.cyclist"),
+            ("data", "noise_sigma", -0.01, "data.noise_sigma"),
+            ("data", "noise_sigma", float("inf"), "data.noise_sigma"),
+            ("data", "min_center_gap", -1.0, "data.min_center_gap"),
+            ("data", "min_center_gap", float("nan"), "data.min_center_gap"),
+            ("data", "ground_offset", float("inf"), "data.ground_offset"),
+            ("data", "ground_offset", float("nan"), "data.ground_offset"),
+            ("grid", "x_range", [0.0, float("inf")], "grid.x_range"),
+            ("grid", "y_range", [float("nan"), 6.4], "grid.y_range"),
+            ("grid", "z_range", [-3.0, float("inf")], "grid.z_range"),
+            ("grid", "x_range", [-1e308, 1e308], "grid.x_range"),
+            ("grid", "pillar_size", float("nan"), "grid.pillar_size"),
+            ("grid", "pillar_size", float("inf"), "grid.pillar_size"),
         ],
         ids=[
             "prior-str", "prior-int", "prior-short", "prior-elem", "count-bool", "count-negative",
@@ -330,6 +354,11 @@ class TestConfig:
             "state-dim-zero", "hsb-layers-zero", "split-improper", "branch-indivisible",
             "lr-nan", "lr-inf", "lr-zero", "lr-negative", "top-k-zero", "top-k-negative",
             "score-threshold-nan", "score-threshold-inf", "score-threshold-negative", "score-threshold-one",
+            "iou-threshold-above-one", "iou-threshold-zero", "iou-threshold-nan", "gaussian-overlap-zero",
+            "gaussian-overlap-one", "gaussian-overlap-nan", "reg-weight-negative", "reg-weight-inf", "reg-weight-nan",
+            "prior-nan", "prior-inf", "noise-sigma-negative", "noise-sigma-inf", "center-gap-negative", "center-gap-nan", "ground-offset-inf",
+            "ground-offset-nan", "x-range-inf", "y-range-nan", "z-range-inf", "x-range-overflowing-cells",
+            "pillar-size-nan", "pillar-size-inf",
         ],
     )
     def test_bad_value_rejected_at_load_with_path(self, section, key, value, path):
@@ -341,6 +370,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError) as err:
             config_from_dict(raw)
         assert path in str(err.value)
+
+    def test_default_digest_is_pinned(self):
+        # the domain checks add no field, so the defaults' echo dump keeps its hash
+        assert config_digest(default_config()) == "87f660ddde72d6c9"
 
     def test_missing_grid_rejected(self):
         with pytest.raises(ConfigurationError) as err:

@@ -1,5 +1,5 @@
-"""Scan engine tests: ZOH closed forms, three-form equivalence, stability,
-selective parameterization, and gradients through the fused scan."""
+"""Scan tests: the float64 references (ZOH closed forms, the sequential and convolution forms), the detector's sweep
+against them, stability, selective parameterization, and gradients through the fused scan."""
 
 import math
 import tracemalloc
@@ -9,26 +9,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rng
+from conftest import (
+    ZOH_SERIES_SWITCH,
+    apply_conv_form,
+    class_sweep_scan,
+    lift,
+    recurrent_scan,
+    rng,
+    scan_kernel,
+    sequential_scan,
+    zoh_factors,
+)
 from pillarmamba import ssm
 from pillarmamba import tensor as T
 from pillarmamba.errors import ContractViolation
 from pillarmamba.ssm import (
     SCAN_BLOCK_BYTES,
-    ZOH_SERIES_SWITCH,
-    apply_conv_form,
     associative_scan,
     class_scan,
     init_selective_projections,
-    scan_kernel,
     scan_order,
-    scan_parallel_arrays,
-    scan_recurrent_arrays,
     selective_discretize,
     selective_params,
     selective_scan_tokens,
     ssm_scan,
-    zoh_factors,
 )
 
 
@@ -78,16 +82,16 @@ class TestZoh:
 
 class TestScanForms:
     def test_hand_recurrence(self):
-        y = scan_recurrent_arrays([0.5], [1.0], [1.0], np.array([1.0, 1.0, 1.0]))[:, 0]
+        y = recurrent_scan([0.5], [1.0], [1.0], np.array([1.0, 1.0, 1.0]))[:, 0]
         np.testing.assert_allclose(y, [1.0, 1.5, 1.75])
 
     def test_zero_input(self):
-        y = scan_recurrent_arrays([0.3, -0.2], [1.0, 2.0], [1.0, 1.0], np.zeros(5))[:, 0]
+        y = recurrent_scan([0.3, -0.2], [1.0, 2.0], [1.0, 1.0], np.zeros(5))[:, 0]
         np.testing.assert_array_equal(y, 0.0)
 
     def test_memoryless(self):
         x = rng(0).normal(size=8)
-        y = scan_recurrent_arrays([0.0], [0.7], [2.0], x)[:, 0]
+        y = recurrent_scan([0.0], [0.7], [2.0], x)[:, 0]
         np.testing.assert_allclose(y, 1.4 * x)
 
     def test_kernel_values(self):
@@ -107,29 +111,15 @@ class TestScanForms:
         y = apply_conv_form(np.array([2.0]), scan_kernel([0.9], [0.5], [3.0], 1))
         assert y[0] == pytest.approx(3.0 * 0.5 * 2.0)
 
-    def test_kernel_rejects_per_step_params(self):
-        with pytest.raises(ContractViolation):
-            scan_kernel(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)), 4)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_equals_recurrent_random(self, seed):
         r = rng(seed)
         m, t_len = int(r.integers(1, 9)), int(r.integers(1, 65))
         a_bar, b_bar, c_bar = r.uniform(-0.99, 0.99, m), r.normal(size=m), r.normal(size=m)
         x = r.normal(size=t_len)
-        y_rec = scan_recurrent_arrays(a_bar, b_bar, c_bar, x)[:, 0]
+        y_rec = recurrent_scan(a_bar, b_bar, c_bar, x)[:, 0]
         y_conv = apply_conv_form(x, scan_kernel(a_bar, b_bar, c_bar, t_len))
         assert np.abs(y_rec - y_conv).max() <= 1e-6
-
-
-def _sequential(coeff, update):
-    """Plain time loop for h_t = coeff_t * h_{t-1} + update_t from a zero state, in float64."""
-    h = np.zeros(update.shape[1:])
-    out = np.empty(update.shape)
-    for t in range(coeff.shape[0]):
-        h = coeff[t] * h + update[t]
-        out[t] = h
-    return out
 
 
 def _one_block_scan(a, u):
@@ -351,6 +341,8 @@ class TestScanOrder:
 
 
 class TestParallelScan:
+    """``associative_scan`` and the detector's sweep (``class_sweep_scan``) against the sequential oracle."""
+
     # lengths 0-70 leave every partial trailing block at each level s <= 16; 129, 257 and 1000 reach deeper levels
     @pytest.mark.parametrize("t_len", list(range(71)) + [129, 257, 1000])
     def test_associative_scan_matches_loop_at_every_length(self, t_len):
@@ -361,14 +353,14 @@ class TestParallelScan:
             u = update.copy()
             h = associative_scan(coeff.copy(), u)
             assert h is u  # the state overwrites the caller's update buffer
-            np.testing.assert_allclose(h, _sequential(coeff, update), rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(h, sequential_scan(coeff, update), rtol=1e-10, atol=1e-12)
 
     def test_associative_scan_on_reversed_views(self):
         # reversed views of fresh buffers, as the adjoint passes them
         r = rng(12)
         coeff = r.uniform(-0.99, 0.99, (37, 2, 3))
         update = r.normal(size=(37, 2, 3))
-        expected = _sequential(coeff[::-1], update[::-1])
+        expected = sequential_scan(coeff[::-1], update[::-1])
         np.testing.assert_allclose(associative_scan(coeff[::-1], update[::-1]), expected, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(update[::-1], expected, rtol=1e-10, atol=1e-12)
 
@@ -387,7 +379,7 @@ class TestParallelScan:
         update = r.normal(size=(300, 4, 2)).astype(np.float32)
         h = associative_scan(coeff.copy(), update.copy())
         assert h.dtype == np.float32
-        np.testing.assert_allclose(h, _sequential(coeff.astype(np.float64), update), rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(h, sequential_scan(coeff.astype(np.float64), update), rtol=1e-4, atol=1e-4)
 
     @pytest.mark.parametrize("t_len", [1, 2, 3])
     def test_exhaustive_tiny_lengths(self, t_len):
@@ -395,10 +387,8 @@ class TestParallelScan:
         ab = r.uniform(-0.9, 0.9, (t_len, 2, 3))
         bb = r.normal(size=(t_len, 2, 3))
         cb = r.normal(size=(t_len, 2, 3))
-        x = r.normal(size=(t_len, 2))
-        np.testing.assert_allclose(
-            scan_parallel_arrays(ab, bb, cb, x), scan_recurrent_arrays(ab, bb, cb, x), atol=1e-12
-        )
+        a, u, _ = lift(ab, bb, cb, r.normal(size=(t_len, 2)))
+        np.testing.assert_allclose(class_sweep_scan(a, u), sequential_scan(a, u), atol=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_matches_sequential(self, seed):
@@ -409,19 +399,18 @@ class TestParallelScan:
         ab = r.uniform(-0.99, 0.99, shape)
         bb = r.normal(size=shape)
         cb = r.normal(size=shape)
-        x = r.normal(size=(t_len, d))
-        assert np.abs(scan_parallel_arrays(ab, bb, cb, x) - scan_recurrent_arrays(ab, bb, cb, x)).max() <= 1e-6
+        a, u, _ = lift(ab, bb, cb, r.normal(size=(t_len, d)))
+        assert np.abs(class_sweep_scan(a, u) - sequential_scan(a, u)).max() <= 1e-6
 
     def test_state_reset_on_alternating_zero_coefficient(self):
         t_len = 8
-        ab = np.tile(np.array([0.0, 1.0])[: t_len % 2 + 2], 1)
         ab = np.resize(np.array([0.0, 1.0]), t_len).reshape(t_len, 1, 1)
         bb = np.ones((t_len, 1, 1))
         cb = np.ones((t_len, 1, 1))
         x = rng(3).normal(size=(t_len, 1))
-        y_seq = scan_recurrent_arrays(ab, bb, cb, x)
-        y_par = scan_parallel_arrays(ab, bb, cb, x)
-        np.testing.assert_allclose(y_par, y_seq, atol=1e-12)
+        y_seq = recurrent_scan(ab, bb, cb, x)
+        a, u, c = lift(ab, bb, cb, x)
+        np.testing.assert_allclose((c * class_sweep_scan(a, u)).sum(axis=-1), y_seq, atol=1e-12)
         # coefficient 0 resets the state: those outputs equal the bare input
         np.testing.assert_allclose(y_seq[0::2], x[0::2], atol=1e-12)
 
@@ -435,7 +424,7 @@ class TestStability:
         a_bar, scale = zoh_factors(a, delta)
         b_bar = scale * b
         x = r.uniform(-1.0, 1.0, 200)
-        y = scan_recurrent_arrays(a_bar, b_bar, c, x)[:, 0]
+        y = recurrent_scan(a_bar, b_bar, c, x)[:, 0]
         bound = np.abs(x).max() * np.sum(np.abs(c) * np.abs(b_bar) / (1.0 - np.abs(a_bar)))
         assert np.abs(y).max() <= bound + 1e-9
 
@@ -499,7 +488,7 @@ class TestSelective:
             order, seq = _in_scan_order(x, delta, a, b, c)
             y = _to_time_order(order, T.value(ssm_scan(*(T.Tensor(v[None]) for v in seq)))[0])
             a_bar, scale = zoh_factors(a, delta[:, :, None])
-            ref = scan_recurrent_arrays(a_bar, scale * b[:, None, :], c[:, None, :], x)
+            ref = recurrent_scan(a_bar, scale * b[:, None, :], c[:, None, :], x)
             np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
 
     def test_scan_leaves_its_inputs_untouched(self):
@@ -682,7 +671,7 @@ class TestSelective:
 def _composed_forward(x, delta, a, b_seq, c_seq):
     """``zoh_factors`` and the sequential recurrence in float64: the oracle of ``ssm._scan_forward``."""
     a_bar, scale = zoh_factors(a, delta[:, :, None])
-    return scan_recurrent_arrays(a_bar, scale * b_seq[:, None, :], c_seq[:, None, :], x)
+    return recurrent_scan(a_bar, scale * b_seq[:, None, :], c_seq[:, None, :], x)
 
 
 class TestScanForward:
