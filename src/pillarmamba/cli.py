@@ -21,6 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # POSIX only: on Windows the run report carries no process figures
+    resource = None
+
 from . import __version__
 from . import tensor as T
 from .blocks import flops_stage
@@ -85,7 +90,8 @@ def cmd_forward(args, cfg: RunConfig) -> dict:
         _dump_json(path, _detections_payload(cloud_rel, dets))
         outputs.append(str(path))
         n_dets += len(dets)
-    return {"outputs": outputs, "metrics": {"scenes": len(outputs), "detections": n_dets}}
+    dropped = {key: model.dropped[key] for key in ("dropped_out_of_range", "dropped_over_capacity", "dropped_pillars")}
+    return {"outputs": outputs, "metrics": {"scenes": len(outputs), "detections": n_dets, **dropped}}
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> dict:
@@ -333,6 +339,10 @@ def main(argv=None) -> int:
         "outputs": result.get("outputs", []),
         "metrics": result.get("metrics", {}),
     }
+    if resource is not None:
+        usage = resource.getrusage(resource.RUSAGE_SELF)  # the whole process, imports included
+        report["peak_rss_mb"] = round(usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+        report["minor_page_faults"] = usage.ru_minflt
     print(json.dumps(report, sort_keys=True))
     return 0
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +30,7 @@ class PillarMambaModel:
     encoder: EncoderParams
     backbone: BackboneParams
     head: HeadParams
+    dropped: Counter = field(default_factory=Counter)  # voxelizer drop counters, summed over every encoded cloud
 
     def named_params(self) -> list[tuple[str, T.Param]]:
         return list(T.named_params({"encoder": self.encoder, "backbone": self.backbone, "head": self.head}))
@@ -40,13 +42,15 @@ class PillarMambaModel:
 
     def encode(self, cloud: PointCloud) -> BevMap:
         enc = self.cfg.model.encoder
-        return encode_cloud(
+        bev = encode_cloud(
             cloud,
             self.cfg.grid,
             self.encoder,
             max_points_per_pillar=enc.max_points_per_pillar,
             max_pillars=enc.max_pillars,
         )
+        self.dropped.update(bev.counters)
+        return bev
 
     def backbone_forward(self, bev: BevMap):
         return backbone_forward(bev.tensor, self.cfg.model, self.backbone)
@@ -68,7 +72,12 @@ class PillarMambaModel:
 
 
 def build_model(cfg: RunConfig, seed: int = 0, dtype=np.float32) -> PillarMambaModel:
-    """Deterministic seeded initialization of all parameters: drawn in float64, then cast once to ``dtype``."""
+    """Deterministic seeded initialization of all parameters: drawn in float64, then cast once to ``dtype``.
+
+    The first call also sets the process's heap policy (``tensor._keep_freed_arrays``, glibc only), so
+    each scene reuses the arrays the one before it freed instead of faulting them in again.
+    """
+    T._keep_freed_arrays()
     validate_grid_for_backbone(cfg.grid.x_cells, cfg.grid.y_cells)
     rng = np.random.Generator(np.random.PCG64(seed))
     c = cfg.model.channels

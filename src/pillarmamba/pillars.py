@@ -107,10 +107,11 @@ class PillarSet:
 
 @dataclass
 class BevMap:
-    """Dense (C, X, Y) feature map tied to its grid."""
+    """Dense (C, X, Y) feature map tied to its grid, with the counters of the voxelizer that filled it."""
 
     tensor: T.Tensor
     grid: GridSpec
+    counters: dict = field(default_factory=dict)
 
 
 def voxelize(
@@ -207,19 +208,19 @@ def encode_scatter(features: Array, pillars: PillarSet, params: EncoderParams) -
     """Embed per-point features with ReLU, max-pool per pillar, scatter to the grid.
 
     Cells without a pillar stay exactly zero; the result is differentiable
-    with respect to the embedding parameters.
+    with respect to the embedding parameters and carries ``pillars.counters``.
     """
     grid = pillars.grid
     channels = T.value(params.embed_w).shape[1]
     dtype = T.value(params.embed_w).dtype
     if len(pillars) == 0:
-        return BevMap(T.Tensor(np.zeros((channels, grid.x_cells, grid.y_cells), dtype=dtype)), grid)
+        return BevMap(T.Tensor(np.zeros((channels, grid.x_cells, grid.y_cells), dtype=dtype)), grid, pillars.counters)
 
     rows = T.Tensor(features.astype(dtype, copy=False))
     embedded = T.relu(T.add(T.matmul(rows, params.embed_w), params.embed_b))
     pooled = T.segment_max(embedded, pillars.starts)  # (P, C)
     grid_rows = T.scatter_rows(pooled, pillars.flat_indices, grid.x_cells * grid.y_cells)
-    return BevMap(T.tokens_to_bev(grid_rows, grid.x_cells, grid.y_cells), grid)
+    return BevMap(T.tokens_to_bev(grid_rows, grid.x_cells, grid.y_cells), grid, pillars.counters)
 
 
 def encode_cloud(

@@ -4,10 +4,16 @@ Every operator computes its result eagerly with numpy and, while a ``Tape`` is
 active, records a closure mapping the output gradient back to input gradients.
 Only the operators defined here are differentiable. The compute path runs in
 single precision; oracle and gradient checks run the same operators in double.
+
+Every operator allocates its results anew, so a scene frees and re-allocates
+the same working set. ``_keep_freed_arrays`` (applied once by ``build_model``)
+sets glibc's malloc to keep those freed arrays in the heap for the next scene
+instead of returning them to the kernel; elsewhere it does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Iterator, Sequence
@@ -20,6 +26,42 @@ Array = np.ndarray
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 SOFTPLUS_BLOCK = 1 << 16  # elements of max(x, 0) that softplus holds at once
+
+# glibc mallopt parameters, in the order they are set. Any explicit mallopt freezes glibc's dynamic
+# mmap threshold, so the trim threshold alone would leave every array of 128 KiB or more to be
+# mmapped and unmapped per use: it is set only once the mmap threshold has been accepted.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = (
+    (_M_MMAP_THRESHOLD, 32 << 20),  # glibc's 64-bit maximum: arrays below it come from the heap
+    (_M_TRIM_THRESHOLD, 1 << 30),  # free heap top kept before it is handed back to the kernel
+)
+_heap_policy_kept: bool | None = None  # the first _keep_freed_arrays call's outcome; malloc's policy is per process too
+
+
+def _keep_freed_arrays() -> bool:
+    """Keep freed arrays in glibc's heap for reuse; True if every setting was accepted.
+
+    By default glibc unmaps large freed arrays and trims the heap top, so each
+    scene faults its working set in again as zeroed pages (about 10,000 per
+    128x128 scene). With the policy the process keeps the heap's high-water
+    mark and reuses it. Only placement changes, never values. The first call
+    sets the policy; later calls return its outcome without touching the
+    allocator. Where libc has no ``mallopt`` (macOS, Windows) it does nothing,
+    and after a refused setting the rest are not tried.
+    """
+    global _heap_policy_kept
+    if _heap_policy_kept is None:
+        _heap_policy_kept = _set_heap_policy()
+    return _heap_policy_kept
+
+
+def _set_heap_policy() -> bool:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no process handle (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)  # stops at the first refusal
 
 
 def _stable_sigmoid(x: Array) -> Array:

@@ -21,6 +21,7 @@ from pillarmamba.config import config_from_dict, config_to_dict, default_config
 from pillarmamba.cross_scan import DIRECTIONS
 from pillarmamba.data_io import box_record, detection_record, load_cloud, load_labels
 from pillarmamba.model import WEIGHTS_MAGIC, build_model, load_weights, save_weights
+from pillarmamba.pillars import voxelize
 from pillarmamba.errors import FormatError
 
 
@@ -192,6 +193,25 @@ BAD_CONFIGS = {
         "grid.pillar_size",
     ),
 }
+
+
+def test_forward_reports_the_voxelizer_drops_summed_over_its_scenes(dataset, tiny_cfg_path, tmp_path, capsys):
+    raw = json.loads(Path(tiny_cfg_path).read_text())
+    raw["model"]["encoder"].update(max_points_per_pillar=2, max_pillars=300)
+    cfg_path = tmp_path / "capped.json"
+    cfg_path.write_text(json.dumps(raw))
+    argv = ["forward", "--config", str(cfg_path), "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets")]
+    assert cli.main(argv) == 0
+    metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["metrics"]
+    cfg = config_from_dict(raw)
+    enc = cfg.model.encoder
+    expected = {"dropped_out_of_range": 0, "dropped_over_capacity": 0, "dropped_pillars": 0}
+    for entry in json.loads((dataset / "manifest.json").read_text())["scenes"]:
+        cloud = load_cloud(dataset / entry["cloud"])
+        counters = voxelize(cloud, cfg.grid, enc.max_points_per_pillar, enc.max_pillars).counters
+        expected = {key: n + counters[key] for key, n in expected.items()}
+    assert {key: metrics[key] for key in expected} == expected
+    assert expected["dropped_over_capacity"] > 0 and expected["dropped_pillars"] > 0
 
 
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
@@ -621,13 +641,45 @@ def test_diagnose_scan_bad_grid(capsys):
         assert grid in err["error"]["message"]
 
 
+REPORT_KEYS = {"command", "config_digest", "seed", "wall_time_s", "outputs", "metrics"}
+PROCESS_KEYS = {"peak_rss_mb", "minor_page_faults"}
+
+
 def test_run_report_schema(tiny_cfg_path, tmp_path, capsys):
     rc = cli.main(["gen", "--config", tiny_cfg_path, "--out", str(tmp_path / "d"), "--scenes", "1", "--seed", "9"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert set(report) == {"command", "config_digest", "seed", "wall_time_s", "outputs", "metrics"}
+    assert set(report) == REPORT_KEYS | PROCESS_KEYS
     assert report["seed"] == 9
     assert report["config_digest"]
+    assert report["peak_rss_mb"] > 0 and isinstance(report["minor_page_faults"], int)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_run_report_carries_the_process_cost(command, dataset, tiny_cfg_path, tmp_path, capsys):
+    argv = {
+        "gen": ["--out", str(tmp_path / "d"), "--scenes", "1"],
+        "forward": ["--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets")],
+        "gradcheck": ["--seeds", "1"],
+        "train-toy": ["--scene", str(dataset / "scene_0000.bin"), "--steps", "1", "--out", str(tmp_path / "w.pmw")],
+        "eval": ["--dets", str(tmp_path / "dets"), "--manifest", str(dataset / "manifest.json")],
+        "bench": ["--repeat", "1", "--out", str(tmp_path)],
+        "diagnose-scan": ["--grid", "4x4", "--out", str(tmp_path / "scan.json")],
+    }[command]
+    if command == "eval":
+        (tmp_path / "dets").mkdir()
+        for i in range(2):
+            (tmp_path / "dets" / f"dets_{i:04d}.json").write_text(json.dumps({"detections": []}))
+    assert cli.main([command, "--config", tiny_cfg_path, *argv]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert set(report) == REPORT_KEYS | PROCESS_KEYS
+    assert report["peak_rss_mb"] > 0 and report["minor_page_faults"] > 0
+
+
+def test_run_report_without_resource_omits_the_process_cost(tiny_cfg_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "resource", None)  # as on a platform without the module
+    assert cli.main(["diagnose-scan", "--config", tiny_cfg_path, "--grid", "4x4", "--out", str(tmp_path / "s.json")]) == 0
+    assert set(json.loads(capsys.readouterr().out.strip().splitlines()[-1])) == REPORT_KEYS
 
 
 def test_readme_cli_examples_parse():
