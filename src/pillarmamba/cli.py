@@ -322,11 +322,11 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.seterr(over="ignore", invalid="ignore", divide="ignore")
     t0 = time.perf_counter()
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        result = args.fn(args, cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the caller's settings come back after
+            cfg = load_config(args.config) if args.config else default_config()
+            result = args.fn(args, cfg)
     except Exception as exc:  # structured failure, exit 1
         log.debug("command failed", exc_info=True)
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)

@@ -4,10 +4,10 @@ A (C, X, Y) map is flattened into a stack of four 1-D token sequences (row-
 and column-major, and their reversals), scanned as one stack with one
 parameter set per direction, then merged back by inverse permutation and
 summation. The flatten and merge gathers take the direction permutations
-composed with the scan's row order (``ssm.scan_order``), so the scan reads
-and writes its sequences in that order at no cost. Also provides grid
-diagnostics, in time order, quantifying how flattening stretches spatial
-neighborhoods and how long the empty-cell runs are.
+composed with the scan's row order (``ssm.scan_order``, from the sizes
+alone), so the scan reads and writes its sequences in that order at no cost.
+Also provides grid diagnostics, in time order, quantifying how flattening
+stretches spatial neighborhoods and how long the empty-cell runs are.
 """
 
 from __future__ import annotations
@@ -48,16 +48,16 @@ def direction_permutations(x_cells: int, y_cells: int) -> tuple[Array, Array]:
     return _with_inverse(_time_steps(x_cells, y_cells))
 
 
-def scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int, dtype) -> tuple[Array, Array]:
-    """``direction_permutations`` composed with ``scan_order(X*Y, channels, state_dim, dtype)``: (K, X*Y) scan
-    position -> grid index, and its row-wise inverse (grid index -> scan position); both read-only. Cached with
-    the scan's layout constants in the key, so a changed constant never meets a stale order."""
-    return _scan_permutations(x_cells, y_cells, channels, state_dim, np.dtype(dtype), ssm.SCAN_BLOCK_BYTES, ssm.SCAN_LEVELS)
+def scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int) -> tuple[Array, Array]:
+    """``direction_permutations`` composed with ``scan_order(X*Y, channels, state_dim)``: (K, X*Y) scan position ->
+    grid index, and its row-wise inverse (grid index -> scan position); both read-only. Cached with the scan's
+    layout constants in the key, so a changed constant never meets a stale order."""
+    return _scan_permutations(x_cells, y_cells, channels, state_dim, ssm.SCAN_BLOCK_ELEMENTS, ssm.SCAN_LEVELS)
 
 
 @lru_cache(maxsize=128)
-def _scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int, dtype, *_layout) -> tuple[Array, Array]:
-    order = ssm.scan_order(x_cells * y_cells, channels, state_dim, dtype)
+def _scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int, *_layout) -> tuple[Array, Array]:
+    order = ssm.scan_order(x_cells * y_cells, channels, state_dim)
     return _with_inverse(_time_steps(x_cells, y_cells)[:, order])
 
 
@@ -121,14 +121,13 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     Pipeline: 1x1 projection + SiLU -> directional flatten in scan order ->
     selective scan of the direction stack (one parameter set per direction)
     -> inverse-permute + sum -> per-site channel normalization -> 1x1 output
-    projection. The scan order is that of the dtype the scan's state takes
-    (``ssm._tokens_state_dtype``).
+    projection. The scan order (``scan_permutations``) depends on the grid,
+    channel and state sizes alone.
     """
     _, x_cells, y_cells = T.as_tensor(bev).shape
     h = T.silu(T.conv2d(bev, params.in_proj_w, params.in_proj_b))
-    s = params.scan
-    perm, inv = scan_permutations(x_cells, y_cells, h.shape[0], s.a_log.shape[-1], ssm._tokens_state_dtype(h, s))
-    scanned = selective_scan_tokens(cross_scan_flatten(h, perm), s)
+    perm, inv = scan_permutations(x_cells, y_cells, h.shape[0], params.scan.a_log.shape[-1])
+    scanned = selective_scan_tokens(cross_scan_flatten(h, perm), params.scan)
     merged = cross_merge(scanned, inv, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)

@@ -166,16 +166,17 @@ def pr_curve_for_class(
     iou_fn=rotated_iou_3d,
 ) -> PrCurve:
     """Match per scene, then order all detections globally by descending score."""
-    records = []  # (-score, scene, idx, is_tp): deterministic global order
+    # (-score, scene, match rank, is_tp): a deterministic global order; match_scene ranks by (-score, index), so the
+    # rank breaks a tie within a scene as the index does
+    records = []
     n_gt = 0
     for scene, (dets, gts) in enumerate(zip(detections_per_scene, gts_per_scene)):
         cls_dets = [d for d in dets if d.box.cls == cls]
         cls_gts = [g for g in gts if g.cls == cls]
         n_gt += len(cls_gts)
         match = match_scene(cls_dets, cls_gts, iou_threshold, iou_fn)
-        order = sorted(range(len(cls_dets)), key=lambda i: (-cls_dets[i].score, i))
-        for rank, i in enumerate(order):
-            records.append((-cls_dets[i].score, scene, i, match.detection_to_gt[rank] is not None))
+        for rank, (score, gt) in enumerate(zip(match.scores, match.detection_to_gt)):
+            records.append((-score, scene, rank, gt is not None))
     records.sort()
     return PrCurve(
         scores=np.array([-r[0] for r in records]),

@@ -7,12 +7,12 @@ discretizes, scans and contracts one row block at a time, and its backward
 is hand-written. The scan is a work-efficient prefix scan (Brent-Kung, in
 place on strided views, ``associative_scan``) over the associative lift
 ``(a, u) o (a', u') = (a*a', a'*u + u')``. ``ssm_scan`` takes and returns
-sequences in scan order (``scan_order``): each row block holds its rows
-grouped by time step mod 2^L, so the sweep's first and last L Brent-Kung
-levels (``class_scan``) run on contiguous slices, with the bytes of
-``associative_scan`` on the time-ordered block. The float64 references it is
-verified against (ZOH, the sequential and convolution forms) live with the
-tests, in ``tests/conftest.py``.
+sequences in scan order (``scan_order``, from the shapes alone): each row
+block holds its rows grouped by time step mod 2^L, so the sweep's first and
+last L Brent-Kung levels (``class_scan``) run on contiguous slices, with the
+bytes of ``associative_scan`` on the time-ordered block. The float64
+references it is verified against (ZOH, the sequential and convolution
+forms) live with the tests, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .errors import ContractViolation
 
 Array = np.ndarray
 
-# Bytes of one row block of one (T, D, M) buffer in the scan's one pass over row blocks: the
-# forward's three blocks (state, a_bar, spread scratch) stay in a 2 MiB L2. Median dense 128x128
-# `detect` on a 2-vCPU Xeon (2 MiB L2 per core), sizes interleaved over 20 rounds of two scenes:
-# 0.434 s at 512 KiB, 0.462 s at 256 KiB, 0.463 s at 1 MiB.
-SCAN_BLOCK_BYTES = 1 << 19
+# Elements of one row block of one (T, D, M) buffer in the scan's one pass over row blocks, so the row order
+# depends on shapes alone: at float32 (512 KiB) the forward's three blocks (state, a_bar, spread scratch) stay in
+# a 2 MiB L2. Median dense 128x128 `detect` on a 2-vCPU Xeon (2 MiB L2 per core), sizes interleaved over 20
+# rounds of two scenes: 0.434 s at 512 KiB, 0.462 s at 256 KiB, 0.463 s at 1 MiB.
+SCAN_BLOCK_ELEMENTS = 1 << 17
 # L, the depth of a row block's class layout (``scan_order``): the sweep's first and last L levels run on
 # contiguous slices. Median `detect` on a 2-vCPU Xeon, depths interleaved over 8 (dense 128x128) and 10 (desk
 # 64x64) rounds of two scenes: dense 0.331 s at L = 0 (time order), 0.317 at 1, 0.304 at 2, 0.286 at 3, 0.291 at 4,
@@ -46,9 +46,9 @@ INIT_DT_MIN, INIT_DT_MAX = 1e-3, 0.1  # range of the initial step sizes softplus
 # ---------------------------------------------------------------------------
 
 
-def _block_rows(row_bytes: int) -> int:
-    """R: the largest power of two whose rows of ``row_bytes`` fit in SCAN_BLOCK_BYTES (at least 1)."""
-    return 1 << max((SCAN_BLOCK_BYTES // max(row_bytes, 1)).bit_length() - 1, 0)
+def _block_rows(row_elements: int) -> int:
+    """R: the largest power of two whose rows of ``row_elements`` fit in SCAN_BLOCK_ELEMENTS (at least 1)."""
+    return 1 << max((SCAN_BLOCK_ELEMENTS // max(row_elements, 1)).bit_length() - 1, 0)
 
 
 def associative_scan(a: Array, u: Array) -> Array:
@@ -70,7 +70,7 @@ def associative_scan(a: Array, u: Array) -> Array:
     """
     if a.shape != u.shape or a.dtype != u.dtype:
         raise ContractViolation(f"associative_scan buffers differ: a {a.shape} {a.dtype}, u {u.shape} {u.dtype}")
-    r = _block_rows(u.itemsize * math.prod(u.shape[1:]))
+    r = _block_rows(math.prod(u.shape[1:]))
     prod = np.empty((min(r, a.shape[0]) // 2,) + u.shape[1:], dtype=u.dtype)  # a[hi] * u[lo] of one level
     for k0 in range(0, a.shape[0], r):
         ab, ub = a[k0 : k0 + r], u[k0 : k0 + r]
@@ -111,20 +111,20 @@ def _bit_reversal(levels: int) -> list[int]:
     return rev
 
 
-def scan_order(t_len: int, d: int, m: int, dtype) -> Array:
+def scan_order(t_len: int, d: int, m: int) -> Array:
     """Read-only (T,) map from scan position to time step: the row order ``ssm_scan`` takes its sequences in.
 
     The positions are cut into the forward's row blocks of R rows
-    (``_block_rows`` of a (D, M) state row of ``dtype``). A block of n rows,
-    at depth L = ``_block_levels(n, SCAN_LEVELS)``, holds its steps grouped by residue
-    class t mod 2^L (t counted from the block's first step), the classes in
-    bit-reversed order and each class in time order. 2^L divides n, so every
-    class holds n / 2^L rows, the block's first and last step stay its first
-    and last row, and the reversed block is the class layout of the reversed
-    steps. Not cached: its callers cache what they build from it, and holding
+    (``_block_rows`` of a (D, M) state row, in any dtype). A block of n
+    rows, at depth L = ``_block_levels(n, SCAN_LEVELS)``, holds its steps
+    grouped by residue class t mod 2^L (t counted from the block's first
+    step), the classes in bit-reversed order and each class in time order.
+    2^L divides n, so every class holds n / 2^L rows, the block's first and
+    last step stay its first and last row, and the reversed block is the
+    class layout of the reversed steps. Not cached: its callers cache what they build from it, and holding
     the orders too read the dense 128x128 peak RSS 1.5 MB higher.
     """
-    return _class_order(t_len, _block_rows(np.dtype(dtype).itemsize * d * m), SCAN_LEVELS)
+    return _class_order(t_len, _block_rows(d * m), SCAN_LEVELS)
 
 
 def _class_order(t_len: int, r: int, levels: int) -> Array:
@@ -286,7 +286,7 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     a_row = a.reshape(dm).astype(dtype)
     spread_z, recip = _a_terms(a, dtype)  # as in the forward
     h_rows = h.reshape(t_len, dm)
-    r_f = _block_rows(h.itemsize * dm)  # the forward's row blocks, which hold the class layout
+    r_f = _block_rows(dm)  # the forward's row blocks, which hold the class layout
     r = max(r_f // 4, 1)
     prev, nxt_step = _step_neighbors(t_len, r_f, SCAN_LEVELS)
     q, xe, be, p = np.empty((4, min(r, t_len), dm), dtype=dtype)
@@ -354,12 +354,6 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     return g_x, g_delta, g_a, g_b, g_c
 
 
-def _state_dtype(x, delta, a, b_seq) -> np.dtype:
-    """The dtype of ``ssm_scan``'s state h, and so of its ``scan_order``: the widest of x, delta, a and b_seq, each
-    an array or a dtype. c_seq only reads h out, so it widens y but not h."""
-    return np.result_type(x, delta, a, b_seq)
-
-
 def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, y: Array, keep_h: bool) -> Array | None:
     """Fill y (T,D) with the output of ``ssm_scan``, in one pass over row blocks of R rows; return the state
     h (T,D,M) if keep_h, else None.
@@ -371,8 +365,8 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
     carried as one row, is folded into the block's first row (its first
     step); ``class_scan`` sweeps the block; and y is one batched mat-vec of
     the block's state with c. The
-    expanded terms never leave the block. h takes the dtype ``_state_dtype``
-    names; the whole (T,D,M) h is kept only if asked (the tape's backward
+    expanded terms never leave the block. h takes the widest dtype of x,
+    delta, a and b_seq; the whole (T,D,M) h is kept only if asked (the tape's backward
     reads it), else one block of it is reused, with the same bits. The
     a-weighted selector and 1/a are built once (``_a_terms``). h rounds as
     ``associative_scan`` on the whole time-ordered buffers does, and the mat-vec sums over
@@ -381,9 +375,9 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
     """
     t_len, d = x.shape
     m = a.shape[-1]
-    dtype = _state_dtype(x, delta, a, b_seq)
+    dtype = np.result_type(x, delta, a, b_seq)  # c_seq only reads h out, so it widens y but not h
     carry = np.empty((1, d, m), dtype=dtype)  # the final state of the block before
-    r = _block_rows(carry.nbytes)
+    r = _block_rows(d * m)
     h = np.empty((t_len if keep_h else min(r, t_len), d, m), dtype=dtype)
     a_bar, work = np.empty((2, min(r, t_len), d, m), dtype=dtype)
     a_terms = _a_terms(a, dtype)
@@ -406,9 +400,8 @@ def ssm_scan(x, delta, a, b_seq, c_seq) -> T.Tensor:
 
     x, delta (K,T,D); a (K,D,M); b_seq, c_seq (K,T,M) -> y (K,T,D), with
     h_t = a_bar_t * h_{t-1} + b_bar_t * x_t and y_t = c_t . h_t per sequence.
-    The T axis of every sequence, in and out, is in ``scan_order(T, D, M,
-    dtype)``, dtype that of the state (``_state_dtype``):
-    the caller gathers its sequences in that order, as the cross scan does
+    The T axis of every sequence, in and out, is in ``scan_order(T, D, M)``,
+    which depends on the shapes alone: the caller gathers its sequences in that order, as the cross scan does
     by composing it into its direction permutations, and reads y back
     through its inverse. ``_scan_forward`` runs each sequence in turn, discretizing, scanning and
     contracting one row block at a time, and writes its y into the one
@@ -469,13 +462,6 @@ def selective_params(tokens, proj: SelectiveProjections):
     delta = T.softplus(T.add(T.matmul(tokens, proj.w_delta), proj.b_delta))  # (K, T, D)
     a = T.neg(T.texp(proj.a_log))  # (K, D, M), strictly negative
     return b_seq, c_seq, delta, a
-
-
-def _tokens_state_dtype(tokens, proj: SelectiveProjections) -> np.dtype:
-    """``_state_dtype`` of the scan that ``selective_scan_tokens(tokens, proj)`` runs, read off the dtypes alone: each
-    output of ``selective_params`` takes the widest dtype of the arrays it is computed from."""
-    dt = lambda *vs: np.result_type(*(T.value(v) for v in vs))
-    return _state_dtype(dt(tokens), dt(tokens, proj.w_delta, proj.b_delta), dt(proj.a_log), dt(tokens, proj.w_b, proj.b_b))
 
 
 def selective_scan_tokens(tokens, proj: SelectiveProjections) -> T.Tensor:

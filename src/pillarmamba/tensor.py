@@ -26,6 +26,8 @@ Array = np.ndarray
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 SOFTPLUS_BLOCK = 1 << 16  # elements of max(x, 0) that softplus holds at once
+LAYER_NORM_EPS = 1e-5  # added to the per-site variance
+GRAD_CHECK_TOL = 1e-4  # largest relative error a grad_check passes
 
 # glibc mallopt parameters, in the order they are set. Any explicit mallopt freezes glibc's dynamic
 # mmap threshold, so the trim threshold alone would leave every array of 128 KiB or more to be
@@ -100,6 +102,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ContractViolation(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -695,10 +699,8 @@ def _phase_index(shape: tuple[int, int, int], kh: int, kw: int, s: int, pad: int
     ]
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel axis (axis 0), per remaining site."""
-    if eps <= 0:
-        raise ConfigurationError(f"layer_norm eps must be positive, got {eps}")
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize over the channel axis (axis 0), per remaining site, with LAYER_NORM_EPS added to the variance."""
     tx, tg, tb = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = tx.data
     c = xd.shape[0]
@@ -709,7 +711,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     bb = tb.data.reshape(bshape)
     mean = xd.mean(axis=0, keepdims=True)
     var = xd.var(axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (xd - mean) * inv
     out = Tensor(gb * xhat + bb)
     sum_axes = tuple(range(1, xd.ndim))
@@ -802,10 +804,10 @@ def grad_check(
     fn: Callable[..., Tensor],
     inputs: Sequence["Tensor | Param"],
     eps: float = 1e-5,
-    tolerance: float = 1e-4,
     name: str = "",
 ) -> GradCheckReport:
-    """Compare the tape gradient of a scalar-valued fn against central differences.
+    """Compare the tape gradient of a scalar-valued fn against central differences, of step eps; it passes at a
+    largest relative error of at most GRAD_CHECK_TOL.
 
     All checked inputs must be double precision; fn is re-evaluated 2*numel
     times per input, so keep shapes small.
@@ -839,4 +841,4 @@ def grad_check(
         per_input.append(float(rel.max()) if rel.size else 0.0)
 
     worst = max(per_input) if per_input else 0.0
-    return GradCheckReport(name=name, max_rel_error=worst, passed=worst <= tolerance, per_input=per_input)
+    return GradCheckReport(name=name, max_rel_error=worst, passed=worst <= GRAD_CHECK_TOL, per_input=per_input)

@@ -155,9 +155,9 @@ def class_sweep_scan(coeff, update):
     ``ssm.scan_order``, each row block swept by ``ssm.class_scan`` after the state of the block before is folded into
     its first row, and the states scattered back to time order. Leaves its arguments untouched."""
     t_len, d, m = update.shape
-    order = ssm.scan_order(t_len, d, m, update.dtype)
+    order = ssm.scan_order(t_len, d, m)
     a, h = np.broadcast_to(coeff, update.shape)[order], update[order]
-    r = ssm._block_rows(update.itemsize * d * m)
+    r = ssm._block_rows(d * m)
     for k0 in range(0, t_len, r):
         if k0:
             h[k0] += a[k0] * h[k0 - 1]

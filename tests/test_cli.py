@@ -682,6 +682,15 @@ def test_run_report_without_resource_omits_the_process_cost(tiny_cfg_path, tmp_p
     assert set(json.loads(capsys.readouterr().out.strip().splitlines()[-1])) == REPORT_KEYS
 
 
+@pytest.mark.parametrize("grid, code", [("4x4", 0), ("0x4", 1)], ids=["exit0", "exit1"])
+def test_main_leaves_the_numpy_error_state_as_it_found_it(grid, code, capsys):
+    # the command runs with overflow, invalid and divide warnings off; the caller's settings come back either way
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        before = np.geterr()
+        assert cli.main(["diagnose-scan", "--grid", grid]) == code
+        assert np.geterr() == before
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)

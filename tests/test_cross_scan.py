@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import recurrent_scan, rng
-from pillarmamba import ssm
+from pillarmamba import cross_scan, ssm
 from pillarmamba import tensor as T
 from pillarmamba.cross_scan import (
     DIRECTIONS,
@@ -78,25 +78,25 @@ class TestFlatten:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_cells,y_cells", [(4, 8), (5, 7), (64, 64)])
     def test_scan_permutations_compose_the_scan_order(self, x_cells, y_cells, dtype):
-        # the scan-order gathers are the time-order ones composed with ssm.scan_order, and their inverses
+        # the scan-order gathers are the time-order ones composed with ssm.scan_order, and their inverses; one pair
+        # serves maps of either dtype
         t_len = x_cells * y_cells
-        perms, invs = scan_permutations(x_cells, y_cells, 16, 8, np.dtype(dtype))
-        order = scan_order(t_len, 16, 8, np.dtype(dtype))
+        perms, invs = scan_permutations(x_cells, y_cells, 16, 8)
+        order = scan_order(t_len, 16, 8)
         np.testing.assert_array_equal(perms, direction_permutations(x_cells, y_cells)[0][:, order])
         np.testing.assert_array_equal(np.take_along_axis(perms, invs, axis=1), np.broadcast_to(np.arange(t_len), perms.shape))
         assert not (perms.flags.writeable or invs.flags.writeable)
-        x = rng(t_len).normal(size=(3, x_cells, y_cells))
+        x = rng(t_len).normal(size=(3, x_cells, y_cells)).astype(dtype)
         seqs = T.value(cross_scan_flatten(T.Tensor(x), perms))
         np.testing.assert_array_equal(seqs, T.value(_flatten(T.Tensor(x)))[:, order])
         np.testing.assert_array_equal(T.value(cross_merge(T.Tensor(seqs), invs, x_cells, y_cells)), 4.0 * x)
 
     def test_scan_permutations_follow_the_block_size(self, monkeypatch):
         # cached with the layout constants in the key: 4-row blocks give another order, never a stale one
-        dtype = np.dtype(np.float64)
-        before = scan_permutations(4, 8, 2, 3, dtype)[0]
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 2 * 3 * 8)
-        after = scan_permutations(4, 8, 2, 3, dtype)[0]
-        np.testing.assert_array_equal(after, direction_permutations(4, 8)[0][:, scan_order(32, 2, 3, dtype)])
+        before = scan_permutations(4, 8, 2, 3)[0]
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * 2 * 3)
+        after = scan_permutations(4, 8, 2, 3)[0]
+        np.testing.assert_array_equal(after, direction_permutations(4, 8)[0][:, scan_order(32, 2, 3)])
         assert (after != before).any()
 
     @given(st.integers(1, 32), st.integers(1, 32), st.integers(0, 2**31 - 1))
@@ -201,10 +201,11 @@ def _direction_slices(params) -> list[dict]:
 def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
     """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a gather in scan order,
     three 2-D matmuls, softplus, a one-sequence ``ssm_scan`` and an inverse gather; then a sum in ``DIRECTIONS``
-    order. The scan order is the direction's permutation composed with ``order`` if given, else with ``scan_order``
-    of the state dtype (``ssm._state_dtype``) of the very arrays the direction's projections hand ``ssm_scan``."""
+    order. The scan order is the direction's permutation composed with ``order`` if given, else with ``scan_order``."""
     tb = T.as_tensor(bev)
     channels, x_cells, y_cells = tb.shape
+    if order is None:
+        order = scan_order(x_cells * y_cells, channels, slices[0]["a_log"].shape[-1])
     tokens = T.bev_to_tokens(T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b)))
     one = lambda t: T.reshape(t, (1,) + t.shape)
 
@@ -217,12 +218,7 @@ def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
 
     acc = None
     for time_perm, p in zip(direction_permutations(x_cells, y_cells)[0], slices, strict=True):
-        if order is None:
-            with T.Tape():  # a throwaway tape: a caller's tape never sees this time-ordered pass
-                dtype = ssm._state_dtype(*(T.value(v) for v in project(time_perm, p)[:4]))
-            perm = time_perm[scan_order(x_cells * y_cells, channels, p["a_log"].shape[-1], dtype)]
-        else:
-            perm = time_perm[order]
+        perm = time_perm[order]
         inv = np.argsort(perm)
         seq, delta, a, b_seq, c_seq = project(perm, p)
         y = ssm_scan(*(one(t) for t in (seq, delta, a, b_seq, c_seq)))
@@ -283,24 +279,36 @@ class TestStackedAgainstPerDirection:
         # the oracle's scan order matters: the same oracle gathering in time order gives another output at 4x8
         x, params = _ss2d_case(np.float64, (4, 8))
         stacked = T.value(ss2d_block(x, params))
-        order = scan_order(32, 6, 4, np.float64)
+        order = scan_order(32, 6, 4)
         assert (order != np.arange(32)).any()
         time_ordered = T.value(_per_direction_ss2d(x, params, _direction_slices(params), np.arange(32)))
         assert np.abs(stacked - time_ordered).max() > 1e-6
 
     @pytest.mark.parametrize("field", SCAN_FIELDS)
-    def test_scan_order_follows_the_state_dtype(self, monkeypatch, field):
-        # one projection in float64, the rest in float32: 16-row float32 blocks and 8-row float64 blocks give the 4x8
-        # grid two orders, and the stacked SS2D must gather in the one of the dtype the scan's state takes (float64,
-        # except for w_c and b_c, which only read the state out)
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * 6 * 4 * 4)
-        assert (scan_order(32, 6, 4, np.float32) != scan_order(32, 6, 4, np.float64)).any()
+    def test_widened_scan_keeps_the_order(self, monkeypatch, field):
+        # the order depends on shapes alone, whatever dtype the scan's state takes: a float32 model and one with this
+        # projection widened to float64 (a float64 state, except for w_c and b_c, which only read it out) gather the
+        # 4x8 grid in one order, that of scan_order(32, 6, 4) in 16-row blocks, and the widened stacked SS2D equals
+        # its per-direction oracle byte for byte. An order that followed the dtype (8-row blocks for a float64 state)
+        # gives another output.
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 16 * 6 * 4)
+        gathers = []
+        flatten = cross_scan.cross_scan_flatten
+        monkeypatch.setattr(cross_scan, "cross_scan_flatten", lambda bev, perm: gathers.append(perm) or flatten(bev, perm))
         x, params = _ss2d_case(np.float32, (4, 8))
+        ss2d_block(x, params)
         wide = getattr(params.scan, field).value
         wide.data = wide.data.astype(np.float64)
         stacked = T.value(ss2d_block(x, params))
-        oracle = T.value(_per_direction_ss2d(x, params, _direction_slices(params)))
+        slices = _direction_slices(params)
+        oracle = T.value(_per_direction_ss2d(x, params, slices))
+        assert stacked.dtype == np.float64
         assert stacked.tobytes() == oracle.tobytes()
+        assert len(gathers) == 2
+        for perm in gathers:
+            np.testing.assert_array_equal(perm, direction_permutations(4, 8)[0][:, scan_order(32, 6, 4)])
+        byte_sized = ssm._class_order(32, 8, ssm.SCAN_LEVELS)
+        assert T.value(_per_direction_ss2d(x, params, slices, byte_sized)).tobytes() != stacked.tobytes()
 
     def test_init_draws_one_direction_after_another(self):
         # the stacked draw equals four one-sequence draws in turn, so seeded weights match the per-direction layout
@@ -352,7 +360,7 @@ class TestDiagnostics:
 
     def test_diagnostics_read_time_order_where_the_scan_order_differs(self):
         # 8x8: every scan block is in the class layout, but the diagnostics follow the directions in time order
-        assert (scan_permutations(8, 8, 4, 2, np.dtype(np.float32))[0] != direction_permutations(8, 8)[0]).any()
+        assert (scan_permutations(8, 8, 4, 2)[0] != direction_permutations(8, 8)[0]).any()
         assert neighbor_distance_histogram(8, 8, "row_forward") == {1: 56, 8: 56}
         occ = np.ones((8, 8), dtype=bool)
         occ[0] = False  # the first row: one run of 8 steps in row-major time order

@@ -14,6 +14,7 @@ from pillarmamba.metrics import (
     PrCurve,
     ap_r40,
     match_scene,
+    pr_curve_for_class,
     rotated_iou_3d,
     rotated_iou_bev,
 )
@@ -165,6 +166,14 @@ class TestApR40:
         assert result[0] == pytest.approx(1.0)
         oracle = brute_force_ap_r40(dets, gts, cls=0, thr=0.5)
         assert result[0] == pytest.approx(oracle, abs=1e-12)
+
+    def test_tied_scores_keep_scene_then_index_order(self):
+        # equal scores: scene 0 before scene 1, and within a scene the detection listed first; class 1 is skipped
+        fp, tp = Detection(box=box(x=50.0), score=0.5), Detection(box=box(), score=0.5)
+        other = Detection(box=box(cls=1), score=0.5)
+        curve = pr_curve_for_class([[fp, other, tp], [tp, fp]], [[box()], [box()]], cls=0, iou_threshold=0.5)
+        assert curve.is_tp.tolist() == [False, True, True, False]
+        assert curve.scores.tolist() == [0.5] * 4 and curve.n_gt == 2
 
     def test_pr_curve_invariants(self):
         r = rng(1)

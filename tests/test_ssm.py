@@ -24,7 +24,7 @@ from pillarmamba import ssm
 from pillarmamba import tensor as T
 from pillarmamba.errors import ContractViolation
 from pillarmamba.ssm import (
-    SCAN_BLOCK_BYTES,
+    SCAN_BLOCK_ELEMENTS,
     associative_scan,
     class_scan,
     init_selective_projections,
@@ -175,7 +175,7 @@ def _discretize(delta, a, b_seq, x, dtype=None, r=None):
 
 def _in_scan_order(x, delta, a, b_seq, c_seq):
     """One time-ordered sequence's inputs gathered into ``scan_order``, and that order."""
-    order = scan_order(x.shape[0], x.shape[1], a.shape[-1], np.result_type(delta, a, b_seq, x))
+    order = scan_order(x.shape[0], x.shape[1], a.shape[-1])
     return order, (x[order], delta[order], a, b_seq[order], c_seq[order])
 
 
@@ -218,12 +218,9 @@ def _assert_scan_matches_blockwise(coeff, update, reverse, r):
     assert associative_scan(bufs[2], bufs[3]).tobytes() == expected.tobytes()
 
 
-# (16, 8) rows, the dense stage-0 (D, M): 512 B per float32 row
+# (16, 8) rows, the dense stage-0 (D, M): 128 elements per row, R = 1024 rows per block in either dtype
 BLOCK_ROW = (16, 8)
-
-
-def _rows_per_block(dtype) -> int:
-    return 1 << int(math.log2(SCAN_BLOCK_BYTES // (math.prod(BLOCK_ROW) * np.dtype(dtype).itemsize)))
+BLOCK_R = 1 << int(math.log2(SCAN_BLOCK_ELEMENTS // math.prod(BLOCK_ROW)))
 
 
 # lengths k*R + c as (k, c), named after them
@@ -238,7 +235,7 @@ class TestBlockedScan:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", [*BLOCK_LENGTHS, "16384"])
     def test_scan_equals_one_block_sweep(self, length, dtype, reverse):
-        r_rows = _rows_per_block(dtype)
+        r_rows = BLOCK_R
         assert 4 <= r_rows <= 4096  # a 16384-row buffer spans several blocks
         k, c = BLOCK_LENGTHS.get(length, (0, 16384))
         t_len = k * r_rows + c
@@ -247,10 +244,10 @@ class TestBlockedScan:
         update = gen.normal(size=(t_len,) + BLOCK_ROW).astype(dtype)
         _assert_scan_matches_blockwise(coeff, update, reverse, r_rows)
 
-    # (2, 3) float64 rows in 4-row blocks: length 1000 folds 249 block seams
+    # (2, 3) rows in 4-row blocks: length 1000 folds 249 block seams
     @pytest.mark.parametrize("t_len", list(range(41)) + [63, 64, 65, 129, 257, 1000])
     def test_scan_equals_one_block_sweep_with_tiny_blocks(self, monkeypatch, t_len):
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 6 * 8)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * TINY_ROW)
         gen = rng(400 + t_len)
         coeff, update = gen.uniform(-1.0, 1.0, (t_len, 2, 3)), gen.normal(size=(t_len, 2, 3))
         for reverse in (False, True):
@@ -263,7 +260,7 @@ class TestBlockedScan:
         # equal the broadcasts bit for bit, whole-buffer and into caller-owned blocks of R or of 7 rows.
         d, m = BLOCK_ROW
         k, c = BLOCK_LENGTHS[length]
-        r_rows = _rows_per_block(x_dtype)
+        r_rows = BLOCK_R
         t_len = k * r_rows + c
         gen = rng(500 + t_len)
         delta = gen.uniform(0.001, 0.5, (t_len, d)).astype(np.float32)
@@ -302,8 +299,8 @@ class TestScanOrder:
         # one block in its class layout, or the reversed views of one (the adjoint's), swept in place: the state
         # equals associative_scan on the time-ordered block (reversed likewise) byte for byte
         assert ssm.SCAN_LEVELS == 3
-        n = _rows_per_block(dtype) if n == "R" else n
-        order = scan_order(n, *BLOCK_ROW, dtype)
+        n = BLOCK_R if n == "R" else n
+        order = scan_order(n, *BLOCK_ROW)
         gen = rng(1000 + n)
         coeff = gen.uniform(-1.0, 1.0, (n,) + BLOCK_ROW).astype(dtype)
         update = gen.normal(size=(n,) + BLOCK_ROW).astype(dtype)
@@ -315,15 +312,15 @@ class TestScanOrder:
 
     def test_block_layout_example(self):
         # 16 steps at depth 3: classes t mod 8 in the order 0, 4, 2, 6, 1, 5, 3, 7, each in time order
-        assert scan_order(16, *BLOCK_ROW, np.float32).tolist() == [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
-        assert scan_order(12, *BLOCK_ROW, np.float32).tolist() == [0, 4, 8, 2, 6, 10, 1, 5, 9, 3, 7, 11]
-        assert scan_order(7, *BLOCK_ROW, np.float32).tolist() == list(range(7))
+        assert scan_order(16, *BLOCK_ROW).tolist() == [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
+        assert scan_order(12, *BLOCK_ROW).tolist() == [0, 4, 8, 2, 6, 10, 1, 5, 9, 3, 7, 11]
+        assert scan_order(7, *BLOCK_ROW).tolist() == list(range(7))
 
     @pytest.mark.parametrize("t_len", [1, 7, 8, 16, 17, 40, 100, 1000])
     def test_read_only_permutation_that_keeps_block_ends(self, monkeypatch, t_len):
-        # 16-row blocks of (2, 3) float64 rows: each block starts with its first step and ends with its last
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
-        order = scan_order(t_len, 2, 3, np.float64)
+        # 16-row blocks of (2, 3) rows: each block starts with its first step and ends with its last
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 16 * TINY_ROW)
+        order = scan_order(t_len, 2, 3)
         assert not order.flags.writeable
         assert sorted(order.tolist()) == list(range(t_len))
         for k0 in range(0, t_len, 16):
@@ -332,10 +329,10 @@ class TestScanOrder:
             assert block[0] == k0 and block[-1] == k0 + block.size - 1
 
     def test_order_follows_the_block_size(self, monkeypatch):
-        # the order follows a changed SCAN_BLOCK_BYTES: 4-row blocks at depth 2
-        whole = scan_order(32, 2, 3, np.float64)
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * TINY_ROW_BYTES)
-        blocked = scan_order(32, 2, 3, np.float64)
+        # the order follows a changed SCAN_BLOCK_ELEMENTS: 4-row blocks at depth 2
+        whole = scan_order(32, 2, 3)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * TINY_ROW)
+        blocked = scan_order(32, 2, 3)
         assert blocked.tolist() == [k0 + t for k0 in range(0, 32, 4) for t in (0, 2, 1, 3)]
         assert blocked.tolist() != whole.tolist()
 
@@ -598,7 +595,7 @@ class TestSelective:
     def test_untaped_forward_equals_the_kept_state_forward(self, monkeypatch, dtype):
         # untaped, one 4-row block of h is reused and the final state carried across each seam: the output equals,
         # byte for byte, the taped scan's and a forward that keeps every row of h
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 3 * 4 * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * 3 * 4)
         for t_len in (1, 3, 4, 5, 8, 9, 37):
             seqs = [self._scan_inputs(rng(30 + t_len + j), t_len, 3, 4) for j in range(2)]
             inputs = [np.stack(arrays).astype(dtype) for arrays in zip(*seqs)]
@@ -611,7 +608,7 @@ class TestSelective:
 
     def test_a_terms_are_built_once_per_sequence(self, monkeypatch):
         # two sequences of 9 blocks each: the a-weighted selector and 1/a are built per sequence, not per block
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * 3 * 4 * 8)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * 3 * 4)
         calls = []
         a_terms = ssm._a_terms
         monkeypatch.setattr(ssm, "_a_terms", lambda *args: calls.append(args) or a_terms(*args))
@@ -679,9 +676,9 @@ class TestScanForward:
 
     @pytest.mark.parametrize("length", list(BLOCK_LENGTHS))
     def test_matches_composed_forward_with_real_blocks(self, length):
-        # (16, 8) float64 rows: R = 512
+        # (16, 8) float64 rows: R = 1024
         k, c = BLOCK_LENGTHS[length]
-        t_len = k * _rows_per_block(np.float64) + c
+        t_len = k * BLOCK_R + c
         inputs = TestSelective._scan_inputs(rng(800 + t_len), t_len, *BLOCK_ROW)
         y, h = _scan_forward(*inputs)
         assert h.shape == (t_len,) + BLOCK_ROW
@@ -690,7 +687,7 @@ class TestScanForward:
     @pytest.mark.parametrize("block", [1, 4])
     @pytest.mark.parametrize("length", list(BLOCK_LENGTHS))
     def test_matches_composed_forward_with_tiny_blocks(self, monkeypatch, block, length):
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", block * TINY_ROW_BYTES)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", block * TINY_ROW)
         k, c = BLOCK_LENGTHS[length]
         t_len = k * block + c
         inputs = TestSelective._scan_inputs(rng(900 + t_len), t_len, 2, 3)
@@ -698,7 +695,7 @@ class TestScanForward:
 
     def test_state_is_the_blocked_kernel_on_the_discretized_buffers(self, monkeypatch):
         # the fused pass runs the whole-buffer kernels' ops: h equals them byte for byte, here across 4-row seams
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 4 * TINY_ROW_BYTES)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * TINY_ROW)
         x, delta, a, b, c = TestSelective._scan_inputs(rng(25), 23, 2, 3)
         h = _scan_forward(x, delta, a, b, c)[1]
         assert h.tobytes() == associative_scan(*_one_block_discretize(delta, a, b, x)).tobytes()
@@ -770,8 +767,8 @@ def _assert_matches_composed(got, expected):
         np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * np.abs(e).max(initial=0.0))
 
 
-# (D, M) = (2, 3) float64 rows: 48 B
-TINY_ROW_BYTES = 2 * 3 * 8
+# (D, M) = (2, 3) rows: 6 elements
+TINY_ROW = 2 * 3
 
 
 class TestScanBackward:
@@ -779,9 +776,9 @@ class TestScanBackward:
 
     @pytest.mark.parametrize("length", ["1", "R-1", "R", "R+1", "3R+5"])
     def test_matches_composed_backward_with_real_blocks(self, length):
-        # (16, 8) float64 rows: R = 512 rows per forward block, 128 per backward block
+        # (16, 8) float64 rows: R = 1024 rows per forward block, 256 per backward block
         k, c = BLOCK_LENGTHS[length]
-        t_len = k * _rows_per_block(np.float64) + c
+        t_len = k * BLOCK_R + c
         inputs = _backward_inputs(rng(600 + t_len), t_len, *BLOCK_ROW)
         _assert_matches_composed(_scan_backward(*inputs), _composed_backward(*inputs))
 
@@ -789,7 +786,7 @@ class TestScanBackward:
     @pytest.mark.parametrize("block", [4, 16])
     @pytest.mark.parametrize("length", ["1", "R-1", "R", "R+1", "3R+5"])
     def test_matches_composed_backward_with_tiny_blocks(self, monkeypatch, block, length):
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", block * TINY_ROW_BYTES)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", block * TINY_ROW)
         k, c = BLOCK_LENGTHS[length]
         t_len = k * block + c
         inputs = _backward_inputs(rng(700 + t_len), t_len, 2, 3)
@@ -799,14 +796,14 @@ class TestScanBackward:
     def test_matches_composed_backward_in_scan_order(self, monkeypatch, t_len):
         # 16-row forward blocks at depth 3: T below 2^3 (time order), T not a multiple of 2^3 (a tail block at a
         # smaller depth), and T spanning several class-layout blocks
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 16 * TINY_ROW)
         inputs = _backward_inputs(rng(1100 + t_len), t_len, 2, 3)
         _assert_matches_composed(_scan_backward(*inputs), _composed_backward(*inputs))
 
     def test_grad_check_across_block_seams(self, monkeypatch):
         # 4-row backward blocks: h[k0 - 1] and the next row's a_bar cross every seam; 8, 16 and 24 steps fill
         # class-layout blocks
-        monkeypatch.setattr(ssm, "SCAN_BLOCK_BYTES", 16 * TINY_ROW_BYTES)
+        monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 16 * TINY_ROW)
         r = rng(22)
         for t_len in (3, 4, 5, 8, 9, 16, 17, 24):
             inputs = [T.Tensor(v[None]) for v in TestSelective._scan_inputs(r, t_len, 2, 3)]

@@ -249,17 +249,14 @@ class TestLayerNorm:
         r = rng(3)
         x = r.normal(size=(8, 4, 4))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        out = T.value(T.layer_norm(T.Tensor(x), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)), eps=1e-12))
-        np.testing.assert_allclose(out, x, atol=1e-5)
+        out = T.value(T.layer_norm(T.Tensor(x), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))))
+        np.testing.assert_allclose(out, x / np.sqrt(1.0 + T.LAYER_NORM_EPS), rtol=1e-12, atol=1e-12)
 
     def test_two_channel_closed_form(self):
         x = T.Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1))
-        out = T.value(T.layer_norm(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), eps=1e-15))
-        np.testing.assert_allclose(out.reshape(-1), [-1.0, 1.0], atol=1e-6)
-
-    def test_bad_eps(self):
-        with pytest.raises(ConfigurationError):
-            T.layer_norm(T.Tensor(np.zeros((2, 1, 1))), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), eps=0.0)
+        out = T.value(T.layer_norm(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))))
+        expected = np.array([-1.0, 1.0]) / np.sqrt(1.0 + T.LAYER_NORM_EPS)
+        np.testing.assert_allclose(out.reshape(-1), expected, rtol=1e-12, atol=1e-12)
 
     def test_gamma_shape_contract(self):
         with pytest.raises(ContractViolation):
@@ -688,6 +685,13 @@ class TestTensorData:
         for make in (T.Tensor, T.as_tensor):
             with pytest.raises(ContractViolation, match=f"got {dtype} data"):
                 make(data)
+
+    def test_item_reads_only_a_one_element_tensor(self):
+        assert T.Tensor(np.array([[2.5]])).item() == 2.5
+        assert T.Tensor(7.0).item() == 7.0
+        for data in (np.arange(3.0) + 5, np.zeros(0), np.ones((1, 2))):
+            with pytest.raises(ContractViolation, match="one-element"):
+                T.Tensor(data).item()
 
     def test_bool_and_int_become_float64(self):
         for data in (np.array([True, False]), np.array([1, 2], dtype=np.int32), 3):
