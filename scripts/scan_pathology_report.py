@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from pillarmamba.config import default_config
 from pillarmamba.cross_scan import DIRECTIONS, empty_run_stats, neighbor_distance_histogram
 from pillarmamba.data_io import SceneSpec, generate_scene
 from pillarmamba.pillars import GridSpec, voxelize
@@ -22,6 +23,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    encoder = default_config().model.encoder
     print(f"{'grid':>8} {'direction':>12} {'max neighbor dist':>18} {'max empty run':>14} {'empty frac':>11}")
     for cells in (32, 48, 64):
         extent = cells * 0.2
@@ -29,7 +31,7 @@ def main() -> int:
         spec = SceneSpec(grid=grid, counts={"vehicle": 1, "pedestrian": 1, "cyclist": 1},
                          background_points=0, seed=args.seed)
         cloud, _ = generate_scene(spec)
-        pillars = voxelize(cloud, grid)
+        pillars = voxelize(cloud, grid, encoder.max_points_per_pillar, encoder.max_pillars)
         occupancy = np.zeros((grid.x_cells, grid.y_cells), dtype=bool)
         occupancy[pillars.indices[:, 0], pillars.indices[:, 1]] = True
         for direction in DIRECTIONS:

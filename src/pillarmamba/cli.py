@@ -2,9 +2,12 @@
 single-scene training, AP evaluation, CSG backbone benchmark, and scan-order
 diagnostics.
 
-Every command honors ``--seed``, prints a JSON run report on stdout, and
-exits 0 on success, 1 on runtime failure (structured error on stderr), and
-2 on usage errors. Set ``PILLARMAMBA_LOG={error|info|debug}`` for logging.
+Every command accepts ``--seed`` and echoes it in its run report; ``gen``,
+``forward``, ``train-toy`` and ``bench`` draw from it, while ``gradcheck``,
+``eval`` and ``diagnose-scan`` use it for nothing more. Every command prints
+a JSON run report on stdout, and exits 0 on success, 1 on runtime failure
+(structured error on stderr), and 2 on usage errors. Set
+``PILLARMAMBA_LOG={error|info|debug}`` for the ``pillarmamba`` logger's level.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ except ImportError:  # POSIX only: on Windows the run report carries no process 
 
 from . import __version__
 from . import tensor as T
+from .backbone import backbone_forward
 from .blocks import flops_stage
 from .boxes import CLASS_IDS, CLASS_NAMES, Box3D, Detection
 from .config import RunConfig, config_digest, default_config, load_config
@@ -36,17 +40,33 @@ from .data_io import detection_from_record, detection_record, load_cloud, load_l
 from .errors import FormatError
 from .metrics import MIN_VOLUME, class_curves
 from .model import build_model, load_weights, save_weights, train_toy
-from .pillars import BevMap
 from .verify import run_grad_suite
 
 log = logging.getLogger("pillarmamba")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of the moment, where the structured error line goes too."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)  # StreamHandler's would bind the stream once
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_HANDLER = _StderrHandler()
+
+
 def _setup_logging() -> None:
+    """Set the ``pillarmamba`` logger's level from ``PILLARMAMBA_LOG``; the root logger is left alone."""
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("PILLARMAMBA_LOG", "error").lower(), logging.ERROR
     )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level)
+    log.addHandler(_HANDLER)  # a no-op once it is there
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -197,7 +217,7 @@ def cmd_bench(args, cfg: RunConfig) -> dict:
         digests = set()
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            pyr = model.backbone_forward(BevMap(bev, cfg.grid))
+            pyr = backbone_forward(bev, variant_cfg.model, model.backbone)
             times.append(time.perf_counter() - t0)
             digests.add(_digest_array(T.value(pyr.f5)))
         if len(digests) != 1:

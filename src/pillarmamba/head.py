@@ -63,7 +63,7 @@ def head_forward(f5, params: HeadParams) -> RawMaps:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_radius(height: float, width: float, min_overlap: float = 0.7) -> float:
+def gaussian_radius(height: float, width: float, min_overlap: float) -> float:
     """Radius (in cells) such that a shifted box still overlaps by min_overlap."""
     b1 = height + width
     c1 = width * height * (1 - min_overlap) / (1 + min_overlap)
@@ -103,7 +103,7 @@ class HeadTargets:
     skipped_out_of_range: int = 0
 
 
-def build_targets(boxes: list[Box3D], grid: GridSpec, n_classes: int, min_overlap: float = 0.7) -> HeadTargets:
+def build_targets(boxes: list[Box3D], grid: GridSpec, n_classes: int, min_overlap: float) -> HeadTargets:
     """Gaussian heatmap + sparse regression targets at GT center cells."""
     x_cells, y_cells = grid.x_cells, grid.y_cells
     heatmap = np.zeros((n_classes, x_cells, y_cells), dtype=np.float32)
@@ -146,7 +146,7 @@ def _square(t):
     return T.mul(t, t)
 
 
-def detection_loss(raw: RawMaps, targets: HeadTargets, reg_weight: float = 1.0):
+def detection_loss(raw: RawMaps, targets: HeadTargets, reg_weight: float):
     """Penalty-reduced focal loss on the heatmap + masked L1 on the regression.
 
     Returns (total loss Tensor, breakdown dict of floats). Both terms are
@@ -181,46 +181,37 @@ def detection_loss(raw: RawMaps, targets: HeadTargets, reg_weight: float = 1.0):
 
 
 def _local_max_mask(score: Array) -> Array:
-    """3x3 local-maximum survival with ties broken by lowest flat index."""
-    x_cells, y_cells = score.shape
-    padded = np.full((x_cells + 2, y_cells + 2), -np.inf, dtype=score.dtype)
-    padded[1:-1, 1:-1] = score
+    """3x3 local-maximum survival over the last two axes, with ties broken by lowest flat index."""
+    *lead, x_cells, y_cells = score.shape
+    padded = np.full((*lead, x_cells + 2, y_cells + 2), -np.inf, dtype=score.dtype)
+    padded[..., 1:-1, 1:-1] = score
     dead = np.zeros_like(score, dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            neighbor = padded[1 + di : 1 + di + x_cells, 1 + dj : 1 + dj + y_cells]
+            neighbor = padded[..., 1 + di : 1 + di + x_cells, 1 + dj : 1 + dj + y_cells]
             earlier = di < 0 or (di == 0 and dj < 0)
             dead |= (neighbor >= score) if earlier else (neighbor > score)
     return ~dead
 
 
-def decode(
-    raw: RawMaps,
-    grid: GridSpec,
-    top_k: int = 100,
-    score_threshold: float = 0.1,
-) -> list[Detection]:
-    """Peaks of the sigmoid heatmap -> oriented boxes, sorted by descending score."""
+def decode(raw: RawMaps, grid: GridSpec, *, top_k: int, score_threshold: float) -> list[Detection]:
+    """Peaks of the sigmoid heatmap -> oriented boxes, sorted by descending score.
+
+    Tied scores keep ``np.nonzero``'s C order, so they come out by (class, ix, iy).
+    """
     hm = T.value(raw.heatmap)
     reg = T.value(raw.regression)
-    n_classes = hm.shape[0]
     prob = 1.0 / (1.0 + np.exp(-hm.astype(np.float64)))
     prob = np.clip(prob, 1e-9, 1.0 - 1e-9)  # keep scores strictly inside (0, 1)
 
-    candidates = []  # (score, cls, ix, iy)
-    for cls in range(n_classes):
-        peaks = _local_max_mask(prob[cls])
-        for ix, iy in zip(*np.nonzero(peaks)):
-            s = prob[cls, ix, iy]
-            if s > score_threshold:
-                candidates.append((float(s), cls, int(ix), int(iy)))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-    candidates = candidates[:top_k]
+    peaks = np.nonzero(_local_max_mask(prob) & (prob > score_threshold))  # (cls, ix, iy) in C order
+    scores = prob[peaks]
+    keep = np.argsort(-scores, kind="stable")[:top_k]
 
     detections = []
-    for score, cls, ix, iy in candidates:
+    for score, cls, ix, iy in zip(scores[keep].tolist(), *(axis[keep].tolist() for axis in peaks)):
         off_x, off_y, z, log_l, log_w, log_h, sin_t, cos_t = reg[:, ix, iy].astype(np.float64)
         x, y = grid.to_world(ix + off_x, iy + off_y)
         box = Box3D(

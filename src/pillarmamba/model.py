@@ -18,7 +18,7 @@ from .boxes import CLASS_NAMES, Box3D, Detection
 from .config import RunConfig
 from .errors import FormatError
 from .head import HeadParams, HeadTargets, RawMaps, build_targets, decode, detection_loss, head_forward, init_head_params
-from .pillars import BevMap, EncoderParams, PointCloud, encode_cloud, init_encoder_params
+from .pillars import EncoderParams, PointCloud, encode_cloud, init_encoder_params
 
 WEIGHTS_MAGIC = b"PMW1"
 MAX_GRAD_NORM = 5.0  # train_toy clips the global gradient norm to this
@@ -38,28 +38,15 @@ class PillarMambaModel:
     def params(self) -> list[T.Param]:
         return [p for _, p in self.named_params()]
 
-    # ---- forward pieces -------------------------------------------------
-
-    def encode(self, cloud: PointCloud) -> BevMap:
-        enc = self.cfg.model.encoder
-        bev = encode_cloud(
-            cloud,
-            self.cfg.grid,
-            self.encoder,
-            max_points_per_pillar=enc.max_points_per_pillar,
-            max_pillars=enc.max_pillars,
-        )
-        self.dropped.update(bev.counters)
-        return bev
-
-    def backbone_forward(self, bev: BevMap):
-        return backbone_forward(bev.tensor, self.cfg.model, self.backbone)
-
-    def head_forward(self, f5) -> RawMaps:
-        return head_forward(f5, self.head)
-
     def forward_cloud(self, cloud: PointCloud) -> RawMaps:
-        return self.head_forward(self.backbone_forward(self.encode(cloud)).f5)
+        """Encoder -> backbone -> head on one cloud; the voxelizer's drop counters are added to ``dropped``.
+
+        Each stage is called through this module's name, which is where the benchmark's tracer wraps it.
+        """
+        enc = self.cfg.model.encoder
+        bev = encode_cloud(cloud, self.cfg.grid, self.encoder, enc.max_points_per_pillar, enc.max_pillars)
+        self.dropped.update(bev.counters)
+        return head_forward(backbone_forward(bev.tensor, self.cfg.model, self.backbone).f5, self.head)
 
     def detect(self, cloud: PointCloud) -> list[Detection]:
         raw = self.forward_cloud(cloud)

@@ -107,19 +107,13 @@ class PillarSet:
 
 @dataclass
 class BevMap:
-    """Dense (C, X, Y) feature map tied to its grid, with the counters of the voxelizer that filled it."""
+    """Dense (C, X, Y) feature map, with the counters of the voxelizer that filled it."""
 
     tensor: T.Tensor
-    grid: GridSpec
     counters: dict = field(default_factory=dict)
 
 
-def voxelize(
-    cloud: PointCloud,
-    grid: GridSpec,
-    max_points_per_pillar: int = 32,
-    max_pillars: int = 20000,
-) -> PillarSet:
+def voxelize(cloud: PointCloud, grid: GridSpec, max_points_per_pillar: int, max_pillars: int) -> PillarSet:
     """Bin in-range points into pillars with deterministic first-come capping.
 
     Cells are half-open, so points exactly on the upper range bound are
@@ -214,21 +208,17 @@ def encode_scatter(features: Array, pillars: PillarSet, params: EncoderParams) -
     channels = T.value(params.embed_w).shape[1]
     dtype = T.value(params.embed_w).dtype
     if len(pillars) == 0:
-        return BevMap(T.Tensor(np.zeros((channels, grid.x_cells, grid.y_cells), dtype=dtype)), grid, pillars.counters)
+        return BevMap(T.Tensor(np.zeros((channels, grid.x_cells, grid.y_cells), dtype=dtype)), pillars.counters)
 
     rows = T.Tensor(features.astype(dtype, copy=False))
     embedded = T.relu(T.add(T.matmul(rows, params.embed_w), params.embed_b))
     pooled = T.segment_max(embedded, pillars.starts)  # (P, C)
     grid_rows = T.scatter_rows(pooled, pillars.flat_indices, grid.x_cells * grid.y_cells)
-    return BevMap(T.tokens_to_bev(grid_rows, grid.x_cells, grid.y_cells), grid, pillars.counters)
+    return BevMap(T.tokens_to_bev(grid_rows, grid.x_cells, grid.y_cells), pillars.counters)
 
 
 def encode_cloud(
-    cloud: PointCloud,
-    grid: GridSpec,
-    params: EncoderParams,
-    max_points_per_pillar: int = 32,
-    max_pillars: int = 20000,
+    cloud: PointCloud, grid: GridSpec, params: EncoderParams, max_points_per_pillar: int, max_pillars: int
 ) -> BevMap:
     """Full encoder: voxelize -> augment -> embed/pool/scatter."""
     pillars = voxelize(cloud, grid, max_points_per_pillar, max_pillars)

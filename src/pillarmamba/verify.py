@@ -112,7 +112,7 @@ GRAD_CHECKS = {
 }
 
 
-def run_grad_suite(seeds_per_check: int = 20) -> list[T.GradCheckReport]:
+def run_grad_suite(seeds_per_check: int) -> list[T.GradCheckReport]:
     reports = []
     for name, fn in GRAD_CHECKS.items():
         for seed in range(seeds_per_check):

@@ -133,7 +133,7 @@ def test_c06_detection_round_trip():
     grid = desk_grid()
     spec = SceneSpec(grid=grid, counts={"vehicle": 2, "pedestrian": 2, "cyclist": 1}, seed=11)
     _, boxes = generate_scene(spec)
-    targets = build_targets(boxes, grid, n_classes=3)
+    targets = build_targets(boxes, grid, n_classes=3, min_overlap=default_config().head.gaussian_min_overlap)
     dets = decode(perfect_raw_maps(targets), grid, top_k=100, score_threshold=0.5)
     ok = len(dets) == len(boxes)
     worst_center, worst_dim, worst_yaw = 0.0, 0.0, 0.0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from pillarmamba.backbone import STAGES
-from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, desk_grid
+from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, default_config, desk_grid
 from pillarmamba.model import build_model
 from pillarmamba.pillars import PointCloud
 from test_model import BOX, GRID, _cloud, _small_model
@@ -58,7 +58,7 @@ def test_voxelize_counters_read_the_pillar_set():
     pillars_mod = importlib.import_module("pillarmamba.pillars")
     cloud = PointCloud(np.array([[1.05, 0.05, -1.0, 0.1]] * 5 + [[99.0, 0.0, 0.0, 0.0]], dtype=np.float32))
     with spans.installed(spans.Tracer()) as tracer:
-        result = pillars_mod.voxelize(cloud, desk_grid(), 3)
+        result = pillars_mod.voxelize(cloud, desk_grid(), 3, default_config().model.encoder.max_pillars)
     assert tracer.counters["pillars.points_in"] == 6
     assert tracer.counters["pillars.pillars"] == 1
     assert tracer.counters["pillars.points_kept"] == len(result.points) == 3

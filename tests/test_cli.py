@@ -4,6 +4,7 @@ and the README's CLI examples."""
 
 import hashlib
 import json
+import logging
 import re
 import shlex
 import shutil
@@ -689,6 +690,29 @@ def test_main_leaves_the_numpy_error_state_as_it_found_it(grid, code, capsys):
         before = np.geterr()
         assert cli.main(["diagnose-scan", "--grid", grid]) == code
         assert np.geterr() == before
+
+
+def test_main_sets_only_the_package_logger(capsys, monkeypatch):
+    # the root logger belongs to the embedding program; PILLARMAMBA_LOG is read again on every call
+    root, pkg = logging.getLogger(), logging.getLogger("pillarmamba")
+    root_before, pkg_level = (list(root.handlers), root.level), pkg.level
+    try:
+        monkeypatch.setenv("PILLARMAMBA_LOG", "error")
+        assert cli.main(["diagnose-scan", "--grid", "4x4"]) == 0
+        assert (root.handlers, root.level) == root_before
+        assert pkg.level == logging.ERROR
+        handlers = list(pkg.handlers)
+        assert handlers.count(cli._HANDLER) == 1
+        capsys.readouterr()
+
+        monkeypatch.setenv("PILLARMAMBA_LOG", "debug")
+        assert cli.main(["diagnose-scan", "--grid", "0x4"]) == 1
+        assert pkg.level == logging.DEBUG
+        assert "DEBUG pillarmamba: command failed" in capsys.readouterr().err
+        assert pkg.handlers == handlers
+        assert (root.handlers, root.level) == root_before
+    finally:
+        pkg.setLevel(pkg_level)
 
 
 def test_readme_cli_examples_parse():

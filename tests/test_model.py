@@ -4,6 +4,7 @@ dtypes, train_toy's step-size schedule and non-finite stop, and model sections
 that load only when they build and run."""
 
 import hashlib
+import inspect
 import platform
 import types
 from dataclasses import replace
@@ -22,11 +23,12 @@ from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, S
 from pillarmamba.cross_scan import init_ss2d_params
 from pillarmamba.data_io import generate_scene, scene_spec_from_config
 from pillarmamba.errors import ConfigurationError
-from pillarmamba.head import init_head_params
+from pillarmamba.head import build_targets, decode, detection_loss, gaussian_radius, init_head_params
 from pillarmamba import model as model_mod
 from pillarmamba.model import build_model, cosine_step_size, loss_on_scene, train_toy
-from pillarmamba.pillars import GridSpec, PointCloud, init_encoder_params
+from pillarmamba.pillars import GridSpec, PointCloud, encode_cloud, init_encoder_params, voxelize
 from pillarmamba.ssm import init_selective_projections
+from pillarmamba.verify import run_grad_suite
 
 GRID = GridSpec(x_range=(0.0, 1.6), y_range=(-0.8, 0.8), z_range=(-3.0, 1.0), pillar_size=0.2)  # 8x8
 BOX = Box3D(x=0.75, y=0.1, z=-1.0, l=0.6, w=0.4, h=1.2, yaw=0.3, cls=0)
@@ -226,6 +228,52 @@ def test_model_sums_the_voxelizer_drops_over_its_clouds():
     for _ in range(2):
         model.detect(cloud)
     assert model.dropped == {"dropped_out_of_range": 2, "dropped_over_capacity": 4, "dropped_pillars": 0}
+
+
+def test_layer_functions_hold_no_copy_of_a_config_default():
+    # the config dataclasses state each default once; a caller that leaves a value out fails
+    owned = {
+        voxelize: ("max_points_per_pillar", "max_pillars"),
+        encode_cloud: ("max_points_per_pillar", "max_pillars"),
+        decode: ("top_k", "score_threshold"),
+        build_targets: ("min_overlap",),
+        gaussian_radius: ("min_overlap",),
+        detection_loss: ("reg_weight",),
+        run_grad_suite: ("seeds_per_check",),
+    }
+    for fn, names in owned.items():
+        params = inspect.signature(fn).parameters
+        assert [n for n in names if params[n].default is not inspect.Parameter.empty] == [], fn.__name__
+
+
+def _with_head(**changes):
+    model = _small_model(np.float32)
+    model.cfg = replace(model.cfg, head=replace(model.cfg.head, **changes))
+    return model
+
+
+def test_detect_reads_the_head_top_k_and_score_threshold():
+    # at init every heatmap logit sits near the bias, so a dozen peaks clear the default threshold of 0.1
+    scores = [d.score for d in _with_head().detect(_cloud())]
+    assert len(scores) > 1
+    assert len(_with_head(top_k=1).detect(_cloud())) == 1
+    raised = _with_head(score_threshold=float(np.median(scores)))
+    assert 0 < len(raised.detect(_cloud())) < len(scores)
+
+
+def test_loss_reads_the_head_reg_weight():
+    model = _with_head(reg_weight=0.0)
+    _, breakdown = loss_on_scene(model, _cloud(), model.targets_for([BOX]))
+    assert breakdown["l1"] > 0.0
+    assert breakdown["total"] == breakdown["focal"]
+
+
+def test_targets_read_the_head_gaussian_min_overlap():
+    # BOX spans 3x2 cells: radius 0.66 at the default overlap 0.7 (a lone peak), 1.2 at 0.3
+    default = _with_head().targets_for([BOX]).heatmap
+    wider = _with_head(gaussian_min_overlap=0.3).targets_for([BOX]).heatmap
+    assert (default > 0).sum() == 1
+    assert (wider > 0).sum() > 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rng
 from pillarmamba import tensor as T
-from pillarmamba.config import desk_grid, full_scale_grid
+from pillarmamba.config import default_config, desk_grid, full_scale_grid
 from pillarmamba.errors import ConfigurationError
 from pillarmamba.pillars import (
     EncoderParams,
@@ -17,6 +17,9 @@ from pillarmamba.pillars import (
     init_encoder_params,
     voxelize,
 )
+
+ENC = default_config().model.encoder
+CAPS = (ENC.max_points_per_pillar, ENC.max_pillars)  # the config's pillar caps, in voxelize's argument order
 
 
 def cloud_of(*points) -> PointCloud:
@@ -56,36 +59,36 @@ class TestGridSpec:
         cfx, cfy = grid.to_cells(cx, cy)
         np.testing.assert_allclose(cfx - ix, 0.5, rtol=0, atol=1e-9)
         np.testing.assert_allclose(cfy - iy, 0.5, rtol=0, atol=1e-9)
-        pillars = voxelize(PointCloud(np.column_stack([cx, cy, np.zeros(100), np.zeros(100)])), grid)
+        pillars = voxelize(PointCloud(np.column_stack([cx, cy, np.zeros(100), np.zeros(100)])), grid, *CAPS)
         assert set(map(tuple, pillars.indices.tolist())) == set(zip(ix.tolist(), iy.tolist()))
 
 
 class TestVoxelize:
     def test_empty_cloud(self):
-        pillars = voxelize(PointCloud(np.zeros((0, 4))), desk_grid())
+        pillars = voxelize(PointCloud(np.zeros((0, 4))), desk_grid(), *CAPS)
         assert len(pillars) == 0
         assert pillars.points.shape == (0, 4)
         assert augment_features(pillars).shape == (0, 9)
 
     def test_single_point_index_arithmetic(self):
-        pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid())
+        pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid(), *CAPS)
         assert len(pillars) == 1
         assert pillars.indices[0].tolist() == [50, 272]
 
     def test_upper_bound_half_open(self):
         grid = desk_grid()
-        pillars = voxelize(cloud_of((grid.x_range[1], 0.0, -1.0, 0.1)), grid)
+        pillars = voxelize(cloud_of((grid.x_range[1], 0.0, -1.0, 0.1)), grid, *CAPS)
         assert len(pillars) == 0
         assert pillars.counters["dropped_out_of_range"] == 1
 
     def test_z_range_filtering(self):
         grid = desk_grid()
-        pillars = voxelize(cloud_of((1.0, 0.0, grid.z_range[1] + 1.0, 0.1)), grid)
+        pillars = voxelize(cloud_of((1.0, 0.0, grid.z_range[1] + 1.0, 0.1)), grid, *CAPS)
         assert len(pillars) == 0
 
     def test_capacity_keeps_first_points(self):
         pts = [(1.05, 0.05, -1.0, i / 10.0) for i in range(5)]
-        pillars = voxelize(cloud_of(*pts), desk_grid(), max_points_per_pillar=3)
+        pillars = voxelize(cloud_of(*pts), desk_grid(), max_points_per_pillar=3, max_pillars=ENC.max_pillars)
         assert len(pillars) == 1
         assert pillars.counts[0] == 3
         assert pillars.counters["dropped_over_capacity"] == 2
@@ -94,7 +97,7 @@ class TestVoxelize:
     def test_max_pillars_drops_lowest_population(self):
         pts = [(0.1 + 0.001 * i, 0.1, -1.0, 0.5) for i in range(4)]  # 4 points, one pillar
         pts += [(5.1, 5.1, -1.0, 0.5)]  # lone pillar
-        pillars = voxelize(cloud_of(*pts), desk_grid(), max_pillars=1)
+        pillars = voxelize(cloud_of(*pts), desk_grid(), max_points_per_pillar=ENC.max_points_per_pillar, max_pillars=1)
         assert len(pillars) == 1
         assert pillars.counts[0] == 4
         assert pillars.counters["dropped_pillars"] == 1
@@ -103,7 +106,7 @@ class TestVoxelize:
         grid = GridSpec(x_range=(0.0, 1.6), y_range=(0.0, 1.6), z_range=(-1.0, 1.0), pillar_size=0.2)
         cells = [(ix, iy) for ix in range(8) for iy in range(8)]
         pts = [((ix + 0.5) * 0.2, (iy + 0.5) * 0.2, 0.0, 0.5) for ix, iy in cells]
-        pillars = voxelize(cloud_of(*pts), grid)
+        pillars = voxelize(cloud_of(*pts), grid, *CAPS)
         assert len(pillars) == 64
         assert sorted(map(tuple, pillars.indices.tolist())) == cells
 
@@ -118,7 +121,7 @@ class TestVoxelize:
                 r.uniform(0, 1, 200),
             ]
         ).astype(np.float32)
-        pillars = voxelize(PointCloud(pts), grid)
+        pillars = voxelize(PointCloud(pts), grid, *CAPS)
         for p in range(len(pillars)):
             ix, iy = pillars.indices[p]
             members = pillars.member_points(p)
@@ -130,24 +133,24 @@ class TestVoxelize:
 
 class TestAugment:
     def test_single_point_zero_mean_offsets(self):
-        pillars = voxelize(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid())
+        pillars = voxelize(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), *CAPS)
         feats = augment_features(pillars)
         assert feats.shape == (1, 9)
         np.testing.assert_allclose(feats[0, 4:7], 0.0, atol=1e-7)
 
     def test_cell_center_offsets(self):
-        pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid())
+        pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid(), *CAPS)
         feats = augment_features(pillars)
         np.testing.assert_allclose(feats[0, 7], -0.05, atol=1e-5)
         np.testing.assert_allclose(feats[0, 8], 0.01, atol=1e-5)
 
     def test_symmetric_pair_offsets_negate(self):
-        pillars = voxelize(cloud_of((1.02, 0.08, -1.0, 0.5), (1.08, 0.02, -0.5, 0.5)), desk_grid())
+        pillars = voxelize(cloud_of((1.02, 0.08, -1.0, 0.5), (1.08, 0.02, -0.5, 0.5)), desk_grid(), *CAPS)
         feats = augment_features(pillars)
         np.testing.assert_allclose(feats[0, 4:7], -feats[1, 4:7], atol=1e-6)
 
     def test_raw_dims_passthrough(self):
-        pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid())
+        pillars = voxelize(cloud_of((10.05, 3.31, -1.0, 0.5)), full_scale_grid(), *CAPS)
         feats = augment_features(pillars)
         np.testing.assert_allclose(feats[0, :4], [10.05, 3.31, -1.0, 0.5], atol=1e-6)
 
@@ -160,7 +163,7 @@ class TestEncodeScatter:
         params = self._params(8)
         params.embed_w.value.data[...] = 0.0
         params.embed_b.value.data[...] = 0.0
-        bev = encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params)
+        bev = encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params, *CAPS)
         np.testing.assert_array_equal(T.value(bev.tensor), 0.0)
 
     def test_point_order_invariance(self):
@@ -170,8 +173,8 @@ class TestEncodeScatter:
             [r.uniform(0, 2, 50), r.uniform(0, 2, 50), r.uniform(-2, 0, 50), r.uniform(0, 1, 50)]
         ).astype(np.float32)
         params = self._params(8, seed=2)
-        base = T.value(encode_cloud(PointCloud(pts), grid, params).tensor)
-        permuted = T.value(encode_cloud(PointCloud(pts[r.permutation(50)]), grid, params).tensor)
+        base = T.value(encode_cloud(PointCloud(pts), grid, params, *CAPS).tensor)
+        permuted = T.value(encode_cloud(PointCloud(pts[r.permutation(50)]), grid, params, *CAPS).tensor)
         np.testing.assert_allclose(permuted, base, atol=1e-12)
 
     def test_identity_embed_trace(self):
@@ -185,7 +188,7 @@ class TestEncodeScatter:
         params.embed_w.value.data[...] = 0.0
         params.embed_w.value.data[:9, :9] = np.eye(9)
         params.embed_b.value.data[...] = 0.0
-        bev = encode_cloud(cloud, grid, params)
+        bev = encode_cloud(cloud, grid, params, *CAPS)
         cell = T.value(bev.tensor)[:, ix, iy]
         expected9 = np.array([x, y, 0.5, 0.7, 0, 0, 0, 0, 0])
         np.testing.assert_allclose(cell[:9], expected9, atol=1e-5)
@@ -197,7 +200,7 @@ class TestEncodeScatter:
         pts = np.column_stack(
             [r.uniform(0, 12.8, 300), r.uniform(-6.4, 6.4, 300), r.uniform(-2, 0, 300), r.uniform(0, 1, 300)]
         ).astype(np.float32)
-        pillars = voxelize(PointCloud(pts), grid)
+        pillars = voxelize(PointCloud(pts), grid, *CAPS)
         params = self._params(4, seed=4)
         bev = T.value(encode_scatter(augment_features(pillars), pillars, params).tensor)
         occupied = set(map(tuple, np.argwhere(np.abs(bev).sum(axis=0) > 0).tolist()))
@@ -209,7 +212,7 @@ class TestEncodeScatter:
     def test_empty_cells_exactly_zero_with_bias(self):
         params = self._params(6, seed=5)
         params.embed_b.value.data[...] = 0.3  # bias only reaches occupied cells
-        bev = T.value(encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params).tensor)
+        bev = T.value(encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params, *CAPS).tensor)
         occupied = np.abs(bev).sum(axis=0) > 0
         assert occupied.sum() == 1
         assert (bev[:, ~occupied] == 0.0).all()
@@ -218,7 +221,7 @@ class TestEncodeScatter:
         params = self._params(4, seed=6)
         params.embed_w.value.data[...] = 0.0
         params.embed_b.value.data[...] = [-1.0, 2.0, -0.5, 0.25]
-        bev = T.value(encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params).tensor)
+        bev = T.value(encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params, *CAPS).tensor)
         assert bev.shape == (4, 64, 64)
         np.testing.assert_array_equal(bev[:, 5, 32], [0.0, 2.0, 0.0, 0.25])
 
@@ -230,7 +233,7 @@ class TestEncodeScatter:
         )
         cloud = PointCloud(pts.astype(np.float32))
         params = self._params(5, seed=8)
-        pillars = voxelize(cloud, grid)
+        pillars = voxelize(cloud, grid, *CAPS)
         feats = augment_features(pillars)
         rep = T.grad_check(
             lambda w, b: T.reduce_sum(encode_scatter(feats, pillars, EncoderParams(w, b)).tensor),
