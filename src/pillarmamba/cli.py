@@ -6,8 +6,9 @@ Every command accepts ``--seed`` and echoes it in its run report; ``gen``,
 ``forward``, ``train-toy`` and ``bench`` draw from it, while ``gradcheck``,
 ``eval`` and ``diagnose-scan`` use it for nothing more. Every command prints
 a JSON run report on stdout, and exits 0 on success, 1 on runtime failure
-(structured error on stderr), and 2 on usage errors. Set
-``PILLARMAMBA_LOG={error|info|debug}`` for the ``pillarmamba`` logger's level.
+(structured error on stderr; a closed or full stdout is one), and 2 on usage
+errors. Set ``PILLARMAMBA_LOG={error|info|debug}`` for the ``pillarmamba``
+logger's level.
 """
 
 from __future__ import annotations
@@ -347,23 +348,27 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the caller's settings come back after
             cfg = load_config(args.config) if args.config else default_config()
             result = args.fn(args, cfg)
+        report = {
+            "command": args.command,
+            "config_digest": config_digest(cfg),
+            "seed": getattr(args, "seed", None),
+            "wall_time_s": round(time.perf_counter() - t0, 4),
+            "outputs": result.get("outputs", []),
+            "metrics": result.get("metrics", {}),
+        }
+        if resource is not None:
+            usage = resource.getrusage(resource.RUSAGE_SELF)  # the whole process, imports included
+            report["peak_rss_mb"] = round(usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+            report["minor_page_faults"] = usage.ru_minflt
+        print(json.dumps(report, sort_keys=True), flush=True)  # a stdout that takes no output fails here, not at exit
     except Exception as exc:  # structured failure, exit 1
+        try:  # a closed pipe or full device keeps what stdout buffered: send it to devnull, or the exit flush fails too
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         log.debug("command failed", exc_info=True)
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
         return 1
-    report = {
-        "command": args.command,
-        "config_digest": config_digest(cfg),
-        "seed": getattr(args, "seed", None),
-        "wall_time_s": round(time.perf_counter() - t0, 4),
-        "outputs": result.get("outputs", []),
-        "metrics": result.get("metrics", {}),
-    }
-    if resource is not None:
-        usage = resource.getrusage(resource.RUSAGE_SELF)  # the whole process, imports included
-        report["peak_rss_mb"] = round(usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
-        report["minor_page_faults"] = usage.ru_minflt
-    print(json.dumps(report, sort_keys=True))
     return 0
 
 

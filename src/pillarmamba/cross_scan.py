@@ -6,8 +6,9 @@ parameter set per direction, then merged back by inverse permutation and
 summation. The flatten and merge gathers take the direction permutations
 composed with the scan's row order (``ssm.scan_order``, from the sizes
 alone), so the scan reads and writes its sequences in that order at no cost.
-Also provides grid diagnostics, in time order, quantifying how flattening
-stretches spatial neighborhoods and how long the empty-cell runs are.
+The diagnostics read the time-order pair (``direction_permutations``) by
+direction index: how far flattening stretches spatial neighborhoods, and how
+long the empty-cell runs are.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ def scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int)
 def _scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int, *_layout) -> tuple[Array, Array]:
     order = ssm.scan_order(x_cells * y_cells, channels, state_dim)
     return _with_inverse(_time_steps(x_cells, y_cells)[:, order])
-
-
-def direction_permutation(direction: str, x_cells: int, y_cells: int) -> Array:
-    """Time step -> row-major flat grid index, for one scan direction."""
-    if direction not in DIRECTIONS:
-        raise ContractViolation(f"unknown scan direction {direction!r}; expected one of {DIRECTIONS}")
-    return direction_permutations(x_cells, y_cells)[0][DIRECTIONS.index(direction)]
 
 
 def cross_scan_flatten(bev, perm: Array) -> T.Tensor:
@@ -138,16 +132,14 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
 # ---------------------------------------------------------------------------
 
 
-def neighbor_distance_histogram(x_cells: int, y_cells: int, direction: str) -> dict[int, int]:
-    """Histogram of |sequence position difference| over 4-neighbor grid pairs.
+def neighbor_distance_histogram(inv: Array, x_cells: int, y_cells: int) -> dict[int, int]:
+    """Histogram of |time step difference| over 4-neighbor grid pairs, for one direction's row ``inv`` (grid
+    index -> time step) of ``direction_permutations(x_cells, y_cells)[1]``.
 
     Flattening sends some grid-adjacent cells a whole row (or column) apart
     in the sequence; the histogram makes that stretch measurable.
     """
-    perm = direction_permutation(direction, x_cells, y_cells)
-    pos = np.empty(x_cells * y_cells, dtype=np.intp)
-    pos[perm] = np.arange(x_cells * y_cells)
-    pos2d = pos.reshape(x_cells, y_cells)
+    pos2d = inv.reshape(x_cells, y_cells)
     dists = np.concatenate(
         [
             np.abs(pos2d[1:, :] - pos2d[:-1, :]).reshape(-1),  # neighbors along x
@@ -158,13 +150,10 @@ def neighbor_distance_histogram(x_cells: int, y_cells: int, direction: str) -> d
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def empty_run_stats(occupancy: Array, direction: str) -> dict[str, float]:
-    """Run-length statistics of empty cells along one flattened scan order."""
-    occ = np.asarray(occupancy, dtype=bool)
-    x_cells, y_cells = occ.shape
-    perm = direction_permutation(direction, x_cells, y_cells)
-    seq = occ.reshape(-1)[perm]
-    empty = ~seq
+def empty_run_stats(occupancy: Array, perm: Array) -> dict[str, float]:
+    """Run-length statistics of empty cells along one direction's row ``perm`` (time step -> grid index) of
+    ``direction_permutations(X, Y)[0]``, for an (X, Y) occupancy grid."""
+    empty = ~np.asarray(occupancy, dtype=bool).reshape(-1)[perm]
     if not empty.any():
         return {"max_empty_run": 0, "mean_empty_run": 0.0, "num_runs": 0, "empty_fraction": 0.0}
     padded = np.concatenate([[False], empty, [False]])
@@ -181,15 +170,16 @@ def empty_run_stats(occupancy: Array, direction: str) -> dict[str, float]:
 
 
 def scan_diagnostics(x_cells: int, y_cells: int, occupancy: Array | None = None) -> dict:
-    """Per-direction neighbor-distance histograms and optional empty-run stats."""
+    """Per-direction neighbor-distance histograms and optional empty-run stats, read from the cached
+    ``direction_permutations`` pair."""
     report: dict = {"grid": [x_cells, y_cells], "directions": {}}
-    for d in DIRECTIONS:
+    for d, perm, inv in zip(DIRECTIONS, *direction_permutations(x_cells, y_cells)):
         entry: dict = {
             "neighbor_distance_histogram": {
-                str(k): v for k, v in sorted(neighbor_distance_histogram(x_cells, y_cells, d).items())
+                str(k): v for k, v in sorted(neighbor_distance_histogram(inv, x_cells, y_cells).items())
             }
         }
         if occupancy is not None:
-            entry["empty_runs"] = empty_run_stats(occupancy, d)
+            entry["empty_runs"] = empty_run_stats(occupancy, perm)
         report["directions"][d] = entry
     return report

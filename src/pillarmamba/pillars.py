@@ -100,10 +100,6 @@ class PillarSet:
         """(P,) first row of each pillar in points."""
         return np.cumsum(self.counts) - self.counts
 
-    def member_points(self, p: int) -> Array:
-        start = self.starts[p]
-        return self.points[start : start + self.counts[p]]
-
 
 @dataclass
 class BevMap:

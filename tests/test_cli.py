@@ -1,14 +1,18 @@
 """Command-line contract tests: exit codes, one config read per command,
 pipeline outputs, determinism, weights round trip, bench rows and digests,
-and the README's CLI examples."""
+a closed stdout, and the README's CLI examples and Layout."""
 
 import hashlib
+import io
 import json
 import logging
+import os
 import re
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -272,6 +276,12 @@ def test_train_toy_writes_loadable_weights(dataset, tiny_cfg_path, tmp_path):
     cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
     model = build_model(cfg, seed=0)
     load_weights(weights, model)
+    # the whole chain, gen -> train-toy -> forward -> eval, in one process
+    manifest, dets = str(dataset / "manifest.json"), tmp_path / "dets"
+    argv = ["forward", "--config", tiny_cfg_path, "--manifest", manifest, "--weights", str(weights), "--out", str(dets)]
+    assert cli.main(argv) == 0
+    assert cli.main(["eval", "--config", tiny_cfg_path, "--dets", str(dets), "--manifest", manifest]) == 0
+    assert set(json.loads((dets / "metrics.json").read_text())["per_class"]) == set(CLASS_NAMES)
 
 
 def test_train_toy_reports_the_loss_range_of_its_last_tenth(dataset, tiny_cfg_path, tmp_path, capsys, monkeypatch):
@@ -692,6 +702,38 @@ def test_main_leaves_the_numpy_error_state_as_it_found_it(grid, code, capsys):
         assert np.geterr() == before
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError("Broken pipe")
+
+
+def test_closed_stdout_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # with --out, the run report is the command's only write to stdout
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["diagnose-scan", "--grid", "4x4", "--out", str(tmp_path / "scan.json")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "BrokenPipeError"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_1_with_only_the_error_line(unbuffered, tmp_path):
+    # the read end is closed before the command starts, so its one write to stdout, the run report, fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = [sys.executable, "-m", "pillarmamba.cli", "diagnose-scan", "--grid", "4x4", "--out", str(tmp_path / "s.json")]
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    try:  # from src/, which -m puts on the path
+        proc = subprocess.run(
+            argv, cwd=Path(cli.__file__).parents[1], env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr  # no traceback, no "Exception ignored" at exit
+    assert json.loads(lines[0])["error"]["type"] == "BrokenPipeError"
+
+
 def test_main_sets_only_the_package_logger(capsys, monkeypatch):
     # the root logger belongs to the embedding program; PILLARMAMBA_LOG is read again on every call
     root, pkg = logging.getLogger(), logging.getLogger("pillarmamba")
@@ -723,6 +765,15 @@ def test_readme_cli_examples_parse():
     for argv in lines:
         parser.parse_args(argv[1:])  # exits 2 on a flag the CLI no longer has
     assert {argv[1] for argv in lines} == set(SUBCOMMANDS)
+
+
+def test_readme_layout_names_every_module():
+    repo = Path(__file__).resolve().parents[1]
+    block = re.search(r"## Layout\n\n```\n(.*?)```", (repo / "README.md").read_text(), re.S).group(1)
+    modules = set(re.findall(r"^  (\w+\.py) ", block, re.M))
+    assert modules == {p.name for p in (repo / "src" / "pillarmamba").glob("*.py")} - {"__init__.py"}
+    for top in re.findall(r"^([\w.-]+)/", block, re.M):
+        assert (repo / top).is_dir(), top
 
 
 def test_readme_config_defaults_match_the_dataclasses():

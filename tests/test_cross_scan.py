@@ -15,7 +15,6 @@ from pillarmamba.cross_scan import (
     DIRECTIONS,
     cross_merge,
     cross_scan_flatten,
-    direction_permutation,
     direction_permutations,
     empty_run_stats,
     init_ss2d_params,
@@ -69,10 +68,9 @@ class TestFlatten:
         t_len = x_cells * y_cells
         perms, invs = direction_permutations(x_cells, y_cells)
         assert perms.shape == invs.shape == (len(DIRECTIONS), t_len)
-        for d, perm, inv in zip(DIRECTIONS, perms, invs):
+        for perm, inv in zip(perms, invs):
             assert sorted(perm.tolist()) == list(range(t_len))
             np.testing.assert_array_equal(perm[inv], np.arange(t_len))
-            np.testing.assert_array_equal(direction_permutation(d, x_cells, y_cells), perm)
         assert not (perms.flags.writeable or invs.flags.writeable)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -329,51 +327,58 @@ class TestStackedAgainstPerDirection:
 
 
 class TestDiagnostics:
+    # rows of direction_permutations in DIRECTIONS order: 0 row_forward, 1 col_forward, 2 row_reverse, 3 col_reverse
+
     def test_neighbor_histogram_row_forward_4x4(self):
-        hist = neighbor_distance_histogram(4, 4, "row_forward")
+        hist = neighbor_distance_histogram(direction_permutations(4, 4)[1][0], 4, 4)
         assert hist == {1: 12, 4: 12}
 
     def test_neighbor_histogram_rectangular(self):
+        _, invs = direction_permutations(2, 5)
         # 2x5 grid, row-major: y-neighbors 1 apart (2*4=8), x-neighbors 5 apart (5)
-        hist = neighbor_distance_histogram(2, 5, "row_forward")
-        assert hist == {1: 8, 5: 5}
+        assert neighbor_distance_histogram(invs[0], 2, 5) == {1: 8, 5: 5}
         # column-major flips the roles: x-neighbors 1 apart, y-neighbors 2 apart
-        hist_col = neighbor_distance_histogram(2, 5, "col_forward")
-        assert hist_col == {1: 5, 2: 8}
+        assert neighbor_distance_histogram(invs[1], 2, 5) == {1: 5, 2: 8}
 
     def test_reverse_direction_same_histogram(self):
-        assert neighbor_distance_histogram(5, 3, "row_forward") == neighbor_distance_histogram(5, 3, "row_reverse")
+        _, invs = direction_permutations(5, 3)
+        assert neighbor_distance_histogram(invs[0], 5, 3) == neighbor_distance_histogram(invs[2], 5, 3)
 
-    def test_adjacent_rows_reach_full_row_distance(self):
-        hist = neighbor_distance_histogram(6, 6, "row_forward")
-        assert max(hist) == 6  # grid-distance-1 pairs stretched to a whole row apart
+    @pytest.mark.parametrize("k", range(len(DIRECTIONS)), ids=DIRECTIONS)
+    def test_adjacent_rows_reach_full_row_distance(self, k):
+        # grid-distance-1 pairs stretched to a whole row (or column) apart, in time order
+        for cells in (6, 32, 64):
+            hist = neighbor_distance_histogram(direction_permutations(cells, cells)[1][k], cells, cells)
+            assert max(hist) == cells
 
     def test_empty_run_stats_constructed(self):
         occ = np.zeros((2, 4), dtype=bool)
         occ[0, 0] = True
         occ[1, 3] = True
+        perms, _ = direction_permutations(2, 4)
         # row-major sequence: T F F F F F F T -> one run of 6
-        stats = empty_run_stats(occ, "row_forward")
+        stats = empty_run_stats(occ, perms[0])
         assert stats == {"max_empty_run": 6, "mean_empty_run": 6.0, "num_runs": 1, "empty_fraction": 0.75}
         # reversed: same single run
-        assert empty_run_stats(occ, "row_reverse")["max_empty_run"] == 6
+        assert empty_run_stats(occ, perms[2])["max_empty_run"] == 6
 
     def test_diagnostics_read_time_order_where_the_scan_order_differs(self):
         # 8x8: every scan block is in the class layout, but the diagnostics follow the directions in time order
-        assert (scan_permutations(8, 8, 4, 2)[0] != direction_permutations(8, 8)[0]).any()
-        assert neighbor_distance_histogram(8, 8, "row_forward") == {1: 56, 8: 56}
+        perms, invs = direction_permutations(8, 8)
+        assert (scan_permutations(8, 8, 4, 2)[0] != perms).any()
+        assert neighbor_distance_histogram(invs[0], 8, 8) == {1: 56, 8: 56}
         occ = np.ones((8, 8), dtype=bool)
         occ[0] = False  # the first row: one run of 8 steps in row-major time order
-        assert empty_run_stats(occ, "row_forward") == {
+        assert empty_run_stats(occ, perms[0]) == {
             "max_empty_run": 8,
             "mean_empty_run": 8.0,
             "num_runs": 1,
             "empty_fraction": 0.125,
         }
-        assert empty_run_stats(occ, "col_forward")["num_runs"] == 8
+        assert empty_run_stats(occ, perms[1])["num_runs"] == 8
 
     def test_empty_run_stats_full_occupancy(self):
-        stats = empty_run_stats(np.ones((3, 3), dtype=bool), "col_forward")
+        stats = empty_run_stats(np.ones((3, 3), dtype=bool), direction_permutations(3, 3)[0][1])
         assert stats["max_empty_run"] == 0 and stats["num_runs"] == 0
 
     def test_scan_diagnostics_report_shape(self):
@@ -382,7 +387,3 @@ class TestDiagnostics:
         for d in DIRECTIONS:
             assert "neighbor_distance_histogram" in report["directions"][d]
             assert "empty_runs" in report["directions"][d]
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ContractViolation):
-            direction_permutation("diagonal", 4, 4)

@@ -92,7 +92,7 @@ class TestVoxelize:
         assert len(pillars) == 1
         assert pillars.counts[0] == 3
         assert pillars.counters["dropped_over_capacity"] == 2
-        np.testing.assert_allclose(pillars.member_points(0)[:, 3], [0.0, 0.1, 0.2], atol=1e-6)
+        np.testing.assert_allclose(pillars.points[0 : pillars.counts[0], 3], [0.0, 0.1, 0.2], atol=1e-6)
 
     def test_max_pillars_drops_lowest_population(self):
         pts = [(0.1 + 0.001 * i, 0.1, -1.0, 0.5) for i in range(4)]  # 4 points, one pillar
@@ -122,9 +122,10 @@ class TestVoxelize:
             ]
         ).astype(np.float32)
         pillars = voxelize(PointCloud(pts), grid, *CAPS)
+        starts, counts = pillars.starts, pillars.counts
         for p in range(len(pillars)):
             ix, iy = pillars.indices[p]
-            members = pillars.member_points(p)
+            members = pillars.points[starts[p] : starts[p] + counts[p]]
             x_lo = grid.x_range[0] + ix * grid.pillar_size
             y_lo = grid.y_range[0] + iy * grid.pillar_size
             assert (members[:, 0] >= x_lo - 1e-5).all() and (members[:, 0] < x_lo + grid.pillar_size + 1e-5).all()
