@@ -1,12 +1,13 @@
 """Four-direction cross scan over BEV grids.
 
 A (C, X, Y) map is flattened into a stack of four 1-D token sequences (row-
-and column-major, and their reversals), scanned as one stack with one
-parameter set per direction, then merged back by inverse permutation and
-summation. The flatten and merge gathers take the direction permutations
-composed with the scan's row order (``ssm.scan_order``, from the sizes
-alone), so the scan reads and writes its sequences in that order at no cost.
-The diagnostics read the time-order pair (``direction_permutations``) by
+and column-major, and their reversals) by one row gather over a cached
+(perm, inv) pair, scanned as one stack with one parameter set per direction,
+and merged back by the gather's adjoint over the same pair: back to grid
+order, summed in ``DIRECTIONS`` order. The pair composes the directions
+with the scan's row order (``ssm.scan_order``, from the sizes alone), so the
+scan reads and writes its sequences in that order at no cost. The
+diagnostics read the time-order pair (``direction_permutations``) by
 direction index: how far flattening stretches spatial neighborhoods, and how
 long the empty-cell runs are.
 """
@@ -62,21 +63,16 @@ def _scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int
     return _with_inverse(_time_steps(x_cells, y_cells)[:, order])
 
 
-def cross_scan_flatten(bev, perm: Array) -> T.Tensor:
-    """Gather (C, X, Y) into a (K, X*Y, C) stack of token sequences: sequence k's row p is the cell perm[k, p]
-    (``direction_permutations`` for time order, ``scan_permutations`` for scan order)."""
-    return T.gather_rows(T.bev_to_tokens(bev), perm)
+def cross_scan_flatten(bev, perms: tuple[Array, Array]) -> T.Tensor:
+    """Gather (C, X, Y) into a (K, X*Y, C) stack of token sequences: sequence k's row p is the cell perm[k, p], for
+    the (perm, inv) pair of ``direction_permutations`` (time order) or ``scan_permutations`` (scan order)."""
+    return T.gather_rows(T.bev_to_tokens(bev), perms)
 
 
-def cross_merge(outputs, inv: Array, x_cells: int, y_cells: int) -> T.Tensor:
-    """Gather a (K, X*Y, C) stack of directional outputs back to grid order, cell g from row inv[k, g] of
-    sequence k, and sum in ``DIRECTIONS`` order."""
-    k, t_len, c = T.as_tensor(outputs).shape
-    if (k, t_len) != inv.shape:
-        raise ContractViolation(f"cross_merge expects a {inv.shape + (c,)} stack of directional outputs, got {(k, t_len, c)}")
-    offsets = t_len * np.arange(k)[:, None]  # sequence k's rows start at k * X*Y of the (K * X*Y, C) rows
-    grid_tokens = T.gather_rows(T.reshape(outputs, (k * t_len, c)), inv + offsets)
-    return T.tokens_to_bev(T.reduce_sum(grid_tokens, axis=0), x_cells, y_cells)
+def cross_merge(outputs, perms: tuple[Array, Array], x_cells: int, y_cells: int) -> T.Tensor:
+    """The flatten's adjoint over its (perm, inv) pair: cell g of the (C, X, Y) map sums row inv[k, g] of each
+    sequence of the (K, X*Y, C) stack, in ``DIRECTIONS`` order."""
+    return T.tokens_to_bev(T.gather_sum_rows(outputs, perms), x_cells, y_cells)
 
 
 @dataclass
@@ -120,9 +116,9 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     """
     _, x_cells, y_cells = T.as_tensor(bev).shape
     h = T.silu(T.conv2d(bev, params.in_proj_w, params.in_proj_b))
-    perm, inv = scan_permutations(x_cells, y_cells, h.shape[0], params.scan.a_log.shape[-1])
-    scanned = selective_scan_tokens(cross_scan_flatten(h, perm), params.scan)
-    merged = cross_merge(scanned, inv, x_cells, y_cells)
+    perms = scan_permutations(x_cells, y_cells, h.shape[0], params.scan.a_log.shape[-1])
+    scanned = selective_scan_tokens(cross_scan_flatten(h, perms), params.scan)
+    merged = cross_merge(scanned, perms, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
 
@@ -140,12 +136,8 @@ def neighbor_distance_histogram(inv: Array, x_cells: int, y_cells: int) -> dict[
     in the sequence; the histogram makes that stretch measurable.
     """
     pos2d = inv.reshape(x_cells, y_cells)
-    dists = np.concatenate(
-        [
-            np.abs(pos2d[1:, :] - pos2d[:-1, :]).reshape(-1),  # neighbors along x
-            np.abs(pos2d[:, 1:] - pos2d[:, :-1]).reshape(-1),  # neighbors along y
-        ]
-    )
+    # neighbors along x, then along y
+    dists = np.abs(np.concatenate([np.diff(pos2d, axis=0).reshape(-1), np.diff(pos2d, axis=1).reshape(-1)]))
     values, counts = np.unique(dists, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
@@ -171,14 +163,13 @@ def empty_run_stats(occupancy: Array, perm: Array) -> dict[str, float]:
 
 def scan_diagnostics(x_cells: int, y_cells: int, occupancy: Array | None = None) -> dict:
     """Per-direction neighbor-distance histograms and optional empty-run stats, read from the cached
-    ``direction_permutations`` pair."""
+    ``direction_permutations`` pair; ``occupancy``, if given, is (X, Y)."""
+    if occupancy is not None and np.shape(occupancy) != (x_cells, y_cells):
+        raise ContractViolation(f"scan_diagnostics needs a {(x_cells, y_cells)} occupancy grid, got {np.shape(occupancy)}")
     report: dict = {"grid": [x_cells, y_cells], "directions": {}}
     for d, perm, inv in zip(DIRECTIONS, *direction_permutations(x_cells, y_cells)):
-        entry: dict = {
-            "neighbor_distance_histogram": {
-                str(k): v for k, v in sorted(neighbor_distance_histogram(inv, x_cells, y_cells).items())
-            }
-        }
+        hist = neighbor_distance_histogram(inv, x_cells, y_cells)
+        entry: dict = {"neighbor_distance_histogram": {str(k): hist[k] for k in sorted(hist)}}
         if occupancy is not None:
             entry["empty_runs"] = empty_run_stats(occupancy, perm)
         report["directions"][d] = entry

@@ -4,6 +4,8 @@ Every operator computes its result eagerly with numpy and, while a ``Tape`` is
 active, records a closure mapping the output gradient back to input gradients.
 Only the operators defined here are differentiable. The compute path runs in
 single precision; oracle and gradient checks run the same operators in double.
+The two row gathers take a cached pair of permutation stacks and are each
+other's adjoint, so no backward scatter-adds.
 
 Every operator allocates its results anew, so a scene frees and re-allocates
 the same working set. ``_keep_freed_arrays`` (applied once by ``build_model``)
@@ -408,19 +410,11 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def reduce_sum(a, axis=None) -> Tensor:
+def reduce_sum(a) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
-    out = Tensor(d.sum(axis=axis))
-    shape = d.shape
-
-    def bwd(g):
-        gg = g
-        if axis is not None:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, shape).astype(d.dtype, copy=False),)
-
-    _record(out, (ta,), bwd)
+    out = Tensor(d.sum())
+    _record(out, (ta,), lambda g: (np.broadcast_to(g, d.shape).astype(d.dtype, copy=False),))
     return out
 
 
@@ -466,30 +460,45 @@ def split(a, sizes: Sequence[int]) -> tuple[Tensor, ...]:
     return tuple(outs)
 
 
-def gather_rows(a, idx: Array) -> Tensor:
-    """Rows of a 2-D tensor by nonnegative row indices: ``a[idx]``, for a 1-D index or a 2-D stack of them.
+def _index_pair(op: str, perms, shape: tuple[int, ...]) -> tuple[Array, Array]:
+    """``perms``, a (perm, inv) pair, as intp arrays; a ContractViolation unless both are nonnegative and of ``shape``."""
+    perm, inv = (np.asarray(p, dtype=np.intp) for p in perms)
+    if perm.shape != shape or inv.shape != shape or perm.min(initial=0) < 0 or inv.min(initial=0) < 0:
+        raise ContractViolation(f"{op} takes a pair of nonnegative {shape} index stacks, got {perm.shape} and {inv.shape}")
+    return perm, inv
 
-    The backward scatter-adds each index row in turn. Whether an index repeats
-    within a row is decided there, which inference never runs; a row of
-    unique indices takes a plain fancy-index add.
+
+def _sum_gathered(stack: Array, idx: Array, dtype) -> Array:
+    """Sum over k of ``stack[k][idx[k]]``, added in k order into a ``dtype`` array."""
+    out = np.take(stack[0], idx[0], axis=0).astype(dtype, copy=False)
+    for rows, seq in zip(idx[1:], stack[1:]):
+        out += np.take(seq, rows, axis=0)
+    return out
+
+
+def gather_rows(a, perms: tuple[Array, Array]) -> Tensor:
+    """The (K, N, C) stack of an (N, C) tensor's rows in K orders: row p of sequence k is ``a[perm[k, p]]``.
+
+    ``perms`` is a (perm, inv) pair of (K, N) stacks, inv the row-wise inverse
+    of perm (trusted, as ``cross_scan`` caches them). The backward is
+    ``gather_sum_rows``' forward over the same pair.
     """
     ta = as_tensor(a)
     d = ta.data
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim not in (1, 2) or (idx < 0).any():
-        raise ContractViolation(f"gather_rows requires a 1-D or 2-D nonnegative row index, got shape {idx.shape}")
-    out = Tensor(d[idx])
+    perm, inv = _index_pair("gather_rows", perms, (len(perms[0]), len(d)))
+    out = Tensor(np.take(d, perm, axis=0))
+    _record(out, (ta,), lambda g: (_sum_gathered(g, inv, d.dtype),))
+    return out
 
-    def bwd(g):
-        gz = np.zeros_like(d)
-        for rows, g_rows in zip(idx.reshape(-1, idx.shape[-1]), g.reshape((-1,) + g.shape[idx.ndim - 1 :])):
-            if np.bincount(rows, minlength=1).max() <= 1:
-                gz[rows] += g_rows
-            else:
-                np.add.at(gz, rows, g_rows)
-        return (gz,)
 
-    _record(out, (ta,), bwd)
+def gather_sum_rows(y, perms: tuple[Array, Array]) -> Tensor:
+    """Sum over k of ``y[k][inv[k]]`` for a (K, N, C) stack, added in k order: ``gather_rows``' adjoint over the same
+    (perm, inv) pair, so its backward is ``gather_rows``' forward."""
+    ty = as_tensor(y)
+    d = ty.data
+    perm, inv = _index_pair("gather_sum_rows", perms, d.shape[:2])
+    out = Tensor(_sum_gathered(d, inv, d.dtype))
+    _record(out, (ty,), lambda g: (np.take(g.astype(d.dtype, copy=False), perm, axis=0),))
     return out
 
 

@@ -168,6 +168,34 @@ def class_sweep_scan(coeff, update):
 
 
 # ---------------------------------------------------------------------------
+# the cross scan's flatten and merge as the tape once composed them: a scatter-add backward, an offset gather and an
+# axis-0 sum; the oracle of the ``gather_rows`` / ``gather_sum_rows`` adjoint pair
+# ---------------------------------------------------------------------------
+
+
+def composed_flatten_merge(tokens, outputs, g_stack, g_grid, perm, inv):
+    """The flatten's and merge's values and input gradients over a (perm, inv) pair of (K, N) stacks, in numpy.
+
+    Flatten: the (K, N, C) stack ``tokens[perm]``; its gradient scatter-adds
+    each sequence of the cotangent ``g_stack`` into zeros by perm, in k
+    order. Merge: the (K*N, C) rows of ``outputs`` gathered by inv plus each
+    sequence's row offset, then summed over axis 0; its gradient broadcasts
+    the cotangent ``g_grid`` to the K sequences and scatter-adds it into
+    zeros by that offset index. Returns (stack, d_tokens, merged, d_outputs).
+    """
+    k, n, c = outputs.shape
+    d_tokens = np.zeros_like(tokens)
+    for rows, g_rows in zip(perm, g_stack):
+        d_tokens[rows] += g_rows
+    offset_inv = inv + n * np.arange(k)[:, None]
+    merged = outputs.reshape(k * n, c)[offset_inv].sum(axis=0)
+    d_rows = np.zeros((k * n, c), dtype=outputs.dtype)
+    for rows, g_rows in zip(offset_inv, np.broadcast_to(g_grid.astype(outputs.dtype, copy=False), (k, n, c))):
+        d_rows[rows] += g_rows
+    return tokens[perm], d_tokens, merged, d_rows.reshape(k, n, c)
+
+
+# ---------------------------------------------------------------------------
 # brute-force AP oracle: re-enumerates every score prefix from scratch
 # ---------------------------------------------------------------------------
 

@@ -83,7 +83,8 @@ def test_traced_workloads_call_every_required_site():
 
 
 def test_one_scan_per_ss2d():
-    # each SS2D scans its four directions as one stack: one ssm_scan call, and four sweeps of the state
+    # each SS2D scans its four directions as one stack: one ssm_scan call, and four sweeps of the state; its one
+    # gather_rows call is the flatten (the merge is gather_sum_rows), so the tensor.gather_rows span times it alone
     spans = _load_spans()
     with spans.installed(spans.Tracer()) as tracer:
         _small_model(np.float32).detect(_cloud())
@@ -91,6 +92,7 @@ def test_one_scan_per_ss2d():
     assert tracer.calls["pillarmamba.blocks.ss2d_block"] == ss2d == 8
     assert tracer.calls["pillarmamba.ssm.ssm_scan"] == ss2d
     assert tracer.calls["pillarmamba.ssm.associative_scan"] == 4 * ss2d
+    assert tracer.calls["pillarmamba.tensor.gather_rows"] == ss2d
 
 
 def test_plain_hsb_chain_calls_the_traced_hsb_site():

@@ -1,6 +1,7 @@
 """Directional flatten/merge bijections, SS2D block contracts, the stacked SS2D against its per-direction
 oracle, diagnostics."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import recurrent_scan, rng
+from conftest import composed_flatten_merge, recurrent_scan, rng
 from pillarmamba import cross_scan, ssm
 from pillarmamba import tensor as T
 from pillarmamba.cross_scan import (
@@ -41,12 +42,12 @@ def _grid_tokens(values) -> T.Tensor:
 def _flatten(bev) -> T.Tensor:
     """``cross_scan_flatten`` in time order."""
     _, x_cells, y_cells = T.as_tensor(bev).shape
-    return cross_scan_flatten(bev, direction_permutations(x_cells, y_cells)[0])
+    return cross_scan_flatten(bev, direction_permutations(x_cells, y_cells))
 
 
 def _merge(outputs, x_cells, y_cells) -> T.Tensor:
     """``cross_merge`` of time-ordered outputs."""
-    return cross_merge(outputs, direction_permutations(x_cells, y_cells)[1], x_cells, y_cells)
+    return cross_merge(outputs, direction_permutations(x_cells, y_cells), x_cells, y_cells)
 
 
 class TestFlatten:
@@ -85,9 +86,9 @@ class TestFlatten:
         np.testing.assert_array_equal(np.take_along_axis(perms, invs, axis=1), np.broadcast_to(np.arange(t_len), perms.shape))
         assert not (perms.flags.writeable or invs.flags.writeable)
         x = rng(t_len).normal(size=(3, x_cells, y_cells)).astype(dtype)
-        seqs = T.value(cross_scan_flatten(T.Tensor(x), perms))
+        seqs = T.value(cross_scan_flatten(T.Tensor(x), (perms, invs)))
         np.testing.assert_array_equal(seqs, T.value(_flatten(T.Tensor(x)))[:, order])
-        np.testing.assert_array_equal(T.value(cross_merge(T.Tensor(seqs), invs, x_cells, y_cells)), 4.0 * x)
+        np.testing.assert_array_equal(T.value(cross_merge(T.Tensor(seqs), (perms, invs), x_cells, y_cells)), 4.0 * x)
 
     def test_scan_permutations_follow_the_block_size(self, monkeypatch):
         # cached with the layout constants in the key: 4-row blocks give another order, never a stale one
@@ -162,8 +163,42 @@ class TestMerge:
 
     def test_output_count_must_match_directions(self):
         seqs = T.value(_flatten(T.Tensor(np.zeros((1, 2, 2)))))
-        with pytest.raises(ContractViolation, match="cross_merge expects a"):
+        with pytest.raises(ContractViolation, match="gather_sum_rows takes a pair of nonnegative"):
             _merge(T.Tensor(seqs[:3]), 2, 2)
+
+
+class TestAdjointGathers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_cells,y_cells", [(5, 7), (64, 64)])
+    def test_match_the_composed_oracle(self, x_cells, y_cells, dtype):
+        # forward and both gradients byte for byte once -0 is folded into +0: the oracle's scatter-add starts from
+        # +0, so a cell whose every cotangent is -0 (cells 0 and 1 here) reads +0 there and -0 in the sum of gathers
+        channels, state_dim = 16, 8
+        t_len = x_cells * y_cells
+        perms = scan_permutations(x_cells, y_cells, channels, state_dim)
+        if t_len == 64 * 64:
+            assert t_len > 2 * ssm._block_rows(channels * state_dim)  # the scan order spans several row blocks
+        r = rng(t_len)
+        tokens, g_grid = (r.normal(size=(t_len, channels)).astype(dtype) for _ in range(2))
+        outputs, g_stack = (r.normal(size=(len(DIRECTIONS), t_len, channels)).astype(dtype) for _ in range(2))
+        g_stack[np.arange(len(DIRECTIONS))[:, None], perms[1][:, :2]] = -0.0
+        t_tokens, t_outputs = T.Tensor(tokens), T.Tensor(outputs)
+        with T.Tape() as tape:
+            stack, merged = T.gather_rows(t_tokens, perms), T.gather_sum_rows(t_outputs, perms)
+            loss = T.add(T.reduce_sum(T.mul(stack, T.Tensor(g_stack))), T.reduce_sum(T.mul(merged, T.Tensor(g_grid))))
+        tape.backward(loss)
+        got = (T.value(stack), tape.grad(t_tokens), T.value(merged), tape.grad(t_outputs))
+        for g, e in zip(got, composed_flatten_merge(tokens, outputs, g_stack, g_grid, *perms), strict=True):
+            assert g.dtype == e.dtype == dtype and g.shape == e.shape
+            assert (g + 0.0).tobytes() == (e + 0.0).tobytes()
+
+    def test_flatten_and_merge_write_four_records(self):
+        x = T.Tensor(rng(24).normal(size=(3, 4, 6)))
+        perms = scan_permutations(4, 6, 3, 2)
+        with T.Tape() as tape:
+            cross_merge(cross_scan_flatten(x, perms), perms, 4, 6)
+        ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
+        assert ops == ["bev_to_tokens", "gather_rows", "gather_sum_rows", "tokens_to_bev"]
 
 
 class TestSs2dBlock:
@@ -197,9 +232,10 @@ def _direction_slices(params) -> list[dict]:
 
 
 def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
-    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a gather in scan order,
-    three 2-D matmuls, softplus, a one-sequence ``ssm_scan`` and an inverse gather; then a sum in ``DIRECTIONS``
-    order. The scan order is the direction's permutation composed with ``order`` if given, else with ``scan_order``."""
+    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a one-row gather in scan
+    order, three 2-D matmuls, softplus, a one-sequence ``ssm_scan`` and a one-row gather back by the swapped pair;
+    then a sum of ``add`` records in ``DIRECTIONS`` order. The scan order is the direction's permutation composed
+    with ``order`` if given, else with ``scan_order``."""
     tb = T.as_tensor(bev)
     channels, x_cells, y_cells = tb.shape
     if order is None:
@@ -207,8 +243,8 @@ def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
     tokens = T.bev_to_tokens(T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b)))
     one = lambda t: T.reshape(t, (1,) + t.shape)
 
-    def project(perm, p):
-        seq = T.gather_rows(tokens, perm)
+    def project(pair, p):
+        seq = T.reshape(T.gather_rows(tokens, pair), tokens.shape)
         b_seq = T.add(T.matmul(seq, p["w_b"]), p["b_b"])
         c_seq = T.add(T.matmul(seq, p["w_c"]), p["b_c"])
         delta = T.softplus(T.add(T.matmul(seq, p["w_delta"]), p["b_delta"]))
@@ -216,11 +252,11 @@ def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
 
     acc = None
     for time_perm, p in zip(direction_permutations(x_cells, y_cells)[0], slices, strict=True):
-        perm = time_perm[order]
-        inv = np.argsort(perm)
-        seq, delta, a, b_seq, c_seq = project(perm, p)
+        perm = time_perm[order][None]
+        inv = np.argsort(perm, axis=1)
+        seq, delta, a, b_seq, c_seq = project((perm, inv), p)
         y = ssm_scan(*(one(t) for t in (seq, delta, a, b_seq, c_seq)))
-        grid_tokens = T.gather_rows(T.reshape(y, seq.shape), inv)
+        grid_tokens = T.reshape(T.gather_rows(T.reshape(y, seq.shape), (inv, perm)), seq.shape)
         acc = grid_tokens if acc is None else T.add(acc, grid_tokens)
     normed = T.layer_norm(T.tokens_to_bev(acc, x_cells, y_cells), params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
@@ -292,7 +328,7 @@ class TestStackedAgainstPerDirection:
         monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 16 * 6 * 4)
         gathers = []
         flatten = cross_scan.cross_scan_flatten
-        monkeypatch.setattr(cross_scan, "cross_scan_flatten", lambda bev, perm: gathers.append(perm) or flatten(bev, perm))
+        monkeypatch.setattr(cross_scan, "cross_scan_flatten", lambda bev, pair: gathers.append(pair[0]) or flatten(bev, pair))
         x, params = _ss2d_case(np.float32, (4, 8))
         ss2d_block(x, params)
         wide = getattr(params.scan, field).value
@@ -318,12 +354,16 @@ class TestStackedAgainstPerDirection:
             assert T.value(getattr(stacked, f)).tobytes() == expected.tobytes()
 
     def test_tape_records_of_one_ss2d(self):
-        # in_proj conv + silu; bev_to_tokens + one gather; 3 matmul + 3 add + softplus + exp + neg;
-        # one scan; reshape + one inverse gather + reduce_sum + tokens_to_bev; layer_norm + out_proj conv
+        # in_proj conv + silu; the flatten; 3 matmul + 3 add + softplus + exp + neg; one scan; the merge;
+        # layer_norm + out_proj conv. The flatten and the merge write two records each.
         x, params = _ss2d_case(np.float32)
         with T.Tape() as tape:
             ss2d_block(x, params)
-        assert len(tape._records) == 20
+        ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
+        assert len(ops) == 18
+        assert ops[:4] == ["conv2d", "silu", "bev_to_tokens", "gather_rows"]
+        assert ops[-4:] == ["gather_sum_rows", "tokens_to_bev", "layer_norm", "conv2d"]
+        assert ops[-5] == "ssm_scan"
 
 
 class TestDiagnostics:
@@ -380,6 +420,12 @@ class TestDiagnostics:
     def test_empty_run_stats_full_occupancy(self):
         stats = empty_run_stats(np.ones((3, 3), dtype=bool), direction_permutations(3, 3)[0][1])
         assert stats["max_empty_run"] == 0 and stats["num_runs"] == 0
+
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 3)], ids=["2x8", "3x3"])
+    def test_scan_diagnostics_rejects_another_occupancy_shape(self, shape):
+        # a (2, 8) grid has the 4x4 grid's 16 cells; a (3, 3) one would index past its end
+        with pytest.raises(ContractViolation, match=re.escape(f"(4, 4) occupancy grid, got {shape}")):
+            scan_diagnostics(4, 4, occupancy=np.ones(shape, dtype=bool))
 
     def test_scan_diagnostics_report_shape(self):
         report = scan_diagnostics(4, 4, occupancy=np.eye(4, dtype=bool))

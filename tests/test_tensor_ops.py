@@ -397,6 +397,15 @@ class TestActivationOracles:
             assert T._stable_sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
 
 
+GATHER_PAIR = (np.array([[1, 0, 3, 2], [3, 2, 0, 1]]), np.array([[1, 0, 3, 2], [2, 3, 1, 0]]))
+GATHER_SOURCES = {"gather_rows": np.arange(8.0).reshape(4, 2), "gather_sum_rows": np.arange(16.0).reshape(2, 4, 2)}
+MISSHAPEN_GATHER_PAIRS = {
+    "mismatched": (GATHER_PAIR[0], GATHER_PAIR[1][:1]),
+    "other_n": (GATHER_PAIR[0][:, :3], GATHER_PAIR[1][:, :3]),
+    "one_row_1d": (GATHER_PAIR[0][0], GATHER_PAIR[1][0]),
+}
+
+
 class TestStructuralOps:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
     def test_split_concat_identity(self, c1, c2, seed):
@@ -436,12 +445,14 @@ class TestStructuralOps:
     def test_gather_scatter_roundtrip_and_grads(self):
         r = rng(8)
         x = T.Tensor(r.normal(size=(6, 3)))
-        perm = r.permutation(6)
-        gathered = T.gather_rows(x, perm)
-        back = T.gather_rows(gathered, np.argsort(perm))
+        perm = r.permutation(6)[None]
+        pair = (perm, np.argsort(perm, axis=1))
+        gathered = T.gather_rows(x, pair)
+        np.testing.assert_array_equal(T.value(gathered), T.value(x)[perm])
+        back = T.gather_sum_rows(gathered, pair)
         np.testing.assert_array_equal(T.value(back), T.value(x))
-        mix_a = T.Tensor(r.normal(size=(6, 3)))
-        rep = T.grad_check(lambda t: T.reduce_sum(T.mul(T.gather_rows(t, perm), mix_a)), [x])
+        mix_a = T.Tensor(r.normal(size=(1, 6, 3)))
+        rep = T.grad_check(lambda t: T.reduce_sum(T.mul(T.gather_rows(t, pair), mix_a)), [x])
         assert rep.passed
         mix_b = T.Tensor(r.normal(size=(6, 3)))
         rep = T.grad_check(
@@ -449,22 +460,6 @@ class TestStructuralOps:
             [T.Tensor(r.normal(size=(3, 3)))],
         )
         assert rep.passed
-
-    def test_gather_rows_duplicate_index_grads(self):
-        # repeated rows must accumulate their gradients (the scatter-add path)
-        r = rng(9)
-        x = T.Tensor(r.normal(size=(6, 3)))
-        idx = np.array([2, 0, 2, 5, 2, 0, 1])
-        mix = r.normal(size=(7, 3))
-        rep = T.grad_check(lambda t: T.reduce_sum(T.mul(T.gather_rows(t, idx), T.Tensor(mix))), [x])
-        assert rep.passed, rep
-        with T.Tape() as tape:
-            loss = T.reduce_sum(T.mul(T.gather_rows(x, idx), T.Tensor(mix)))
-        tape.backward(loss)
-        expected = np.zeros((6, 3))
-        np.add.at(expected, idx, mix)
-        np.testing.assert_allclose(tape.grad(x), expected, atol=1e-12)
-        assert not tape.grad(x)[[3, 4]].any()
 
     def test_scatter_rows_unique_contract(self):
         with pytest.raises(ContractViolation):
@@ -476,8 +471,21 @@ class TestStructuralOps:
             T.scatter_rows(T.Tensor(np.ones((1, 2))), np.array([-1]), 4)
 
     def test_gather_rows_rejects_negative_index(self):
-        with pytest.raises(ContractViolation):
-            T.gather_rows(T.Tensor(np.arange(8.0).reshape(4, 2)), np.array([0, -1]))
+        # numpy would wrap a negative index to a row from the end, in either index stack of either gather
+        negative = [(np.array([[1, 0, 3, -2], [-1, 2, 0, 1]]), GATHER_PAIR[1]), (GATHER_PAIR[0], -1 - GATHER_PAIR[1])]
+        for op, source in GATHER_SOURCES.items():
+            for pair in negative:
+                with pytest.raises(ContractViolation, match=f"{op} takes a pair of nonnegative"):
+                    getattr(T, op)(T.Tensor(source), pair)
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN_GATHER_PAIRS))
+    @pytest.mark.parametrize("op", sorted(GATHER_SOURCES))
+    def test_gathers_reject_a_misshapen_index_pair(self, op, case):
+        # both stacks (K, N) for a source of N rows (K sequences of them for gather_sum_rows); 1-D is not a stack
+        source = T.Tensor(GATHER_SOURCES[op])
+        getattr(T, op)(source, GATHER_PAIR)
+        with pytest.raises(ContractViolation, match=f"{op} takes a pair of nonnegative"):
+            getattr(T, op)(source, MISSHAPEN_GATHER_PAIRS[case])
 
     def test_segment_max_forward_and_grad(self):
         x = np.array([[1.0, 5.0], [2.0, 1.0], [9.0, 9.0], [4.0, 0.0], [3.0, 7.0]])  # segments rows 0-1, 2, 3-4
@@ -525,7 +533,7 @@ class TestFullOperatorSweep:
         checks = {
             "add_mul_sub_neg": lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.neg(T.sub(a, 0.3)))),
             "matmul": lambda a, b: T.reduce_sum(T.matmul(T.add(a, b), mat)),
-            "reductions": lambda a, b: T.add(T.reduce_sum(T.mul(T.reduce_sum(a, axis=0), b)), T.reduce_sum(b, axis=(0, 1))),
+            "reductions": lambda a, b: T.add(T.reduce_sum(T.mul(T.reduce_sum(a), b)), T.reduce_sum(T.mul(b, b))),
             "clamp": lambda a, b: T.reduce_sum(T.mul(T.clamp(T.sigmoid(a), 0.01, 0.99), b)),
             "gap_upsample": lambda a, b: T.reduce_sum(T.global_average_pool(T.nearest_upsample_2x(T.reshape(a, (2, 2, 2))))),
             "concat_split": lambda a, b: T.reduce_sum(T.mul(T.concat(T.split(a, [1, 1])), b)),
@@ -535,13 +543,22 @@ class TestFullOperatorSweep:
             rep = T.grad_check(fn, [x, y], eps=1e-6, name=f"{name}[{seed}]")
             assert rep.passed, rep
 
-        perm = r.permutation(6)
-        mix_rows = T.Tensor(r.normal(size=(6, 3)))
+        perm = np.stack([r.permutation(6) for _ in range(3)])
+        pair = (perm, np.argsort(perm, axis=1))
+        mix_stack = T.Tensor(r.normal(size=(3, 6, 2)))
         rep = T.grad_check(
-            lambda t: T.reduce_sum(T.mul(T.gather_rows(t, perm), mix_rows)),
-            [T.Tensor(r.normal(size=(6, 3)))],
+            lambda t: T.reduce_sum(T.mul(T.gather_rows(t, pair), mix_stack)),
+            [T.Tensor(r.normal(size=(6, 2)))],
             eps=1e-6,
             name=f"gather[{seed}]",
+        )
+        assert rep.passed, rep
+        mix_rows = T.Tensor(r.normal(size=(6, 2)))
+        rep = T.grad_check(
+            lambda t: T.reduce_sum(T.mul(T.gather_sum_rows(t, pair), mix_rows)),
+            [T.Tensor(r.normal(size=(3, 6, 2)))],
+            eps=1e-6,
+            name=f"gather_sum[{seed}]",
         )
         assert rep.passed, rep
 
