@@ -3,11 +3,11 @@
 A (C, X, Y) map is flattened into a stack of four 1-D token sequences (row-
 and column-major, and their reversals) by one row gather over a cached
 (perm, inv) pair, scanned as one stack with one parameter set per direction,
-and merged back by the gather's adjoint over the same pair: back to grid
-order, summed in ``DIRECTIONS`` order. The pair composes the directions
-with the scan's row order (``ssm.scan_order``, from the sizes alone), so the
-scan reads and writes its sequences in that order at no cost. The
-diagnostics read the time-order pair (``direction_permutations``) by
+and merged back into the map by the gather's adjoint over the same pair,
+summed in ``DIRECTIONS`` order: one tape record each way. The pair composes
+the directions with the scan's row order (``ssm.scan_order``, from the sizes
+alone), so the scan reads and writes its sequences in that order at no cost.
+The diagnostics read the time-order pair (``direction_permutations``) by
 direction index: how far flattening stretches spatial neighborhoods, and how
 long the empty-cell runs are.
 """
@@ -66,13 +66,13 @@ def _scan_permutations(x_cells: int, y_cells: int, channels: int, state_dim: int
 def cross_scan_flatten(bev, perms: tuple[Array, Array]) -> T.Tensor:
     """Gather (C, X, Y) into a (K, X*Y, C) stack of token sequences: sequence k's row p is the cell perm[k, p], for
     the (perm, inv) pair of ``direction_permutations`` (time order) or ``scan_permutations`` (scan order)."""
-    return T.gather_rows(T.bev_to_tokens(bev), perms)
+    return T.gather_rows(bev, perms)
 
 
 def cross_merge(outputs, perms: tuple[Array, Array], x_cells: int, y_cells: int) -> T.Tensor:
     """The flatten's adjoint over its (perm, inv) pair: cell g of the (C, X, Y) map sums row inv[k, g] of each
     sequence of the (K, X*Y, C) stack, in ``DIRECTIONS`` order."""
-    return T.tokens_to_bev(T.gather_sum_rows(outputs, perms), x_cells, y_cells)
+    return T.gather_sum_rows(outputs, perms, x_cells, y_cells)
 
 
 @dataclass

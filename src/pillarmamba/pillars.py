@@ -1,6 +1,6 @@
-"""Pillar feature encoding: voxelize a point cloud onto a BEV grid,
+"""Pillar feature encoding: voxelize an (N, 4) point cloud onto a BEV grid,
 augment each point to 9 dimensions, embed, max-pool per pillar, and
-scatter into a dense (C, X, Y) map.
+scatter the pooled rows into a dense (C, X, Y) map in one tape record.
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ class PointCloud:
     points: Array
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float32).reshape(-1, 4)
+        pts = np.asarray(self.points, dtype=np.float32)
+        if pts.ndim != 2 or pts.shape[1] != 4:
+            raise ContractViolation(f"a point cloud is (N, 4) rows of (x, y, z, reflectance), got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ContractViolation("point cloud contains non-finite coordinates")
         self.points = pts
@@ -209,8 +211,7 @@ def encode_scatter(features: Array, pillars: PillarSet, params: EncoderParams) -
     rows = T.Tensor(features.astype(dtype, copy=False))
     embedded = T.relu(T.add(T.matmul(rows, params.embed_w), params.embed_b))
     pooled = T.segment_max(embedded, pillars.starts)  # (P, C)
-    grid_rows = T.scatter_rows(pooled, pillars.flat_indices, grid.x_cells * grid.y_cells)
-    return BevMap(T.tokens_to_bev(grid_rows, grid.x_cells, grid.y_cells), pillars.counters)
+    return BevMap(T.scatter_rows(pooled, pillars.flat_indices, grid.x_cells, grid.y_cells), pillars.counters)
 
 
 def encode_cloud(

@@ -4,8 +4,9 @@ Every operator computes its result eagerly with numpy and, while a ``Tape`` is
 active, records a closure mapping the output gradient back to input gradients.
 Only the operators defined here are differentiable. The compute path runs in
 single precision; oracle and gradient checks run the same operators in double.
-The two row gathers take a cached pair of permutation stacks and are each
-other's adjoint, so no backward scatter-adds.
+The row ops read or write a (C, X, Y) map through one layout helper pair,
+in one record each; the two gathers take a cached pair of permutation stacks
+and are each other's adjoint, so no backward scatter-adds.
 
 Every operator allocates its results anew, so a scene frees and re-allocates
 the same working set. ``_keep_freed_arrays`` (applied once by ``build_model``)
@@ -476,43 +477,62 @@ def _sum_gathered(stack: Array, idx: Array, dtype) -> Array:
     return out
 
 
-def gather_rows(a, perms: tuple[Array, Array]) -> Tensor:
-    """The (K, N, C) stack of an (N, C) tensor's rows in K orders: row p of sequence k is ``a[perm[k, p]]``.
+def _map_to_rows(m: Array) -> Array:
+    """A (C, X, Y) map's (X*Y, C) rows, one per cell in row-major (flat cell) order, copied C-contiguous."""
+    return np.ascontiguousarray(m.reshape(m.shape[0], -1).T)
 
-    ``perms`` is a (perm, inv) pair of (K, N) stacks, inv the row-wise inverse
-    of perm (trusted, as ``cross_scan`` caches them). The backward is
+
+def _rows_to_map(rows: Array, x_cells: int, y_cells: int) -> Array:
+    """``_map_to_rows`` inverted: (X*Y, C) rows -> the C-contiguous (C, X, Y) map."""
+    return np.ascontiguousarray(rows.T).reshape(rows.shape[1], x_cells, y_cells)
+
+
+def gather_rows(m, perms: tuple[Array, Array]) -> Tensor:
+    """A (C, X, Y) map's cells in K orders, as a (K, X*Y, C) stack: row p of sequence k is flat cell perm[k, p].
+
+    ``perms`` is a (perm, inv) pair of (K, X*Y) stacks, inv the row-wise
+    inverse of perm (trusted, as ``cross_scan`` caches them). The backward is
     ``gather_sum_rows``' forward over the same pair.
     """
-    ta = as_tensor(a)
-    d = ta.data
-    perm, inv = _index_pair("gather_rows", perms, (len(perms[0]), len(d)))
-    out = Tensor(np.take(d, perm, axis=0))
-    _record(out, (ta,), lambda g: (_sum_gathered(g, inv, d.dtype),))
+    tm = as_tensor(m)
+    d = tm.data
+    if d.ndim != 3:
+        raise ContractViolation(f"gather_rows expects a (C, X, Y) map, got {d.shape}")
+    _, x_cells, y_cells = d.shape
+    perm, inv = _index_pair("gather_rows", perms, (len(perms[0]), x_cells * y_cells))
+    out = Tensor(np.take(_map_to_rows(d), perm, axis=0))
+    _record(out, (tm,), lambda g: (_rows_to_map(_sum_gathered(g, inv, d.dtype), x_cells, y_cells),))
     return out
 
 
-def gather_sum_rows(y, perms: tuple[Array, Array]) -> Tensor:
-    """Sum over k of ``y[k][inv[k]]`` for a (K, N, C) stack, added in k order: ``gather_rows``' adjoint over the same
-    (perm, inv) pair, so its backward is ``gather_rows``' forward."""
-    ty = as_tensor(y)
-    d = ty.data
+def gather_sum_rows(stack, perms: tuple[Array, Array], x_cells: int, y_cells: int) -> Tensor:
+    """The (C, X, Y) map whose cell g sums row inv[k, g] of each sequence k of a (K, X*Y, C) stack, added in k order:
+    ``gather_rows``' adjoint over the same (perm, inv) pair, so its backward is ``gather_rows``' forward."""
+    ts = as_tensor(stack)
+    d = ts.data
+    if d.ndim != 3 or d.shape[1] != x_cells * y_cells:
+        raise ContractViolation(f"gather_sum_rows expects a (K, {x_cells * y_cells}, C) stack, got {d.shape}")
     perm, inv = _index_pair("gather_sum_rows", perms, d.shape[:2])
-    out = Tensor(_sum_gathered(d, inv, d.dtype))
-    _record(out, (ty,), lambda g: (np.take(g.astype(d.dtype, copy=False), perm, axis=0),))
+    out = Tensor(_rows_to_map(_sum_gathered(d, inv, d.dtype), x_cells, y_cells))
+    _record(out, (ts,), lambda g: (np.take(_map_to_rows(g).astype(d.dtype, copy=False), perm, axis=0),))
     return out
 
 
-def scatter_rows(a, idx: Array, n_rows: int) -> Tensor:
-    """Place rows of a 2-D tensor at unique nonnegative row indices of a zero output."""
-    ta = as_tensor(a)
-    d = ta.data
-    idx = np.asarray(idx, dtype=np.intp)
-    if (idx < 0).any() or np.bincount(idx, minlength=1).max() > 1:
-        raise ContractViolation("scatter_rows requires unique nonnegative destination indices")
-    out_data = np.zeros((n_rows,) + d.shape[1:], dtype=d.dtype)
-    out_data[idx] = d
-    out = Tensor(out_data)
-    _record(out, (ta,), lambda g: (g[idx],))
+def scatter_rows(rows, cells: Array, x_cells: int, y_cells: int) -> Tensor:
+    """A zero (C, X, Y) map with row p of a (P, C) tensor at flat cell cells[p]; the cells unique, in [0, X*Y)."""
+    tr = as_tensor(rows)
+    d = tr.data
+    cells = np.asarray(cells, dtype=np.intp)
+    n_cells = x_cells * y_cells
+    in_map = d.ndim == 2 and cells.shape == d.shape[:1] and cells.min(initial=0) >= 0 and cells.max(initial=0) < n_cells
+    if not in_map or np.bincount(cells, minlength=1).max() > 1:
+        raise ContractViolation(
+            f"scatter_rows takes (P, C) rows to P unique cells in [0, {n_cells}), got {d.shape} and {cells.shape}"
+        )
+    grid_rows = np.zeros((n_cells, d.shape[1]), dtype=d.dtype)
+    grid_rows[cells] = d
+    out = Tensor(_rows_to_map(grid_rows, x_cells, y_cells))
+    _record(out, (tr,), lambda g: (_map_to_rows(g)[cells],))
     return out
 
 
@@ -764,31 +784,6 @@ def nearest_upsample_2x(x) -> Tensor:
     c, h, w = d.shape
     out = Tensor(d.repeat(2, axis=1).repeat(2, axis=2))
     _record(out, (tx,), lambda g: (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),))
-    return out
-
-
-def bev_to_tokens(x) -> Tensor:
-    """(C, X, Y) -> (X*Y, C) row-major token sequence."""
-    tx = as_tensor(x)
-    d = tx.data
-    if d.ndim != 3:
-        raise ContractViolation(f"bev_to_tokens expects (C,X,Y), got {d.shape}")
-    c = d.shape[0]
-    out = Tensor(np.ascontiguousarray(d.reshape(c, -1).T))
-    shape = d.shape
-    _record(out, (tx,), lambda g: (np.ascontiguousarray(g.T).reshape(shape),))
-    return out
-
-
-def tokens_to_bev(t, x_cells: int, y_cells: int) -> Tensor:
-    """(X*Y, C) row-major tokens -> (C, X, Y)."""
-    tt = as_tensor(t)
-    d = tt.data
-    if d.ndim != 2 or d.shape[0] != x_cells * y_cells:
-        raise ContractViolation(f"tokens_to_bev expects ({x_cells * y_cells}, C), got {d.shape}")
-    c = d.shape[1]
-    out = Tensor(np.ascontiguousarray(d.T).reshape(c, x_cells, y_cells))
-    _record(out, (tt,), lambda g: (np.ascontiguousarray(g.reshape(c, -1).T),))
     return out
 
 

@@ -168,31 +168,56 @@ def class_sweep_scan(coeff, update):
 
 
 # ---------------------------------------------------------------------------
-# the cross scan's flatten and merge as the tape once composed them: a scatter-add backward, an offset gather and an
-# axis-0 sum; the oracle of the ``gather_rows`` / ``gather_sum_rows`` adjoint pair
+# the row ops as the tape once composed them: a transposed copy between the (C, X, Y) map and its (X*Y, C) rows, then
+# a take (with a scatter-add backward), an offset gather and an axis-0 sum, or a scatter; the oracle of
+# ``gather_rows``, ``gather_sum_rows`` and ``scatter_rows``
 # ---------------------------------------------------------------------------
 
 
-def composed_flatten_merge(tokens, outputs, g_stack, g_grid, perm, inv):
-    """The flatten's and merge's values and input gradients over a (perm, inv) pair of (K, N) stacks, in numpy.
+def map_rows(m):
+    """A (C, X, Y) map's (X*Y, C) rows, one per cell in row-major order."""
+    return m.reshape(m.shape[0], -1).T.copy()
 
-    Flatten: the (K, N, C) stack ``tokens[perm]``; its gradient scatter-adds
-    each sequence of the cotangent ``g_stack`` into zeros by perm, in k
-    order. Merge: the (K*N, C) rows of ``outputs`` gathered by inv plus each
-    sequence's row offset, then summed over axis 0; its gradient broadcasts
-    the cotangent ``g_grid`` to the K sequences and scatter-adds it into
-    zeros by that offset index. Returns (stack, d_tokens, merged, d_outputs).
+
+def rows_map(rows, x_cells, y_cells):
+    """(X*Y, C) rows -> the (C, X, Y) map."""
+    return rows.T.reshape(rows.shape[1], x_cells, y_cells).copy()
+
+
+def composed_flatten_merge(bev, outputs, g_stack, g_map, perm, inv):
+    """The flatten's and merge's values and input gradients over a (perm, inv) pair of (K, X*Y) stacks, in numpy.
+
+    Flatten: the (K, X*Y, C) stack ``map_rows(bev)[perm]``; its gradient
+    scatter-adds each sequence of the cotangent ``g_stack`` into zero rows by
+    perm, in k order, and lays them out as a map. Merge: the (K*N, C) rows of
+    ``outputs`` gathered by inv plus each sequence's row offset, summed over
+    axis 0 and laid out as a map; its gradient broadcasts the rows of the
+    cotangent map ``g_map`` to the K sequences and scatter-adds them into
+    zeros by that offset index. Returns (stack, d_bev, merged, d_outputs).
     """
     k, n, c = outputs.shape
+    _, x_cells, y_cells = bev.shape
+    tokens = map_rows(bev)
     d_tokens = np.zeros_like(tokens)
     for rows, g_rows in zip(perm, g_stack):
         d_tokens[rows] += g_rows
     offset_inv = inv + n * np.arange(k)[:, None]
     merged = outputs.reshape(k * n, c)[offset_inv].sum(axis=0)
     d_rows = np.zeros((k * n, c), dtype=outputs.dtype)
-    for rows, g_rows in zip(offset_inv, np.broadcast_to(g_grid.astype(outputs.dtype, copy=False), (k, n, c))):
+    for rows, g_rows in zip(offset_inv, np.broadcast_to(map_rows(g_map).astype(outputs.dtype, copy=False), (k, n, c))):
         d_rows[rows] += g_rows
-    return tokens[perm], d_tokens, merged, d_rows.reshape(k, n, c)
+    d_bev, merged = rows_map(d_tokens, x_cells, y_cells), rows_map(merged, x_cells, y_cells)
+    return tokens[perm], d_bev, merged, d_rows.reshape(k, n, c)
+
+
+def composed_scatter(rows, cells, g_map):
+    """The encoder scatter's value and input gradient in numpy: ``rows`` placed at ``cells`` of zero (X*Y, C) rows and
+    laid out as a (C, X, Y) map like ``g_map``; its gradient is the cotangent map's rows at ``cells``. Returns
+    (map, d_rows)."""
+    _, x_cells, y_cells = g_map.shape
+    grid_rows = np.zeros((x_cells * y_cells, rows.shape[1]), dtype=rows.dtype)
+    grid_rows[cells] = rows
+    return rows_map(grid_rows, x_cells, y_cells), map_rows(g_map)[cells]
 
 
 # ---------------------------------------------------------------------------

@@ -179,26 +179,28 @@ class TestAdjointGathers:
         if t_len == 64 * 64:
             assert t_len > 2 * ssm._block_rows(channels * state_dim)  # the scan order spans several row blocks
         r = rng(t_len)
-        tokens, g_grid = (r.normal(size=(t_len, channels)).astype(dtype) for _ in range(2))
+        bev, g_map = (r.normal(size=(channels, x_cells, y_cells)).astype(dtype) for _ in range(2))
         outputs, g_stack = (r.normal(size=(len(DIRECTIONS), t_len, channels)).astype(dtype) for _ in range(2))
         g_stack[np.arange(len(DIRECTIONS))[:, None], perms[1][:, :2]] = -0.0
-        t_tokens, t_outputs = T.Tensor(tokens), T.Tensor(outputs)
+        t_bev, t_outputs = T.Tensor(bev), T.Tensor(outputs)
         with T.Tape() as tape:
-            stack, merged = T.gather_rows(t_tokens, perms), T.gather_sum_rows(t_outputs, perms)
-            loss = T.add(T.reduce_sum(T.mul(stack, T.Tensor(g_stack))), T.reduce_sum(T.mul(merged, T.Tensor(g_grid))))
+            stack, merged = cross_scan_flatten(t_bev, perms), cross_merge(t_outputs, perms, x_cells, y_cells)
+            loss = T.add(T.reduce_sum(T.mul(stack, T.Tensor(g_stack))), T.reduce_sum(T.mul(merged, T.Tensor(g_map))))
         tape.backward(loss)
-        got = (T.value(stack), tape.grad(t_tokens), T.value(merged), tape.grad(t_outputs))
-        for g, e in zip(got, composed_flatten_merge(tokens, outputs, g_stack, g_grid, *perms), strict=True):
+        got = (T.value(stack), tape.grad(t_bev), T.value(merged), tape.grad(t_outputs))
+        for g, e in zip(got, composed_flatten_merge(bev, outputs, g_stack, g_map, *perms), strict=True):
             assert g.dtype == e.dtype == dtype and g.shape == e.shape
             assert (g + 0.0).tobytes() == (e + 0.0).tobytes()
 
-    def test_flatten_and_merge_write_four_records(self):
+    def test_flatten_and_merge_write_two_records(self):
+        # each op takes or returns the (C, X, Y) map itself: no (X*Y, C) token tensor of its own on the tape
         x = T.Tensor(rng(24).normal(size=(3, 4, 6)))
         perms = scan_permutations(4, 6, 3, 2)
         with T.Tape() as tape:
-            cross_merge(cross_scan_flatten(x, perms), perms, 4, 6)
+            merged = cross_merge(cross_scan_flatten(x, perms), perms, 4, 6)
         ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
-        assert ops == ["bev_to_tokens", "gather_rows", "gather_sum_rows", "tokens_to_bev"]
+        assert ops == ["gather_rows", "gather_sum_rows"]
+        assert tape._records[0][1] == (x,) and tape._records[1][0] is merged
 
 
 class TestSs2dBlock:
@@ -232,19 +234,20 @@ def _direction_slices(params) -> list[dict]:
 
 
 def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
-    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a one-row gather in scan
-    order, three 2-D matmuls, softplus, a one-sequence ``ssm_scan`` and a one-row gather back by the swapped pair;
-    then a sum of ``add`` records in ``DIRECTIONS`` order. The scan order is the direction's permutation composed
-    with ``order`` if given, else with ``scan_order``."""
+    """The per-direction SS2D, the oracle of the stacked ``ss2d_block``: per direction, a one-row gather of the map in
+    scan order, three 2-D matmuls, softplus, a one-sequence ``ssm_scan`` and a one-row merge back to a map; then a sum
+    of ``add`` records in ``DIRECTIONS`` order. The scan order is the direction's permutation composed with ``order``
+    if given, else with ``scan_order``."""
     tb = T.as_tensor(bev)
     channels, x_cells, y_cells = tb.shape
     if order is None:
         order = scan_order(x_cells * y_cells, channels, slices[0]["a_log"].shape[-1])
-    tokens = T.bev_to_tokens(T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b)))
+    h = T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b))
     one = lambda t: T.reshape(t, (1,) + t.shape)
+    rows = (x_cells * y_cells, channels)
 
     def project(pair, p):
-        seq = T.reshape(T.gather_rows(tokens, pair), tokens.shape)
+        seq = T.reshape(T.gather_rows(h, pair), rows)
         b_seq = T.add(T.matmul(seq, p["w_b"]), p["b_b"])
         c_seq = T.add(T.matmul(seq, p["w_c"]), p["b_c"])
         delta = T.softplus(T.add(T.matmul(seq, p["w_delta"]), p["b_delta"]))
@@ -253,12 +256,12 @@ def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
     acc = None
     for time_perm, p in zip(direction_permutations(x_cells, y_cells)[0], slices, strict=True):
         perm = time_perm[order][None]
-        inv = np.argsort(perm, axis=1)
-        seq, delta, a, b_seq, c_seq = project((perm, inv), p)
+        pair = (perm, np.argsort(perm, axis=1))
+        seq, delta, a, b_seq, c_seq = project(pair, p)
         y = ssm_scan(*(one(t) for t in (seq, delta, a, b_seq, c_seq)))
-        grid_tokens = T.reshape(T.gather_rows(T.reshape(y, seq.shape), (inv, perm)), seq.shape)
-        acc = grid_tokens if acc is None else T.add(acc, grid_tokens)
-    normed = T.layer_norm(T.tokens_to_bev(acc, x_cells, y_cells), params.norm_gamma, params.norm_beta)
+        grid_map = T.gather_sum_rows(y, pair, x_cells, y_cells)
+        acc = grid_map if acc is None else T.add(acc, grid_map)
+    normed = T.layer_norm(acc, params.norm_gamma, params.norm_beta)
     return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
 
 
@@ -355,15 +358,15 @@ class TestStackedAgainstPerDirection:
 
     def test_tape_records_of_one_ss2d(self):
         # in_proj conv + silu; the flatten; 3 matmul + 3 add + softplus + exp + neg; one scan; the merge;
-        # layer_norm + out_proj conv. The flatten and the merge write two records each.
+        # layer_norm + out_proj conv. The flatten and the merge write one record each.
         x, params = _ss2d_case(np.float32)
         with T.Tape() as tape:
             ss2d_block(x, params)
         ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
-        assert len(ops) == 18
-        assert ops[:4] == ["conv2d", "silu", "bev_to_tokens", "gather_rows"]
-        assert ops[-4:] == ["gather_sum_rows", "tokens_to_bev", "layer_norm", "conv2d"]
-        assert ops[-5] == "ssm_scan"
+        assert len(ops) == 16
+        assert ops[:3] == ["conv2d", "silu", "gather_rows"]
+        assert ops[-3:] == ["gather_sum_rows", "layer_norm", "conv2d"]
+        assert ops[-4] == "ssm_scan"
 
 
 class TestDiagnostics:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import composed_scatter, rng
 from pillarmamba import tensor as T
 from pillarmamba.config import default_config, desk_grid, full_scale_grid
-from pillarmamba.errors import ConfigurationError
+from pillarmamba.errors import ConfigurationError, ContractViolation
 from pillarmamba.pillars import (
     EncoderParams,
     GridSpec,
@@ -61,6 +61,14 @@ class TestGridSpec:
         np.testing.assert_allclose(cfy - iy, 0.5, rtol=0, atol=1e-9)
         pillars = voxelize(PointCloud(np.column_stack([cx, cy, np.zeros(100), np.zeros(100)])), grid, *CAPS)
         assert set(map(tuple, pillars.indices.tolist())) == set(zip(ix.tolist(), iy.tolist()))
+
+
+class TestPointCloud:
+    @pytest.mark.parametrize("shape", [(4, 3), (12,), (3, 4, 1), (2, 5), (0,)])
+    def test_rejects_anything_but_n_by_4(self, shape):
+        # a reshape to (-1, 4) would turn a (4, 3) array into a (3, 4) cloud whose rows cut across the points
+        with pytest.raises(ContractViolation, match=r"\(N, 4\)"):
+            PointCloud(np.zeros(shape, dtype=np.float32))
 
 
 class TestVoxelize:
@@ -225,6 +233,34 @@ class TestEncodeScatter:
         bev = T.value(encode_cloud(cloud_of((1.05, 0.05, -1.0, 0.5)), desk_grid(), params, *CAPS).tensor)
         assert bev.shape == (4, 64, 64)
         np.testing.assert_array_equal(bev[:, 5, 32], [0.0, 2.0, 0.0, 0.25])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_cells,y_cells", [(5, 7), (64, 64)])
+    def test_scatter_matches_the_composed_oracle(self, x_cells, y_cells, dtype):
+        # the map and the rows' gradient byte for byte against zero rows, a scatter and a transposed copy in numpy;
+        # the cells come in no particular order
+        channels, n_cells = 16, x_cells * y_cells
+        r = rng(n_cells)
+        cells = r.permutation(n_cells)[: n_cells // 3]
+        rows = r.normal(size=(len(cells), channels)).astype(dtype)
+        g_map = r.normal(size=(channels, x_cells, y_cells)).astype(dtype)
+        t_rows = T.Tensor(rows)
+        with T.Tape() as tape:
+            grid_map = T.scatter_rows(t_rows, cells, x_cells, y_cells)
+            loss = T.reduce_sum(T.mul(grid_map, T.Tensor(g_map)))
+        tape.backward(loss)
+        for g, e in zip((T.value(grid_map), tape.grad(t_rows)), composed_scatter(rows, cells, g_map), strict=True):
+            assert g.dtype == e.dtype == dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+
+    def test_encode_scatter_writes_one_scatter_record(self):
+        # embedding matmul + bias add + relu, the per-pillar max, and one scatter straight into the (C, X, Y) map
+        pillars = voxelize(cloud_of((1.05, 0.05, -1.0, 0.5), (3.05, 1.05, -1.0, 0.2)), desk_grid(), *CAPS)
+        with T.Tape() as tape:
+            bev = encode_scatter(augment_features(pillars), pillars, self._params(4, seed=9))
+        ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
+        assert ops == ["matmul", "add", "relu", "segment_max", "scatter_rows"]
+        assert tape._records[-1][0] is bev.tensor and bev.tensor.shape == (4, 64, 64)
 
     def test_embed_gradients_flow(self):
         r = rng(7)

@@ -398,7 +398,11 @@ class TestActivationOracles:
 
 
 GATHER_PAIR = (np.array([[1, 0, 3, 2], [3, 2, 0, 1]]), np.array([[1, 0, 3, 2], [2, 3, 1, 0]]))
-GATHER_SOURCES = {"gather_rows": np.arange(8.0).reshape(4, 2), "gather_sum_rows": np.arange(16.0).reshape(2, 4, 2)}
+# per op, a source over N = 4 cells and the (X, Y) grid arguments it takes besides the pair
+GATHER_SOURCES = {
+    "gather_rows": (np.arange(8.0).reshape(2, 2, 2), ()),
+    "gather_sum_rows": (np.arange(16.0).reshape(2, 4, 2), (2, 2)),
+}
 MISSHAPEN_GATHER_PAIRS = {
     "mismatched": (GATHER_PAIR[0], GATHER_PAIR[1][:1]),
     "other_n": (GATHER_PAIR[0][:, :3], GATHER_PAIR[1][:, :3]),
@@ -435,57 +439,71 @@ class TestStructuralOps:
         assert rep.passed
 
     def test_bev_tokens_roundtrip(self):
+        # the row ops' layout: cell (i, j) of an (X, Y) map is token row i*Y + j, whose C entries are its channels
         r = rng(7)
         x = r.normal(size=(3, 4, 5))
-        tokens = T.bev_to_tokens(T.Tensor(x))
-        assert T.value(tokens).shape == (20, 3)
-        back = T.tokens_to_bev(tokens, 4, 5)
-        np.testing.assert_array_equal(T.value(back), x)
+        ident = (np.arange(20)[None], np.arange(20)[None])
+        tokens = T.gather_rows(T.Tensor(x), ident)
+        assert T.value(tokens).shape == (1, 20, 3)
+        np.testing.assert_array_equal(T.value(tokens)[0, 2 * 5 + 3], x[:, 2, 3])
+        np.testing.assert_array_equal(T.value(T.gather_sum_rows(tokens, ident, 4, 5)), x)
+        np.testing.assert_array_equal(T.value(T.scatter_rows(T.value(tokens)[0], np.arange(20), 4, 5)), x)
 
     def test_gather_scatter_roundtrip_and_grads(self):
         r = rng(8)
-        x = T.Tensor(r.normal(size=(6, 3)))
+        x = T.Tensor(r.normal(size=(3, 2, 3)))
         perm = r.permutation(6)[None]
         pair = (perm, np.argsort(perm, axis=1))
         gathered = T.gather_rows(x, pair)
-        np.testing.assert_array_equal(T.value(gathered), T.value(x)[perm])
-        back = T.gather_sum_rows(gathered, pair)
+        np.testing.assert_array_equal(T.value(gathered), T.value(x).reshape(3, 6).T[perm])
+        back = T.gather_sum_rows(gathered, pair, 2, 3)
         np.testing.assert_array_equal(T.value(back), T.value(x))
         mix_a = T.Tensor(r.normal(size=(1, 6, 3)))
         rep = T.grad_check(lambda t: T.reduce_sum(T.mul(T.gather_rows(t, pair), mix_a)), [x])
         assert rep.passed
-        mix_b = T.Tensor(r.normal(size=(6, 3)))
+        mix_b = T.Tensor(r.normal(size=(3, 2, 3)))
         rep = T.grad_check(
-            lambda t: T.reduce_sum(T.mul(T.scatter_rows(t, np.array([4, 0, 2]), 6), mix_b)),
+            lambda t: T.reduce_sum(T.mul(T.scatter_rows(t, np.array([4, 0, 2]), 2, 3), mix_b)),
             [T.Tensor(r.normal(size=(3, 3)))],
         )
         assert rep.passed
 
     def test_scatter_rows_unique_contract(self):
         with pytest.raises(ContractViolation):
-            T.scatter_rows(T.Tensor(np.zeros((2, 1))), np.array([1, 1]), 4)
+            T.scatter_rows(T.Tensor(np.zeros((2, 1))), np.array([1, 1]), 2, 2)
 
     def test_scatter_rows_rejects_negative_index(self):
         # numpy would wrap -1 to the last row
         with pytest.raises(ContractViolation):
-            T.scatter_rows(T.Tensor(np.ones((1, 2))), np.array([-1]), 4)
+            T.scatter_rows(T.Tensor(np.ones((1, 2))), np.array([-1]), 2, 2)
+
+    @pytest.mark.parametrize(
+        "n_rows,cells",
+        [(1, [0, 1, 2]), (2, [3]), (1, [4]), (2, [[0], [1]])],
+        ids=["one-row-three-cells", "two-rows-one-cell", "past-the-map", "2d-cells"],
+    )
+    def test_scatter_rows_takes_one_cell_per_row_inside_the_map(self, n_rows, cells):
+        # numpy would broadcast one row into three cells (and the backward return a (3, C) gradient for a (1, C)
+        # input), or raise a bare IndexError past the 2x2 map's 4 cells
+        with pytest.raises(ContractViolation, match="scatter_rows"):
+            T.scatter_rows(T.Tensor(np.ones((n_rows, 2))), np.array(cells), 2, 2)
 
     def test_gather_rows_rejects_negative_index(self):
         # numpy would wrap a negative index to a row from the end, in either index stack of either gather
         negative = [(np.array([[1, 0, 3, -2], [-1, 2, 0, 1]]), GATHER_PAIR[1]), (GATHER_PAIR[0], -1 - GATHER_PAIR[1])]
-        for op, source in GATHER_SOURCES.items():
+        for op, (source, grid) in GATHER_SOURCES.items():
             for pair in negative:
                 with pytest.raises(ContractViolation, match=f"{op} takes a pair of nonnegative"):
-                    getattr(T, op)(T.Tensor(source), pair)
+                    getattr(T, op)(T.Tensor(source), pair, *grid)
 
     @pytest.mark.parametrize("case", sorted(MISSHAPEN_GATHER_PAIRS))
     @pytest.mark.parametrize("op", sorted(GATHER_SOURCES))
     def test_gathers_reject_a_misshapen_index_pair(self, op, case):
         # both stacks (K, N) for a source of N rows (K sequences of them for gather_sum_rows); 1-D is not a stack
-        source = T.Tensor(GATHER_SOURCES[op])
-        getattr(T, op)(source, GATHER_PAIR)
+        source, grid = GATHER_SOURCES[op]
+        getattr(T, op)(T.Tensor(source), GATHER_PAIR, *grid)
         with pytest.raises(ContractViolation, match=f"{op} takes a pair of nonnegative"):
-            getattr(T, op)(source, MISSHAPEN_GATHER_PAIRS[case])
+            getattr(T, op)(T.Tensor(source), MISSHAPEN_GATHER_PAIRS[case], *grid)
 
     def test_segment_max_forward_and_grad(self):
         x = np.array([[1.0, 5.0], [2.0, 1.0], [9.0, 9.0], [4.0, 0.0], [3.0, 7.0]])  # segments rows 0-1, 2, 3-4
@@ -530,6 +548,7 @@ class TestFullOperatorSweep:
         x = T.Tensor(r.normal(size=(2, 4)))
         y = T.Tensor(r.normal(size=(2, 4)))
         mat = T.Tensor(r.normal(size=(4, 3)))
+        ident = (np.arange(4)[None], np.arange(4)[None])
         checks = {
             "add_mul_sub_neg": lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.neg(T.sub(a, 0.3)))),
             "matmul": lambda a, b: T.reduce_sum(T.matmul(T.add(a, b), mat)),
@@ -537,7 +556,11 @@ class TestFullOperatorSweep:
             "clamp": lambda a, b: T.reduce_sum(T.mul(T.clamp(T.sigmoid(a), 0.01, 0.99), b)),
             "gap_upsample": lambda a, b: T.reduce_sum(T.global_average_pool(T.nearest_upsample_2x(T.reshape(a, (2, 2, 2))))),
             "concat_split": lambda a, b: T.reduce_sum(T.mul(T.concat(T.split(a, [1, 1])), b)),
-            "token_roundtrip": lambda a, b: T.reduce_sum(T.mul(T.bev_to_tokens(T.tokens_to_bev(T.reshape(a, (4, 2)), 2, 2)), T.reshape(b, (4, 2)))),
+            "token_roundtrip": lambda a, b: T.reduce_sum(
+                T.mul(
+                    T.gather_rows(T.gather_sum_rows(T.reshape(a, (1, 4, 2)), ident, 2, 2), ident), T.reshape(b, (1, 4, 2))
+                )
+            ),
         }
         for name, fn in checks.items():
             rep = T.grad_check(fn, [x, y], eps=1e-6, name=f"{name}[{seed}]")
@@ -548,14 +571,14 @@ class TestFullOperatorSweep:
         mix_stack = T.Tensor(r.normal(size=(3, 6, 2)))
         rep = T.grad_check(
             lambda t: T.reduce_sum(T.mul(T.gather_rows(t, pair), mix_stack)),
-            [T.Tensor(r.normal(size=(6, 2)))],
+            [T.Tensor(r.normal(size=(2, 2, 3)))],
             eps=1e-6,
             name=f"gather[{seed}]",
         )
         assert rep.passed, rep
-        mix_rows = T.Tensor(r.normal(size=(6, 2)))
+        mix_map = T.Tensor(r.normal(size=(2, 2, 3)))
         rep = T.grad_check(
-            lambda t: T.reduce_sum(T.mul(T.gather_sum_rows(t, pair), mix_rows)),
+            lambda t: T.reduce_sum(T.mul(T.gather_sum_rows(t, pair, 2, 3), mix_map)),
             [T.Tensor(r.normal(size=(3, 6, 2)))],
             eps=1e-6,
             name=f"gather_sum[{seed}]",
@@ -563,9 +586,9 @@ class TestFullOperatorSweep:
         assert rep.passed, rep
 
         scatter_idx = np.sort(r.choice(6, size=3, replace=False))
-        mix_grid = T.Tensor(r.normal(size=(6, 2)))
+        mix_grid = T.Tensor(r.normal(size=(2, 2, 3)))
         rep = T.grad_check(
-            lambda t: T.reduce_sum(T.mul(T.scatter_rows(t, scatter_idx, 6), mix_grid)),
+            lambda t: T.reduce_sum(T.mul(T.scatter_rows(t, scatter_idx, 2, 3), mix_grid)),
             [T.Tensor(r.normal(size=(3, 2)))],
             eps=1e-6,
             name=f"scatter[{seed}]",
