@@ -155,8 +155,8 @@ def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
     tf = T.as_tensor(f)
     if tf.shape[0] != cfg.channels:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
-    mixed = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
-    branch, bypass = T.split(mixed, [cfg.hsb_channels] * 2)
+    # conv_down's output goes straight into the split, so no name keeps it alive through the HSB chain
+    branch, bypass = T.split(T.conv2d(tf, params.conv_down_w, params.conv_down_b), [cfg.hsb_channels] * 2)
     merged = T.concat([hsb_chain(branch, cfg, params.hsbs), bypass])
     return T.conv2d(merged, params.conv_up_w, params.conv_up_b)
 

@@ -190,11 +190,6 @@ def desk_grid() -> GridSpec:
     return GridSpec(x_range=(0.0, 12.8), y_range=(-6.4, 6.4), z_range=(-3.0, 1.0), pillar_size=0.2)
 
 
-def full_scale_grid() -> GridSpec:
-    """Production-scale default: 512x512 cells at 0.2 m."""
-    return GridSpec(x_range=(0.0, 102.4), y_range=(-51.2, 51.2), z_range=(-5.0, 5.0), pillar_size=0.2)
-
-
 def default_config() -> RunConfig:
     return RunConfig(grid=desk_grid())
 

@@ -2,6 +2,8 @@
 
 Every operator computes its result eagerly with numpy and, while a ``Tape`` is
 active, records a closure mapping the output gradient back to input gradients.
+A record names its output and parents by ``Tensor.node`` ids and holds no
+tensor, so a taped forward keeps alive only the arrays its closures capture.
 Only the operators defined here are differentiable. The compute path runs in
 single precision; oracle and gradient checks run the same operators in double.
 The row ops read or write a (C, X, Y) map through one layout helper pair,
@@ -17,7 +19,7 @@ instead of returning them to the kernel; elsewhere it does nothing.
 from __future__ import annotations
 
 import ctypes
-import weakref
+import itertools
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -75,14 +77,17 @@ def _stable_sigmoid(x: Array) -> Array:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+_NODE_IDS = itertools.count()  # serial numbers for Tensor.node, unique within the process
+
+
 class Tensor:
     """Immutable-by-convention dense array value participating in the tape.
 
-    Hashes by identity (no ``__eq__``), so the tape keys cotangents by the
-    tensor object itself.
+    ``node`` is the tensor's serial number: the tape names tensors by it, so
+    a record keeps no tensor alive.
     """
 
-    __slots__ = ("data", "__weakref__")
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -91,6 +96,7 @@ class Tensor:
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
+        self.node = next(_NODE_IDS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -189,17 +195,20 @@ class Tape:
         tape.backward(loss)
         g = tape.grad(some_param_or_input)
 
-    ``backward`` runs once per tape. It pops each record before running its
-    closure and drops each cotangent once used, so saved arrays are freed as
-    the walk goes. Afterwards the tape holds no records, only the gradients
-    of leaves: parameters, and inputs that no record produced. A leaf the
-    walk never reached reads as zeros; a tensor a record produced raises.
+    A record holds the node ids of its output and parents and the backward
+    closure, never a tensor, so a taped forward keeps alive only the arrays
+    its closures capture. ``backward`` runs once per tape. It pops each
+    record before running its closure and drops each cotangent once used,
+    so saved arrays are freed as the walk goes. Afterwards the tape holds no
+    records, only the gradients of leaves by node: parameters, and inputs
+    that no record produced. A leaf the walk never reached reads as zeros;
+    a tensor a record produced raises.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._grads: dict[Tensor, Array] | None = None
-        self._produced: weakref.WeakSet = weakref.WeakSet()
+        self._records: list[tuple[int, tuple[int, ...], Callable]] = []
+        self._grads: dict[int, Array] | None = None
+        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -210,7 +219,7 @@ class Tape:
         assert popped is self
 
     def record(self, out: Tensor, parents: Sequence[Tensor], backward: Callable) -> None:
-        self._records.append((out, tuple(parents), backward))
+        self._records.append((out.node, tuple(p.node for p in parents), backward))
 
     def backward(self, root: Tensor) -> None:
         if self._grads is not None:
@@ -219,7 +228,7 @@ class Tape:
             raise ContractViolation(
                 f"backward root must be scalar (sum-reduce first), got shape {root.shape}"
             )
-        self._grads = grads = {root: np.ones_like(root.data)}
+        self._grads = grads = {root.node: np.ones_like(root.data)}
         while self._records:
             out, parents, bwd = self._records.pop()
             self._produced.add(out)
@@ -236,10 +245,10 @@ class Tape:
         if self._grads is None:
             raise RuntimeError("call backward() before querying gradients")
         t = obj.value if isinstance(obj, Param) else obj
-        g = self._grads.get(t)
+        g = self._grads.get(t.node)
         if g is not None:
             return g
-        if t in self._produced:
+        if t.node in self._produced:
             raise ContractViolation(
                 f"no gradient kept for {t!r}: a record produced it, and backward keeps only leaf gradients"
             )
@@ -415,7 +424,8 @@ def reduce_sum(a) -> Tensor:
     ta = as_tensor(a)
     d = ta.data
     out = Tensor(d.sum())
-    _record(out, (ta,), lambda g: (np.broadcast_to(g, d.shape).astype(d.dtype, copy=False),))
+    shape, dtype = d.shape, d.dtype
+    _record(out, (ta,), lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=False),))
     return out
 
 
@@ -444,6 +454,7 @@ def split(a, sizes: Sequence[int]) -> tuple[Tensor, ...]:
     d = ta.data
     if sum(sizes) != d.shape[0]:
         raise ContractViolation(f"split sizes {list(sizes)} do not sum to axis extent {d.shape[0]}")
+    shape, dtype = d.shape, d.dtype
     outs = []
     start = 0
     for size in sizes:
@@ -451,7 +462,7 @@ def split(a, sizes: Sequence[int]) -> tuple[Tensor, ...]:
         piece = Tensor(d[sl].copy())
 
         def bwd(g, sl=sl):
-            full = np.zeros_like(d)
+            full = np.zeros(shape, dtype=dtype)
             full[sl] = g
             return (full,)
 
@@ -501,7 +512,8 @@ def gather_rows(m, perms: tuple[Array, Array]) -> Tensor:
     _, x_cells, y_cells = d.shape
     perm, inv = _index_pair("gather_rows", perms, (len(perms[0]), x_cells * y_cells))
     out = Tensor(np.take(_map_to_rows(d), perm, axis=0))
-    _record(out, (tm,), lambda g: (_rows_to_map(_sum_gathered(g, inv, d.dtype), x_cells, y_cells),))
+    dtype = d.dtype
+    _record(out, (tm,), lambda g: (_rows_to_map(_sum_gathered(g, inv, dtype), x_cells, y_cells),))
     return out
 
 
@@ -514,7 +526,8 @@ def gather_sum_rows(stack, perms: tuple[Array, Array], x_cells: int, y_cells: in
         raise ContractViolation(f"gather_sum_rows expects a (K, {x_cells * y_cells}, C) stack, got {d.shape}")
     perm, inv = _index_pair("gather_sum_rows", perms, d.shape[:2])
     out = Tensor(_rows_to_map(_sum_gathered(d, inv, d.dtype), x_cells, y_cells))
-    _record(out, (ts,), lambda g: (np.take(_map_to_rows(g).astype(d.dtype, copy=False), perm, axis=0),))
+    dtype = d.dtype
+    _record(out, (ts,), lambda g: (np.take(_map_to_rows(g).astype(dtype, copy=False), perm, axis=0),))
     return out
 
 
@@ -766,12 +779,8 @@ def global_average_pool(x) -> Tensor:
         raise ContractViolation(f"global_average_pool expects (C,H,W), got {d.shape}")
     c, h, w = d.shape
     out = Tensor(d.mean(axis=(1, 2)))
-    scale = 1.0 / (h * w)
-    _record(
-        out,
-        (tx,),
-        lambda g: (np.broadcast_to(g[:, None, None] * scale, d.shape).astype(d.dtype, copy=False),),
-    )
+    scale, dtype = 1.0 / (h * w), d.dtype
+    _record(out, (tx,), lambda g: (np.broadcast_to(g[:, None, None] * scale, (c, h, w)).astype(dtype, copy=False),))
     return out
 
 

@@ -11,6 +11,7 @@ from pillarmamba import tensor as T
 from pillarmamba.boxes import Box3D, Detection
 from pillarmamba.head import HeadTargets, RawMaps
 from pillarmamba.metrics import rotated_iou_3d
+from pillarmamba.pillars import GridSpec
 
 settings.register_profile(
     "suite",
@@ -29,6 +30,11 @@ def _quiet_numpy():
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def full_scale_grid() -> GridSpec:
+    """The paper's production-scale geometry: 512x512 cells at 0.2 m."""
+    return GridSpec(x_range=(0.0, 102.4), y_range=(-51.2, 51.2), z_range=(-5.0, 5.0), pillar_size=0.2)
 
 
 def perfect_raw_maps(targets: HeadTargets) -> RawMaps:

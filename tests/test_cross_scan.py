@@ -200,7 +200,7 @@ class TestAdjointGathers:
             merged = cross_merge(cross_scan_flatten(x, perms), perms, 4, 6)
         ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
         assert ops == ["gather_rows", "gather_sum_rows"]
-        assert tape._records[0][1] == (x,) and tape._records[1][0] is merged
+        assert tape._records[0][1] == (x.node,) and tape._records[1][0] == merged.node
 
 
 class TestSs2dBlock:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import perfect_raw_maps, rng
+from conftest import full_scale_grid, perfect_raw_maps, rng
 from pillarmamba import tensor as T
 from pillarmamba.boxes import Box3D
-from pillarmamba.config import default_config, desk_grid, full_scale_grid
+from pillarmamba.config import default_config, desk_grid
 from pillarmamba.data_io import SceneSpec, generate_scene
 from pillarmamba.head import (
     REG_CHANNELS,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import composed_scatter, rng
+from conftest import composed_scatter, full_scale_grid, rng
 from pillarmamba import tensor as T
-from pillarmamba.config import default_config, desk_grid, full_scale_grid
+from pillarmamba.config import default_config, desk_grid
 from pillarmamba.errors import ConfigurationError, ContractViolation
 from pillarmamba.pillars import (
     EncoderParams,
@@ -260,7 +260,7 @@ class TestEncodeScatter:
             bev = encode_scatter(augment_features(pillars), pillars, self._params(4, seed=9))
         ops = [bwd.__qualname__.split(".")[0] for _, _, bwd in tape._records]
         assert ops == ["matmul", "add", "relu", "segment_max", "scatter_rows"]
-        assert tape._records[-1][0] is bev.tensor and bev.tensor.shape == (4, 64, 64)
+        assert tape._records[-1][0] == bev.tensor.node and bev.tensor.shape == (4, 64, 64)
 
     def test_embed_gradients_flow(self):
         r = rng(7)

@@ -649,12 +649,59 @@ class TestTapeMechanics:
             out = T.reduce_sum(T.texp(mid))
         mid_ref = weakref.ref(mid)
         del mid
-        assert mid_ref() is not None  # held by the records
+        assert mid_ref() is None  # freed at once: the records hold node ids, and texp's closure only its output
         tape.backward(out)
-        assert mid_ref() is None
         assert not tape._records
-        assert list(tape._grads) == [x]
+        assert list(tape._grads) == [x.node]
         np.testing.assert_array_equal(tape.grad(unused), [0.0])
+
+    def test_intermediate_no_closure_reads_is_freed_while_the_tape_lives(self):
+        # add keeps shapes, neg nothing, reshape the shape and texp its own output: a, b and c go at once
+        x = T.Tensor(np.array([0.25, -1.5, 3.0, 0.5]))
+        with T.Tape() as tape:
+            a = T.add(x, x)
+            b = T.neg(a)
+            c = T.reshape(b, (2, 2))
+            out = T.reduce_sum(T.texp(c))
+        refs = [weakref.ref(t) for t in (a, b, c)] + [weakref.ref(t.data) for t in (a, b)]
+        del a, b, c
+        assert [r() for r in refs] == [None] * len(refs)
+        assert len(tape._records) == 5
+        tape.backward(out)
+        e = np.exp(-(x.data + x.data))
+        np.testing.assert_array_equal(tape.grad(x), -e + -e)
+
+    @pytest.mark.parametrize(
+        "loss_of, shape, grad",
+        [
+            (lambda t: T.add(*map(T.reduce_sum, T.split(t, [1, 2]))), (3, 2, 2), 1.0),
+            (lambda t: T.reduce_sum(T.global_average_pool(t)), (3, 2, 2), 0.25),  # 1 / (H W)
+            (T.reduce_sum, (3, 2), 1.0),
+            (lambda t: T.reduce_sum(T.gather_rows(t, (np.arange(4)[None],) * 2)), (3, 2, 2), 1.0),
+            (lambda t: T.reduce_sum(T.gather_sum_rows(t, (np.tile(np.arange(4), (2, 1)),) * 2, 2, 2)), (2, 4, 3), 1.0),
+        ],
+        ids=["split", "global_average_pool", "reduce_sum", "gather_rows", "gather_sum_rows"],
+    )
+    def test_closure_keeps_no_reference_to_its_input_array(self, loss_of, shape, grad):
+        x = T.Tensor(rng(31).normal(size=shape))
+        data_ref, node = weakref.ref(x.data), x.node
+        with T.Tape() as tape:
+            loss = loss_of(x)
+        del x
+        assert data_ref() is None
+        tape.backward(loss)
+        np.testing.assert_array_equal(tape._grads[node], np.full(shape, grad))
+
+    def test_closure_that_reads_its_input_keeps_it(self):
+        # the control for the test above: mul's backward reads both inputs, so the tape holds x's array
+        x = T.Tensor(rng(32).normal(size=(3, 2)))
+        data_ref = weakref.ref(x.data)
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(x, T.Tensor(np.ones((3, 2)))))
+        del x
+        assert data_ref() is not None
+        tape.backward(loss)
+        assert data_ref() is None
 
     def test_second_backward_raises(self):
         x = T.Tensor(np.array([2.0]))
