@@ -83,8 +83,7 @@ def backbone_forward(f0, cfg: ModelConfig, params: BackboneParams) -> FeaturePyr
     levels = [f1]
     x = f1
     for i in range(1, STAGES):
-        w, b = params.down_convs[i - 1]
-        x = T.conv2d(x, w, b, stride=2, padding=1)
+        x = T.conv2d(x, *params.down_convs[i - 1], stride=2, padding=1)
         x = _stage_forward(x, cfg, params.stages[i])
         levels.append(x)
     f1, f2, f3, f4 = levels

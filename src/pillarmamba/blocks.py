@@ -39,29 +39,23 @@ class SeParams:
 
 @dataclass
 class HsbParams:
-    conv_down_w: T.Param
-    conv_down_b: T.Param
+    conv_down: tuple[T.Param, T.Param]  # 1x1, C -> inner
     norm_ss_gamma: T.Param
     norm_ss_beta: T.Param
     ss2d: Ss2dParams
     norm_lc_gamma: T.Param
     norm_lc_beta: T.Param
-    dw_inner_w: T.Param
-    dw_inner_b: T.Param
-    conv_up_w: T.Param
-    conv_up_b: T.Param
-    dw_outer_w: T.Param
-    dw_outer_b: T.Param
+    dw_inner: tuple[T.Param, T.Param]  # depthwise, inner
+    conv_up: tuple[T.Param, T.Param]  # 1x1, inner -> C
+    dw_outer: tuple[T.Param, T.Param]  # depthwise, C
     se: SeParams
 
 
 @dataclass
 class CsgParams:
-    conv_down_w: T.Param
-    conv_down_b: T.Param
+    conv_down: tuple[T.Param, T.Param]  # 1x1 channel mix before the split
     hsbs: tuple[HsbParams, ...]
-    conv_up_w: T.Param
-    conv_up_b: T.Param
+    conv_up: tuple[T.Param, T.Param]  # 1x1 channel mix after the concat
 
 
 def init_se_params(rng: np.random.Generator, channels: int, reduction: int) -> SeParams:
@@ -86,26 +80,18 @@ def se_attention(f_up, se: SeParams) -> T.Tensor:
 
 def init_hsb_params(rng: np.random.Generator, cfg: ModelConfig) -> HsbParams:
     c, ci, k = cfg.hsb_channels, cfg.hsb_inner_channels, cfg.hsb.dw_kernel
-    down_w, down_b = T.conv_param(rng, ci, c, 1)
-    up_w, up_b = T.conv_param(rng, c, ci, 1)
-    dw_inner_w, dw_inner_b = T.conv_param(rng, ci, 1, k)
-    dw_outer_w, dw_outer_b = T.conv_param(rng, c, 1, k)
-    se = init_se_params(rng, c, cfg.hsb.se_reduction)
+    # keyword arguments evaluate as written, so the rng draws in this order, not the field order
     return HsbParams(
-        conv_down_w=down_w,
-        conv_down_b=down_b,
+        conv_down=T.conv_param(rng, ci, c, 1),
+        conv_up=T.conv_param(rng, c, ci, 1),
+        dw_inner=T.conv_param(rng, ci, 1, k),
+        dw_outer=T.conv_param(rng, c, 1, k),
+        se=init_se_params(rng, c, cfg.hsb.se_reduction),
         norm_ss_gamma=T.Param(np.ones(ci)),
         norm_ss_beta=T.Param(np.zeros(ci)),
         ss2d=init_ss2d_params(rng, ci, cfg.ssm.state_dim),
         norm_lc_gamma=T.Param(np.ones(ci)),
         norm_lc_beta=T.Param(np.zeros(ci)),
-        dw_inner_w=dw_inner_w,
-        dw_inner_b=dw_inner_b,
-        conv_up_w=up_w,
-        conv_up_b=up_b,
-        dw_outer_w=dw_outer_w,
-        dw_outer_b=dw_outer_b,
-        se=se,
     )
 
 
@@ -122,15 +108,15 @@ def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
     if tf.shape[0] != c:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {c}")
     pad = hsb.dw_kernel // 2
-    f_down = T.conv2d(tf, params.conv_down_w, params.conv_down_b)
+    f_down = T.conv2d(tf, *params.conv_down)
     scanned = ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d)
     f_down = T.add(scanned, f_down)
     normed = T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta)
-    local = T.conv2d(normed, params.dw_inner_w, params.dw_inner_b, padding=pad)
+    local = T.conv2d(normed, *params.dw_inner, padding=pad)
     f_down = T.add(local, f_down)
-    f_up = T.conv2d(f_down, params.conv_up_w, params.conv_up_b)
+    f_up = T.conv2d(f_down, *params.conv_up)
 
-    dw_f = T.conv2d(tf, params.dw_outer_w, params.dw_outer_b, padding=pad)
+    dw_f = T.conv2d(tf, *params.dw_outer, padding=pad)
     gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
     return T.mul(gates, dw_f)
 
@@ -144,10 +130,12 @@ def hsb_chain(f, cfg: ModelConfig, hsbs: tuple[HsbParams, ...]) -> T.Tensor:
 
 def init_csg_params(rng: np.random.Generator, cfg: ModelConfig) -> CsgParams:
     c = cfg.channels
-    down_w, down_b = T.conv_param(rng, c, c, 1)
-    up_w, up_b = T.conv_param(rng, c, c, 1)
-    hsbs = tuple(init_hsb_params(rng, cfg) for _ in range(cfg.csg.hsb_layers))
-    return CsgParams(conv_down_w=down_w, conv_down_b=down_b, hsbs=hsbs, conv_up_w=up_w, conv_up_b=up_b)
+    # keyword arguments evaluate as written, so the rng draws in this order, not the field order
+    return CsgParams(
+        conv_down=T.conv_param(rng, c, c, 1),
+        conv_up=T.conv_param(rng, c, c, 1),
+        hsbs=tuple(init_hsb_params(rng, cfg) for _ in range(cfg.csg.hsb_layers)),
+    )
 
 
 def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
@@ -156,9 +144,9 @@ def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
     if tf.shape[0] != cfg.channels:
         raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
     # conv_down's output goes straight into the split, so no name keeps it alive through the HSB chain
-    branch, bypass = T.split(T.conv2d(tf, params.conv_down_w, params.conv_down_b), [cfg.hsb_channels] * 2)
+    branch, bypass = T.split(T.conv2d(tf, *params.conv_down), [cfg.hsb_channels] * 2)
     merged = T.concat([hsb_chain(branch, cfg, params.hsbs), bypass])
-    return T.conv2d(merged, params.conv_up_w, params.conv_up_b)
+    return T.conv2d(merged, *params.conv_up)
 
 
 # ---------------------------------------------------------------------------

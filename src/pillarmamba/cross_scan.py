@@ -80,28 +80,21 @@ class Ss2dParams:
     """Parameters of one four-direction selective-scan block; ``scan`` stacks one projection set per scan
     direction, in ``DIRECTIONS`` order."""
 
-    in_proj_w: T.Param
-    in_proj_b: T.Param
+    in_proj: tuple[T.Param, T.Param]  # 1x1
     scan: SelectiveProjections
     norm_gamma: T.Param
     norm_beta: T.Param
-    out_proj_w: T.Param
-    out_proj_b: T.Param
+    out_proj: tuple[T.Param, T.Param]  # 1x1
 
 
 def init_ss2d_params(rng: np.random.Generator, channels: int, state_dim: int) -> Ss2dParams:
     c = channels
-    in_proj_w, in_proj_b = T.conv_param(rng, c, c, 1, gain=2.0)  # feeds silu
-    scan = init_selective_projections(rng, c, state_dim, len(DIRECTIONS))
-    out_proj_w, out_proj_b = T.conv_param(rng, c, c, 1)
     return Ss2dParams(
-        in_proj_w=in_proj_w,
-        in_proj_b=in_proj_b,
-        scan=scan,
+        in_proj=T.conv_param(rng, c, c, 1, gain=2.0),  # feeds silu
+        scan=init_selective_projections(rng, c, state_dim, len(DIRECTIONS)),
         norm_gamma=T.Param(np.ones(c)),
         norm_beta=T.Param(np.zeros(c)),
-        out_proj_w=out_proj_w,
-        out_proj_b=out_proj_b,
+        out_proj=T.conv_param(rng, c, c, 1),
     )
 
 
@@ -115,12 +108,12 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     channel and state sizes alone.
     """
     _, x_cells, y_cells = T.as_tensor(bev).shape
-    h = T.silu(T.conv2d(bev, params.in_proj_w, params.in_proj_b))
+    h = T.silu(T.conv2d(bev, *params.in_proj))
     perms = scan_permutations(x_cells, y_cells, h.shape[0], params.scan.a_log.shape[-1])
     scanned = selective_scan_tokens(cross_scan_flatten(h, perms), params.scan)
     merged = cross_merge(scanned, perms, x_cells, y_cells)
     normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
-    return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
+    return T.conv2d(normed, *params.out_proj)
 
 
 # ---------------------------------------------------------------------------

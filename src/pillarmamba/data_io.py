@@ -137,7 +137,10 @@ def load_cloud(path: str | Path) -> PointCloud:
             f"cloud file {path}: {len(blob)} bytes is not a multiple of {CLOUD_ROW_BYTES}"
         )
     pts = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)
-    return PointCloud(pts.copy())
+    try:
+        return PointCloud(pts.copy())
+    except ContractViolation as exc:  # a non-finite value
+        raise FormatError(f"cloud file {path}: {exc}") from exc
 
 
 # one JSON record per box, shared by label files and detection files:

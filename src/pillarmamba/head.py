@@ -26,19 +26,17 @@ HEATMAP_INIT_BIAS = -2.19  # sigmoid ~= 0.1: keeps the focal loss tame at init
 
 @dataclass
 class HeadParams:
-    stem_w: T.Param
-    stem_b: T.Param
-    hm_w: T.Param
-    hm_b: T.Param
-    reg_w: T.Param
-    reg_b: T.Param
+    stem: tuple[T.Param, T.Param]  # shared 3x3
+    hm: tuple[T.Param, T.Param]  # 1x1, C -> n_classes
+    reg: tuple[T.Param, T.Param]  # 1x1, C -> REG_CHANNELS
 
 
 def init_head_params(rng: np.random.Generator, channels: int, n_classes: int) -> HeadParams:
-    stem_w, stem_b = T.conv_param(rng, channels, channels, 3, gain=2.0)  # feeds silu
-    hm_w, hm_b = T.conv_param(rng, n_classes, channels, 1, bias_fill=HEATMAP_INIT_BIAS)
-    reg_w, reg_b = T.conv_param(rng, REG_CHANNELS, channels, 1)
-    return HeadParams(stem_w=stem_w, stem_b=stem_b, hm_w=hm_w, hm_b=hm_b, reg_w=reg_w, reg_b=reg_b)
+    return HeadParams(
+        stem=T.conv_param(rng, channels, channels, 3, gain=2.0),  # feeds silu
+        hm=T.conv_param(rng, n_classes, channels, 1, bias_fill=HEATMAP_INIT_BIAS),
+        reg=T.conv_param(rng, REG_CHANNELS, channels, 1),
+    )
 
 
 @dataclass
@@ -51,10 +49,10 @@ class RawMaps:
 
 def head_forward(f5, params: HeadParams) -> RawMaps:
     """Shared 3x3 stem with SiLU, then per-task 1x1 heads."""
-    stem = T.silu(T.conv2d(f5, params.stem_w, params.stem_b, padding=1))
+    stem = T.silu(T.conv2d(f5, *params.stem, padding=1))
     return RawMaps(
-        heatmap=T.conv2d(stem, params.hm_w, params.hm_b),
-        regression=T.conv2d(stem, params.reg_w, params.reg_b),
+        heatmap=T.conv2d(stem, *params.hm),
+        regression=T.conv2d(stem, *params.reg),
     )
 
 

@@ -224,7 +224,12 @@ def selective_discretize(
     along its row (0 * NaN is NaN, and an inf makes the rest of its row NaN),
     so a NaN in x[t, d] makes step t non-finite in every channel, not only in
     d. The exact input scale is well-conditioned here because a is strictly
-    negative on the selective path.
+    negative on the selective path. The selectors are there for speed: the
+    broadcast build (delta[:, :, None] * a, b[:, None, :], x[:, :, None])
+    gives the same bytes, but its numpy loops run M entries at a time, where
+    one matmul writes whole D*M rows. Float32 on a 2-vCPU Xeon, best of 200
+    calls: 0.34-0.38 against 0.48-0.69 ms at (n, D, M) = (1024, 16, 8), and
+    0.047-0.050 against 0.092-0.100 ms at (256, 8, 8).
     """
     n, d = delta.shape
     dm = recip_a.size

@@ -138,7 +138,8 @@ class Param:
 def conv_param(
     rng: np.random.Generator, out_ch: int, in_ch: int, k: int, gain: float = 1.0, bias_fill: float = 0.0
 ) -> tuple[Param, Param]:
-    """A (out_ch, in_ch, k, k) conv weight drawn N(0, gain / fan_in) and a constant bias, in float64.
+    """A (out_ch, in_ch, k, k) conv weight drawn N(0, gain / fan_in) and a constant bias, in float64: the
+    (weight, bias) pair that ``conv2d(x, *pair)`` takes, which a parameter tree stores as one field.
 
     gain 2 for convs feeding a relu/silu, 1 for linear maps; in_ch is 1 for a
     depthwise conv.

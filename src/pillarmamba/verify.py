@@ -30,7 +30,7 @@ def check_conv2d(seed: int) -> T.GradCheckReport:
     x = T.Tensor(rng.normal(size=(c_in, 5, 6)))
     w = T.Tensor(rng.normal(size=w_shape))
     b = T.Tensor(rng.normal(size=(w_shape[0],)))
-    fn = lambda x_, w_, b_: T.reduce_sum(T.conv2d(x_, w_, b_, stride=stride, padding=k // 2))
+    fn = lambda x_, *pair: T.reduce_sum(T.conv2d(x_, *pair, stride=stride, padding=k // 2))
     return T.grad_check(fn, [x, w, b], name=f"conv2d[seed={seed}]")
 
 

@@ -77,7 +77,7 @@ class TestHsb:
         params.se.b2.value.data[...] = 1000.0  # sigmoid saturates to exactly 1.0
         x = T.Tensor(rng(7).normal(size=(4, 6, 6)))
         out = T.value(hsb_forward(x, cfg, params))
-        dw = T.value(T.conv2d(x, params.dw_outer_w, params.dw_outer_b, padding=1))
+        dw = T.value(T.conv2d(x, *params.dw_outer, padding=1))
         np.testing.assert_array_equal(out, dw)
 
     def test_channel_mismatch_rejected(self):
@@ -110,7 +110,7 @@ class TestCsg:
         cfg = model_cfg(64, csg=True, se_reduction=4)
         assert (cfg.hsb_channels, cfg.hsb_inner_channels) == (32, 16)
         params = init_csg_params(rng(15), cfg)
-        assert T.value(params.hsbs[0].conv_down_w).shape == (16, 32, 1, 1)
+        assert T.value(params.hsbs[0].conv_down[0]).shape == (16, 32, 1, 1)
 
     def test_improper_split_rejected(self):
         # the split halves the channels, so an odd count fails at load, naming the key

@@ -354,12 +354,20 @@ def _hand_written_name(path: str) -> str:
     return path
 
 
-def _hand_named_weights(path, model, per_direction: bool):
-    """A .pmw of the model's values under the hand-written names of older builds: one stacked SS2D projection set
-    (``...ss2d.w_b`` of shape (4, D, M)) or, older still, one per direction (``...ss2d.row_forward.w_b`` of shape (D, M))."""
+def _split_conv_name(path: str) -> str:
+    """The field path a conv parameter had while each conv layer kept two fields: <layer>.0 -> <layer>_w and
+    <layer>.1 -> <layer>_b for the HSB, CSG, SS2D and head convs; the backbone's own convs were pairs already."""
+    layers = "conv_down|conv_up|dw_inner|dw_outer|in_proj|out_proj|stem|hm|reg"
+    return re.sub(rf"\.({layers})\.([01])$", lambda m: f".{m[1]}_{'wb'[int(m[2])]}", path)
+
+
+def _renamed_weights(path, model, rename, per_direction: bool = False) -> list[str]:
+    """A .pmw of the model's values under older names: ``rename`` of each field path, with one stacked SS2D
+    projection set (``...ss2d.w_b`` of shape (4, D, M)) or, when ``per_direction``, one per direction
+    (``...ss2d.row_forward.w_b`` of shape (D, M)). Returns the names written."""
     entries, values = [], []
     for name, p in model.named_params():
-        old = _hand_written_name(name)
+        old = rename(name)
         if per_direction and ".scan." in name:
             stem, _, leaf = old.rpartition(".")
             entries += [{"name": f"{stem}.{d}.{leaf}", "shape": list(p.shape[1:])} for d in DIRECTIONS]
@@ -368,27 +376,37 @@ def _hand_named_weights(path, model, per_direction: bool):
         values.append(p.value.data.astype("<f8").tobytes())
     blob = json.dumps({"params": entries}, sort_keys=True).encode()
     path.write_bytes(WEIGHTS_MAGIC + struct.pack("<I", len(blob)) + blob + b"".join(values))
+    return [e["name"] for e in entries]
 
 
 def test_per_direction_weights_are_rejected(dataset, tiny_cfg_path, tmp_path, capsys):
-    # no conversion from hand-written names, stacked or per direction: the field paths are missing from the file
-    # and the old names are extra; the rules above rebuild the old names exactly
+    # no conversion from older names: hand-written ones, stacked or per direction, or the field paths from before
+    # each conv layer became one pair. The field paths are missing from the file and the old names are extra; the
+    # hand-written rules above rebuild the old names exactly
     named = build_model(default_config(), seed=0).named_params()
     manifest = [(_hand_written_name(name), list(p.shape)) for name, p in named]
     assert hashlib.sha256(json.dumps(manifest).encode()).hexdigest() == HAND_WRITTEN_MANIFEST_SHA256
     cfg = config_from_dict(json.loads(Path(tiny_cfg_path).read_text()))
-    for per_direction in (False, True):
-        path = tmp_path / "old.pmw"
-        _hand_named_weights(path, build_model(cfg, seed=0), per_direction)
+    ours = [name for name, _ in build_model(cfg, seed=0).named_params()]
+    variants = [
+        (_hand_written_name, False, "'backbone.down_convs.0.0'", "'backbone.down0.weight'"),
+        (_hand_written_name, True, "'backbone.down_convs.0.0'", "'backbone.down0.weight'"),
+        (_split_conv_name, False, "'backbone.stages.0.conv_down.0'", "'backbone.stages.0.conv_down_b'"),
+    ]
+    for i, (rename, per_direction, a_missing, an_extra) in enumerate(variants):
+        path = tmp_path / f"old{i}.pmw"
+        written = _renamed_weights(path, build_model(cfg, seed=0), rename, per_direction)
         with pytest.raises(FormatError) as err:
             load_weights(path, build_model(cfg, seed=0))
         missing, extra = re.search(r"missing=(\[.*?\]) extra=(\[.*?\])", str(err.value)).groups()
-        assert "'backbone.down_convs.0.0'" in missing and "'backbone.down0.weight'" in extra
-    argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "dets")]
-    assert cli.main([*argv, "--weights", str(path)]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-    assert err["type"] == "FormatError" and "does not match this model" in err["message"]
-    assert not (tmp_path / "dets").exists()
+        assert missing == str(sorted(set(ours) - set(written))[:5]) and a_missing in missing
+        assert extra == str(sorted(set(written) - set(ours))[:5]) and an_extra in extra
+        out = tmp_path / f"dets{i}"
+        argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(dataset / "manifest.json"), "--out", str(out)]
+        assert cli.main([*argv, "--weights", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "FormatError" and "does not match this model" in err["message"]
+        assert not out.exists()
 
 
 def test_weights_roundtrip_exact_for_f32(tiny_cfg_path, tmp_path):

@@ -242,7 +242,7 @@ def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
     channels, x_cells, y_cells = tb.shape
     if order is None:
         order = scan_order(x_cells * y_cells, channels, slices[0]["a_log"].shape[-1])
-    h = T.silu(T.conv2d(tb, params.in_proj_w, params.in_proj_b))
+    h = T.silu(T.conv2d(tb, *params.in_proj))
     one = lambda t: T.reshape(t, (1,) + t.shape)
     rows = (x_cells * y_cells, channels)
 
@@ -262,7 +262,7 @@ def _per_direction_ss2d(bev, params, slices, order=None) -> T.Tensor:
         grid_map = T.gather_sum_rows(y, pair, x_cells, y_cells)
         acc = grid_map if acc is None else T.add(acc, grid_map)
     normed = T.layer_norm(acc, params.norm_gamma, params.norm_beta)
-    return T.conv2d(normed, params.out_proj_w, params.out_proj_b)
+    return T.conv2d(normed, *params.out_proj)
 
 
 def _ss2d_case(dtype, grid=(5, 7)):

@@ -115,6 +115,16 @@ class TestCloudFormat:
             load_cloud(path)
         assert "17" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_format_error_naming_the_file(self, tmp_path, bad):
+        values = np.arange(12, dtype="<f4")
+        values[6] = bad
+        path = tmp_path / "nonfinite.bin"
+        path.write_bytes(values.tobytes())
+        with pytest.raises(FormatError) as err:
+            load_cloud(path)
+        assert str(path) in str(err.value) and "non-finite" in str(err.value)
+
 
 class TestLabelFormat:
     def test_roundtrip(self, tmp_path):
@@ -412,7 +422,7 @@ class TestConfig:
         assert any(n.startswith("backbone.stages.0.0.ss2d.") for n in names)
         raw["model"]["csg"]["enabled"] = True
         names = [n for n, _ in build_model(config_from_dict(raw), seed=0).named_params()]
-        assert "backbone.stages.0.conv_down_w" in names and "backbone.stages.0.hsbs.0.ss2d.scan.a_log" in names
+        assert "backbone.stages.0.conv_down.0" in names and "backbone.stages.0.hsbs.0.ss2d.scan.a_log" in names
 
 
 # model-section overrides -> (parameter count, sha256 of the ordered
@@ -420,8 +430,8 @@ class TestConfig:
 # layout is this manifest followed by the values in the same order, and each
 # name is the parameter's field path
 MANIFEST_PINS = {
-    "default": ({}, 270, "cc5a6f4b3466f8472083bdfb1d1970eb2cfbf0c21315fbe65b8e949fbe3df102"),
-    "csg_off": ({"csg": {"enabled": False}}, 254, "fdf0f5e821e953396e5344043b9268614515504d3d4299a41936c69ce484e48f"),
+    "default": ({}, 270, "e9f4cd62ad32a2b83754a1f9f7fee040d78ac17e1b20f4feb54fa885062f7656"),
+    "csg_off": ({"csg": {"enabled": False}}, 254, "448516458c1e19298d6828109d5577e2912018daf5be7878fe74f061d5519e1e"),
 }
 
 
@@ -436,4 +446,9 @@ class TestWeightsManifest:
         manifest = [(name, list(p.value.shape)) for name, p in named]
         assert len(manifest) == count
         assert len({name for name, _ in manifest}) == count
+        # a conv layer is one (weight, bias) pair: <layer>.0 of shape (out_ch, ...), then <layer>.1 of shape (out_ch,)
+        for (name, shape), following in zip(manifest, manifest[1:] + [None]):
+            if len(shape) == 4:
+                layer, _, index = name.rpartition(".")
+                assert index == "0" and following == (f"{layer}.1", shape[:1]), name
         assert hashlib.sha256(json.dumps(manifest).encode()).hexdigest() == digest
