@@ -67,25 +67,29 @@ def init_backbone_params(rng: np.random.Generator, cfg: ModelConfig) -> Backbone
     )
 
 
-def _stage_forward(x, cfg: ModelConfig, stage: CsgParams | tuple[HsbParams, ...]):
+def _stage_forward(held: list, cfg: ModelConfig, stage: CsgParams | tuple[HsbParams, ...]):
+    """One stage on the map popped from the one-element list ``held``, so no caller's name keeps it."""
     if cfg.csg.enabled:
-        return csg_forward(x, cfg, stage)
-    return hsb_chain(x, cfg, stage)
+        return csg_forward(held.pop(), cfg, stage)
+    return hsb_chain(held, cfg, stage)
 
 
 def backbone_forward(f0, cfg: ModelConfig, params: BackboneParams) -> FeaturePyramid:
-    """F0 (C, X, Y) -> pyramid with F5 back at (C, X, Y)."""
-    t0 = T.as_tensor(f0)
-    _, x_cells, y_cells = t0.shape
-    validate_grid_for_backbone(x_cells, y_cells)
+    """F0 (C, X, Y) -> pyramid with F5 back at (C, X, Y).
 
-    f1 = _stage_forward(t0, cfg, params.stages[0])
-    levels = [f1]
-    x = f1
-    for i in range(1, STAGES):
-        x = T.conv2d(x, *params.down_convs[i - 1], stride=2, padding=1)
-        x = _stage_forward(x, cfg, params.stages[i])
-        levels.append(x)
+    Takes over ``f0``: no name here keeps it once stage 0 has it, so when a caller passes it as a call
+    temporary, an untaped forward frees it after its last reader, the CSG's ``conv_down`` (with the split off,
+    the first HSB's ``dw_outer``). Each stride-2 conv's output goes to its stage the same way.
+    """
+    _, x_cells, y_cells = T.as_tensor(f0).shape
+    validate_grid_for_backbone(x_cells, y_cells)
+    held = [f0]
+    del f0
+    levels = []
+    for i, stage in enumerate(params.stages):
+        if i:
+            held.append(T.conv2d(levels[-1], *params.down_convs[i - 1], stride=2, padding=1))
+        levels.append(_stage_forward(held, cfg, stage))
     f1, f2, f3, f4 = levels
 
     f3_up = T.conv2d(T.nearest_upsample_2x(f3), *params.lateral_f3)

@@ -102,30 +102,36 @@ def hsb_forward(f, cfg: ModelConfig, params: HsbParams) -> T.Tensor:
     depthwise-conv residual, then channel expansion. The output is a
     depthwise convolution of the block input gated by squeeze-excite channel
     attention on the expanded trunk.
-    """
-    tf = T.as_tensor(f)
-    c, hsb = cfg.hsb_channels, cfg.hsb
-    if tf.shape[0] != c:
-        raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {c}")
-    pad = hsb.dw_kernel // 2
-    f_down = T.conv2d(tf, *params.conv_down)
-    scanned = ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d)
-    f_down = T.add(scanned, f_down)
-    normed = T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta)
-    local = T.conv2d(normed, *params.dw_inner, padding=pad)
-    f_down = T.add(local, f_down)
-    f_up = T.conv2d(f_down, *params.conv_up)
 
-    dw_f = T.conv2d(tf, *params.dw_outer, padding=pad)
+    Takes over ``f``, whose last reader is ``dw_outer``. No trunk map is named
+    past its last reader.
+    """
+    f = T.as_tensor(f)
+    c, hsb = cfg.hsb_channels, cfg.hsb
+    if f.shape[0] != c:
+        raise ContractViolation(f"input has {f.shape[0]} channels, config expects {c}")
+    pad = hsb.dw_kernel // 2
+    f_down = T.conv2d(f, *params.conv_down)
+    f_down = T.add(ss2d_block(T.layer_norm(f_down, params.norm_ss_gamma, params.norm_ss_beta), params.ss2d), f_down)
+    f_down = T.add(
+        T.conv2d(T.layer_norm(f_down, params.norm_lc_gamma, params.norm_lc_beta), *params.dw_inner, padding=pad), f_down
+    )
+    f_up = T.conv2d(f_down, *params.conv_up)
+    del f_down
+
+    dw_f = T.conv2d(f, *params.dw_outer, padding=pad)
+    del f
     gates = T.reshape(se_attention(f_up, params.se), (c, 1, 1))
+    del f_up
     return T.mul(gates, dw_f)
 
 
-def hsb_chain(f, cfg: ModelConfig, hsbs: tuple[HsbParams, ...]) -> T.Tensor:
-    """The HSBs in order: a CSG's branch, or a whole stage when the split is off."""
+def hsb_chain(held: list, cfg: ModelConfig, hsbs: tuple[HsbParams, ...]) -> T.Tensor:
+    """The HSBs in order on the map popped from the one-element list ``held``: a CSG's branch, or a whole stage
+    when the split is off. Each HSB's input is popped into its call, so no name here outlives that HSB's reads."""
     for hsb_params in hsbs:
-        f = hsb_forward(f, cfg, hsb_params)
-    return f
+        held.append(hsb_forward(held.pop(), cfg, hsb_params))
+    return held.pop()
 
 
 def init_csg_params(rng: np.random.Generator, cfg: ModelConfig) -> CsgParams:
@@ -139,13 +145,22 @@ def init_csg_params(rng: np.random.Generator, cfg: ModelConfig) -> CsgParams:
 
 
 def csg_forward(f, cfg: ModelConfig, params: CsgParams) -> T.Tensor:
-    """Split-channel group: HSB chain on one half, identity bypass on the other."""
-    tf = T.as_tensor(f)
-    if tf.shape[0] != cfg.channels:
-        raise ContractViolation(f"input has {tf.shape[0]} channels, config expects {cfg.channels}")
-    # conv_down's output goes straight into the split, so no name keeps it alive through the HSB chain
-    branch, bypass = T.split(T.conv2d(tf, *params.conv_down), [cfg.hsb_channels] * 2)
-    merged = T.concat([hsb_chain(branch, cfg, params.hsbs), bypass])
+    """Split-channel group: HSB chain on one half, identity bypass on the other.
+
+    Takes over ``f``: its last reader is ``conv_down``, after which no name
+    here keeps it. The branch half goes to the chain in a one-element list,
+    so it is freed after the first HSB's ``dw_outer``. With the split off the
+    stage is ``hsb_chain`` alone, and the stage input lives through the first
+    HSB, because that HSB's ``dw_outer`` reads it last.
+    """
+    channels = T.as_tensor(f).shape[0]
+    if channels != cfg.channels:
+        raise ContractViolation(f"input has {channels} channels, config expects {cfg.channels}")
+    halves = list(T.split(T.conv2d(f, *params.conv_down), [cfg.hsb_channels] * 2))
+    del f
+    bypass = halves.pop()
+    merged = T.concat([hsb_chain(halves, cfg, params.hsbs), bypass])
+    del bypass
     return T.conv2d(merged, *params.conv_up)
 
 

@@ -101,16 +101,20 @@ def cmd_forward(args, cfg: RunConfig) -> dict:
     model = build_model(cfg, seed=args.seed)
     if args.weights:
         load_weights(args.weights, model)
+    # every scene runs before anything is written, so a bad cloud anywhere in the manifest leaves no output behind
+    payloads = []
+    n_dets = 0
+    for cloud_rel, _ in manifest.entries:
+        dets = model.detect(load_cloud(manifest_path.parent / cloud_rel))
+        payloads.append(_detections_payload(cloud_rel, dets))
+        n_dets += len(dets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    n_dets = 0
-    for i, (cloud_rel, _) in enumerate(manifest.entries):
-        dets = model.detect(load_cloud(manifest_path.parent / cloud_rel))
+    for i, payload in enumerate(payloads):
         path = out_dir / f"dets_{i:04d}.json"
-        _dump_json(path, _detections_payload(cloud_rel, dets))
+        _dump_json(path, payload)
         outputs.append(str(path))
-        n_dets += len(dets)
     dropped = {key: model.dropped[key] for key in ("dropped_out_of_range", "dropped_over_capacity", "dropped_pillars")}
     return {"outputs": outputs, "metrics": {"scenes": len(outputs), "detections": n_dets, **dropped}}
 

@@ -106,13 +106,20 @@ def ss2d_block(bev, params: Ss2dParams) -> T.Tensor:
     -> inverse-permute + sum -> per-site channel normalization -> 1x1 output
     projection. The scan order (``scan_permutations``) depends on the grid,
     channel and state sizes alone.
+
+    Takes over ``bev``: its last reader is the input projection, after which
+    no name here keeps it. The SiLU map goes to the flatten in a one-element
+    list, so neither map is alive during the scan of an untaped forward.
     """
     _, x_cells, y_cells = T.as_tensor(bev).shape
-    h = T.silu(T.conv2d(bev, *params.in_proj))
-    perms = scan_permutations(x_cells, y_cells, h.shape[0], params.scan.a_log.shape[-1])
-    scanned = selective_scan_tokens(cross_scan_flatten(h, perms), params.scan)
-    merged = cross_merge(scanned, perms, x_cells, y_cells)
-    normed = T.layer_norm(merged, params.norm_gamma, params.norm_beta)
+    h = [T.silu(T.conv2d(bev, *params.in_proj))]
+    del bev
+    perms = scan_permutations(x_cells, y_cells, h[0].shape[0], params.scan.a_log.shape[-1])
+    normed = T.layer_norm(
+        cross_merge(selective_scan_tokens(cross_scan_flatten(h.pop(), perms), params.scan), perms, x_cells, y_cells),
+        params.norm_gamma,
+        params.norm_beta,
+    )
     return T.conv2d(normed, *params.out_proj)
 
 

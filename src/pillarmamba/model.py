@@ -41,12 +41,16 @@ class PillarMambaModel:
     def forward_cloud(self, cloud: PointCloud) -> RawMaps:
         """Encoder -> backbone -> head on one cloud; the voxelizer's drop counters are added to ``dropped``.
 
-        Each stage is called through this module's name, which is where the benchmark's tracer wraps it.
+        Each stage is called through this module's name, which is where the benchmark's tracer wraps it. The
+        backbone takes over the encoder map, popped from a one-element list into its call, so untaped it is
+        freed inside stage 0; the pyramid's F1..F4 are freed before the head runs.
         """
         enc = self.cfg.model.encoder
         bev = encode_cloud(cloud, self.cfg.grid, self.encoder, enc.max_points_per_pillar, enc.max_pillars)
         self.dropped.update(bev.counters)
-        return head_forward(backbone_forward(bev.tensor, self.cfg.model, self.backbone).f5, self.head)
+        held = [bev.tensor]
+        del bev
+        return head_forward(backbone_forward(held.pop(), self.cfg.model, self.backbone).f5, self.head)
 
     def detect(self, cloud: PointCloud) -> list[Detection]:
         raw = self.forward_cloud(cloud)

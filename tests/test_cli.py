@@ -466,6 +466,22 @@ def test_forward_with_nan_weights_exits_1_without_outputs(dataset, tiny_cfg_path
     assert not (tmp_path / "dets").exists()
 
 
+
+@pytest.mark.parametrize("damage", ["nan", "truncated"])
+def test_forward_with_a_bad_later_cloud_exits_1_without_outputs(dataset, tiny_cfg_path, tmp_path, capsys, damage):
+    # the manifest's first cloud is good and its second is not: no scene's detections may be written
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    bad = data / json.loads((data / "manifest.json").read_text())["scenes"][1]["cloud"]
+    blob = bad.read_bytes()
+    bad.write_bytes(struct.pack("<f", float("nan")) + blob[4:] if damage == "nan" else blob[:-1])
+    out = tmp_path / "dets"
+    assert cli.main(["forward", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "FormatError" and str(bad) in err["message"]
+    assert not out.exists()
+
+
 def _length_prefixed(manifest: bytes) -> bytes:
     return struct.pack("<I", len(manifest)) + manifest
 

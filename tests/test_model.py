@@ -6,8 +6,10 @@ that load only when they build and run."""
 import hashlib
 import inspect
 import platform
+import sys
 import tracemalloc
 import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rng
+from pillarmamba import backbone as backbone_mod
+from pillarmamba import blocks as blocks_mod
+from pillarmamba import cross_scan as cross_scan_mod
+from pillarmamba import ssm as ssm_mod
 from pillarmamba import tensor as T
-from pillarmamba.backbone import init_backbone_params
+from pillarmamba.backbone import STAGES, init_backbone_params
 from pillarmamba.blocks import init_csg_params, init_hsb_params, init_se_params
 from pillarmamba.boxes import Box3D
 from pillarmamba.config import CsgToggles, HsbToggles, ModelConfig, RunConfig, SsmConfig, config_from_dict, default_config
@@ -205,6 +211,125 @@ def test_taped_forward_of_a_c07_step_keeps_only_what_its_backward_reads():
         tracemalloc.stop()
     assert tape._records
     assert live <= 33 * 2**20, f"{live / 2**20:.1f} MiB live after the taped forward"
+
+
+
+# an untaped forward frees a map that a call receives as a temporary only where the call moves its arguments into
+# the callee's frame (CPython 3.11 on); on 3.10 the caller's stack holds them until the call returns
+MOVES_CALL_ARGUMENTS = pytest.mark.skipif(sys.version_info < (3, 11), reason="call arguments outlive the callee's use")
+
+
+@MOVES_CALL_ARGUMENTS
+def test_untaped_detect_of_the_desk_model_frees_each_map_after_its_last_reader():
+    # one detect of the default desk model (C=64, seed 0) on the seed-0 default scene peaks at 7.1 MiB; names that
+    # kept the encoder map, a CSG's branch half and the SS2D's input and SiLU maps past their last readers made it 9.2
+    cfg = default_config()
+    net = build_model(cfg, seed=0)
+    cloud, _ = generate_scene(scene_spec_from_config(cfg, seed=0))
+    net.detect(cloud)  # warm-up: the cached scan orders
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        net.detect(cloud)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"{peak / 2**20:.2f} MiB peak in one untaped detect"
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a view's memory, so that a weak reference to it dies when the memory is freed."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _map_ref(x) -> weakref.ref:
+    return weakref.ref(_owner(T.value(x)))
+
+
+def _probe(monkeypatch, module, name: str, before) -> None:
+    """Wrap ``module.name`` to call ``before(x)`` on its first argument x, then the original. Like a traced
+    benchmark run's wrappers, this one holds its arguments until the original returns."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        before(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _record_outputs(monkeypatch, module, name: str, refs: list, pick=lambda out: out) -> None:
+    """Wrap ``module.name`` to append a weak reference to (``pick`` of) each of its outputs to ``refs``."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        refs.append(_map_ref(pick(out)))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@MOVES_CALL_ARGUMENTS
+class TestUntapedForwardFreesEachMapAfterItsLastReader:
+    """Weak references into an untaped ``detect`` of the C=4 model (CSG on, two HSBs per stage)."""
+
+    def test_encoder_map_is_freed_before_stage_0s_first_hsb(self, monkeypatch):
+        encoder_maps, alive = [], []
+        _record_outputs(monkeypatch, model_mod, "encode_cloud", encoder_maps, lambda bev: bev.tensor)
+        _probe(monkeypatch, blocks_mod, "hsb_forward", lambda x: alive.append(encoder_maps[0]() is not None))
+        _small_model(np.float32).detect(_cloud())
+        assert len(alive) == STAGES * 2
+        assert not alive[0], "the encoder map outlived the CSG's conv_down"
+
+    def test_csg_branch_half_is_freed_before_the_second_hsb(self, monkeypatch):
+        branches, alive = [], []
+        _record_outputs(monkeypatch, T, "split", branches, lambda pieces: pieces[0])
+        _probe(monkeypatch, blocks_mod, "hsb_forward", lambda x: alive.append(branches[-1]() is not None))
+        _small_model(np.float32).detect(_cloud())
+        # the first HSB of each CSG reads the branch half; the second starts after the first's dw_outer freed it
+        assert alive == [True, False] * STAGES
+
+    def test_ss2d_input_and_silu_maps_are_freed_before_the_scan(self, monkeypatch):
+        # the SS2D's input is the HSB's pre-scan layer norm, the last one to run before the scan
+        norms, silu_maps, alive = [], [], []
+        _record_outputs(monkeypatch, T, "layer_norm", norms)
+        _probe(monkeypatch, cross_scan_mod, "cross_scan_flatten", lambda x: silu_maps.append(_map_ref(x)))
+        _probe(monkeypatch, ssm_mod, "ssm_scan", lambda x: alive.append((norms[-1]() is None, silu_maps[-1]() is None)))
+        _small_model(np.float32).detect(_cloud())
+        assert alive == [(True, True)] * (STAGES * 2), "(SS2D input freed, SiLU map freed) at each scan"
+
+    def test_taped_forward_keeps_the_encoder_map_and_matches_a_run_that_holds_every_input(self, monkeypatch):
+        model = _small_model(np.float32)
+        targets = model.targets_for([BOX])
+
+        def taped_grads(hold: bool):
+            encoder_maps, alive, kept = [], [], []
+            hold_input = kept.append if hold else lambda x: None
+            with monkeypatch.context() as mp:
+                _record_outputs(mp, model_mod, "encode_cloud", encoder_maps, lambda bev: hold_input(bev) or bev.tensor)
+                for module, name in (
+                    (model_mod, "backbone_forward"),
+                    (backbone_mod, "csg_forward"),
+                    (blocks_mod, "hsb_forward"),
+                    (blocks_mod, "ss2d_block"),
+                    (cross_scan_mod, "cross_scan_flatten"),
+                    (cross_scan_mod, "selective_scan_tokens"),
+                ):
+                    _probe(mp, module, name, hold_input)
+                _probe(mp, blocks_mod, "hsb_forward", lambda x: alive.append(encoder_maps[0]() is not None))
+                with T.Tape() as tape:
+                    total, _ = loss_on_scene(model, _cloud(), targets)
+            tape.backward(total)
+            return alive[0], [total.data] + [tape.grad(p) for p in model.params()]
+
+        alive, grads = taped_grads(hold=False)
+        held_alive, held_grads = taped_grads(hold=True)
+        assert alive and held_alive, "the 1x1 conv_down closure reads the encoder map"
+        as_bytes = lambda arrays: [(g.dtype, g.shape, g.tobytes()) for g in arrays]
+        assert as_bytes(grads) == as_bytes(held_grads)
 
 
 @settings(max_examples=40)
