@@ -476,7 +476,8 @@ def test_forward_with_a_bad_later_cloud_exits_1_without_outputs(dataset, tiny_cf
     blob = bad.read_bytes()
     bad.write_bytes(struct.pack("<f", float("nan")) + blob[4:] if damage == "nan" else blob[:-1])
     out = tmp_path / "dets"
-    assert cli.main(["forward", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 1
+    argv = ["forward", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.json"), "--out", str(out)]
+    assert cli.main(argv) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["type"] == "FormatError" and str(bad) in err["message"]
     assert not out.exists()
