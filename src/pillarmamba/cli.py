@@ -2,7 +2,7 @@
 single-scene training, AP evaluation, CSG backbone benchmark, and scan-order
 diagnostics.
 
-Every command accepts ``--seed`` and echoes it in its run report; ``gen``,
+Every command accepts ``--seed`` (at least 0) and echoes it in its run report; ``gen``,
 ``forward``, ``train-toy`` and ``bench`` draw from it, while ``gradcheck``,
 ``eval`` and ``diagnose-scan`` use it for nothing more. Every command prints
 a JSON run report on stdout, and exits 0 on success, 1 on runtime failure
@@ -162,6 +162,7 @@ def cmd_train_toy(args, cfg: RunConfig) -> dict:
             "tail_steps": len(tail),
             "tail_loss_min": min(tail),
             "tail_loss_max": max(tail),
+            "skipped_out_of_range": model.targets_for(boxes).skipped_out_of_range,  # off-grid labels: no target
         },
     }
 
@@ -275,11 +276,14 @@ def cmd_diagnose_scan(args, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config path (defaults to the built-in desk-scale config)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("gen", help="generate synthetic scenes and a manifest")
     add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=_positive_int, default=4)
+    p.add_argument("--scenes", type=_int_at_least(1), default=4)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("forward", help="run inference over a manifest")
@@ -309,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite; exit 1 on failure")
     add_common(p)
-    p.add_argument("--seeds", type=_positive_int, default=20, help="seeded shapes per operator")
+    p.add_argument("--seeds", type=_int_at_least(1), default=20, help="seeded shapes per operator")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="gradient descent on one scene")
     add_common(p)
     p.add_argument("--scene", required=True, help="cloud .bin path; labels at same stem .json")
-    p.add_argument("--steps", type=_positive_int)
+    p.add_argument("--steps", type=_int_at_least(1))
     p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True, help="weights output path")
     p.set_defaults(fn=cmd_train_toy)
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="wall-time of CSG on/off backbones")
     add_common(p)
-    p.add_argument("--repeat", type=_positive_int, default=3)
+    p.add_argument("--repeat", type=_int_at_least(1), default=3)
     p.add_argument("--out", help="output directory for bench.json")
     p.set_defaults(fn=cmd_bench)
 

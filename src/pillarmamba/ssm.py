@@ -4,8 +4,9 @@ The discrete recurrence ``h_t = a_bar_t * h_{t-1} + b_bar_t * x_t``,
 ``y_t = c_t . h_t``, with zero-order-hold discretization of input-conditioned
 (selective) parameters, runs as one tape op, ``ssm_scan``: its forward
 discretizes, scans and contracts one row block at a time, and its backward
-is hand-written. The scan is a work-efficient prefix scan (Brent-Kung, in
-place on strided views, ``associative_scan``) over the associative lift
+is hand-written; both carry the state across blocks. A block's scan is one
+work-efficient prefix sweep (Brent-Kung, in place on strided views,
+``associative_scan``, which cuts no blocks itself) over the associative lift
 ``(a, u) o (a', u') = (a*a', a'*u + u')``. ``ssm_scan`` takes and returns
 sequences in scan order (``scan_order``, from the shapes alone): each row
 block holds its rows grouped by time step mod 2^L, so the sweep's first and
@@ -17,7 +18,6 @@ forms) live with the tests, in ``tests/conftest.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,40 +55,32 @@ def associative_scan(a: Array, u: Array) -> Array:
     """In place: overwrite u with h_t = a_t * h_{t-1} + u_t (h_{-1} = 0), return it, clobber a.
 
     a and u are buffers the caller owns, of one shape and dtype (strided
-    views are fine). The buffers are cut into row blocks of R rows
-    (``_block_rows``, R a power of two), taken in time order while each is
-    in cache: the previous block's final state is folded into the block's
-    first row, u[k0] += a[k0] * u[k0-1], and a Brent-Kung sweep over the
-    associative composition (a, u) o (a', u') = (a*a', a'*u + u') then
-    finishes the block through basic strided views, with no padding. The
-    up-sweep leaves at each position 2s*k - 1 the composition of the
-    length-2s block ending there; the down-sweep completes positions
-    (2k+1)*s - 1 from the finished prefixes s before them. A finished prefix
-    is read only for its state, so the down-sweep never updates coefficients
-    and the top up-sweep level skips them. A buffer of at most R rows is one
-    sweep; the result is deterministic for a given length and R.
+    views are fine). One Brent-Kung sweep over the associative composition
+    (a, u) o (a', u') = (a*a', a'*u + u') finishes them through basic
+    strided views, with no padding. The up-sweep leaves at each position
+    2s*k - 1 the composition of the length-2s block ending there; the
+    down-sweep completes positions (2k+1)*s - 1 from the finished prefixes s
+    before them. A finished prefix is read only for its state, so the
+    down-sweep never updates coefficients and the top up-sweep level skips
+    them. The result is deterministic for a given length. The buffers are
+    swept whole: ``ssm_scan``'s passes hand it at most one row block.
     """
     if a.shape != u.shape or a.dtype != u.dtype:
         raise ContractViolation(f"associative_scan buffers differ: a {a.shape} {a.dtype}, u {u.shape} {u.dtype}")
-    r = _block_rows(math.prod(u.shape[1:]))
-    prod = np.empty((min(r, a.shape[0]) // 2,) + u.shape[1:], dtype=u.dtype)  # a[hi] * u[lo] of one level
-    for k0 in range(0, a.shape[0], r):
-        ab, ub = a[k0 : k0 + r], u[k0 : k0 + r]
-        if k0:
-            ub[0] += ab[0] * u[k0 - 1]
-        n = ub.shape[0]
-        s = 1
-        while 2 * s <= n:  # up-sweep
-            hi = slice(2 * s - 1, None, 2 * s)
-            lo = slice(s - 1, n - s, 2 * s)
-            ub[hi] += np.multiply(ab[hi], ub[lo], out=prod[: n // (2 * s)])
-            if 4 * s <= n:
-                ab[hi] *= ab[lo]
-            s *= 2
-        while s > 1:  # down-sweep
-            s //= 2
-            hi = slice(3 * s - 1, None, 2 * s)
-            ub[hi] += np.multiply(ab[hi], ub[2 * s - 1 : n - s : 2 * s], out=prod[: (n - s) // (2 * s)])
+    n = u.shape[0]
+    prod = np.empty((n // 2,) + u.shape[1:], dtype=u.dtype)  # a[hi] * u[lo] of one level
+    s = 1
+    while 2 * s <= n:  # up-sweep
+        hi = slice(2 * s - 1, None, 2 * s)
+        lo = slice(s - 1, n - s, 2 * s)
+        u[hi] += np.multiply(a[hi], u[lo], out=prod[: n // (2 * s)])
+        if 4 * s <= n:
+            a[hi] *= a[lo]
+        s *= 2
+    while s > 1:  # down-sweep
+        s //= 2
+        hi = slice(3 * s - 1, None, 2 * s)
+        u[hi] += np.multiply(a[hi], u[2 * s - 1 : n - s : 2 * s], out=prod[: (n - s) // (2 * s)])
     return u
 
 
@@ -275,8 +267,8 @@ def _scan_backward(gy: Array, x: Array, delta: Array, a: Array, b_seq: Array, c_
     The spreads are exact for finite inputs, so the adjoint's coefficients
     equal those of the whole-buffer composition of the tape's
     mul/exp/reciprocal rules (the tests keep it as the oracle) bit for bit,
-    and so does lambda whenever the adjoint's blocks are the oracle's: when
-    R divides T or T <= R. The sums round in another order, so float64
+    and so does lambda whenever the oracle sweeps its adjoint in the same
+    R-row blocks, counted from the last step: when R divides T or T <= R. The sums round in another order, so float64
     gradients agree with it within 1e-12 of each gradient's largest
     magnitude, not bit for bit. A
     selector matmul spreads a NaN along its row (0 * NaN is NaN; an inf
@@ -374,7 +366,7 @@ def _scan_forward(x: Array, delta: Array, a: Array, b_seq: Array, c_seq: Array, 
     delta, a and b_seq; the whole (T,D,M) h is kept only if asked (the tape's backward
     reads it), else one block of it is reused, with the same bits. The
     a-weighted selector and 1/a are built once (``_a_terms``). h rounds as
-    ``associative_scan`` on the whole time-ordered buffers does, and the mat-vec sums over
+    the same fold and one ``associative_scan`` sweep per time-ordered block do, and the mat-vec sums over
     M in another order than an elementwise product and sum: float64 outputs
     agree with the ZOH and recurrent references within 1e-12 relative.
     """

@@ -219,6 +219,19 @@ def test_forward_reports_the_voxelizer_drops_summed_over_its_scenes(dataset, tin
     assert expected["dropped_over_capacity"] > 0 and expected["dropped_pillars"] > 0
 
 
+def _subcommand_argv(command, dataset, dets, out) -> list[str]:
+    """The flags of one short run of ``command`` on the dataset and a detections directory, writing to ``out``."""
+    return {
+        "gen": ["--out", str(out), "--scenes", "1"],
+        "forward": ["--manifest", str(dataset / "manifest.json"), "--out", str(out)],
+        "gradcheck": ["--seeds", "1"],
+        "train-toy": ["--scene", str(dataset / "scene_0000.bin"), "--steps", "1", "--out", str(out)],
+        "eval": ["--dets", str(dets), "--manifest", str(dataset / "manifest.json"), "--out", str(out)],
+        "bench": ["--repeat", "1", "--out", str(out)],
+        "diagnose-scan": ["--grid", "4x4", "--out", str(out)],
+    }[command]
+
+
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_bad_config_fails_every_subcommand(command, case, dataset, tmp_path, capsys):
@@ -231,16 +244,7 @@ def test_bad_config_fails_every_subcommand(command, case, dataset, tmp_path, cap
     for i in range(2):
         (dets / f"dets_{i:04d}.json").write_text(json.dumps({"scene": f"scene_{i:04d}", "detections": []}))
     out = tmp_path / "out"
-    argv = {
-        "gen": ["--out", str(out), "--scenes", "1"],
-        "forward": ["--manifest", str(dataset / "manifest.json"), "--out", str(out)],
-        "gradcheck": ["--seeds", "1"],
-        "train-toy": ["--scene", str(dataset / "scene_0000.bin"), "--steps", "1", "--out", str(out)],
-        "eval": ["--dets", str(dets), "--manifest", str(dataset / "manifest.json"), "--out", str(out)],
-        "bench": ["--repeat", "1", "--out", str(out)],
-        "diagnose-scan": ["--grid", "4x4", "--out", str(out)],
-    }[command]
-    assert cli.main([command, "--config", str(cfg_path), *argv]) == 1
+    assert cli.main([command, "--config", str(cfg_path), *_subcommand_argv(command, dataset, dets, out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""  # no run report
     err = json.loads(captured.err.strip().splitlines()[-1])["error"]
@@ -293,6 +297,22 @@ def test_train_toy_reports_the_loss_range_of_its_last_tenth(dataset, tiny_cfg_pa
     metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["metrics"]
     assert (metrics["tail_steps"], metrics["tail_loss_min"], metrics["tail_loss_max"]) == (2, 2.0, 4.0)
     assert (metrics["first_loss"], metrics["final_loss"]) == (20.0, 4.0)
+
+
+def test_train_toy_reports_the_labels_off_the_grid(dataset, tiny_cfg_path, tmp_path, capsys, monkeypatch):
+    # a gen'd scene with one more box, centred 100 m out: it gets no target, and the run report counts it
+    monkeypatch.setattr(cli, "train_toy", lambda *a, **k: [1.0])
+    boxes = load_labels(dataset / "scene_0000.json")
+    far = replace(boxes[0], x=100.0)
+    scene = tmp_path / "scene.bin"
+    shutil.copyfile(dataset / "scene_0000.bin", scene)
+    reported = []
+    for labels in (boxes, [*boxes, far]):
+        scene.with_suffix(".json").write_text(json.dumps([box_record(b) for b in labels]))
+        argv = ["train-toy", "--config", tiny_cfg_path, "--scene", str(scene), "--steps", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "w.pmw")]) == 0
+        reported.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1])["metrics"]["skipped_out_of_range"])
+    assert reported == [0, 1]
 
 
 def test_train_toy_non_finite_loss_exits_1_without_weights(dataset, tiny_cfg_path, tmp_path, capsys):
@@ -630,6 +650,18 @@ def test_count_flag_usage_errors_exit_2(argv, tmp_path, capsys):
         cli.main([*argv, *([] if argv[0] == "gradcheck" else ["--out", str(out)])])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_negative_seed_is_a_usage_error(command, dataset, tmp_path, capsys):
+    # numpy's generators take no negative seed: every subcommand refuses one at parse time, naming the flag
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_subcommand_argv(command, dataset, tmp_path, out), "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: must be at least 0, got -1" in err
     assert not out.exists()
 
 

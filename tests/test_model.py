@@ -219,6 +219,31 @@ def test_taped_forward_of_a_c07_step_keeps_only_what_its_backward_reads():
 MOVES_CALL_ARGUMENTS = pytest.mark.skipif(sys.version_info < (3, 11), reason="call arguments outlive the callee's use")
 
 
+def test_network_scans_sweep_at_most_one_row_block_at_a_time(monkeypatch):
+    # associative_scan sweeps the buffers it is given whole, so the forward and the adjoint must hand it at most
+    # one row block: with 2-row blocks every sequence of the C=4 model but stage 3's one-step ones spans several
+    monkeypatch.setattr(ssm_mod, "SCAN_BLOCK_ELEMENTS", 4)
+    sequences, sweeps = [], []
+    scan, sweep = ssm_mod.ssm_scan, ssm_mod.associative_scan
+
+    def recording_scan(x, delta, a, b_seq, c_seq):
+        _, t_len, d = T.value(x).shape
+        sequences.append((t_len, ssm_mod._block_rows(d * T.value(a).shape[-1])))
+        return scan(x, delta, a, b_seq, c_seq)
+
+    monkeypatch.setattr(ssm_mod, "ssm_scan", recording_scan)
+    monkeypatch.setattr(ssm_mod, "associative_scan", lambda a, u: sweeps.append(u.shape) or sweep(a, u))
+    model = _small_model(np.float32)
+    for run in (lambda: model.detect(_cloud()), lambda: train_toy(model, _cloud(), [BOX], steps=1, lr=0.02)):
+        sequences.clear()
+        sweeps.clear()
+        run()
+        assert len(sequences) == STAGES * 2 and sweeps
+        assert all(t_len > r for t_len, r in sequences if t_len > 1), sequences
+        too_long = [shape for shape in sweeps if shape[0] > ssm_mod._block_rows(int(np.prod(shape[1:])))]
+        assert too_long == [], f"swept more than one row block: {too_long}"
+
+
 @MOVES_CALL_ARGUMENTS
 def test_untaped_detect_of_the_desk_model_frees_each_map_after_its_last_reader():
     # one detect of the default desk model (C=64, seed 0) on the seed-0 default scene peaks at 7.1 MiB; names that

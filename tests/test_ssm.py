@@ -123,7 +123,7 @@ class TestScanForms:
 
 
 def _one_block_scan(a, u):
-    """The unblocked Brent-Kung sweep over the whole buffers: the kernel's bit-level oracle for T <= R."""
+    """The Brent-Kung sweep over the whole buffers, with plain products: ``associative_scan``'s bit-level oracle."""
     t_len = a.shape[0]
     s = 1
     while 2 * s <= t_len:
@@ -141,7 +141,8 @@ def _one_block_scan(a, u):
 
 def _fold_and_sweep(a, u, r):
     """Per row block of r rows in time order: fold the previous block's final state into the block's first row,
-    then ``_one_block_scan`` over the block. The kernel's bit-level oracle for T > R."""
+    then ``_one_block_scan`` over the block. The bit-level oracle of ``ssm_scan``'s state and adjoint, whose passes
+    sweep row blocks of R rows and carry the state across them."""
     for k0 in range(0, a.shape[0], r):
         if k0:
             u[k0] += a[k0] * u[k0 - 1]
@@ -205,16 +206,13 @@ def _scan_backward(gy, x, delta, a, b_seq, c_seq, h):
     return (*(_to_time_order(order, g) for g in (g_x, g_delta)), g_a, *(_to_time_order(order, g) for g in (g_b, g_c)))
 
 
-def _assert_scan_matches_blockwise(coeff, update, reverse, r):
-    """associative_scan on copies of (coeff, update), reversed views if asked, equals the oracle byte for byte:
-    ``_one_block_scan`` up to r rows, ``_fold_and_sweep`` beyond."""
+def _assert_scan_is_one_sweep(coeff, update, reverse):
+    """associative_scan on copies of (coeff, update), reversed views if asked, equals ``_one_block_scan`` over the
+    whole buffers byte for byte, at any length and block size."""
     bufs = [coeff.copy(), update.copy(), coeff.copy(), update.copy()]
     if reverse:
         bufs = [b[::-1] for b in bufs]
-    if coeff.shape[0] <= r:
-        expected = _one_block_scan(bufs[0], bufs[1])
-    else:
-        expected = _fold_and_sweep(bufs[0], bufs[1], r)
+    expected = _one_block_scan(bufs[0], bufs[1])
     assert associative_scan(bufs[2], bufs[3]).tobytes() == expected.tobytes()
 
 
@@ -228,30 +226,31 @@ BLOCK_LENGTHS = {"1": (0, 1), "R-1": (1, -1), "R": (1, 0), "R+1": (1, 1), "2R+1"
 
 
 class TestBlockedScan:
-    """The block-sequential kernels against their bit-level oracles: the unblocked sweep within one block, the fold
-    and sweep per block beyond it, and whole-buffer broadcast passes for the discretization."""
+    """The kernels against their bit-level oracles: ``associative_scan`` is one sweep over the buffers it is given,
+    whatever the row block size, and the discretization equals whole-buffer broadcast passes."""
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["contiguous", "reversed"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", [*BLOCK_LENGTHS, "16384"])
     def test_scan_equals_one_block_sweep(self, length, dtype, reverse):
+        # lengths around and beyond the forward's R: the buffers are swept whole, never cut into row blocks
         r_rows = BLOCK_R
-        assert 4 <= r_rows <= 4096  # a 16384-row buffer spans several blocks
+        assert 4 <= r_rows <= 4096  # a 16384-row buffer spans several row blocks
         k, c = BLOCK_LENGTHS.get(length, (0, 16384))
         t_len = k * r_rows + c
         gen = rng(300 + t_len)
         coeff = gen.uniform(-1.0, 1.0, (t_len,) + BLOCK_ROW).astype(dtype)
         update = gen.normal(size=(t_len,) + BLOCK_ROW).astype(dtype)
-        _assert_scan_matches_blockwise(coeff, update, reverse, r_rows)
+        _assert_scan_is_one_sweep(coeff, update, reverse)
 
-    # (2, 3) rows in 4-row blocks: length 1000 folds 249 block seams
+    # (2, 3) rows, with SCAN_BLOCK_ELEMENTS at 4-row blocks: the sweep does not read the block size
     @pytest.mark.parametrize("t_len", list(range(41)) + [63, 64, 65, 129, 257, 1000])
     def test_scan_equals_one_block_sweep_with_tiny_blocks(self, monkeypatch, t_len):
         monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * TINY_ROW)
         gen = rng(400 + t_len)
         coeff, update = gen.uniform(-1.0, 1.0, (t_len, 2, 3)), gen.normal(size=(t_len, 2, 3))
         for reverse in (False, True):
-            _assert_scan_matches_blockwise(coeff, update, reverse, 4)
+            _assert_scan_is_one_sweep(coeff, update, reverse)
 
     @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", ["1", "R+1", "3R+5"])
@@ -694,11 +693,12 @@ class TestScanForward:
         _assert_matches_composed([_scan_forward(*inputs)[0]], [_composed_forward(*inputs)])
 
     def test_state_is_the_blocked_kernel_on_the_discretized_buffers(self, monkeypatch):
-        # the fused pass runs the whole-buffer kernels' ops: h equals them byte for byte, here across 4-row seams
+        # the fused pass runs the whole-buffer kernels' ops: h equals the fold and sweep per 4-row block of the
+        # broadcast-discretized buffers byte for byte, across 5 seams
         monkeypatch.setattr(ssm, "SCAN_BLOCK_ELEMENTS", 4 * TINY_ROW)
         x, delta, a, b, c = TestSelective._scan_inputs(rng(25), 23, 2, 3)
         h = _scan_forward(x, delta, a, b, c)[1]
-        assert h.tobytes() == associative_scan(*_one_block_discretize(delta, a, b, x)).tobytes()
+        assert h.tobytes() == _fold_and_sweep(*_one_block_discretize(delta, a, b, x), 4).tobytes()
 
     @pytest.mark.parametrize("c_dtype", [np.float32, np.float64])
     def test_float32_parameters_with_float64_x_give_float64_output(self, c_dtype):
@@ -728,8 +728,9 @@ def _composed_backward(gy, x, delta, a, b_seq, c_seq, h):
     delta3, b3, recip = delta[:, :, None], b_seq[:, None, :], 1.0 / a
     a_bar = np.exp(delta3 * a)
     # adjoint lambda_t = c_t*gy_t + a_{t+1}*lambda_{t+1}: reversed position k needs a_{T-k}, and
-    # position 0 only multiplies the zero initial state
-    lam = associative_scan(np.roll(a_bar[::-1], 1, axis=0), (c_seq[:, None, :] * gy[:, :, None])[::-1])[::-1]
+    # position 0 only multiplies the zero initial state; swept in the forward's R-row blocks from the last step
+    r = ssm._block_rows(math.prod(a.shape))
+    lam = _fold_and_sweep(np.roll(a_bar[::-1], 1, axis=0), (c_seq[:, None, :] * gy[:, :, None])[::-1], r)[::-1]
     g_bb = lam * x[:, :, None]
     g_scale = g_bb * b3
     zoh = np.expm1(delta3 * a)  # expm1(z), then in place the input scale, then b_bar
